@@ -31,7 +31,7 @@ from .exactfield import (
     series_invert,
     series_log,
 )
-from .fock import FockState, ModePattern, basis_vector
+from .fock import FockState, ModePattern
 from .lweights import (
     LWeight,
     NotDiagonal,
@@ -78,7 +78,6 @@ __all__ = [
     "bilinear",
     "ModePattern",
     "FockState",
-    "basis_vector",
     "RepSpec",
     "OscWord",
     "Evaluator",

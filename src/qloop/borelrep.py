@@ -5,9 +5,9 @@ group-likes q**(nu h_i) into the l-fold q-oscillator algebra.  The whole
 family of representations is generated from it by diagram twists: rotating by
 powers of the cyclic symmetry sigma (e_i -> e_{i+1 mod l+1}) gives the
 representations indexed by a = 1 .. l+1, and composing with the flip tau
-(e_0 -> e_0, e_i -> e_{l-i+1}) gives their mirrored counterparts.  Explicit
-image tables for every (a, bar) are implemented side by side with the
-composition definition, and twist_consistency checks they agree word by word.
+(e_0 -> e_0, e_i -> e_{l-i+1}) gives their mirrored counterparts.  image_e
+and image_qh are exactly that composition: untwisted_index maps e_i to the
+row of the base homomorphism that the twists send it to.
 
 Operator images are OscWords: a scalar times an ordered product of b, bdag
 and q**(sum d_j N_j) factors.  Composite operators (q-commutators, divided
@@ -145,16 +145,19 @@ class OscWord:
         return {"coeff": qrational_to_json(self.coeff), "atoms": atoms}
 
 
-def _evec(l: int, j: int, val: int = 1) -> tuple:
-    return tuple(val if k == j else 0 for k in range(1, l + 1))
-
-
 def _base_e_word(l: int, i: int) -> OscWord:
     """The base homomorphism on e_i (the representation with a = l+1)."""
     if i == 0:
-        return _creation_word(l)
+        # bdag_1 q**(N_2 + ... + N_l); the exponent is empty at l = 1
+        atoms = [("bdag", 1)]
+        if l > 1:
+            atoms.append(("qN", tuple(0 if j == 0 else 1 for j in range(l))))
+        return OscWord(l, QRational.one(), atoms)
     if i == l:
-        return OscWord(l, -kappa().inv(), (("b", l), ("qN", _evec(l, l))))
+        # -kappa**-1 b_l q**(N_l)
+        d = tuple(1 if j == l else 0 for j in range(1, l + 1))
+        return OscWord(l, -kappa().inv(), (("b", l), ("qN", d)))
+    # -b_i bdag_{i+1} q**(N_i - N_{i+1} - 1)
     d = tuple((1 if j == i else 0) - (1 if j == i + 1 else 0) for j in range(1, l + 1))
     return OscWord(l, -QRational.q_power(-1), (("b", i), ("bdag", i + 1), ("qN", d)))
 
@@ -168,88 +171,12 @@ def _base_h_vec(l: int, i: int) -> tuple:
     return tuple((1 if j == i + 1 else 0) - (1 if j == i else 0) for j in range(1, l + 1))
 
 
-def _pair_word(l: int, k: int) -> OscWord:
-    # -b_k bdag_{k+1} q**(N_k - N_{k+1} - 1)
-    d = tuple((1 if j == k else 0) - (1 if j == k + 1 else 0) for j in range(1, l + 1))
-    return OscWord(l, -QRational.q_power(-1), (("b", k), ("bdag", k + 1), ("qN", d)))
-
-
-def _creation_word(l: int) -> OscWord:
-    # bdag_1 q**(N_2 + ... + N_l); the exponent is empty at l = 1
-    atoms = [("bdag", 1)]
-    if l > 1:
-        atoms.append(("qN", tuple(0 if j == 0 else 1 for j in range(l))))
-    return OscWord(l, QRational.one(), atoms)
-
-
-def _kappa_word(l: int) -> OscWord:
-    # -kappa**-1 b_l q**(N_l)
-    return OscWord(l, -kappa().inv(), (("b", l), ("qN", _evec(l, l))))
-
-
-def image_e(i: int, spec: RepSpec) -> OscWord:
-    """Image of e_i from the explicit per-representation tables.
-
-    Branch membership is decided modulo l+1, so the edge representations
-    a = 1 and a = l+1 read their wrapped rows correctly.
-    """
-    l, a = spec.l, spec.a
-    if not (0 <= i <= l):
-        raise IndexError("generator index out of range")
-    r = (i - a) % (l + 1)
-    if not spec.bar:
-        if r == 0:
-            return _creation_word(l)
-        if r == l:
-            return _kappa_word(l)
-        if i <= a - 2:
-            return _pair_word(l, l + i - a + 1)
-        return _pair_word(l, i - a)
-    if r == 0:
-        return _kappa_word(l)
-    if r == l:
-        return _creation_word(l)
-    if i <= a - 2:
-        return _pair_word(l, a - i - 1)
-    return _pair_word(l, l + a - i)
-
-
-def image_qh(x: CartanExponent, spec: RepSpec) -> OscWord:
-    """Image of q**x as a q**(sum d_j N_j) word, from the explicit tables."""
-    l, a = spec.l, spec.a
-    if x.l != l:
-        raise ValueError("rank mismatch")
-    dsum = [0] * l
-
-    def hvec(i: int) -> tuple:
-        r = (i - a) % (l + 1)
-        if not spec.bar:
-            if r == 0:
-                return tuple(2 if j == 1 else 1 for j in range(1, l + 1))
-            if r == l:
-                return tuple(-2 if j == l else -1 for j in range(1, l + 1))
-            k = l + i - a + 1 if i <= a - 2 else i - a
-            return tuple((1 if j == k + 1 else 0) - (1 if j == k else 0) for j in range(1, l + 1))
-        if r == 0:
-            return tuple(-2 if j == l else -1 for j in range(1, l + 1))
-        if r == l:
-            return tuple(2 if j == 1 else 1 for j in range(1, l + 1))
-        k = a - i - 1 if i <= a - 2 else l + a - i
-        return tuple((1 if j == k + 1 else 0) - (1 if j == k else 0) for j in range(1, l + 1))
-
-    for i, ci in enumerate(x.coeffs):
-        if ci:
-            for j, d in enumerate(hvec(i)):
-                dsum[j] += ci * d
-    if any(dsum):
-        return OscWord(l, QRational.one(), (("qN", tuple(dsum)),))
-    return OscWord(l, QRational.one(), ())
-
-
-# -- the composition definition of the twisted family
-
 def untwisted_index(i: int, spec: RepSpec) -> int:
-    """The base-table row that the diagram twists send e_i to."""
+    """The base-homomorphism row that the diagram twists send e_i to.
+
+    theta_a reads row sigma**-a(i); its mirrored partner reads row
+    tau(sigma**(1-a)(i)).
+    """
     l, a = spec.l, spec.a
     if not spec.bar:
         return (i - a) % (l + 1)
@@ -257,12 +184,18 @@ def untwisted_index(i: int, spec: RepSpec) -> int:
     return 0 if k == 0 else l - k + 1
 
 
-def image_e_from_base(i: int, spec: RepSpec) -> OscWord:
+def image_e(i: int, spec: RepSpec) -> OscWord:
+    """Image of e_i: the base homomorphism composed with the diagram twists."""
+    if not (0 <= i <= spec.l):
+        raise IndexError("generator index out of range")
     return _base_e_word(spec.l, untwisted_index(i, spec))
 
 
-def image_qh_from_base(x: CartanExponent, spec: RepSpec) -> OscWord:
+def image_qh(x: CartanExponent, spec: RepSpec) -> OscWord:
+    """Image of q**x as a q**(sum d_j N_j) word, through the same twists."""
     l = spec.l
+    if x.l != l:
+        raise ValueError("rank mismatch")
     dsum = [0] * l
     for i, ci in enumerate(x.coeffs):
         if ci:
@@ -271,41 +204,6 @@ def image_qh_from_base(x: CartanExponent, spec: RepSpec) -> OscWord:
     if any(dsum):
         return OscWord(l, QRational.one(), (("qN", tuple(dsum)),))
     return OscWord(l, QRational.one(), ())
-
-
-def twist_consistency(l: int, a: int, bar: bool, i: int) -> bool:
-    """Explicit tables agree with the diagram-twist composition on e_i, q**h_i."""
-    spec = RepSpec(l, a, bar)
-    if image_e(i, spec).normalized() != image_e_from_base(i, spec).normalized():
-        return False
-    x = CartanExponent.h(l, i)
-    return image_qh(x, spec) == image_qh_from_base(x, spec)
-
-
-def rotation_order_check(l: int) -> bool:
-    """The diagram rotation has order l+1 on the generator indices."""
-    idx = list(range(l + 1))
-    for _ in range(l + 1):
-        idx = [(k + 1) % (l + 1) for k in idx]
-    return idx == list(range(l + 1))
-
-
-def flip_involution_check(l: int) -> bool:
-    """The diagram flip squares to the identity on the generator indices."""
-    def tau(k):
-        return 0 if k == 0 else l - k + 1
-    return all(tau(tau(k)) == k for k in range(l + 1))
-
-
-def bar_reflection_check(l: int, a: int, i: int) -> bool:
-    """Mirrored images coincide with the reflected unmirrored family."""
-    left = image_e(i, RepSpec(l, a, bar=True)).normalized()
-    right = image_e((l + 1 - i) % (l + 1), RepSpec(l, l - a + 2, bar=False)).normalized()
-    if left != right:
-        return False
-    xl = CartanExponent.h(l, i)
-    xr = CartanExponent.h(l, (l + 1 - i) % (l + 1))
-    return image_qh(xl, RepSpec(l, a, bar=True)) == image_qh(xr, RepSpec(l, l - a + 2, bar=False))
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +387,6 @@ def get_evaluator(spec: RepSpec) -> Evaluator:
         ev = Evaluator(RepSpec(spec.l, spec.a, spec.bar))
         _EVALUATORS[key] = ev
     return ev
-
-
-def apply(expr: OpExpr, spec: RepSpec, state: FockState) -> FockState:
-    """One-shot application of an operator expression to a state."""
-    return get_evaluator(spec).apply(expr, state)
 
 
 def serre_check(i: int, j: int, spec: RepSpec, samples) -> bool:

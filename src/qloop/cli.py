@@ -23,8 +23,8 @@ import sys
 
 from .borelrep import RepSpec, get_evaluator, image_e, image_qh, serre_check
 from .exactfield import QRational, qrational_to_json, urational_to_json
-from .lweights import (NotDiagonal, closed_lambda, closed_psi, factor_check,
-                       phi_series, verify_grid)
+from .lweights import (check_vector, closed_lambda, closed_psi, factor_check,
+                       verify_grid)
 from .rootsys import CartanExponent
 from .rootvectors import (drinfeld_check, drinfeld_check_minus, e_dual,
                           e_prime_imag, e_real, e_unprimed_imag)
@@ -48,8 +48,10 @@ def parse_zs(text: str) -> QRational:
         elif tok.startswith("q^"):
             f = QRational.q_power(int(tok[2:]))
         elif "/" in tok:
-            a, b = tok.split("/", 1)
-            f = QRational.from_int(int(a)) / QRational.from_int(int(b))
+            a, b = (int(x) for x in tok.split("/", 1))
+            if b == 0:
+                raise ValueError(f"zero denominator in scalar expression {text!r}")
+            f = QRational.from_int(a) / QRational.from_int(b)
         else:
             f = QRational.from_int(int(tok))
         if neg:
@@ -68,7 +70,11 @@ def _parse_m(text: str, l: int) -> tuple:
 
 
 def _default_order() -> int:
-    return int(os.environ.get("QLOOP_ORDER", _DEFAULT_ORDER))
+    text = os.environ.get("QLOOP_ORDER", str(_DEFAULT_ORDER))
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"QLOOP_ORDER must be an integer, not {text!r}") from None
 
 
 def _emit(args, payload: dict, lines) -> None:
@@ -77,8 +83,11 @@ def _emit(args, payload: dict, lines) -> None:
     if args.json or args.output:
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text + "\n")
+            try:
+                with open(args.output, "w") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                raise ValueError(f"cannot write {args.output}: {exc.strerror}") from None
         else:
             print(text)
 
@@ -93,30 +102,39 @@ def _meta(l: int, a, bar: bool, order, zs: QRational) -> dict:
     }
 
 
+def _report(args, lines, found: list, meta: dict, lam=(), psi=()) -> int:
+    """Emit the lines and the meta/lambda/psi/discrepancies payload; 1 on any discrepancy."""
+    payload = {"meta": meta, "lambda": list(lam), "psi": list(psi), "discrepancies": found}
+    _emit(args, payload, lines)
+    return 0 if not found else 1
+
+
+def _families(args) -> list:
+    """The requested (bar, a) families: one or both bars, one or every a."""
+    bars = (True,) if args.bar else (False, True)
+    a_values = (args.a,) if args.a is not None else range(1, args.l + 2)
+    return [(bar, a) for bar in bars for a in a_values]
+
+
+def _failure(a, bar: bool, i: int, m: list, status: str) -> dict:
+    return {"a": a, "bar": bar, "i": i, "m": m, "status": status,
+            "expected": "0", "computed": "nonzero"}
+
+
 def _cmd_verify(args) -> int:
     zs = parse_zs(args.zs)
-    bars = (True,) if args.bar else (False, True)
-    a_values = (args.a,) if args.a is not None else None
+    families = _families(args)
     found = []
-    for bar in bars:
+    for bar, a in families:
         found.extend(verify_grid(args.l, args.order, m_max=args.mmax, bar=bar,
-                                 zs=zs, a_values=a_values))
-    lines = []
-    checked = len(bars) * (args.l + 1 if a_values is None else 1)
-    lines.append(f"verified {checked} representation families at l={args.l}, "
-                 f"order {args.order}, occupations <= {args.mmax}")
+                                 zs=zs, a_values=(a,)))
+    lines = [f"verified {len(families)} representation families at l={args.l}, "
+             f"order {args.order}, occupations <= {args.mmax}"]
     for d in found:
         lines.append(f"MISMATCH a={d['a']} bar={d['bar']} i={d['i']} m={d['m']}: "
                      f"{d['status']}: expected {d['expected']}, got {d['computed']}")
     lines.append("all checks passed" if not found else f"{len(found)} discrepancies")
-    payload = {
-        "meta": _meta(args.l, args.a, args.bar, args.order, zs),
-        "lambda": [],
-        "psi": [],
-        "discrepancies": found,
-    }
-    _emit(args, payload, lines)
-    return 0 if not found else 1
+    return _report(args, lines, found, _meta(args.l, args.a, args.bar, args.order, zs))
 
 
 def _cmd_lweight(args) -> int:
@@ -125,106 +143,55 @@ def _cmd_lweight(args) -> int:
     m = _parse_m(args.m, args.l)
     lam = closed_lambda(spec, m)
     psi = [closed_psi(i, spec, m) for i in range(1, args.l + 1)]
-    found = []
-    ev = get_evaluator(spec)
-    for j in range(args.l + 1):
-        t = ev.qh_exponent(CartanExponent.h(args.l, j), m)
-        if t != lam.pair_h(j):
-            found.append({"a": spec.a, "bar": spec.bar, "i": j, "m": list(m),
-                          "status": "weight-mismatch",
-                          "expected": f"q^{lam.pair_h(j)}", "computed": f"q^{t}"})
-    for i in range(1, args.l + 1):
-        try:
-            series = phi_series(i, spec, m, args.order)
-        except NotDiagonal:
-            found.append({"a": spec.a, "bar": spec.bar, "i": i, "m": list(m),
-                          "status": "not-diagonal",
-                          "expected": repr(psi[i - 1]), "computed": "not diagonal"})
-            continue
-        if psi[i - 1].expand(args.order) != series:
-            found.append({"a": spec.a, "bar": spec.bar, "i": i, "m": list(m),
-                          "status": "psi-mismatch",
-                          "expected": repr(psi[i - 1]), "computed": repr(series)})
+    found = check_vector(spec, m, args.order)
     lines = [f"weight: {' '.join(f'omega_{k+1}:{c}' for k, c in enumerate(lam.omega))}"]
     for i, f in enumerate(psi, start=1):
         lines.append(f"Psi_{i}(u) = {f!r}")
     if found:
         lines.append(f"{len(found)} discrepancies against the operator series")
-    payload = {
-        "meta": _meta(args.l, args.a, args.bar, args.order, zs),
-        "lambda": list(lam.omega),
-        "psi": [urational_to_json(f) for f in psi],
-        "discrepancies": found,
-    }
-    _emit(args, payload, lines)
-    return 0 if not found else 1
+    return _report(args, lines, found, _meta(args.l, args.a, args.bar, args.order, zs),
+                   lam.omega, [urational_to_json(f) for f in psi])
 
 
 def _cmd_serre(args) -> int:
-    bars = (True,) if args.bar else (False, True)
-    a_values = (args.a,) if args.a is not None else range(1, args.l + 2)
     samples = list(itertools.product(range(args.mmax + 1), repeat=args.l))
     found = []
     pairs = 0
-    for bar in bars:
-        for a in a_values:
-            spec = RepSpec(args.l, a, bar)
-            for i in range(args.l + 1):
-                for j in range(args.l + 1):
-                    if i == j:
-                        continue
-                    pairs += 1
-                    if not serre_check(i, j, spec, samples):
-                        found.append({"a": a, "bar": bar, "i": i, "m": [j],
-                                      "status": "serre-failure",
-                                      "expected": "0", "computed": "nonzero"})
+    for bar, a in _families(args):
+        spec = RepSpec(args.l, a, bar)
+        for i in range(args.l + 1):
+            for j in range(args.l + 1):
+                if i == j:
+                    continue
+                pairs += 1
+                if not serre_check(i, j, spec, samples):
+                    found.append(_failure(a, bar, i, [j], "serre-failure"))
     lines = [f"checked {pairs} Serre relations at l={args.l}, occupations <= {args.mmax}",
              "all checks passed" if not found else f"{len(found)} failures"]
-    payload = {
-        "meta": _meta(args.l, args.a, args.bar, None, QRational.one()),
-        "lambda": [],
-        "psi": [],
-        "discrepancies": found,
-    }
-    _emit(args, payload, lines)
-    return 0 if not found else 1
+    return _report(args, lines, found, _meta(args.l, args.a, args.bar, None, QRational.one()))
 
 
 def _cmd_drinfeld(args) -> int:
-    bars = (True,) if args.bar else (False, True)
-    a_values = (args.a,) if args.a is not None else range(1, args.l + 2)
     samples = list(itertools.product(range(args.mmax + 1), repeat=args.l))
     found = []
     count = 0
-    for bar in bars:
-        for a in a_values:
-            spec = RepSpec(args.l, a, bar)
-            for i in range(1, args.l + 1):
-                for j in range(1, args.l + 1):
-                    for n in range(1, args.nmax + 1):
-                        for k in range(0, args.nmax + 1):
-                            count += 1
-                            if not drinfeld_check(i, j, n, k, spec, samples):
-                                found.append({"a": a, "bar": bar, "i": i, "m": [j, n, k],
-                                              "status": "drinfeld-plus-failure",
-                                              "expected": "0", "computed": "nonzero"})
-                        for k in range(1, args.nmax + 1):
-                            count += 1
-                            if not drinfeld_check_minus(i, j, n, k, spec, samples):
-                                found.append({"a": a, "bar": bar, "i": i, "m": [j, n, k],
-                                              "status": "drinfeld-minus-failure",
-                                              "expected": "0", "computed": "nonzero"})
+    for bar, a in _families(args):
+        spec = RepSpec(args.l, a, bar)
+        for i in range(1, args.l + 1):
+            for j in range(1, args.l + 1):
+                for n in range(1, args.nmax + 1):
+                    for k in range(0, args.nmax + 1):
+                        count += 1
+                        if not drinfeld_check(i, j, n, k, spec, samples):
+                            found.append(_failure(a, bar, i, [j, n, k], "drinfeld-plus-failure"))
+                    for k in range(1, args.nmax + 1):
+                        count += 1
+                        if not drinfeld_check_minus(i, j, n, k, spec, samples):
+                            found.append(_failure(a, bar, i, [j, n, k], "drinfeld-minus-failure"))
     lines = [f"checked {count} loop relations at l={args.l}, n <= {args.nmax}, "
              f"occupations <= {args.mmax}",
              "all checks passed" if not found else f"{len(found)} failures"]
-    payload = {
-        "meta": _meta(args.l, args.a, args.bar, None, QRational.one()),
-        "lambda": [],
-        "psi": [],
-        "discrepancies": found,
-    }
-    _emit(args, payload, lines)
-    return 0 if not found else 1
+    return _report(args, lines, found, _meta(args.l, args.a, args.bar, None, QRational.one()))
 
 
 _KIND_ALIASES = {
@@ -234,47 +201,40 @@ _KIND_ALIASES = {
     "full_tensor": "full-tensor",
 }
 
+# the families that take --index, each over 1 .. l + extra
+_INDEXED_KINDS = {"osc": 1, "pref-minus": 0, "pref-plus": 0}
+
 
 def _cmd_factor(args) -> int:
-    args.kind = _KIND_ALIASES.get(args.kind, args.kind)
+    kind = _KIND_ALIASES.get(args.kind, args.kind)
     zs = parse_zs(args.zs)
     jobs = []
-    if args.kind in ("osc", "all"):
-        indices = [args.index] if args.kind == "osc" and args.index is not None \
-            else range(1, args.l + 2)
-        jobs += [("osc", a) for a in indices]
-    if args.kind in ("pref-minus", "all"):
-        indices = [args.index] if args.kind == "pref-minus" and args.index is not None \
-            else range(1, args.l + 1)
-        jobs += [("pref-minus", i) for i in indices]
-    if args.kind in ("pref-plus", "all"):
-        indices = [args.index] if args.kind == "pref-plus" and args.index is not None \
-            else range(1, args.l + 1)
-        jobs += [("pref-plus", i) for i in indices]
-    if args.kind in ("full-tensor", "all"):
-        jobs += [("full-tensor", 0)]
+    for name, extra in _INDEXED_KINDS.items():
+        if kind not in (name, "all"):
+            continue
+        indices = range(1, args.l + extra + 1)
+        if kind == name and args.index is not None:
+            if args.index not in indices:
+                raise ValueError(f"{name} needs 1 <= index <= {args.l + extra}")
+            indices = (args.index,)
+        jobs += [(name, index) for index in indices]
+    if kind in ("full-tensor", "all"):
+        jobs.append(("full-tensor", 0))
     zs_list = None
     if args.zs_list:
         zs_list = tuple(parse_zs(tok) for tok in args.zs_list.split(","))
     found = []
     lines = []
-    for kind, index in jobs:
-        ok = factor_check(kind, args.l, index, zs, zs_list)
-        label = f"{kind}" + (f"[{index}]" if kind != "full-tensor" else "")
+    for name, index in jobs:
+        ok = factor_check(name, args.l, index, zs, zs_list)
+        label = f"{name}" + (f"[{index}]" if name != "full-tensor" else "")
         lines.append(f"{label}: {'ok' if ok else 'MISMATCH'}")
         if not ok:
             found.append({"a": index, "bar": False, "i": 0, "m": [],
-                          "status": f"{kind}-mismatch",
+                          "status": f"{name}-mismatch",
                           "expected": "equal l-weights", "computed": "unequal"})
     lines.append("all checks passed" if not found else f"{len(found)} failures")
-    payload = {
-        "meta": _meta(args.l, args.index, False, None, zs),
-        "lambda": [],
-        "psi": [],
-        "discrepancies": found,
-    }
-    _emit(args, payload, lines)
-    return 0 if not found else 1
+    return _report(args, lines, found, _meta(args.l, args.index, False, None, zs))
 
 
 _ROOT_BUILDERS = {
@@ -311,6 +271,8 @@ def _cmd_dump_op(args) -> int:
         return 2
     if family == "imag" and len(nums) == 2:
         i, n = nums
+        if not (1 <= i <= args.l):
+            raise ValueError("imaginary root vectors need 1 <= i <= l")
         expr = builder(args.l, i, i + 1, n)
         name = f"e_{n}delta,alpha_{i}"
     elif family == "prime" and len(nums) == 2:
@@ -417,16 +379,21 @@ def main(argv=None) -> int:
         parser.error("need l >= 1")
     if getattr(args, "a", None) is not None and not (1 <= args.a <= args.l + 1):
         parser.error("need 1 <= a <= l+1")
-    if hasattr(args, "order"):
-        if args.order is None:
-            args.order = _default_order()
-        if args.order < 2:
-            parser.error("need order >= 2")
+    # a grid without vectors or loop degrees would check nothing and pass
+    if getattr(args, "mmax", 0) < 0:
+        parser.error("need mmax >= 0")
+    if getattr(args, "nmax", 1) < 1:
+        parser.error("need nmax >= 1")
     if args.command == "dump-op" and (args.gen is None) == (args.root is None):
         parser.error("dump-op needs exactly one of --gen or --root")
     if getattr(args, "gen", None) is not None and not (0 <= args.gen <= args.l):
         parser.error("need 0 <= gen <= l")
     try:
+        if hasattr(args, "order"):
+            if args.order is None:
+                args.order = _default_order()
+            if args.order < 2:
+                parser.error("need order >= 2")
         return args.func(args)
     except ValueError as exc:
         parser.error(str(exc))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactfield import QRational, qnum
+from .exactfield import QRational
 
 PLUS = "plus"
 MINUS = "minus"
@@ -117,62 +117,3 @@ class FockState:
             return "0"
         parts = [f"({c!r})*v{list(m)}" for m, c in sorted(self._terms.items())]
         return " + ".join(parts)
-
-
-def _mode_on_basis(op, mode: int, kind: str, m: tuple):
-    """Action of one oscillator generator on one basis vector.
-
-    Returns (coefficient, new occupation vector) or None when the vector is
-    annihilated.  op is 'b', 'bdag', or ('qN', k) for q**(k N).
-    """
-    j = mode - 1
-    mj = m[j]
-    if op == "b":
-        if kind == PLUS:
-            if mj == 0:
-                return None
-            return qnum(mj), m[:j] + (mj - 1,) + m[j + 1:]
-        return QRational.one(), m[:j] + (mj + 1,) + m[j + 1:]
-    if op == "bdag":
-        if kind == PLUS:
-            return QRational.one(), m[:j] + (mj + 1,) + m[j + 1:]
-        if mj == 0:
-            return None
-        return -qnum(mj), m[:j] + (mj - 1,) + m[j + 1:]
-    tag, k = op
-    if tag != "qN":
-        raise ValueError(f"unknown oscillator generator {op!r}")
-    t = k * mj if kind == PLUS else -k * (mj + 1)
-    return QRational.q_power(t), m
-
-
-def apply_mode(op, mode: int, pattern: ModePattern, state: FockState) -> FockState:
-    """Apply b, bdag or q**(k N) in one tensor slot to a state."""
-    if not (1 <= mode <= pattern.l):
-        raise IndexError("mode out of range")
-    if state.l != pattern.l:
-        raise ValueError("rank mismatch")
-    kind = pattern.kinds[mode - 1]
-    out = {}
-    for m, c in state.items():
-        hit = _mode_on_basis(op, mode, kind, m)
-        if hit is None:
-            continue
-        coeff, m2 = hit
-        acc = out.get(m2)
-        out[m2] = coeff * c if acc is None else acc + coeff * c
-    return FockState(pattern.l, out)
-
-
-def basis_vector(a: int, bar: bool, m) -> FockState:
-    """The distinguished basis vector with occupation numbers m.
-
-    In every slot the module's own ladder operator built from the vacuum
-    gives the occupation vector with unit coefficient, for the mirrored
-    modules as well, so the two families share one occupation basis.
-    """
-    m = tuple(m)
-    l = len(m)
-    if not (1 <= a <= l + 1):
-        raise ValueError("need 1 <= a <= l+1")
-    return FockState.basis(m)

@@ -435,37 +435,46 @@ def _entry(spec: RepSpec, i: int, m: tuple, status: str, expected: str,
     }
 
 
+def check_vector(spec: RepSpec, m: tuple, order: int) -> list:
+    """Discrepancies of one basis vector v_m against the closed forms.
+
+    Compares every q**h_j exponent with the closed weight and every phi_i
+    series with the closed Psi_i through the given order.  Returns a list of
+    discrepancy entries; empty means pass.
+    """
+    l = spec.l
+    ev = get_evaluator(spec)
+    lam = closed_lambda(spec, m)
+    found = []
+    for j in range(l + 1):
+        t = ev.qh_exponent(CartanExponent.h(l, j), m)
+        if t != lam.pair_h(j):
+            found.append(_entry(spec, j, m, "weight-mismatch", f"q^{lam.pair_h(j)}", f"q^{t}"))
+    for i in range(1, l + 1):
+        closed = closed_psi(i, spec, m)
+        try:
+            series = phi_series(i, spec, m, order)
+        except NotDiagonal:
+            found.append(_entry(spec, i, m, "not-diagonal", repr(closed), "not diagonal"))
+            continue
+        if closed.expand(order) != series:
+            found.append(_entry(spec, i, m, "psi-mismatch", repr(closed), repr(series)))
+    return found
+
+
 def verify_grid(l: int, order: int, m_max: int = 1, bar: bool = False,
                 zs: QRational = _ONE, a_values=None) -> list:
-    """Check operator weights and eigenvalue series against the closed forms.
+    """check_vector over a grid of representations and basis vectors.
 
-    Runs over every a (or the given a_values), every occupation vector with
-    entries up to m_max, every node i, comparing q**h_j exponents with the
-    closed weight and the phi_i series with the closed Psi_i through the
-    given order.  Returns a list of discrepancy entries; empty means pass.
+    Runs over every a (or the given a_values) and every occupation vector
+    with entries up to m_max.  Returns a list of discrepancy entries; empty
+    means pass.
     """
     found = []
     if a_values is None:
         a_values = range(1, l + 2)
     for a in a_values:
         spec = RepSpec(l, a, bar, zs)
-        ev = get_evaluator(spec)
         for m in itertools.product(range(m_max + 1), repeat=l):
-            lam = closed_lambda(spec, m)
-            for j in range(l + 1):
-                t = ev.qh_exponent(CartanExponent.h(l, j), m)
-                if t != lam.pair_h(j):
-                    found.append(_entry(spec, j, m, "weight-mismatch",
-                                        f"q^{lam.pair_h(j)}", f"q^{t}"))
-            for i in range(1, l + 1):
-                closed = closed_psi(i, spec, m)
-                try:
-                    series = phi_series(i, spec, m, order)
-                except NotDiagonal:
-                    found.append(_entry(spec, i, m, "not-diagonal",
-                                        repr(closed), "not diagonal"))
-                    continue
-                if closed.expand(order) != series:
-                    found.append(_entry(spec, i, m, "psi-mismatch",
-                                        repr(closed), repr(series)))
+            found.extend(check_vector(spec, m, order))
     return found

@@ -166,25 +166,23 @@ def chi(l: int, i: int, n: int) -> OpExpr:
     return Scale(QRational.from_int(sign), e_unprimed_imag(l, i, n))
 
 
-def drinfeld_check(i: int, j: int, n: int, m: int, spec: RepSpec, samples) -> bool:
-    """[chi_{i,n}, xi+_{j,m}] = (1/n) [n a_ij]_q xi+_{j,n+m} on sample basis vectors."""
+def _chi_bracket(i: int, j: int, n: int, m: int, spec: RepSpec, samples, xi, sign: int) -> bool:
+    """[chi_{i,n}, xi_{j,m}] = sign (1/n) [n a_ij]_q xi_{j,n+m} on sample basis vectors."""
     l = spec.l
     x = chi(l, i, n)
-    y = xi_plus(l, j, m)
+    y = xi(l, j, m)
     lhs = Sum((Compose(x, y), Scale(QRational.from_int(-1), Compose(y, x))))
     c = qnum(n * finite_cartan_entry(l, i, j)) / QRational.from_int(n)
-    rhs = Scale(c, xi_plus(l, j, n + m))
+    rhs = Scale(c if sign > 0 else -c, xi(l, j, n + m))
     ev = get_evaluator(spec)
     return all((ev.apply_basis(lhs, s) - ev.apply_basis(rhs, s)).is_zero() for s in samples)
+
+
+def drinfeld_check(i: int, j: int, n: int, m: int, spec: RepSpec, samples) -> bool:
+    """[chi_{i,n}, xi+_{j,m}] = (1/n) [n a_ij]_q xi+_{j,n+m} on sample basis vectors."""
+    return _chi_bracket(i, j, n, m, spec, samples, xi_plus, 1)
 
 
 def drinfeld_check_minus(i: int, j: int, n: int, m: int, spec: RepSpec, samples) -> bool:
     """[chi_{i,n}, xi-_{j,m}] = -(1/n) [n a_ij]_q xi-_{j,n+m} on sample basis vectors, m > 0."""
-    l = spec.l
-    x = chi(l, i, n)
-    y = xi_minus(l, j, m)
-    lhs = Sum((Compose(x, y), Scale(QRational.from_int(-1), Compose(y, x))))
-    c = -qnum(n * finite_cartan_entry(l, i, j)) / QRational.from_int(n)
-    rhs = Scale(c, xi_minus(l, j, n + m))
-    ev = get_evaluator(spec)
-    return all((ev.apply_basis(lhs, s) - ev.apply_basis(rhs, s)).is_zero() for s in samples)
+    return _chi_bracket(i, j, n, m, spec, samples, xi_minus, -1)

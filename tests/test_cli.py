@@ -1,8 +1,12 @@
 """Command-line interface: exit codes, JSON schema, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qloop import cli
 from qloop.exactfield import QRational, urational_to_json
@@ -28,7 +32,7 @@ def test_parse_zs_values():
 
 def test_parse_zs_rejects_bad_input():
     for bad in ("0", "", "q^", "x", "q*", "1/0"):
-        with pytest.raises((ValueError, ZeroDivisionError)):
+        with pytest.raises(ValueError):
             cli.parse_zs(bad)
 
 
@@ -40,7 +44,7 @@ def test_verify_passes(capsys):
     assert "all checks passed" in out
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(monkeypatch, tmp_path, capsys):
     for argv in (
         ["lweight", "--l", "0", "--a", "1", "--m", "0"],
         ["lweight", "--l", "1", "--a", "3", "--m", "0"],
@@ -50,10 +54,26 @@ def test_usage_errors_exit_two():
         ["dump-op", "--l", "1", "--a", "1"],
         ["dump-op", "--l", "1", "--a", "1", "--gen", "2"],
         ["nonsense"],
+        ["verify", "--l", "2", "--zs", "1/0"],
+        ["factor", "--l", "3", "--kind", "pref-minus", "--index", "0"],
+        ["factor", "--l", "3", "--kind", "pref-plus", "--index", "4"],
+        ["verify", "--l", "1", "--order", "2", "--mmax", "0",
+         "--output", str(tmp_path / "missing" / "x.json")],
+        # a run that examines nothing must not report a pass
+        ["verify", "--l", "1", "--mmax", "-1"],
+        ["serre", "--l", "1", "--mmax", "-1"],
+        ["drinfeld", "--l", "1", "--nmax", "0"],
+        ["drinfeld", "--l", "1", "--mmax", "-1"],
     ):
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
         assert err.value.code == 2, argv
+        assert "error:" in capsys.readouterr().err, argv
+    monkeypatch.setenv("QLOOP_ORDER", "x")
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", "--l", "1"])
+    assert err.value.code == 2
+    assert "QLOOP_ORDER" in capsys.readouterr().err
 
 
 def test_verification_failure_exits_one(monkeypatch, capsys):
@@ -63,6 +83,65 @@ def test_verification_failure_exits_one(monkeypatch, capsys):
     assert cli.main(["verify", "--l", "1"]) == 1
     out = capsys.readouterr().out
     assert "MISMATCH" in out and "psi-mismatch" in out
+
+
+_SMALL = st.integers(-1, 3).map(str)
+_FLAG_VALUES = {
+    # sizes stay tiny and are always given, so that no default makes a run large
+    "--order": st.integers(-1, 3).map(str),
+    "--mmax": st.integers(-1, 1).map(str),
+    "--nmax": st.integers(-1, 1).map(str),
+    "--a": _SMALL,
+    "--index": _SMALL,
+    "--gen": _SMALL,
+    "--m": st.lists(st.integers(-1, 2), max_size=3).map(lambda m: ",".join(map(str, m))),
+    "--zs": st.sampled_from(("0", "1", "1/0", "q^x", "-2*q^3", "q^-1", "3/2", "")),
+    "--zs-list": st.sampled_from(("q,q^2", "1,1/0", "q,q,q", "0,1,q")),
+    "--kind": st.sampled_from(("osc", "pref-minus", "pref_plus", "full-tensor", "all")),
+    "--root": st.sampled_from(("real:1,2,0", "dual:1,2,1", "prime:1,1", "imag:0,1",
+                               "imag:1,0", "prime:2,1", "real:2,1,0", "imag:3,1", "bogus")),
+}
+# per subcommand: the flags always given, then the flags given or not
+_COMMANDS = {
+    "verify": (("--order", "--mmax"), ("--a", "--bar", "--zs", "--json")),
+    "lweight": (("--a", "--m", "--order"), ("--bar", "--zs", "--json")),
+    "serre": (("--mmax",), ("--a", "--bar", "--json")),
+    "drinfeld": (("--mmax", "--nmax"), ("--a", "--bar", "--json")),
+    "factor": (("--kind",), ("--index", "--zs", "--zs-list", "--json")),
+    "dump-op": (("--a", "--mmax"), ("--bar", "--json")),
+}
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand with some of its flags; small ints (0 and negatives too),
+    twists, occupation vectors and root specs, valid or not."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    always, optional = _COMMANDS[command]
+    flags = list(always) + [f for f in optional if draw(st.booleans())]
+    if command == "dump-op":
+        flags.append(draw(st.sampled_from(("--gen", "--root"))))
+    argv = [command, "--l", str(draw(st.integers(-1, 2)))]
+    for flag in flags:
+        if flag in ("--bar", "--json"):
+            argv.append(flag)
+        else:
+            # the '=' form keeps a leading '-' in the value from reading as a flag
+            argv.append(f"{flag}={draw(_FLAG_VALUES[flag])}")
+    return argv
+
+
+@given(_argvs())
+@settings(max_examples=200, deadline=None)
+def test_argv_fuzz_never_escapes(argv):
+    # the exit code is 0, 1 or 2, and no exception but a usage exit escapes
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2, argv
+    assert code in (0, 1, 2), argv
 
 
 # ----------------------------------------------------------------------- JSON

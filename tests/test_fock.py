@@ -5,6 +5,8 @@ bdag raises freely; on the minus module q^N has eigenvalue q^-(m+1), b raises
 freely and bdag lowers with coefficient -[m].  Together they realize the
 defining relations q^N b q^-N = q^-1 b, q^N bdag q^-N = q bdag,
 b bdag = [N+1] and bdag b = [N] ([N] evaluated on the q^N eigenvalue).
+The slot-by-slot action checked here is the reference in tests/oracles.py;
+test_borelrep ties OscWord.apply_basis to it.
 """
 
 import itertools
@@ -13,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import apply_mode
 from qloop.exactfield import QRational, qnum
-from qloop.fock import FockState, ModePattern, apply_mode, basis_vector
+from qloop.fock import FockState, ModePattern
 
 ONE = QRational.one()
 qp = QRational.q_power
@@ -144,9 +147,9 @@ def test_state_vector_space_ops():
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=3))
 @settings(max_examples=30, deadline=None)
 def test_basis_vector_is_the_unit_occupation_state(m):
-    l = len(m)
-    for a in range(1, l + 2):
-        for bar in (False, True):
-            v = basis_vector(a, bar, m)
-            assert v.coefficient(tuple(m)) == ONE
-            assert len(dict(v.items())) == 1
+    v = FockState.basis(m)
+    assert v.l == len(m)
+    assert v.coefficient(tuple(m)) == ONE
+    assert len(dict(v.items())) == 1
+    with pytest.raises(ValueError):
+        FockState.basis(m[:-1] + [-1])
