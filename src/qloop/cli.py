@@ -10,7 +10,7 @@ use the canonical exact encodings from exactfield.
 
 The spectral twist is given as a tiny exact expression over q: factors
 separated by '*', each an integer, a ratio like '3/2', or a power 'q^-2'
-('q' alone is allowed).  Examples: 'q^3', '-2*q^-1', '1/2'.
+('q' alone is allowed, and |k| <= 1000).  Examples: 'q^3', '-2*q^-1', '1/2'.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ from .rootvectors import (drinfeld_check, drinfeld_check_minus, e_dual,
 
 _DEFAULT_ORDER = 6
 
+# q^k is a dense polynomial of length |k|, so larger twist exponents are refused
+MAX_TWIST_EXPONENT = 1000
+_ZS_HELP = f"spectral twist, e.g. 'q^3' or '-2*q^-1'; |k| <= {MAX_TWIST_EXPONENT} in q^k"
+
 
 def parse_zs(text: str) -> QRational:
     """Parse an exact scalar expression: '*'-separated integers, ratios, q-powers."""
@@ -46,7 +50,10 @@ def parse_zs(text: str) -> QRational:
         if tok == "q":
             f = QRational.q_power(1)
         elif tok.startswith("q^"):
-            f = QRational.q_power(int(tok[2:]))
+            k = int(tok[2:])
+            if abs(k) > MAX_TWIST_EXPONENT:
+                raise ValueError(f"twist exponent {k} is beyond +-{MAX_TWIST_EXPONENT}")
+            f = QRational.q_power(k)
         elif "/" in tok:
             a, b = (int(x) for x in tok.split("/", 1))
             if b == 0:
@@ -207,13 +214,17 @@ _INDEXED_KINDS = {"osc": 1, "pref-minus": 0, "pref-plus": 0}
 
 def _cmd_factor(args) -> int:
     kind = _KIND_ALIASES.get(args.kind, args.kind)
+    if args.index is not None and kind not in _INDEXED_KINDS:
+        raise ValueError(f"--index does not apply to --kind {kind}")
+    if args.zs_list is not None and kind in _INDEXED_KINDS:
+        raise ValueError(f"--zs-list does not apply to --kind {kind}")
     zs = parse_zs(args.zs)
     jobs = []
     for name, extra in _INDEXED_KINDS.items():
         if kind not in (name, "all"):
             continue
         indices = range(1, args.l + extra + 1)
-        if kind == name and args.index is not None:
+        if args.index is not None:
             if args.index not in indices:
                 raise ValueError(f"{name} needs 1 <= index <= {args.l + extra}")
             indices = (args.index,)
@@ -328,13 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="series vs closed forms on an occupation grid")
     _add_common(p)
     p.add_argument("--mmax", type=int, default=2, help="max occupation per mode")
-    p.add_argument("--zs", default="1", help="spectral twist, e.g. 'q^3'")
+    p.add_argument("--zs", default="1", help=_ZS_HELP)
     p.set_defaults(func=_cmd_verify)
 
     p = subs.add_parser("lweight", help="closed l-weight of one basis vector")
     _add_common(p, a_required=True)
     p.add_argument("--m", required=True, help="occupation vector, e.g. '1,0,2'")
-    p.add_argument("--zs", default="1", help="spectral twist, e.g. 'q^3'")
+    p.add_argument("--zs", default="1", help=_ZS_HELP)
     p.set_defaults(func=_cmd_lweight)
 
     p = subs.add_parser("serre", help="q-Serre relations on sample vectors")
@@ -354,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["osc", "pref-minus", "pref-plus", "full-tensor", "all",
                             "osc_to_pref", "pref_minus", "pref_plus", "full_tensor"])
     p.add_argument("--index", type=int, default=None, help="a or i, depending on kind")
-    p.add_argument("--zs", default="q^2", help="spectral twist, e.g. 'q^3'")
+    p.add_argument("--zs", default="q^2", help=_ZS_HELP)
     p.add_argument("--zs-list", default=None,
                    help="comma-separated twists for full-tensor, one per factor")
     p.add_argument("--json", action="store_true")

@@ -547,19 +547,6 @@ def _utrim(cs) -> tuple:
     return tuple(cs[:n])
 
 
-def _umul(a, b):
-    if not a or not b:
-        return ()
-    out = [_QR_ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca.is_zero():
-            continue
-        for j, cb in enumerate(b):
-            if not cb.is_zero():
-                out[i + j] = out[i + j] + ca * cb
-    return _utrim(out)
-
-
 def _umod(a, b):
     r = list(a)
     db = len(b) - 1
@@ -642,14 +629,6 @@ class URational:
     def __setattr__(self, *args):
         raise AttributeError("URational is immutable")
 
-    @staticmethod
-    def one() -> "URational":
-        return URational((_QR_ONE,))
-
-    @staticmethod
-    def constant(c: QRational) -> "URational":
-        return URational((c,))
-
     @property
     def num_degree(self) -> int:
         return len(self.num) - 1 if self.num else -1
@@ -660,32 +639,6 @@ class URational:
 
     def constant_term(self) -> QRational:
         return self.num[0] if self.num else _QR_ZERO
-
-    def __mul__(self, other):
-        if isinstance(other, (int, QRational)):
-            other = URational.constant(
-                QRational.from_int(other) if isinstance(other, int) else other
-            )
-        if not isinstance(other, URational):
-            return NotImplemented
-        return URational(_umul(self.num, other.num), _umul(self.den, other.den))
-
-    __rmul__ = __mul__
-
-    def inv(self) -> "URational":
-        if not self.num:
-            raise ZeroDivisionError("inverse of zero URational")
-        return URational(self.den, self.num)
-
-    def scale_var(self, c: QRational) -> "URational":
-        """Substitute u -> c*u."""
-        def sub(poly):
-            out, p = [], _QR_ONE
-            for x in poly:
-                out.append(x * p)
-                p = p * c
-            return out
-        return URational(sub(self.num), sub(self.den))
 
     def expand(self, order: int) -> USeries:
         """Power-series expansion to the given order."""

@@ -14,6 +14,12 @@ combines the l-weights of one-dimensional shifts, prefundamental modules and
 oscillator modules to check the factorization identities relating the two
 families (factor_check).
 
+Factored form.  Every closed Psi_i(u) = q**<lambda, h_i> prod_x (1 - x u)**k_x
+is a Drinfeld rational fraction, so an l-weight (LWeight) is a weight plus,
+per node, roots x with nonzero multiplicities k_x; products add both.
+closed_psi multiplies the factors out into a URational for display and for
+comparison with the operator series.
+
 Twist conventions.  The spectral twist enters every eigenvalue through the
 single combination zs = zeta**s, kept as one exact scalar: a twisted series
 is the untwisted one with u -> zs*u.  Mirrored representations satisfy
@@ -29,6 +35,7 @@ weights omega_1 .. omega_l; the affine pairing is fixed by level zero,
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .borelrep import RepSpec, get_evaluator
@@ -156,21 +163,23 @@ def _psi_parts(i: int, l: int, a: int, m: tuple):
     )
 
 
-def _roots_poly(exps, zeff: QRational) -> tuple:
-    """The u-polynomial prod_c (1 - q**c zeff u) as QRational coefficients."""
-    poly = [_ONE]
-    for c in exps:
-        r = QRational.q_power(c) * zeff
-        nxt = [_ZERO] * (len(poly) + 1)
-        for k, ck in enumerate(poly):
-            nxt[k] = nxt[k] + ck
-            nxt[k + 1] = nxt[k + 1] - ck * r
-        poly = nxt
-    return tuple(poly)
+def _roots(pairs) -> frozenset:
+    """Root multiplicities from (x, k) pairs: equal x add their k.
+
+    Zero sums cancel, and x = 0 drops out because 1 - 0 u is one.
+    """
+    mult = Counter()
+    for x, k in pairs:
+        mult[x] += k
+    return frozenset((x, k) for x, k in mult.items() if k and x)
 
 
-def closed_psi(i: int, spec: RepSpec, m) -> URational:
-    """The closed rational form of the eigenvalue of phi_i(u) on v_m."""
+def _psi_roots(i: int, spec: RepSpec, m) -> tuple:
+    """The closed Psi_i on v_m in factored form.
+
+    Returns (e0, roots) with Psi_i(u) = q**e0 prod (1 - x u)**k over (x, k) in
+    roots: the factors of _psi_parts, common ones cancelled.
+    """
     l = spec.l
     mt = _check_m(l, m)
     if not (1 <= i <= l):
@@ -182,8 +191,30 @@ def closed_psi(i: int, spec: RepSpec, m) -> URational:
     else:
         e0, num, den = _psi_parts(i, l, spec.a, mt)
         zeff = spec.zs
+    mult = Counter(num)
+    mult.subtract(den)
+    return e0, _roots((QRational.q_power(c) * zeff, k) for c, k in mult.items())
+
+
+def _roots_poly(xs) -> tuple:
+    """The u-polynomial prod_x (1 - x u) as QRational coefficients."""
+    poly = [_ONE]
+    for x in xs:
+        nxt = [_ZERO] * (len(poly) + 1)
+        for k, ck in enumerate(poly):
+            nxt[k] = nxt[k] + ck
+            nxt[k + 1] = nxt[k + 1] - ck * x
+        poly = nxt
+    return tuple(poly)
+
+
+def closed_psi(i: int, spec: RepSpec, m) -> URational:
+    """The closed rational form of the eigenvalue of phi_i(u) on v_m."""
+    e0, roots = _psi_roots(i, spec, m)
+    num = [x for x, k in roots for _ in range(k)]
+    den = [x for x, k in roots for _ in range(-k)]
     c0 = QRational.q_power(e0)
-    return URational(tuple(c0 * x for x in _roots_poly(num, zeff)), _roots_poly(den, zeff))
+    return URational(tuple(c0 * x for x in _roots_poly(num)), _roots_poly(den))
 
 
 def closed_lambda(spec: RepSpec, m) -> Weight:
@@ -253,33 +284,30 @@ def phi_series(i: int, spec: RepSpec, m, order: int) -> USeries:
 
 @dataclass(frozen=True)
 class LWeight:
-    """A highest l-weight: a weight and one rational function Psi_i per node.
+    """A highest l-weight in factored form: a weight and root multiplicities.
 
-    The constant term law Psi_i(0) = q**<lambda, h_i> is enforced on
-    construction, so products of valid l-weights stay valid.
+    Psi_i(u) = q**<lambda, h_i> prod (1 - x u)**k over the pairs (x, k), x and
+    k nonzero, in the frozenset roots[i-1].  Such a factorization is unique,
+    so equality is equality of l-weights.
     """
 
     weight: Weight
-    psi: tuple
+    roots: tuple
 
     def __post_init__(self):
-        if len(self.psi) != self.weight.l:
-            raise ValueError("need one Psi per node")
-        for k, f in enumerate(self.psi):
-            if f.constant_term() != QRational.q_power(self.weight.omega[k]):
-                raise ValueError("constant term of Psi must be q**<lambda, h_i>")
+        if len(self.roots) != self.weight.l:
+            raise ValueError("need one root multiset per node")
 
 
 def lweight_product(*factors: LWeight) -> LWeight:
-    """Componentwise product: weights add, Psi functions multiply."""
+    """Componentwise product: weights add, root multiplicities add."""
     if not factors:
         raise ValueError("need at least one factor")
     w = factors[0].weight
-    psi = list(factors[0].psi)
     for f in factors[1:]:
         w = w + f.weight
-        psi = [p * g for p, g in zip(psi, f.psi)]
-    return LWeight(w, tuple(psi))
+    nodes = zip(*(f.roots for f in factors))
+    return LWeight(w, tuple(_roots(itertools.chain.from_iterable(node)) for node in nodes))
 
 
 def prefundamental(l: int, i: int, sign: int, x: QRational) -> LWeight:
@@ -291,30 +319,29 @@ def prefundamental(l: int, i: int, sign: int, x: QRational) -> LWeight:
         raise IndexError("node index out of range")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    lin = (_ONE, -x)
-    psi = []
-    for j in range(1, l + 1):
-        if j != i:
-            psi.append(URational.one())
-        elif sign == 1:
-            psi.append(URational(lin))
-        else:
-            psi.append(URational((_ONE,), lin))
-    return LWeight(Weight.zero(l), tuple(psi))
+    roots = tuple(_roots([(x, sign)] if j == i else ()) for j in range(1, l + 1))
+    return LWeight(Weight.zero(l), roots)
 
 
 def shift_weight(w: Weight) -> LWeight:
     """Highest l-weight of the one-dimensional module with weight w."""
-    psi = tuple(URational.constant(QRational.q_power(c)) for c in w.omega)
-    return LWeight(w, psi)
+    return LWeight(w, (frozenset(),) * w.l)
 
 
 def oscillator_lweight(spec: RepSpec, m=None) -> LWeight:
-    """The closed-form l-weight of v_m (the highest one for m = 0)."""
+    """The closed-form l-weight of v_m (the highest one for m = 0).
+
+    Raises ValueError if the catalogs disagree on Psi_i(0) = q**<lambda, h_i>.
+    """
     mt = _check_m(spec.l, m) if m is not None else (0,) * spec.l
     lam = closed_lambda(spec, mt)
-    psi = tuple(closed_psi(i, spec, mt) for i in range(1, spec.l + 1))
-    return LWeight(lam, psi)
+    roots = []
+    for i in range(1, spec.l + 1):
+        e0, r = _psi_roots(i, spec, mt)
+        if e0 != lam.pair_h(i):
+            raise ValueError("constant term of Psi must be q**<lambda, h_i>")
+        roots.append(r)
+    return LWeight(lam, tuple(roots))
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +415,13 @@ def factor_full_tensor(l: int, zs_list) -> bool:
     lhs = lweight_product(*[
         oscillator_lweight(RepSpec(l, a, False, zs_list[a - 1])) for a in range(1, l + 2)
     ])
-    c = QRational.q_power(-2)
-    psi = []
-    for i in range(1, l + 1):
-        num = (c, -(c * QRational.q_power(-l + i + 1) * zs_list[i]))
-        den = (_ONE, -(QRational.q_power(-l + i - 1) * zs_list[i - 1]))
-        psi.append(URational(num, den))
-    rhs = LWeight(Weight(l, (-2,) * l), tuple(psi))
+    # Psi_i = q**-2 (1 - q**(i-l+1) zs_i u) / (1 - q**(i-l-1) zs_{i-1} u)
+    roots = tuple(
+        _roots([(QRational.q_power(-l + i + 1) * zs_list[i], 1),
+                (QRational.q_power(-l + i - 1) * zs_list[i - 1], -1)])
+        for i in range(1, l + 1)
+    )
+    rhs = LWeight(Weight(l, (-2,) * l), roots)
     return lhs == rhs
 
 

@@ -28,10 +28,12 @@ def test_parse_zs_values():
     assert cli.parse_zs("2*q^-1") == QRational.from_int(2) * qp(-1)
     assert cli.parse_zs("3/2") == QRational.from_int(3) / QRational.from_int(2)
     assert cli.parse_zs("-1/2*q^2") == -qp(2) / QRational.from_int(2)
+    assert cli.parse_zs(f"q^-{cli.MAX_TWIST_EXPONENT}") == qp(-cli.MAX_TWIST_EXPONENT)
 
 
 def test_parse_zs_rejects_bad_input():
-    for bad in ("0", "", "q^", "x", "q*", "1/0"):
+    for bad in ("0", "", "q^", "x", "q*", "1/0", f"q^{cli.MAX_TWIST_EXPONENT + 1}",
+                "2*q^-1000000000"):
         with pytest.raises(ValueError):
             cli.parse_zs(bad)
 
@@ -64,6 +66,13 @@ def test_usage_errors_exit_two(monkeypatch, tmp_path, capsys):
         ["serre", "--l", "1", "--mmax", "-1"],
         ["drinfeld", "--l", "1", "--nmax", "0"],
         ["drinfeld", "--l", "1", "--mmax", "-1"],
+        # flags the chosen kind has no use for are refused, not ignored
+        ["factor", "--l", "2", "--kind", "full-tensor", "--index", "1"],
+        ["factor", "--l", "2", "--kind", "all", "--index", "1"],
+        ["factor", "--l", "2", "--kind", "osc", "--zs-list", "q,q,q"],
+        ["factor", "--l", "2", "--kind", "pref_minus", "--zs-list", "q,q,q"],
+        # refused before q^k, a dense polynomial of length |k|, is built
+        ["verify", "--l", "1", "--zs", "q^1000000000"],
     ):
         with pytest.raises(SystemExit) as err:
             cli.main(argv)

@@ -239,22 +239,6 @@ def test_urational_cancels_common_factors():
     assert r.den_degree == 0
 
 
-def test_urational_mul_inv_expand():
-    r = URational((ONE,), (ONE, -qp(1)))
-    s = URational((ONE, qp(-1)))
-    p = r * s
-    assert p.expand(5) == r.expand(5) * s.expand(5)
-    assert r * r.inv() == URational.one()
-    assert (2 * r).constant_term() == QRational.from_int(2)
-
-
-def test_urational_scale_var():
-    r = URational((ONE, ONE), (ONE, -ONE))
-    t = r.scale_var(qp(3))
-    assert t == URational((ONE, qp(3)), (ONE, -qp(3)))
-    assert t.expand(4) == r.expand(4).scale_var(qp(3))
-
-
 def test_pade_reconstructs_rational_functions():
     r = URational((qp(-2),), (ONE, -qp(-1)))
     s = r.expand(6)

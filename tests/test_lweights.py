@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qloop import lweights
 from qloop.borelrep import RepSpec, get_evaluator
-from qloop.exactfield import QRational, URational, pade
+from qloop.exactfield import QRational, URational, USeries, pade, series_invert
 from qloop.lweights import (LWeight, NotDiagonal, Weight, closed_lambda,
                             closed_psi, factor_check, lweight_product,
                             oscillator_lweight, phi_series, prefundamental,
@@ -47,7 +48,7 @@ def test_closed_psi_highest_weight_spot_values():
     # and node a: q^-2 / (1 - u/q)
     assert closed_psi(2, RepSpec(2, 2), (0, 0)) == URational((qp(-2),), (ONE, -qp(-1)))
     # nodes outside {a-1, a} are constant one
-    assert closed_psi(1, RepSpec(3, 3), (0, 0, 0)) == URational.one()
+    assert closed_psi(1, RepSpec(3, 3), (0, 0, 0)) == URational((ONE,))
 
 
 def test_closed_lambda_spot_values():
@@ -70,10 +71,11 @@ def test_bar_closed_forms_are_reflections():
     for m in ((0,), (1,), (2,)):
         assert closed_psi(1, RepSpec(1, 1, True), m) == closed_psi(1, RepSpec(1, 2), m)
         assert closed_psi(1, RepSpec(1, 2, True), m) == closed_psi(1, RepSpec(1, 1), m)
-    # rank two: the reflection also flips the sign of u
+    # rank two: the reflection also flips the sign of u; for these (<= 2, <= 2)
+    # functions agreement through u^8 is equality
     for m in ((0, 0), (1, 0), (0, 2)):
-        lhs = closed_psi(1, RepSpec(2, 1, True), m)
-        rhs = closed_psi(2, RepSpec(2, 3), m).scale_var(-ONE)
+        lhs = closed_psi(1, RepSpec(2, 1, True), m).expand(8)
+        rhs = closed_psi(2, RepSpec(2, 3), m).expand(8).scale_var(-ONE)
         assert lhs == rhs
     # bar weights are the reversed unbar weights
     for l in (1, 2, 3):
@@ -89,7 +91,9 @@ def test_twist_scales_the_spectral_variable():
     spec = RepSpec(2, 2, False, zs)
     for m in ((0, 0), (1, 1)):
         for i in (1, 2):
-            assert closed_psi(i, spec, m) == closed_psi(i, spec0, m).scale_var(zs)
+            # (<= 2, <= 2) functions: agreement through u^8 is equality
+            want = closed_psi(i, spec0, m).expand(8).scale_var(zs)
+            assert closed_psi(i, spec, m).expand(8) == want
 
 
 def test_constant_term_law_links_the_two_catalogs():
@@ -161,14 +165,27 @@ def test_phi_series_input_validation():
 
 # ------------------------------------------------------------------ l-weights
 
-def test_lweight_validation():
+def _psi_series(lw: LWeight, i: int, order: int) -> USeries:
+    """Psi_i of a factored l-weight expanded through u^order, factor by factor."""
+    out = USeries(order, (qp(lw.weight.pair_h(i)),))
+    for x, k in lw.roots[i - 1]:
+        lin = USeries(order, (ONE, -x))
+        for _ in range(abs(k)):
+            out = out * (lin if k > 0 else series_invert(lin))
+    return out
+
+
+def test_lweight_validation(monkeypatch):
     lam = Weight(1, (-2,))
-    good = (URational((qp(-2),), (ONE, -qp(-1))),)
-    LWeight(lam, good)
+    LWeight(lam, (frozenset({(qp(-1), -1)}),))
     with pytest.raises(ValueError):
-        LWeight(lam, (URational.one(),))
+        LWeight(lam, (frozenset(),) * 2)
+    # the catalog check: Psi_i(0) of the closed forms must be q**<lambda, h_i>
+    spec = RepSpec(2, 2)
+    oscillator_lweight(spec)
+    monkeypatch.setattr(lweights, "closed_lambda", lambda spec, m: Weight(2, (0, 0)))
     with pytest.raises(ValueError):
-        LWeight(lam, good + good)
+        oscillator_lweight(spec)
 
 
 def test_lweight_product_multiplies_componentwise():
@@ -178,10 +195,22 @@ def test_lweight_product_multiplies_componentwise():
     s = shift_weight(Weight(l, (1, -1)))
     prod = lweight_product(p, n, s)
     assert prod.weight == Weight(l, (1, -1))
-    assert prod.psi[0] == URational((qp(1), -qp(3)))
-    assert prod.psi[1] == URational((qp(-1),), (ONE, -qp(-1)))
+    # q (1 - q^2 u) and q^-1 / (1 - u/q)
+    assert prod.roots == (frozenset({(qp(2), 1)}), frozenset({(qp(-1), -1)}))
+    assert _psi_series(prod, 1, 3) == URational((qp(1), -qp(3))).expand(3)
     with pytest.raises(ValueError):
         lweight_product()
+
+
+def test_prefundamental_pair_cancels():
+    x = -qp(3) * QRational.from_int(2)
+    for l in (1, 3):
+        for i in range(1, l + 1):
+            pair = lweight_product(prefundamental(l, i, 1, x), prefundamental(l, i, -1, x))
+            assert pair == shift_weight(Weight.zero(l))
+    # multiplicities add without cancelling when the roots differ
+    sq = lweight_product(prefundamental(1, 1, -1, x), prefundamental(1, 1, -1, x))
+    assert sq.roots == (frozenset({(x, -2)}),)
 
 
 def test_prefundamental_validation():
@@ -194,9 +223,11 @@ def test_prefundamental_validation():
 def test_oscillator_lweight_defaults_to_the_highest_vector():
     spec = RepSpec(2, 3)
     assert oscillator_lweight(spec) == oscillator_lweight(spec, (0, 0))
-    lw = oscillator_lweight(spec, (1, 0))
-    assert lw.weight == closed_lambda(spec, (1, 0))
-    assert lw.psi == tuple(closed_psi(i, spec, (1, 0)) for i in (1, 2))
+    for m in ((1, 0), (2, 1)):
+        lw = oscillator_lweight(spec, m)
+        assert lw.weight == closed_lambda(spec, m)
+        for i in (1, 2):
+            assert _psi_series(lw, i, 6) == closed_psi(i, spec, m).expand(6)
 
 
 # -------------------------------------------------------------- factorization
@@ -224,3 +255,62 @@ def test_factorizations_hold_at_generic_scalars():
 def test_factor_check_rejects_unknown_kind():
     with pytest.raises(ValueError):
         factor_check("nope", 1, 1)
+
+
+def test_factorizations_hold_at_rank_twelve():
+    l = 12
+    zs = -QRational.from_int(2) * qp(-3)
+    for a in range(1, l + 2):
+        assert factor_check("osc", l, a, zs)
+    for i in range(1, l + 1):
+        assert factor_check("pref-minus", l, i, zs)
+        assert factor_check("pref-plus", l, i, zs)
+    signs = (1, -1, -2, 2)
+    zs_list = [QRational.from_int(signs[j % 4]) * qp(j % 7 - 3) for j in range(l + 1)]
+    assert factor_check("full-tensor", l, zs_list=zs_list)
+    assert factor_check("full-tensor", l, zs=zs)
+
+
+def test_perturbed_prefundamental_breaks_the_factorization():
+    # theta_a = shift * L+_{a-1}(q^(a-l) zs) * L-_a(q^(a-l-1) zs) for 1 < a < l+1;
+    # moving either prefundamental parameter by a factor q breaks it
+    l, zs = 3, -qp(2)
+    for a in range(2, l + 1):
+        lhs = oscillator_lweight(RepSpec(l, a, False, zs))
+        x_plus, x_minus = qp(a - l) * zs, qp(a - l - 1) * zs
+        for dp, dm in ((ONE, ONE), (qp(1), ONE), (ONE, qp(1))):
+            rhs = lweight_product(shift_weight(xi_osc(l, a)),
+                                  prefundamental(l, a - 1, 1, x_plus * dp),
+                                  prefundamental(l, a, -1, x_minus * dm))
+            assert (lhs == rhs) == (dp == dm == ONE)
+
+
+_twists = st.builds(lambda s, c, k: QRational.from_int(s * c) * qp(k),
+                    st.sampled_from((1, -1)), st.integers(1, 2), st.integers(-3, 3))
+
+
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=30, deadline=None)
+def test_product_expansion_is_the_product_of_expansions(l, data):
+    # the series layer is an independent oracle for root-multiplicity addition
+    factors = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        kind = data.draw(st.sampled_from(("osc", "pref", "shift")))
+        if kind == "osc":
+            a = data.draw(st.integers(1, l + 1))
+            m = tuple(data.draw(st.lists(st.integers(0, 2), min_size=l, max_size=l)))
+            factors.append(oscillator_lweight(RepSpec(l, a, data.draw(st.booleans()),
+                                                      data.draw(_twists)), m))
+        elif kind == "pref":
+            factors.append(prefundamental(l, data.draw(st.integers(1, l)),
+                                          data.draw(st.sampled_from((1, -1))),
+                                          data.draw(_twists)))
+        else:
+            omega = data.draw(st.lists(st.integers(-3, 3), min_size=l, max_size=l))
+            factors.append(shift_weight(Weight(l, tuple(omega))))
+    prod = lweight_product(*factors)
+    for i in range(1, l + 1):
+        want = USeries.one(5)
+        for f in factors:
+            want = want * _psi_series(f, i, 5)
+        assert _psi_series(prod, i, 5) == want
