@@ -11,14 +11,13 @@ row of the base homomorphism that the twists send it to.
 
 Operator images are OscWords: a scalar times an ordered product of b, bdag
 and q**(sum d_j N_j) factors.  Composite operators (q-commutators, divided
-powers, Serre sums, root vectors) are OpExpr trees over the generators;
-Evaluator applies a tree to states of the matching Fock pattern, memoizing
-on (node, basis vector) so that shared subtrees are evaluated once.
+powers, Serre sums, root vectors) are hash-consed OpExpr trees over the
+generators; Evaluator applies a tree to states of the matching Fock pattern,
+memoizing on (node, basis vector) so that equal subtrees are evaluated once.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .exactfield import QRational, kappa, qfactorial, qnum
@@ -51,6 +50,15 @@ class RepSpec:
         return ModePattern.theta(self.l, self.a)
 
 
+def qn_exponent(pattern: ModePattern, d: tuple, m: tuple) -> int:
+    """Integer t with q**(sum d_j N_j) v_m = q**t v_m."""
+    t = 0
+    for j, dj in enumerate(d):
+        if dj:
+            t += dj * m[j] if pattern.kinds[j] == "plus" else -dj * (m[j] + 1)
+    return t
+
+
 class OscWord:
     """A scalar multiple of an ordered product of oscillator generators.
 
@@ -74,10 +82,7 @@ class OscWord:
         for atom in reversed(self.atoms):
             tag = atom[0]
             if tag == "qN":
-                t = 0
-                for j, d in enumerate(atom[1]):
-                    if d:
-                        t += d * m[j] if pattern.kinds[j] == "plus" else -d * (m[j] + 1)
+                t = qn_exponent(pattern, atom[1], m)
                 if t:
                     coeff = coeff * QRational.q_power(t)
                 continue
@@ -209,16 +214,33 @@ def image_qh(x: CartanExponent, spec: RepSpec) -> OscWord:
 # ---------------------------------------------------------------------------
 # operator expression trees
 
-_SERIAL = itertools.count()
+_NODES = {}
 
 
 class OpExpr:
-    """Node of an operator expression over the Borel generators."""
+    """Node of an operator expression over the Borel generators.
 
-    __slots__ = ("serial",)
+    Hash-consed: a node whose class and fields (the subclass's __slots__, in
+    order) equal an existing node's is that node, so identity is equality.
+    """
 
-    def __init__(self):
-        self.serial = next(_SERIAL)
+    __slots__ = ()
+
+    def __new__(cls, *fields):
+        key = (cls, fields)
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields, strict=True):
+                object.__setattr__(node, name, value)
+            _NODES[key] = node
+        return node
+
+    def __init__(self, *fields):
+        """A no-op (__new__ sets the fields); perfbench's tracer counts constructions here."""
+
+    def __setattr__(self, *args):
+        raise AttributeError("operator nodes are immutable")
 
     def __add__(self, other):
         return Sum((self, other))
@@ -249,10 +271,6 @@ class Gen(OpExpr):
 
     __slots__ = ("i",)
 
-    def __init__(self, i: int):
-        super().__init__()
-        self.i = i
-
     def __repr__(self):
         return f"e[{self.i}]"
 
@@ -262,10 +280,6 @@ class CartanPower(OpExpr):
 
     __slots__ = ("x",)
 
-    def __init__(self, x: CartanExponent):
-        super().__init__()
-        self.x = x
-
     def __repr__(self):
         return f"q^{list(self.x.coeffs)}"
 
@@ -273,21 +287,12 @@ class CartanPower(OpExpr):
 class Sum(OpExpr):
     __slots__ = ("children",)
 
-    def __init__(self, children):
-        super().__init__()
-        self.children = tuple(children)
-
     def __repr__(self):
         return "(" + " + ".join(map(repr, self.children)) + ")"
 
 
 class Scale(OpExpr):
     __slots__ = ("c", "child")
-
-    def __init__(self, c: QRational, child: OpExpr):
-        super().__init__()
-        self.c = c
-        self.child = child
 
     def __repr__(self):
         return f"({self.c!r})*{self.child!r}"
@@ -297,11 +302,6 @@ class Compose(OpExpr):
     """left after right: (left*right) v = left (right v)."""
 
     __slots__ = ("left", "right")
-
-    def __init__(self, left: OpExpr, right: OpExpr):
-        super().__init__()
-        self.left = left
-        self.right = right
 
     def __repr__(self):
         return f"{self.left!r}*{self.right!r}"
@@ -325,9 +325,9 @@ def power(expr: OpExpr, k: int, l: int) -> OpExpr:
 class Evaluator:
     """Applies operator expressions in one fixed representation.
 
-    Results are memoized per (node, basis vector); expression trees built by
-    the cached constructors share subtrees, so grids of evaluations reuse
-    almost everything.
+    Results are memoized per (node, basis vector).  Nodes are interned, so a
+    tree that is built again, or a subtree shared by several trees, is the
+    same key and is evaluated once.
     """
 
     def __init__(self, spec: RepSpec):
@@ -338,16 +338,10 @@ class Evaluator:
 
     def qh_exponent(self, x: CartanExponent, m: tuple) -> int:
         """Integer t with q**x v_m = q**t v_m."""
-        word = image_qh(x, self.spec)
-        t = 0
-        for atom in word.atoms:
-            for j, d in enumerate(atom[1]):
-                if d:
-                    t += d * m[j] if self.pattern.kinds[j] == "plus" else -d * (m[j] + 1)
-        return t
+        return sum(qn_exponent(self.pattern, atom[1], m) for atom in image_qh(x, self.spec).atoms)
 
     def apply_basis(self, expr: OpExpr, m: tuple) -> FockState:
-        key = (expr.serial, m)
+        key = (expr, m)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
@@ -402,7 +396,7 @@ def serre_check(i: int, j: int, spec: RepSpec, samples) -> bool:
             c = -c
         expr = Compose(power(Gen(i), n - k, l), Compose(Gen(j), power(Gen(i), k, l)))
         terms.append(Scale(c, expr))
-    serre = Sum(terms)
+    serre = Sum(tuple(terms))
     ev = get_evaluator(spec)
     return all(ev.apply_basis(serre, m).is_zero() for m in samples)
 

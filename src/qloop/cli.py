@@ -218,7 +218,9 @@ def _cmd_factor(args) -> int:
         raise ValueError(f"--index does not apply to --kind {kind}")
     if args.zs_list is not None and kind in _INDEXED_KINDS:
         raise ValueError(f"--zs-list does not apply to --kind {kind}")
-    zs = parse_zs(args.zs)
+    if args.zs is not None and args.zs_list is not None and kind == "full-tensor":
+        raise ValueError("--zs does not apply to --kind full-tensor with --zs-list")
+    zs = parse_zs("q^2" if args.zs is None else args.zs)
     jobs = []
     for name, extra in _INDEXED_KINDS.items():
         if kind not in (name, "all"):
@@ -365,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["osc", "pref-minus", "pref-plus", "full-tensor", "all",
                             "osc_to_pref", "pref_minus", "pref_plus", "full_tensor"])
     p.add_argument("--index", type=int, default=None, help="a or i, depending on kind")
-    p.add_argument("--zs", default="q^2", help=_ZS_HELP)
+    p.add_argument("--zs", default=None, help=_ZS_HELP + " (default q^2)")
     p.add_argument("--zs-list", default=None,
                    help="comma-separated twists for full-tensor, one per factor")
     p.add_argument("--json", action="store_true")

@@ -24,8 +24,9 @@ graded by the roots rx, ry of its arguments.  The families:
   of the level n.
 
 The Drinfeld generators xi+_{i,n}, xi-_{i,n} (n > 0) and chi_{i,n} are sign-
-decorated root vectors for the simple gamma = alpha_i.  Constructors are
-memoized, so repeated builds share subtrees and evaluator caches apply.
+decorated root vectors for the simple gamma = alpha_i.  Operator nodes are
+interned (see borelrep), so a rebuilt tree is the same object and shares the
+evaluator memo; the lru_caches on the constructors only save build time.
 """
 
 from __future__ import annotations

@@ -200,12 +200,59 @@ def op_exprs(draw, l, depth=3):
     return Compose(draw(op_exprs(l, depth - 1)), draw(op_exprs(l, depth - 1)))
 
 
+def _rebuild(expr):
+    """The same tree built again, from fresh but equal scalars and exponents."""
+    if isinstance(expr, Gen):
+        return Gen(expr.i)
+    if isinstance(expr, CartanPower):
+        return CartanPower(CartanExponent(expr.x.l, tuple(list(expr.x.coeffs))))
+    if isinstance(expr, Scale):
+        return Scale(QRational(expr.c.num, expr.c.den), _rebuild(expr.child))
+    if isinstance(expr, Sum):
+        return Sum(tuple(_rebuild(child) for child in expr.children))
+    return Compose(_rebuild(expr.left), _rebuild(expr.right))
+
+
 @given(op_exprs(2), st.tuples(st.integers(0, 2), st.integers(0, 2)))
 @settings(max_examples=50, deadline=None)
 def test_evaluator_matches_reference_semantics(expr, m):
     spec = RepSpec(2, 2)
     ev = get_evaluator(spec)
-    assert ev.apply_basis(expr, m) == _ref_apply(expr, ev, FockState.basis(m))
+    out = ev.apply_basis(expr, m)
+    assert out == _ref_apply(expr, ev, FockState.basis(m))
+    # a rebuilt tree is the same node, so it is answered from the memo
+    entries = len(ev._cache)
+    again = _rebuild(expr)
+    assert again is expr
+    assert ev.apply_basis(again, m) is out
+    assert len(ev._cache) == entries
+
+
+def test_equal_trees_are_one_node():
+    assert Compose(Gen(0), Gen(1)) is Compose(Gen(0), Gen(1))
+    assert Compose(Gen(0), Gen(1)) is not Compose(Gen(1), Gen(0))
+    c, d = QRational((1, 0, 1), (2,)), QRational((1, 0, 1), (2,))
+    assert c is not d
+    assert Scale(c, Gen(2)) is Scale(d, Gen(2))
+    assert Scale(c, Gen(2)) is not Scale(qnum(2), Gen(2))
+    x, y = CartanExponent.h(2, 1), CartanExponent.h(2, 1)
+    assert x is not y
+    assert CartanPower(x) is CartanPower(y)
+    assert identity(2) is CartanPower(CartanExponent.zero(2))
+    assert Gen(0) * Gen(1) - Gen(1) * Gen(0) is \
+        Sum((Compose(Gen(0), Gen(1)), Scale(-ONE, Compose(Gen(1), Gen(0)))))
+
+
+def test_operator_nodes_are_immutable_and_take_their_fields():
+    node = Gen(0)
+    with pytest.raises(AttributeError):
+        node.i = 1
+    with pytest.raises(ValueError):
+        Scale(ONE)
+    with pytest.raises(ValueError):
+        Gen(0, 1)
+    with pytest.raises(TypeError):
+        Sum([Gen(0), Gen(1)])  # children are a tuple
 
 
 def test_operator_overloads_build_the_right_trees():
@@ -264,6 +311,17 @@ def test_serre_relations_small_ranks():
                     for j in range(l + 1):
                         if i != j:
                             assert serre_check(i, j, spec, samples), (l, a, bar, i, j)
+
+
+def test_repeated_serre_check_adds_no_memo_entries():
+    # each check builds its Serre sum afresh; the interned tree is the same key
+    spec = RepSpec(2, 1)
+    samples = list(itertools.product(range(2), repeat=2))
+    ev = get_evaluator(spec)
+    assert serre_check(0, 1, spec, samples)
+    entries = len(ev._cache)
+    assert serre_check(0, 1, spec, samples)
+    assert len(ev._cache) == entries
 
 
 def test_weight_relations_small_ranks():

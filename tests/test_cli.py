@@ -71,6 +71,9 @@ def test_usage_errors_exit_two(monkeypatch, tmp_path, capsys):
         ["factor", "--l", "2", "--kind", "all", "--index", "1"],
         ["factor", "--l", "2", "--kind", "osc", "--zs-list", "q,q,q"],
         ["factor", "--l", "2", "--kind", "pref_minus", "--zs-list", "q,q,q"],
+        # full-tensor with --zs-list has no use for --zs
+        ["factor", "--l", "1", "--kind", "full-tensor", "--zs", "q^5", "--zs-list", "q,q"],
+        ["factor", "--l", "1", "--kind", "full_tensor", "--zs", "q^2", "--zs-list", "q,q"],
         # refused before q^k, a dense polynomial of length |k|, is built
         ["verify", "--l", "1", "--zs", "q^1000000000"],
     ):
@@ -229,6 +232,11 @@ def test_factor_command_and_aliases(capsys):
     assert "pref-minus[1]: ok" in out
     assert cli.main(["factor", "--l", "1", "--kind", "full_tensor",
                      "--zs-list", "q,q^2"]) == 0
+    capsys.readouterr()
+    # --kind all takes both: --zs for the indexed families, --zs-list for the tensor
+    assert cli.main(["factor", "--l", "1", "--kind", "all", "--zs", "q^3",
+                     "--zs-list", "q,q^2", "--json"]) == 0
+    assert _json_line(capsys.readouterr().out)["meta"]["zs"] == repr(QRational.q_power(3))
 
 
 def test_dump_op_generator(capsys):

@@ -267,6 +267,17 @@ def test_loop_relation_with_lowering_family(spec):
                     assert drinfeld_check_minus(i, j, n, mm, spec, ss), (i, j, n, mm)
 
 
+def test_repeated_drinfeld_check_adds_no_memo_entries():
+    # each check builds its commutator afresh; the interned tree is the same key
+    spec = RepSpec(2, 1)
+    ss = grid(2, 1)
+    ev = get_evaluator(spec)
+    assert drinfeld_check(1, 2, 1, 1, spec, ss)
+    entries = len(ev._cache)
+    assert drinfeld_check(1, 2, 1, 1, spec, ss)
+    assert len(ev._cache) == entries
+
+
 def test_raising_family_kills_the_highest_vector():
     # xi+_{i,n} annihilates the occupation-zero vector in every module
     for l in (1, 2, 3):
