@@ -38,6 +38,7 @@ from .lweights import (
     Weight,
     closed_lambda,
     closed_psi,
+    closed_psi_series,
     factor_check,
     lweight_product,
     oscillator_lweight,
@@ -100,6 +101,7 @@ __all__ = [
     "NotDiagonal",
     "closed_lambda",
     "closed_psi",
+    "closed_psi_series",
     "phi_series",
     "oscillator_lweight",
     "prefundamental",

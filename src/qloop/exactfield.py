@@ -8,6 +8,12 @@ q with integer coefficients.  Three layers live here:
   denominator with positive leading coefficient) makes ``==`` field equality,
   so every verification in the package is a syntactic comparison with zero
   tolerance.  Laurent scalars such as q**-3 are ordinary elements, 1/q**3.
+  Normalization strips the common power of q, then cancels the known factors
+  q - 1, q + 1 and q**2 + 1 by trial division: a root test on coefficient
+  sums, then exact synthetic division.  The oscillator action's
+  denominators are integer * q**a * products of those factors, so every
+  common factor is a known one; only a denominator with some other factor
+  falls back to a polynomial gcd (_pgcd).
 
 - USeries: a truncated power series in a spectral variable u with QRational
   coefficients, closed under ring operations, inversion (unit constant term)
@@ -140,6 +146,74 @@ def _pgcd(a, b):
     return a if a[-1] > 0 else _pneg(a)
 
 
+# Trial division by the known factors q - 1, q + 1 and q**2 + 1: each is
+# irreducible and monic, divides a exactly when a vanishes at its roots (1,
+# -1, +-i), and is divided out from the top coefficient down (Horner).
+
+def _divides_qm1(a) -> bool:
+    return sum(a) == 0
+
+
+def _divides_qp1(a) -> bool:
+    return sum(a[0::2]) == sum(a[1::2])
+
+
+def _divides_q2p1(a) -> bool:
+    return sum(a[0::4]) == sum(a[2::4]) and sum(a[1::4]) == sum(a[3::4])
+
+
+def _div_qm1(a):
+    out = list(a[1:])
+    for k in range(len(out) - 1, 0, -1):
+        out[k - 1] += out[k]
+    return tuple(out)
+
+
+def _div_qp1(a):
+    out = list(a[1:])
+    for k in range(len(out) - 1, 0, -1):
+        out[k - 1] -= out[k]
+    return tuple(out)
+
+
+def _div_q2p1(a):
+    out = list(a[2:])
+    for k in range(len(out) - 1, 1, -1):
+        out[k - 2] -= out[k]
+    return tuple(out)
+
+
+_KNOWN_FACTORS = (
+    (_divides_qm1, _div_qm1),
+    (_divides_qp1, _div_qp1),
+    (_divides_q2p1, _div_q2p1),
+)
+
+
+def _cancel(num, den):
+    """num and den (each with >= 2 terms, not both divisible by q) over their gcd.
+
+    The known factors are cancelled by trial division.  If the denominator is
+    integer * q**a * a product of known factors, no other common factor can
+    exist; otherwise the pair, already reduced, goes to _pgcd.
+    """
+    rest = den
+    for divides, divide in _KNOWN_FACTORS:
+        common = True
+        while divides(rest):
+            rest = divide(rest)
+            common = common and divides(num)
+            if common:
+                num = divide(num)
+                den = divide(den)
+    if _pterms(rest) > 1:
+        g = _pgcd(num, den)
+        if len(g) > 1:
+            num = _pdivexact(num, g)
+            den = _pdivexact(den, g)
+    return num, den
+
+
 def _pdivexact(a, b):
     # exact quotient a / b in Z[q]; raises if the division is not exact
     if not a:
@@ -210,13 +284,10 @@ class QRational:
             den = den[v:]
             vn -= v
             vd -= v
-        # polynomial gcd: skip when either side is a monomial, since after the
+        # common factors: none when either side is a monomial, since after the
         # valuation strip one of the two has a nonzero constant term
         if _pterms(num) > 1 and _pterms(den) > 1:
-            g = _pgcd(num, den)
-            if len(g) > 1:
-                num = _pdivexact(num, g)
-                den = _pdivexact(den, g)
+            num, den = _cancel(num, den)
         # coprime integer contents
         cn = _pcontent(num)
         cd = _pcontent(den)

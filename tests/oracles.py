@@ -6,9 +6,16 @@
 - Mode-by-mode Fock action: each oscillator generator applied to a state one
   tensor slot at a time, where qloop applies a whole word to a basis vector
   (borelrep.OscWord.apply_basis).
+- Specialization at an integer q: an operator tree applied with every scalar
+  a fractions.Fraction, through the explicit tables and the mode-by-mode
+  action, where qloop computes over Q(q) (borelrep.Evaluator).  It checks the
+  scalar layer from outside the field.
 """
 
-from qloop.borelrep import OscWord, RepSpec, image_e, image_qh
+from fractions import Fraction
+
+from qloop.borelrep import (CartanPower, Compose, Gen, OscWord, RepSpec, Scale,
+                            Sum, image_e, image_qh)
 from qloop.exactfield import QRational, kappa, qnum
 from qloop.fock import PLUS, FockState, ModePattern
 from qloop.rootsys import CartanExponent
@@ -146,3 +153,76 @@ def apply_mode(op, mode: int, pattern: ModePattern, state: FockState) -> FockSta
         acc = out.get(m2)
         out[m2] = coeff * c if acc is None else acc + coeff * c
     return FockState(pattern.l, out)
+
+
+# ------------------------------------------------ specialization at integer q
+
+
+def specialize(x: QRational, q: int) -> Fraction:
+    """num(q) / den(q) for a QRational x."""
+    return (Fraction(sum(c * q ** k for k, c in enumerate(x.num)))
+            / sum(c * q ** k for k, c in enumerate(x.den)))
+
+
+def _qnum_at(n: int, q: Fraction) -> Fraction:
+    # [n]_q = (q**n - q**-n) / (q - q**-1)
+    return (q ** n - q ** -n) / (q - 1 / q)
+
+
+def _word_at(word: OscWord, pattern: ModePattern, m: tuple, q: int):
+    """An image word on v_m at the integer q, one atom and one slot at a time:
+    (Fraction, occupation vector) or None when v_m is annihilated."""
+    coeff = specialize(word.coeff, q)
+    q = Fraction(q)
+    for atom in reversed(word.atoms):
+        if atom[0] == "qN":
+            for j, k in enumerate(atom[1]):
+                t = k * m[j] if pattern.kinds[j] == PLUS else -k * (m[j] + 1)
+                coeff *= q ** t
+            continue
+        op, mode = atom
+        j = mode - 1
+        mj = m[j]
+        raising = (op == "bdag") == (pattern.kinds[j] == PLUS)
+        if raising:
+            m = m[:j] + (mj + 1,) + m[j + 1:]
+            continue
+        if mj == 0:
+            return None
+        coeff *= _qnum_at(mj, q) if op == "b" else -_qnum_at(mj, q)
+        m = m[:j] + (mj - 1,) + m[j + 1:]
+    return coeff, m
+
+
+def apply_at(expr, spec: RepSpec, m: tuple, q: int, memo: dict) -> dict:
+    """expr on v_m as {occupation vector: Fraction} with q a fixed integer.
+
+    Generators and group-likes come from the explicit tables; memo maps
+    (node, m) to results and is owned by the caller.
+    """
+    key = (expr, m)
+    if key in memo:
+        return memo[key]
+    pattern = spec.pattern()
+    if isinstance(expr, (Gen, CartanPower)):
+        word = table_image_e(expr.i, spec) if isinstance(expr, Gen) else table_image_qh(expr.x, spec)
+        hit = _word_at(word, pattern, m, q)
+        out = {} if hit is None else {hit[1]: hit[0]}
+    elif isinstance(expr, Scale):
+        c = specialize(expr.c, q)
+        out = {v: c * x for v, x in apply_at(expr.child, spec, m, q, memo).items()}
+    elif isinstance(expr, Sum):
+        out = {}
+        for child in expr.children:
+            for v, x in apply_at(child, spec, m, q, memo).items():
+                out[v] = out.get(v, 0) + x
+    elif isinstance(expr, Compose):
+        out = {}
+        for v, x in apply_at(expr.right, spec, m, q, memo).items():
+            for w, y in apply_at(expr.left, spec, v, q, memo).items():
+                out[w] = out.get(w, 0) + x * y
+    else:
+        raise TypeError(f"unknown operator node {type(expr).__name__}")
+    out = {v: x for v, x in out.items() if x}
+    memo[key] = out
+    return out

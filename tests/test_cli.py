@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qloop import cli
+from qloop import borelrep, cli, exactfield
 from qloop.exactfield import QRational, urational_to_json
 from qloop.lweights import closed_psi
 from qloop.borelrep import RepSpec
@@ -222,6 +222,23 @@ def test_drinfeld_command(capsys):
     assert cli.main(["drinfeld", "--l", "1", "--a", "1", "--mmax", "1",
                      "--nmax", "1"]) == 0
     assert "loop relations" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--l", "2", "--order", "4", "--mmax", "1"],
+    ["drinfeld", "--l", "2", "--nmax", "1", "--mmax", "1"],
+])
+def test_verdicts_need_no_polynomial_gcd(monkeypatch, capsys, argv):
+    # every denominator on these paths is int * q^a * products of q - 1,
+    # q + 1 and q^2 + 1, which trial division cancels; cold evaluators, so
+    # that every scalar is computed here
+    calls = []
+    pgcd = exactfield._pgcd
+    monkeypatch.setattr(exactfield, "_pgcd", lambda a, b: calls.append((a, b)) or pgcd(a, b))
+    monkeypatch.setattr(borelrep, "_EVALUATORS", {})
+    assert cli.main(argv) == 0
+    assert "all checks passed" in capsys.readouterr().out
+    assert calls == []
 
 
 def test_factor_command_and_aliases(capsys):

@@ -1,16 +1,20 @@
 """Exact rational functions of q, truncated series in u, Pade reconstruction."""
 
 import fractions
+import math
+import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qloop import exactfield
 from qloop.exactfield import (ConstantTermNotOne, DegreeMismatch, QRational,
-                              URational, USeries, ZeroConstantTerm, kappa,
-                              pade, qfactorial, qnum, qpoly_to_json,
-                              qrational_to_json, series_invert, series_log,
-                              upoly_to_json, urational_to_json)
+                              URational, USeries, ZeroConstantTerm, _pmul,
+                              _pshift, kappa, pade, qfactorial, qnum,
+                              qpoly_to_json, qrational_to_json, series_invert,
+                              series_log, upoly_to_json, urational_to_json)
 
 ONE = QRational.one()
 ZERO = QRational.zero()
@@ -147,6 +151,97 @@ def test_division_by_zero_raises():
         ZERO.inv()
     with pytest.raises(ZeroDivisionError):
         QRational((1,), (0,))
+
+
+# ------------------------------------------------------------- normalization
+
+# the factors trial division knows, then two it does not (cyclotomic 3 and 6)
+KNOWN = ((-1, 1), (1, 1), (1, 0, 1))
+UNKNOWN = ((1, 1, 1), (1, -1, 1))
+
+
+def _product(factors):
+    return reduce(_pmul, factors, (1,))
+
+
+def _random_operand(rng, common, general):
+    """An integer times q^a times known factors, times the common ones; if
+    general, times unknown factors and a random polynomial as well."""
+    factors = list(common) + [(rng.choice((-6, -2, 1, 3)),), _pshift((1,), rng.randrange(4))]
+    for f in KNOWN + (UNKNOWN if general else ()):
+        factors.extend([f] * rng.randrange(3))
+    if general:
+        factors.append(tuple(rng.randint(-5, 5) for _ in range(rng.randrange(3))) + (rng.choice((-2, 1, 3)),))
+    return _product(factors)
+
+
+def _sympy_canonical(sympy, n, d):
+    """The canonical form of n/d as sympy.cancel reduces it: integer coefficient
+    tuples with coprime contents and a positive leading denominator."""
+    q = sympy.Symbol("q")
+
+    def expr(p):
+        return sum(c * q ** k for k, c in enumerate(p))
+
+    top, bottom = sympy.fraction(sympy.cancel(expr(n) / expr(d)))
+    cs = [[fractions.Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(x, q).all_coeffs())]
+          for x in (top, bottom)]
+    scale = reduce(math.lcm, (c.denominator for side in cs for c in side), 1)
+    ints = [[int(c * scale) for c in side] for side in cs]
+    g = reduce(math.gcd, ints[0] + ints[1], 0)
+    if ints[1][-1] < 0:
+        g = -g
+    return tuple(c // g for c in ints[0]), tuple(c // g for c in ints[1])
+
+
+@pytest.fixture
+def pgcd_calls(monkeypatch):
+    """One entry per call of the gcd fallback while the test runs."""
+    calls = []
+    pgcd = exactfield._pgcd
+    monkeypatch.setattr(exactfield, "_pgcd", lambda a, b: calls.append((a, b)) or pgcd(a, b))
+    return calls
+
+
+def test_normalization_matches_sympy_cancel(pgcd_calls):
+    sympy = pytest.importorskip("sympy")
+    calls = pgcd_calls
+    rng = random.Random(20120419)
+    cases = 60
+    for k in range(cases):
+        general = k % 2 == 1
+        common = [rng.choice(KNOWN + UNKNOWN if general else KNOWN) for _ in range(rng.randrange(3))]
+        n = _random_operand(rng, common, general)
+        d = _random_operand(rng, common, general)
+        before = len(calls)
+        x = QRational(n, d)
+        assert (x.num, x.den) == _sympy_canonical(sympy, n, d)
+        if not general:
+            assert len(calls) == before
+    # the general half reached the gcd fallback
+    assert len(calls) > cases // 4
+
+
+@given(polys, nonzero_polys, st.one_of(st.sampled_from(KNOWN + UNKNOWN), nonzero_polys),
+       st.integers(1, 3))
+@settings(max_examples=80, deadline=None)
+def test_common_factor_cancels(n, d, f, k):
+    fk = _product([f] * k)
+    assert QRational(_pmul(n, fk), _pmul(d, fk)) == QRational(n, d)
+
+
+def test_unknown_common_factor_falls_back_to_gcd(pgcd_calls):
+    calls = pgcd_calls
+    # (q^2 + q + 1)(q + 2) / ((q^2 + q + 1)(q - 1)^2 (q^2 + 1))
+    f = (1, 1, 1)
+    x = QRational(_pmul(f, (2, 1)), _product([f, (-1, 1), (-1, 1), (1, 0, 1)]))
+    assert calls
+    assert (x.num, x.den) == ((2, 1), _product([(-1, 1), (-1, 1), (1, 0, 1)]))
+    # a denominator made of known factors needs no gcd
+    calls.clear()
+    y = QRational(_product([(-1, 1), (1, 0, 1), (3, 1)]), _product([(-1, 1), (1, 1), (1, 0, 1)]))
+    assert not calls
+    assert (y.num, y.den) == ((3, 1), (1, 1))
 
 
 # -------------------------------------------------------------------- series

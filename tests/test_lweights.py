@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from qloop import lweights
 from qloop.borelrep import RepSpec, get_evaluator
 from qloop.exactfield import QRational, URational, USeries, pade, series_invert
-from qloop.lweights import (LWeight, NotDiagonal, Weight, closed_lambda,
-                            closed_psi, factor_check, lweight_product,
+from qloop.lweights import (LWeight, NotDiagonal, Weight, check_vector,
+                            closed_lambda, closed_psi, closed_psi_series,
+                            factor_check, lweight_product,
                             oscillator_lweight, phi_series, prefundamental,
                             shift_weight, verify_grid, xi_osc)
 from qloop.rootsys import CartanExponent
@@ -108,6 +109,19 @@ def test_constant_term_law_links_the_two_catalogs():
                         assert closed_psi(i, spec, m).constant_term() == qp(lam.pair_h(i))
 
 
+@pytest.mark.parametrize("l", [2, 3])
+def test_factored_expansion_is_the_expanded_closed_form(l):
+    order = 6
+    for zs in (ONE, -2 * qp(-3), qp(2)):
+        for a in range(1, l + 2):
+            for bar in (False, True):
+                spec = RepSpec(l, a, bar, zs)
+                for m in itertools.product(range(3), repeat=l):
+                    for i in range(1, l + 1):
+                        want = closed_psi(i, spec, m).expand(order)
+                        assert closed_psi_series(i, spec, m, order) == want, (spec, m, i)
+
+
 # ------------------------------------------------------------- operator side
 
 def test_phi_series_matches_closed_form_small_grid():
@@ -146,6 +160,26 @@ def test_pade_recovers_the_closed_form_from_the_series():
         for i in (1, 2):
             s = phi_series(i, spec, m, 6)
             assert pade(s, 2, 2) == closed_psi(i, spec, m)
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_check_vector_sees_a_root_multiplicity_off_by_one(monkeypatch, shift):
+    spec = RepSpec(3, 2, True, qp(2))
+    m = (1, 0, 2)
+    assert check_vector(spec, m, 6) == []
+    psi_roots = lweights._psi_roots
+
+    def mutated(i, spec_, m_):
+        e0, roots = psi_roots(i, spec_, m_)
+        if i == 2:
+            x = min(roots, key=repr)[0]
+            roots = lweights._roots(list(roots) + [(x, shift)])
+        return e0, roots
+
+    monkeypatch.setattr(lweights, "_psi_roots", mutated)
+    found = check_vector(spec, m, 6)
+    assert [(d["i"], d["status"]) for d in found] == [(2, "psi-mismatch")]
+    assert found[0]["expected"] == repr(closed_psi(2, spec, m))
 
 
 def test_not_diagonal_carries_context():

@@ -8,6 +8,7 @@ oscillator word or eigenvalue.
 import itertools
 
 import pytest
+from oracles import apply_at, specialize
 
 from qloop.borelrep import Gen, OscWord, RepSpec, get_evaluator
 from qloop.exactfield import QRational, USeries, kappa, qnum, series_log
@@ -314,3 +315,25 @@ def test_loop_generators_are_built_from_root_vectors():
         # xi-_{1,1} carries the Cartan factor q^{h_1}
         got = ev.apply_basis(xi_minus(2, 1, 1), m)
         assert not got.is_zero() or ev.apply_basis(e_dual(2, 1, 2, 0), m).is_zero()
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_imaginary_root_vectors_specialize_to_the_fraction_action(q):
+    # e'_{n delta, alpha_i} over Q(q), read at an integer q, against the same
+    # tree applied with Fraction scalars through the explicit generator tables
+    nonzero = 0
+    for l in (1, 2, 3):
+        for a in range(1, l + 2):
+            for bar in (False, True):
+                spec = RepSpec(l, a, bar)
+                ev = get_evaluator(spec)
+                memo = {}
+                for i in range(1, l + 1):
+                    for n in range(1, 5):
+                        expr = e_prime_imag(l, i, i + 1, n)
+                        for m in grid(l, 2):
+                            got = {v: specialize(c, q) for v, c in ev.apply_basis(expr, m).items()}
+                            want = apply_at(expr, spec, m, q, memo)
+                            assert {v: x for v, x in got.items() if x} == want, (spec, i, n, m)
+                            nonzero += bool(want)
+    assert nonzero > 100
