@@ -12,8 +12,11 @@ row of the base homomorphism that the twists send it to.
 Operator images are OscWords: a scalar times an ordered product of b, bdag
 and q**(sum d_j N_j) factors.  Composite operators (q-commutators, divided
 powers, Serre sums, root vectors) are hash-consed OpExpr trees over the
-generators; Evaluator applies a tree to states of the matching Fock pattern,
-memoizing on (node, basis vector) so that equal subtrees are evaluated once.
+generators; Evaluator applies a tree to basis vectors of the matching Fock
+pattern, memoizing on (node, basis vector) so that equal subtrees are
+evaluated once.  The weight spaces of these modules are one-dimensional, so
+the memo holds sparse term tuples, () or ((m', c),) for a homogeneous tree,
+rather than FockStates; apply_basis is the FockState view of one entry.
 """
 
 from __future__ import annotations
@@ -325,9 +328,10 @@ def power(expr: OpExpr, k: int, l: int) -> OpExpr:
 class Evaluator:
     """Applies operator expressions in one fixed representation.
 
-    Results are memoized per (node, basis vector).  Nodes are interned, so a
-    tree that is built again, or a subtree shared by several trees, is the
-    same key and is evaluated once.
+    terms(expr, m) is memoized per (node, basis vector) as a tuple of
+    (target, coefficient) pairs.  Nodes are interned, so a tree that is built
+    again, or a subtree shared by several trees, is the same key and is
+    evaluated once.  apply_basis and apply wrap the pairs in FockStates.
     """
 
     def __init__(self, spec: RepSpec):
@@ -340,34 +344,63 @@ class Evaluator:
         """Integer t with q**x v_m = q**t v_m."""
         return sum(qn_exponent(self.pattern, atom[1], m) for atom in image_qh(x, self.spec).atoms)
 
-    def apply_basis(self, expr: OpExpr, m: tuple) -> FockState:
+    def terms(self, expr: OpExpr, m: tuple) -> tuple:
+        """expr v_m as (target, coefficient) pairs: distinct targets, no zero coefficient.
+
+        A homogeneous tree maps v_m to c v_{m'} or to 0, so a result is
+        almost always () or one pair; each node handles that case directly
+        and leaves anything else to _merge.
+        """
         key = (expr, m)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         if isinstance(expr, Gen):
             res = self._e_words[expr.i].apply_basis(self.pattern, m)
-            out = FockState.zero(self.spec.l) if res is None else FockState(self.spec.l, {res[1]: res[0]})
+            out = () if res is None else ((res[1], res[0]),)
         elif isinstance(expr, CartanPower):
-            out = FockState(self.spec.l, {m: QRational.q_power(self.qh_exponent(expr.x, m))})
+            out = ((m, QRational.q_power(self.qh_exponent(expr.x, m))),)
         elif isinstance(expr, Scale):
-            out = self.apply_basis(expr.child, m).scale(expr.c)
+            c = expr.c
+            out = tuple((t, c * x) for t, x in self.terms(expr.child, m)) if c else ()
         elif isinstance(expr, Sum):
-            out = FockState.zero(self.spec.l)
-            for child in expr.children:
-                out = out + self.apply_basis(child, m)
+            parts = [p for child in expr.children for p in self.terms(child, m)]
+            if not parts:
+                out = ()
+            elif all(t == parts[0][0] for t, _ in parts):
+                target, s = parts[0]
+                for _, x in parts[1:]:
+                    s = s + x
+                out = ((target, s),) if s else ()
+            else:
+                out = _merge(parts)
         elif isinstance(expr, Compose):
-            out = self.apply(expr.left, self.apply_basis(expr.right, m))
+            right = self.terms(expr.right, m)
+            if len(right) == 1:
+                (t, c), = right
+                out = tuple((u, c * x) for u, x in self.terms(expr.left, t))
+            else:
+                out = _merge((u, c * x) for t, c in right for u, x in self.terms(expr.left, t))
         else:
             raise TypeError(f"unknown operator node {type(expr).__name__}")
         self._cache[key] = out
         return out
 
+    def apply_basis(self, expr: OpExpr, m: tuple) -> FockState:
+        """expr v_m as a FockState: the view of terms(expr, m)."""
+        return FockState(self.spec.l, dict(self.terms(expr, m)))
+
     def apply(self, expr: OpExpr, state: FockState) -> FockState:
-        out = FockState.zero(self.spec.l)
-        for m, c in state.items():
-            out = out + self.apply_basis(expr, m).scale(c)
-        return out
+        pairs = ((t, c * x) for m, c in state.items() for t, x in self.terms(expr, m))
+        return FockState(self.spec.l, dict(_merge(pairs)))
+
+
+def _merge(pairs) -> tuple:
+    """Sparse sum of (target, coefficient) pairs: equal targets add, zero sums drop."""
+    acc = {}
+    for t, x in pairs:
+        acc[t] = acc[t] + x if t in acc else x
+    return tuple((t, x) for t, x in acc.items() if x)
 
 
 _EVALUATORS = {}
@@ -398,7 +431,7 @@ def serre_check(i: int, j: int, spec: RepSpec, samples) -> bool:
         terms.append(Scale(c, expr))
     serre = Sum(tuple(terms))
     ev = get_evaluator(spec)
-    return all(ev.apply_basis(serre, m).is_zero() for m in samples)
+    return not any(ev.terms(serre, m) for m in samples)
 
 
 def weight_relation_check(i: int, x: CartanExponent, spec: RepSpec, samples) -> bool:
@@ -407,4 +440,4 @@ def weight_relation_check(i: int, x: CartanExponent, spec: RepSpec, samples) -> 
     lhs = Compose(CartanPower(x), Compose(Gen(i), CartanPower(-x)))
     rhs = Scale(QRational.q_power(x.pair_root(RootIndex.simple(l, i))), Gen(i))
     ev = get_evaluator(spec)
-    return all((ev.apply_basis(lhs, m) - ev.apply_basis(rhs, m)).is_zero() for m in samples)
+    return all(dict(ev.terms(lhs, m)) == dict(ev.terms(rhs, m)) for m in samples)

@@ -666,19 +666,20 @@ class URational:
 
     Canonical form: numerator and denominator coprime, denominator constant
     term equal to one, so equality is syntactic.  The denominator must be a
-    power-series unit (nonzero constant term).
+    power-series unit (nonzero constant term).  A caller that knows the two
+    are coprime passes coprime=True, which skips the gcd over Q(q)[u].
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
+    def __init__(self, num, den=None, *, coprime: bool = False):
         if den is None:
             den = (_QR_ONE,)
         num = _utrim([QRational.from_int(c) if isinstance(c, int) else c for c in num])
         den = _utrim([QRational.from_int(c) if isinstance(c, int) else c for c in den])
         if not den:
             raise ZeroDivisionError("zero denominator in URational")
-        if num and len(num) > 1 and len(den) > 1:
+        if not coprime and len(num) > 1 and len(den) > 1:
             g = _ugcd(num, den)
             if len(g) > 1:
                 num = _udivexact(num, g)

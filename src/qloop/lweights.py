@@ -41,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .borelrep import RepSpec, get_evaluator
-from .exactfield import QRational, URational, USeries, kappa
+from .exactfield import QRational, URational, USeries, kappa, qrational_to_json
 from .rootsys import CartanExponent, o_sign
 from .rootvectors import e_prime_imag
 
@@ -50,9 +50,12 @@ _ZERO = QRational.zero()
 
 
 class NotDiagonal(Exception):
-    """An imaginary root vector failed to act diagonally on a basis vector."""
+    """An imaginary root vector failed to act diagonally on a basis vector.
 
-    def __init__(self, spec: RepSpec, i: int, n: int, m: tuple):
+    off holds the (target, coefficient) pairs of the action away from v_m.
+    """
+
+    def __init__(self, spec: RepSpec, i: int, n: int, m: tuple, off=()):
         super().__init__(
             f"e'({n}delta, alpha_{i}) is not diagonal on v_{m} for l={spec.l}, "
             f"a={spec.a}, bar={spec.bar}"
@@ -61,6 +64,7 @@ class NotDiagonal(Exception):
         self.i = i
         self.n = n
         self.m = m
+        self.off = tuple(off)
 
 
 @dataclass(frozen=True)
@@ -216,7 +220,8 @@ def closed_psi(i: int, spec: RepSpec, m) -> URational:
     num = [x for x, k in roots for _ in range(k)]
     den = [x for x, k in roots for _ in range(-k)]
     c0 = QRational.q_power(e0)
-    return URational(tuple(c0 * x for x in _roots_poly(num)), _roots_poly(den))
+    # a root is in num or in den, never both, so the two are coprime
+    return URational(tuple(c0 * x for x in _roots_poly(num)), _roots_poly(den), coprime=True)
 
 
 def closed_psi_series(i: int, spec: RepSpec, m, order: int) -> USeries:
@@ -289,14 +294,11 @@ def phi_series(i: int, spec: RepSpec, m, order: int) -> USeries:
     kap = kappa()
     coeffs = [c0]
     for n in range(1, order + 1):
-        out = ev.apply_basis(e_prime_imag(l, i, i + 1, n), mt)
-        items = dict(out.items())
-        if not items:
-            s = _ZERO
-        elif set(items) == {mt}:
-            s = items[mt]
-        else:
-            raise NotDiagonal(spec, i, n, mt)
+        pairs = ev.terms(e_prime_imag(l, i, i + 1, n), mt)
+        off = [p for p in pairs if p[0] != mt]
+        if off:
+            raise NotDiagonal(spec, i, n, mt, off)
+        s = pairs[0][1] if pairs else _ZERO
         c = kap * c0 * s
         if (-1) ** (n + 1) * o ** n < 0:
             c = -c
@@ -473,8 +475,7 @@ def factor_check(kind: str, l: int, index: int = 0, zs: QRational = _ONE,
 # ---------------------------------------------------------------------------
 # grid verification
 
-def _entry(spec: RepSpec, i: int, m: tuple, status: str, expected: str,
-           computed: str) -> dict:
+def _entry(spec: RepSpec, i: int, m: tuple, status: str, expected: str, computed) -> dict:
     return {
         "l": spec.l,
         "a": spec.a,
@@ -507,9 +508,9 @@ def check_vector(spec: RepSpec, m: tuple, order: int) -> list:
     for i in range(1, l + 1):
         try:
             series = phi_series(i, spec, m, order)
-        except NotDiagonal:
-            found.append(_entry(spec, i, m, "not-diagonal", repr(closed_psi(i, spec, m)),
-                                "not diagonal"))
+        except NotDiagonal as exc:
+            off = [[list(t), qrational_to_json(c)] for t, c in sorted(exc.off, key=lambda p: p[0])]
+            found.append(_entry(spec, i, m, "not-diagonal", repr(closed_psi(i, spec, m)), off))
             continue
         if closed_psi_series(i, spec, m, order) != series:
             found.append(_entry(spec, i, m, "psi-mismatch", repr(closed_psi(i, spec, m)),

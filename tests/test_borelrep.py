@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import apply_mode, twist_consistency
+from oracles import apply_at, apply_mode, specialize, twist_consistency
 from qloop.borelrep import (CartanPower, Compose, Gen, OscWord, RepSpec, Scale,
                             Sum, get_evaluator, identity, image_e, image_qh,
                             power, serre_check, weight_relation_check)
@@ -213,19 +213,84 @@ def _rebuild(expr):
     return Compose(_rebuild(expr.left), _rebuild(expr.right))
 
 
+def _sparse(pairs):
+    """The pairs as a dict, after checking they are distinct and nonzero."""
+    assert isinstance(pairs, tuple)
+    out = dict(pairs)
+    assert len(out) == len(pairs)
+    assert all(not c.is_zero() for c in out.values())
+    return out
+
+
 @given(op_exprs(2), st.tuples(st.integers(0, 2), st.integers(0, 2)))
 @settings(max_examples=50, deadline=None)
 def test_evaluator_matches_reference_semantics(expr, m):
     spec = RepSpec(2, 2)
     ev = get_evaluator(spec)
-    out = ev.apply_basis(expr, m)
-    assert out == _ref_apply(expr, ev, FockState.basis(m))
+    out = ev.terms(expr, m)
+    want = _ref_apply(expr, ev, FockState.basis(m))
+    assert FockState(2, _sparse(out)) == want
+    assert ev.apply_basis(expr, m) == want
     # a rebuilt tree is the same node, so it is answered from the memo
     entries = len(ev._cache)
     again = _rebuild(expr)
     assert again is expr
-    assert ev.apply_basis(again, m) is out
+    assert ev.terms(again, m) is out
     assert len(ev._cache) == entries
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@given(expr=op_exprs(2), m=st.tuples(st.integers(0, 2), st.integers(0, 2)))
+@settings(max_examples=30, deadline=None)
+def test_terms_specialize_to_the_fraction_action(q, expr, m):
+    # the same tree with Fraction scalars, through the explicit generator
+    # tables and the mode-by-mode action
+    spec = RepSpec(2, 1, True)
+    got = {t: specialize(c, q) for t, c in _sparse(get_evaluator(spec).terms(expr, m)).items()}
+    want = apply_at(expr, spec, m, q, {})
+    assert {t: x for t, x in got.items() if x} == want
+
+
+def test_sum_over_two_targets_keeps_both_terms():
+    ev = get_evaluator(RepSpec(2, 2))
+    m = (1, 1)
+    e0, e1 = ev.terms(Gen(0), m), ev.terms(Gen(1), m)
+    assert len(e0) == len(e1) == 1 and e0[0][0] != e1[0][0]
+    out = ev.terms(Sum((Gen(0), Gen(1))), m)
+    assert len(out) == 2
+    assert _sparse(out) == dict(e0 + e1)
+
+
+def test_cancelling_sums_give_no_terms():
+    ev = get_evaluator(RepSpec(2, 2))
+    m = (1, 1)
+    # one target: the scalars add to zero
+    assert ev.terms(Sum((Gen(0), Scale(-ONE, Gen(0)))), m) == ()
+    assert ev.terms(Gen(0) - Gen(0), m) == ()
+    # two targets: the merge drops the one that cancels and keeps the other
+    out = ev.terms(Sum((Gen(0), Gen(1), Scale(-ONE, Gen(0)))), m)
+    assert out == ev.terms(Gen(1), m)
+
+
+def test_compose_over_a_two_term_right_side():
+    spec = RepSpec(2, 2)
+    ev = get_evaluator(spec)
+    m = (1, 1)
+    x = Sum((Gen(0), Gen(1)))
+    right = ev.terms(x, m)
+    assert len(right) == 2
+    for left in (Gen(1), x):
+        expr = Compose(left, x)
+        want = _ref_apply(expr, ev, FockState.basis(m))
+        assert FockState(2, _sparse(ev.terms(expr, m))) == want
+        assert ev.apply(left, ev.apply_basis(x, m)) == want
+    # e0 e1 v and e1 e0 v reach one target, so the merge adds them
+    m = (2, 2)
+    (t01, c01), = ev.terms(Compose(Gen(0), Gen(1)), m)
+    (t10, c10), = ev.terms(Compose(Gen(1), Gen(0)), m)
+    assert t01 == t10
+    out = _sparse(ev.terms(Compose(x, x), m))
+    assert len(out) == 3 and out[t01] == c01 + c10
 
 
 def test_equal_trees_are_one_node():
@@ -280,7 +345,7 @@ def test_evaluator_is_linear_and_cached():
     direct = ev.apply(e, v)
     parts = ev.apply_basis(e, (1, 0)).scale(qnum(2)) + ev.apply_basis(e, (0, 1))
     assert direct == parts
-    assert ev.apply_basis(e, (1, 0)) is ev.apply_basis(e, (1, 0))
+    assert ev.terms(e, (1, 0)) is ev.terms(e, (1, 0))
 
 
 def test_qh_exponent_is_additive():

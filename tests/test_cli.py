@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON schema, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -241,6 +242,28 @@ def test_verdicts_need_no_polynomial_gcd(monkeypatch, capsys, argv):
     assert calls == []
 
 
+def test_closed_forms_need_no_polynomial_gcd(monkeypatch, capsys):
+    # closed_psi passes coprime factors, so no URational gcd runs
+    calls = []
+    pgcd = exactfield._pgcd
+    monkeypatch.setattr(exactfield, "_pgcd", lambda a, b: calls.append((a, b)) or pgcd(a, b))
+    monkeypatch.setattr(borelrep, "_EVALUATORS", {})
+    assert cli.main(["lweight", "--l", "3", "--a", "1", "--m", "2,2,2", "--json"]) == 0
+    assert _json_line(capsys.readouterr().out)["discrepancies"] == []
+    assert calls == []
+
+
+def test_memoized_results_have_at_most_one_term(monkeypatch, capsys):
+    # the weight spaces are one-dimensional, so every root-vector tree the
+    # checks build sends v_m to a multiple of one basis vector or to zero
+    monkeypatch.setattr(borelrep, "_EVALUATORS", {})
+    assert cli.main(["verify", "--l", "2", "--order", "4", "--mmax", "1"]) == 0
+    assert cli.main(["drinfeld", "--l", "2", "--nmax", "1", "--mmax", "1"]) == 0
+    capsys.readouterr()
+    sizes = [len(out) for ev in borelrep._EVALUATORS.values() for out in ev._cache.values()]
+    assert max(sizes) == 1 and sizes.count(1) > 1000 and sizes.count(0) > 1000
+
+
 def test_factor_command_and_aliases(capsys):
     assert cli.main(["factor", "--l", "1"]) == 0
     capsys.readouterr()
@@ -277,3 +300,38 @@ def test_dump_op_root_action(capsys):
 def test_dump_op_bad_root_spec(capsys):
     assert cli.main(["dump-op", "--l", "1", "--a", "1", "--root", "bogus"]) == 2
     assert cli.main(["dump-op", "--l", "1", "--a", "1", "--root", "real:1"]) == 2
+
+
+# sha256 of stdout and of the --output report, recorded before the evaluator
+# memo moved from FockStates to term tuples; output must stay byte-stable
+_GOLDEN = [
+    (["verify", "--l", "3", "--order", "8", "--mmax", "2", "--zs=-1*q^-3"],
+     "83b558125632cd8f50bd6dfba81a657f7639182f2bc63052b272bb649141ca0e",
+     "3f51c83e7f49503fa33223074f2bed5fdd3ce1fa5a9cedbef88c6f86fc804903"),
+    (["drinfeld", "--l", "3", "--nmax", "3", "--mmax", "1"],
+     "246265bb5f3dd489a50497e6a14a2fc9ca44964289ca9d28368ab58c771f4f90",
+     "2c2c01e272579b640368bc22e1156fa97379b329a9c003ff368a32f058bcad3f"),
+    (["factor", "--l", "20", "--kind", "all", "--zs=-2*q^0",
+      "--zs-list=-2*q^3,1*q^-1,1*q^0,-1*q^0,-1*q^3,1*q^0,1*q^-3,-2*q^1,1*q^0,-2*q^-2,1*q^1,"
+      "2*q^0,-2*q^3,-1*q^-3,1*q^1,-1*q^2,1*q^2,1*q^1,-2*q^-1,1*q^-1,-1*q^-1"],
+     "99ba3f47fb2065a37d27a0f4034a6c1a48e395ef162a266feb7bb68a937fd088",
+     "d3cc02c4c89839b18cb6c5ebacea1a534721dc7120a99f93b6045d5b3d9aa7f4"),
+    (["serre", "--l", "3", "--mmax", "2"],
+     "dcb1c3419244e8753f526f5d75b9e9f204ebfc42dcca4cdc6e94244dec9df83e",
+     "2c2c01e272579b640368bc22e1156fa97379b329a9c003ff368a32f058bcad3f"),
+    (["lweight", "--l", "3", "--a", "2", "--m", "1,0,2", "--bar", "--zs", "q^2", "--json"],
+     "26ef961e1b9cba36bc86469441a7735d98ba6fe50fa9b8c2afb3bc28affcfe91",
+     "7ea69c8bbc640c177ba6767200bd2fd7814ac8c1780d4ff1acc0fca1d7dc97e4"),
+    (["dump-op", "--l", "3", "--a", "2", "--root", "imag:1,3", "--json"],
+     "c9fa2c5ffec042c49a22d1eaa5580e3087b3d19fd023ff6c3a40cfea81820c0f",
+     "2f747e6b8595215e2e6ebc8abaaaf9e5d4fb81ecd55ae30098a172c9e034abd6"),
+]
+
+
+@pytest.mark.parametrize("argv,stdout_sha,report_sha", _GOLDEN, ids=[g[0][0] for g in _GOLDEN])
+def test_output_is_byte_stable(tmp_path, capsys, argv, stdout_sha, report_sha):
+    report = tmp_path / "report.json"
+    assert cli.main(argv + ["--output", str(report)]) == 0
+    # with --output the JSON goes to the file, not to stdout
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qloop import lweights
-from qloop.borelrep import RepSpec, get_evaluator
-from qloop.exactfield import QRational, URational, USeries, pade, series_invert
+from qloop.borelrep import Gen, RepSpec, Sum, get_evaluator
+from qloop.exactfield import (QRational, URational, USeries, pade, qrational_to_json,
+                              series_invert)
 from qloop.lweights import (LWeight, NotDiagonal, Weight, check_vector,
                             closed_lambda, closed_psi, closed_psi_series,
                             factor_check, lweight_product,
@@ -50,6 +51,22 @@ def test_closed_psi_highest_weight_spot_values():
     assert closed_psi(2, RepSpec(2, 2), (0, 0)) == URational((qp(-2),), (ONE, -qp(-1)))
     # nodes outside {a-1, a} are constant one
     assert closed_psi(1, RepSpec(3, 3), (0, 0, 0)) == URational((ONE,))
+
+
+def test_closed_psi_is_canonical_without_the_gcd():
+    # closed_psi skips the gcd because its factors are coprime; normalizing
+    # its result again through the gcd must change nothing
+    seen = 0
+    for l in (2, 3):
+        for a in range(1, l + 2):
+            for bar, zs in ((False, ONE), (True, -qp(-3) * 2)):
+                spec = RepSpec(l, a, bar, zs)
+                for m in itertools.product(range(3), repeat=l):
+                    for i in range(1, l + 1):
+                        got = closed_psi(i, spec, m)
+                        assert URational(got.num, got.den) == got
+                        seen += got.den_degree > 0 and got.num_degree > 0
+    assert seen > 100
 
 
 def test_closed_lambda_spot_values():
@@ -186,6 +203,25 @@ def test_not_diagonal_carries_context():
     exc = NotDiagonal(RepSpec(2, 1), 1, 3, (0, 0))
     assert "3" in str(exc)
     assert isinstance(exc, Exception)
+    assert exc.off == ()
+
+
+@pytest.mark.parametrize("op", [Gen(0), Sum((Gen(1), Gen(0)))])
+def test_not_diagonal_entry_lists_the_off_diagonal_terms(monkeypatch, op):
+    # e_0 raises every occupation of the first mode of theta_2 at l = 2, so
+    # it is never diagonal; e_0 + e_1 reaches two other vectors on v_(1,1)
+    spec = RepSpec(2, 2)
+    m = (1, 1)
+    pairs = get_evaluator(spec).terms(op, m)
+    assert pairs and all(t != m for t, _ in pairs)
+    monkeypatch.setattr(lweights, "e_prime_imag", lambda l, i, j, n: op)
+    with pytest.raises(NotDiagonal) as info:
+        phi_series(1, spec, m, 3)
+    assert info.value.n == 1 and dict(info.value.off) == dict(pairs)
+    found = check_vector(spec, m, 3)
+    assert [(d["i"], d["status"]) for d in found] == [(1, "not-diagonal"), (2, "not-diagonal")]
+    want = [[list(t), qrational_to_json(c)] for t, c in sorted(pairs, key=lambda p: p[0])]
+    assert all(d["computed"] == want for d in found)
 
 
 def test_phi_series_input_validation():
