@@ -10,7 +10,8 @@ use the canonical exact encodings from exactfield.
 
 The spectral twist is given as a tiny exact expression over q: factors
 separated by '*', each an integer, a ratio like '3/2', or a power 'q^-2'
-('q' alone is allowed, and |k| <= 1000).  Examples: 'q^3', '-2*q^-1', '1/2'.
+('q' alone is allowed).  Each q^k needs |k| <= 1000, and so does the sum of
+all the exponents of a twist.  Examples: 'q^3', '-2*q^-1', '1/2'.
 """
 
 from __future__ import annotations
@@ -31,14 +32,17 @@ from .rootvectors import (drinfeld_check, drinfeld_check_minus, e_dual,
 
 _DEFAULT_ORDER = 6
 
-# q^k is a dense polynomial of length |k|, so larger twist exponents are refused
+# a twist q^k meets other powers of q in sums, whose dense coefficient tuples
+# span |k| exponents, so a larger combined exponent is refused
 MAX_TWIST_EXPONENT = 1000
-_ZS_HELP = f"spectral twist, e.g. 'q^3' or '-2*q^-1'; |k| <= {MAX_TWIST_EXPONENT} in q^k"
+_ZS_HELP = (f"spectral twist, e.g. 'q^3' or '-2*q^-1'; |k| <= {MAX_TWIST_EXPONENT} "
+            "in each q^k and in their product")
 
 
 def parse_zs(text: str) -> QRational:
     """Parse an exact scalar expression: '*'-separated integers, ratios, q-powers."""
     out = QRational.one()
+    shift = 0
     for raw in text.split("*"):
         tok = raw.strip()
         neg = False
@@ -48,11 +52,13 @@ def parse_zs(text: str) -> QRational:
         if not tok:
             raise ValueError(f"empty factor in scalar expression {text!r}")
         if tok == "q":
+            shift += 1
             f = QRational.q_power(1)
         elif tok.startswith("q^"):
             k = int(tok[2:])
             if abs(k) > MAX_TWIST_EXPONENT:
                 raise ValueError(f"twist exponent {k} is beyond +-{MAX_TWIST_EXPONENT}")
+            shift += k
             f = QRational.q_power(k)
         elif "/" in tok:
             a, b = (int(x) for x in tok.split("/", 1))
@@ -64,6 +70,8 @@ def parse_zs(text: str) -> QRational:
         if neg:
             f = -f
         out = out * f
+    if abs(shift) > MAX_TWIST_EXPONENT:
+        raise ValueError(f"combined twist exponent {shift} is beyond +-{MAX_TWIST_EXPONENT}")
     if out.is_zero():
         raise ValueError("spectral twist must be nonzero")
     return out

@@ -3,17 +3,20 @@
 Everything downstream is computed in the field Q(q) of rational functions of
 q with integer coefficients.  Three layers live here:
 
-- QRational: a reduced fraction of integer polynomials in q.  The canonical
-  form (coprime numerator and denominator, coprime integer contents,
-  denominator with positive leading coefficient) makes ``==`` field equality,
-  so every verification in the package is a syntactic comparison with zero
-  tolerance.  Laurent scalars such as q**-3 are ordinary elements, 1/q**3.
-  Normalization strips the common power of q, then cancels the known factors
-  q - 1, q + 1 and q**2 + 1 by trial division: a root test on coefficient
+- QRational: a rational function in Laurent normal form q**e * n(q)/d(q),
+  with n(0) and d(0) nonzero, so a power of q is an exponent and never a
+  run of zero coefficients.  The canonical form (n and d coprime, coprime
+  integer contents, d with positive leading coefficient) makes ``==`` field
+  equality, so every verification in the package is a syntactic comparison
+  with zero tolerance.  Products add exponents and cancel only the cross
+  pairs (n of one operand against d of the other); sums shift the operand
+  with the higher exponent.  Common factors are the known ones q - 1, q + 1
+  and q**2 + 1, cancelled by trial division: a root test on coefficient
   sums, then exact synthetic division.  The oscillator action's
-  denominators are integer * q**a * products of those factors, so every
-  common factor is a known one; only a denominator with some other factor
-  falls back to a polynomial gcd (_pgcd).
+  denominators are integer * q**a * products of those factors, so only a
+  denominator with some other factor falls back to a polynomial gcd
+  (_pgcd).  The dense numerator and denominator stay available as the
+  read-only views ``num`` and ``den``.
 
 - USeries: a truncated power series in a spectral variable u with QRational
   coefficients, closed under ring operations, inversion (unit constant term)
@@ -24,9 +27,9 @@ q with integer coefficients.  Three layers live here:
   term one.  These are the closed forms the series computations are checked
   against; ``expand`` produces the matching USeries and ``pade`` goes back.
 
-Polynomials in q are dense ascending coefficient tuples of ints; the zero
-polynomial is the empty tuple.  Polynomials in u are dense ascending tuples
-of QRational.
+Polynomials in q (n and d above) are dense ascending coefficient tuples of
+ints; the zero polynomial is the empty tuple.  Polynomials in u are dense
+ascending tuples of QRational.
 """
 
 from __future__ import annotations
@@ -57,12 +60,13 @@ def _ptrim(cs) -> tuple:
     return tuple(cs[:n])
 
 
-def _padd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
+def _padd(a, b, k):
+    # a + q**k * b, k >= 0
     out = list(a)
-    for k, c in enumerate(b):
-        out[k] += c
+    if len(out) < len(b) + k:
+        out.extend([0] * (len(b) + k - len(out)))
+    for i, c in enumerate(b, k):
+        out[i] += c
     return _ptrim(out)
 
 
@@ -75,16 +79,16 @@ def _pmul(a, b):
         return ()
     if len(a) == 1:
         c = a[0]
-        return tuple(c * x for x in b)
+        return b if c == 1 else tuple(c * x for x in b)
     if len(b) == 1:
         c = b[0]
-        return tuple(c * x for x in a)
+        return a if c == 1 else tuple(c * x for x in a)
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
-            for j, cb in enumerate(b):
+            for j, cb in enumerate(b, i):
                 if cb:
-                    out[i + j] += ca * cb
+                    out[j] += ca * cb
     return _ptrim(out)
 
 
@@ -191,10 +195,10 @@ _KNOWN_FACTORS = (
 
 
 def _cancel(num, den):
-    """num and den (each with >= 2 terms, not both divisible by q) over their gcd.
+    """num and den (each non-constant, with nonzero constant terms) over their gcd.
 
     The known factors are cancelled by trial division.  If the denominator is
-    integer * q**a * a product of known factors, no other common factor can
+    an integer times a product of known factors, no other common factor can
     exist; otherwise the pair, already reduced, goes to _pgcd.
     """
     rest = den
@@ -206,7 +210,7 @@ def _cancel(num, den):
             if common:
                 num = divide(num)
                 den = divide(den)
-    if _pterms(rest) > 1:
+    if len(rest) > 1:
         g = _pgcd(num, den)
         if len(g) > 1:
             num = _pdivexact(num, g)
@@ -235,11 +239,12 @@ def _pdivexact(a, b):
     return _ptrim(out)
 
 
-def _pstr(a) -> str:
+def _pstr(a, shift=0) -> str:
+    # q**shift * a
     if not a:
         return "0"
     parts = []
-    for e, c in enumerate(a):
+    for e, c in enumerate(a, shift):
         if not c:
             continue
         if e == 0:
@@ -259,9 +264,14 @@ def _pstr(a) -> str:
 
 
 class QRational:
-    """A rational function of q with integer coefficients, fully reduced."""
+    """A rational function of q with integer coefficients, fully reduced.
 
-    __slots__ = ("num", "den")
+    Stored in Laurent normal form q**e * n/d with n(0) and d(0) nonzero; the
+    dense numerator and denominator are the read-only views ``num`` and
+    ``den``.  The public constructor normalizes any dense pair.
+    """
+
+    __slots__ = ("_e", "_n", "_d")
 
     def __init__(self, num, den=(1,)):
         if isinstance(num, int):
@@ -272,34 +282,15 @@ class QRational:
         den = _ptrim(den)
         if not den:
             raise ZeroDivisionError("zero denominator in QRational")
-        if not num:
-            object.__setattr__(self, "num", ())
-            object.__setattr__(self, "den", (1,))
-            return
-        # strip the common power of q
-        vn, vd = _pval(num), _pval(den)
-        v = min(vn, vd)
-        if v:
-            num = num[v:]
-            den = den[v:]
-            vn -= v
-            vd -= v
-        # common factors: none when either side is a monomial, since after the
-        # valuation strip one of the two has a nonzero constant term
-        if _pterms(num) > 1 and _pterms(den) > 1:
-            num, den = _cancel(num, den)
-        # coprime integer contents
-        cn = _pcontent(num)
-        cd = _pcontent(den)
-        g = math.gcd(cn, cd)
-        if g > 1:
-            num = tuple(c // g for c in num)
-            den = tuple(c // g for c in den)
-        if den[-1] < 0:
-            num = _pneg(num)
-            den = _pneg(den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        if num:
+            vn, vd = _pval(num), _pval(den)
+            r = _canon(vn - vd, num[vn:], den[vd:], True)
+            e, num, den = r._e, r._n, r._d
+        else:
+            e, den = 0, (1,)
+        _set_e(self, e)
+        _set_n(self, num)
+        _set_d(self, den)
 
     def __setattr__(self, *args):
         raise AttributeError("QRational is immutable")
@@ -316,27 +307,35 @@ class QRational:
 
     @staticmethod
     def from_int(n: int) -> "QRational":
-        return QRational((n,) if n else ())
+        return _make(0, (n,), (1,)) if n else _QR_ZERO
 
     @staticmethod
     def q_power(k: int) -> "QRational":
         """q**k for any integer k."""
-        if k >= 0:
-            return QRational(_pshift((1,), k))
-        return QRational((1,), _pshift((1,), -k))
+        return _make(k, (1,), (1,))
 
     # -- predicates and views
 
+    @property
+    def num(self) -> tuple:
+        """The numerator as a dense coefficient tuple."""
+        return _pshift(self._n, self._e) if self._e > 0 else self._n
+
+    @property
+    def den(self) -> tuple:
+        """The denominator as a dense coefficient tuple."""
+        return _pshift(self._d, -self._e) if self._e < 0 else self._d
+
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._n
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self._n)
 
     def as_q_power(self):
         """The integer k with self == q**k, or None."""
-        if _pterms(self.num) == 1 and self.num[-1] == 1 and self.den[-1] == 1 and _pterms(self.den) == 1:
-            return (len(self.num) - 1) - (len(self.den) - 1)
+        if self._n == (1,) and self._d == (1,):
+            return self._e
         return None
 
     # -- arithmetic
@@ -352,22 +351,29 @@ class QRational:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        if self.den == o.den:
-            return QRational(_padd(self.num, o.num), self.den)
-        return QRational(
-            _padd(_pmul(self.num, o.den), _pmul(o.num, self.den)),
-            _pmul(self.den, o.den),
-        )
+        xn, yn = self._n, o._n
+        if not xn:
+            return o
+        if not yn:
+            return self
+        xd, yd = self._d, o._d
+        # line up the powers of q: shift the operand with the higher exponent
+        k = o._e - self._e
+        if k < 0:
+            xn, yn, xd, yd, k = yn, xn, yd, xd, -k
+        e = min(self._e, o._e)
+        if xd == yd:
+            return _canon(e, _padd(xn, yn, k), xd, len(xd) > 1)
+        # common factors of the sum and d can only come from gcd(xd, yd)
+        return _canon(e, _padd(_pmul(xn, yd), _pmul(yn, xd), k), _pmul(xd, yd),
+                      len(xd) > 1 and len(yd) > 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if not self.num:
+        if not self._n:
             return self
-        r = object.__new__(QRational)
-        object.__setattr__(r, "num", _pneg(self.num))
-        object.__setattr__(r, "den", self.den)
-        return r
+        return _make(self._e, _pneg(self._n), self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -382,14 +388,26 @@ class QRational:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return QRational(_pmul(self.num, o.num), _pmul(self.den, o.den))
+        xn, yn = self._n, o._n
+        if not xn or not yn:
+            return _QR_ZERO
+        xd, yd = self._d, o._d
+        # each operand is reduced, so only the cross pairs can share factors
+        if len(yd) > 1 and len(xn) > 1:
+            xn, yd = _cancel(xn, yd)
+        if len(xd) > 1 and len(yn) > 1:
+            yn, xd = _cancel(yn, xd)
+        return _canon(self._e + o._e, _pmul(xn, yn), _pmul(xd, yd), False)
 
     __rmul__ = __mul__
 
     def inv(self) -> "QRational":
-        if not self.num:
+        n, d = self._d, self._n
+        if not d:
             raise ZeroDivisionError("inverse of zero QRational")
-        return QRational(self.den, self.num)
+        if d[-1] < 0:
+            n, d = _pneg(n), _pneg(d)
+        return _make(-self._e, n, d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -401,41 +419,78 @@ class QRational:
         return self.inv() * other
 
     def __pow__(self, k: int):
-        if k == 0:
-            return _QR_ONE
         if k < 0:
             return self.inv() ** (-k)
-        base, out = self, _QR_ONE
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        # powers of coprime n and d stay coprime, with coprime contents
+        n = d = (1,)
+        for _ in range(k):
+            n = _pmul(n, self._n)
+            d = _pmul(d, self._d)
+        return _make(k * self._e if n else 0, n, d)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self.num == o.num and self.den == o.den
+        return self._e == o._e and self._n == o._n and self._d == o._d
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self._e, self._n, self._d))
 
     def __repr__(self):
-        if self.den == (1,):
-            return _pstr(self.num)
-        ns = _pstr(self.num)
-        if _pterms(self.num) > 1:
+        e, n, d = self._e, self._n, self._d
+        ns = _pstr(n, max(e, 0))
+        if e >= 0 and d == (1,):
+            return ns
+        if _pterms(n) > 1:
             ns = f"({ns})"
-        ds = _pstr(self.den)
-        if _pterms(self.den) > 1:
+        ds = _pstr(d, max(-e, 0))
+        if _pterms(d) > 1:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
 
-_QR_ZERO = QRational(())
-_QR_ONE = QRational((1,))
+_set_e = QRational._e.__set__
+_set_n = QRational._n.__set__
+_set_d = QRational._d.__set__
+
+
+def _make(e, n, d) -> QRational:
+    # q**e * n/d, already in Laurent normal form
+    r = object.__new__(QRational)
+    _set_e(r, e)
+    _set_n(r, n)
+    _set_d(r, d)
+    return r
+
+
+def _canon(e, n, d, cancel) -> QRational:
+    """q**e * n/d in Laurent normal form; d(0) != 0 and n is trimmed.
+
+    n may start with zeros (a sum whose constant terms cancelled).  The caller
+    passes cancel=False when n and d can share no polynomial factor.
+    """
+    if not n:
+        return _QR_ZERO
+    if not n[0]:
+        v = _pval(n)
+        e += v
+        n = n[v:]
+    if cancel and len(n) > 1 and len(d) > 1:
+        n, d = _cancel(n, d)
+    g = math.gcd(*d)
+    if g != 1:
+        g = math.gcd(g, *n)
+        if g != 1:
+            n = tuple(c // g for c in n)
+            d = tuple(c // g for c in d)
+    if d[-1] < 0:
+        n, d = _pneg(n), _pneg(d)
+    return _make(e, n, d)
+
+
+_QR_ZERO = _make(0, (), (1,))
+_QR_ONE = _make(0, (1,), (1,))
 
 
 def kappa() -> QRational:
@@ -453,9 +508,8 @@ def qnum(n: int) -> QRational:
         return _QR_ZERO
     if n < 0:
         return -qnum(-n)
-    # [n] = (q**(2n) - 1) / (q**(n-1) (q**2 - 1)) written directly in lowest terms
-    num = tuple(1 if k % 2 == 0 else 0 for k in range(2 * n - 1))
-    return QRational(num, _pshift((1,), n - 1))
+    # [n] = q**(1-n) (1 + q**2 + ... + q**(2n-2)), already in lowest terms
+    return _make(1 - n, tuple(1 if k % 2 == 0 else 0 for k in range(2 * n - 1)), (1,))
 
 
 @lru_cache(maxsize=None)
@@ -815,13 +869,14 @@ def pade(s: USeries, num_deg: int, den_deg: int) -> URational:
 # ---------------------------------------------------------------------------
 # JSON-facing serialization (deterministic, exact)
 
-def qpoly_to_json(poly) -> list:
-    """Integer polynomial as a sorted sparse list of [exponent, coefficient-string]."""
-    return [[e, str(c)] for e, c in enumerate(poly) if c]
+def qpoly_to_json(poly, shift: int = 0) -> list:
+    """q**shift * poly as a sorted sparse list of [exponent, coefficient-string]."""
+    return [[e, str(c)] for e, c in enumerate(poly, shift) if c]
 
 
 def qrational_to_json(x: QRational) -> dict:
-    return {"num": qpoly_to_json(x.num), "den": qpoly_to_json(x.den)}
+    e = x._e
+    return {"num": qpoly_to_json(x._n, max(e, 0)), "den": qpoly_to_json(x._d, max(-e, 0))}
 
 
 def upoly_to_json(poly) -> list:

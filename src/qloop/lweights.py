@@ -291,7 +291,7 @@ def phi_series(i: int, spec: RepSpec, m, order: int) -> USeries:
     ev = get_evaluator(spec)
     c0 = QRational.q_power(ev.qh_exponent(CartanExponent.h(l, i), mt))
     o = o_sign(i, l)
-    kap = kappa()
+    kc0 = kappa() * c0
     coeffs = [c0]
     for n in range(1, order + 1):
         pairs = ev.terms(e_prime_imag(l, i, i + 1, n), mt)
@@ -299,7 +299,7 @@ def phi_series(i: int, spec: RepSpec, m, order: int) -> USeries:
         if off:
             raise NotDiagonal(spec, i, n, mt, off)
         s = pairs[0][1] if pairs else _ZERO
-        c = kap * c0 * s
+        c = kc0 * s
         if (-1) ** (n + 1) * o ** n < 0:
             c = -c
         coeffs.append(c)

@@ -30,11 +30,14 @@ def test_parse_zs_values():
     assert cli.parse_zs("3/2") == QRational.from_int(3) / QRational.from_int(2)
     assert cli.parse_zs("-1/2*q^2") == -qp(2) / QRational.from_int(2)
     assert cli.parse_zs(f"q^-{cli.MAX_TWIST_EXPONENT}") == qp(-cli.MAX_TWIST_EXPONENT)
+    # the bound is on the combined exponent
+    assert cli.parse_zs("q^1000*q^-1000*q") == qp(1)
 
 
 def test_parse_zs_rejects_bad_input():
     for bad in ("0", "", "q^", "x", "q*", "1/0", f"q^{cli.MAX_TWIST_EXPONENT + 1}",
-                "2*q^-1000000000"):
+                "2*q^-1000000000", "q^1000*q", "q^-600*2*q^-600",
+                "*".join(["q^1000"] * 1000)):
         with pytest.raises(ValueError):
             cli.parse_zs(bad)
 
@@ -75,8 +78,9 @@ def test_usage_errors_exit_two(monkeypatch, tmp_path, capsys):
         # full-tensor with --zs-list has no use for --zs
         ["factor", "--l", "1", "--kind", "full-tensor", "--zs", "q^5", "--zs-list", "q,q"],
         ["factor", "--l", "1", "--kind", "full_tensor", "--zs", "q^2", "--zs-list", "q,q"],
-        # refused before q^k, a dense polynomial of length |k|, is built
+        # twist exponents beyond +-1000, one factor's or the product's
         ["verify", "--l", "1", "--zs", "q^1000000000"],
+        ["verify", "--l", "1", "--zs=q^1000*q^1000"],
     ):
         with pytest.raises(SystemExit) as err:
             cli.main(argv)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import specialize
 from qloop import exactfield
 from qloop.exactfield import (ConstantTermNotOne, DegreeMismatch, QRational,
                               URational, USeries, ZeroConstantTerm, _pmul,
@@ -175,15 +176,23 @@ def _random_operand(rng, common, general):
     return _product(factors)
 
 
+def _at(p, q):
+    # the polynomial p at q, an integer, a Fraction or a sympy symbol
+    return sum(c * q ** k for k, c in enumerate(p))
+
+
 def _sympy_canonical(sympy, n, d):
     """The canonical form of n/d as sympy.cancel reduces it: integer coefficient
     tuples with coprime contents and a positive leading denominator."""
     q = sympy.Symbol("q")
+    return _sympy_canonical_expr(sympy, q, _at(n, q) / _at(d, q))
 
-    def expr(p):
-        return sum(c * q ** k for k, c in enumerate(p))
 
-    top, bottom = sympy.fraction(sympy.cancel(expr(n) / expr(d)))
+def _sympy_canonical_expr(sympy, q, expr):
+    """The canonical (num, den) of a rational expression in q."""
+    top, bottom = sympy.fraction(sympy.cancel(expr))
+    if top == 0:
+        return (), (1,)
     cs = [[fractions.Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(x, q).all_coeffs())]
           for x in (top, bottom)]
     scale = reduce(math.lcm, (c.denominator for side in cs for c in side), 1)
@@ -242,6 +251,135 @@ def test_unknown_common_factor_falls_back_to_gcd(pgcd_calls):
     y = QRational(_product([(-1, 1), (1, 0, 1), (3, 1)]), _product([(-1, 1), (1, 1), (1, 0, 1)]))
     assert not calls
     assert (y.num, y.den) == ((3, 1), (1, 1))
+
+
+# ----------------------------------------------------------- Laurent form
+
+# operands c * q**k * f/g: f and g products of the factors trial division
+# knows, the two cyclotomic ones it does not, or random polynomials; none of
+# them vanishes at the specialization points, so no operand does
+POINTS = (2, 3, 5)
+factor_polys = st.one_of(
+    st.sampled_from(KNOWN + UNKNOWN),
+    polys.filter(lambda p: all(_at(p, q) for q in POINTS)),
+)
+
+
+@st.composite
+def laurent_operands(draw):
+    c = draw(st.integers(-6, 6).filter(bool))
+    k = draw(st.integers(-1000, 1000))
+    return c, k, draw(st.lists(factor_polys, max_size=2)), draw(st.lists(factor_polys, max_size=2))
+
+
+def _laurent(c, k, num, den):
+    """The operand built by fast-path arithmetic."""
+    x = QRational.from_int(c) * qp(k)
+    for f in num:
+        x = x * QRational(f)
+    for g in den:
+        x = x / QRational(g)
+    return x
+
+
+def _laurent_oracles(q, c, k, num, den):
+    """The operand as a sympy expression in q, and its values at POINTS."""
+    n, d = _product(num), _product(den)
+    expr = c * q ** k * _at(n, q) / _at(d, q)
+    values = [c * fractions.Fraction(p) ** k * _at(n, p) / _at(d, p) for p in POINTS]
+    return expr, values
+
+
+@given(laurent_operands(), laurent_operands(), st.integers(-3, 3))
+@settings(max_examples=40, deadline=None)
+def test_laurent_arithmetic_matches_sympy_and_specialization(a, b, k):
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    x, y = _laurent(*a), _laurent(*b)
+    (xs, xv), (ys, yv) = _laurent_oracles(q, *a), _laurent_oracles(q, *b)
+    cases = (
+        (x + y, xs + ys, [u + v for u, v in zip(xv, yv)]),
+        (x - y, xs - ys, [u - v for u, v in zip(xv, yv)]),
+        (x * y, xs * ys, [u * v for u, v in zip(xv, yv)]),
+        (x / y, xs / ys, [u / v for u, v in zip(xv, yv)]),
+        (x.inv(), 1 / xs, [1 / u for u in xv]),
+        (x ** k, xs ** k, [u ** k for u in xv]),
+    )
+    for got, want, values in cases:
+        assert (got.num, got.den) == _sympy_canonical_expr(sympy, q, want)
+        assert [specialize(got, p) for p in POINTS] == values
+
+
+@given(laurent_operands(), laurent_operands())
+@settings(max_examples=40, deadline=None)
+def test_equal_values_from_different_paths_hash_alike(a, b):
+    x, y = _laurent(*a), _laurent(*b)
+    for z in ((x * y) / y, (x + y) - y, -(-x), x.inv().inv(), QRational(x.num, x.den)):
+        assert z == x
+        assert hash(z) == hash(x)
+
+
+def test_equal_values_from_dense_and_laurent_paths_hash_alike():
+    # q**500 [3]_q by a product, a sum, a quotient through cancellation and
+    # the dense constructor
+    three = qp(500) * qnum(3)
+    for z in (qnum(3) * qp(500),
+              qp(498) + qp(500) + qp(502),
+              (qp(503) - qp(497)) / kappa(),
+              QRational((0,) * 498 + (1, 0, 1, 0, 1))):
+        assert z == three
+        assert hash(z) == hash(three)
+
+
+def test_noncanonical_dense_input_equals_fast_path():
+    # shared powers of q
+    x = QRational((0, 0, 0, 2, 2), (0, 0, 1))
+    assert x == qp(1) * QRational.from_int(2) * QRational((1, 1))
+    assert (x.num, x.den) == ((0, 2, 2), (1,))
+    # a negative leading denominator: 1/(1 - q) = -1/(q - 1)
+    y = QRational((1,), (1, -1))
+    assert y == -QRational((-1, 1)).inv()
+    assert (y.num, y.den) == ((-1,), (-1, 1))
+    # a common integer content, with shared powers of q
+    z = QRational((0, 6, 0, 6), (0, 0, 4, 4))
+    assert z == QRational.from_int(3) * QRational((1, 0, 1)) / (QRational.from_int(2) * qp(1) * QRational((1, 1)))
+    assert (z.num, z.den) == ((3, 0, 3), (0, 2, 2))
+
+
+@given(laurent_operands())
+@settings(max_examples=40, deadline=None)
+def test_cancellation_gives_the_canonical_zero(a):
+    x = _laurent(*a)
+    for z in (x - x, ZERO * x, x * ZERO, x + (-x), x * 0, ZERO ** 3):
+        assert z.is_zero()
+        assert (z.num, z.den) == ((), (1,))
+        assert z == ZERO and hash(z) == hash(ZERO)
+
+
+def test_q_powers_are_exponents():
+    big = qp(10 ** 9)
+    assert big.as_q_power() == 10 ** 9
+    assert big * qp(-10 ** 9) == ONE
+    assert (big ** 3).as_q_power() == 3 * 10 ** 9
+    assert repr(big.inv()) == "1/q^1000000000"
+    assert qrational_to_json(big * QRational((1, -1))) == {
+        "num": [[1000000000, "1"], [1000000001, "-1"]], "den": [[0, "1"]]}
+    assert repr(qp(5) * QRational((1, 1))) == "q^5 + q^6"
+    assert repr(qp(-3) / QRational((1, 1))) == "1/(q^3 + q^4)"
+
+
+@given(laurent_operands())
+@settings(max_examples=40, deadline=None)
+def test_display_reads_the_dense_views(a):
+    x = _laurent(*a)
+    assert qrational_to_json(x) == {"num": qpoly_to_json(x.num), "den": qpoly_to_json(x.den)}
+    ns, ds = exactfield._pstr(x.num), exactfield._pstr(x.den)
+    if x.den == (1,):
+        assert repr(x) == ns
+    else:
+        ns = f"({ns})" if exactfield._pterms(x.num) > 1 else ns
+        ds = f"({ds})" if exactfield._pterms(x.den) > 1 else ds
+        assert repr(x) == f"{ns}/{ds}"
 
 
 # -------------------------------------------------------------------- series
