@@ -18,18 +18,14 @@ from .borelrep import (
     weight_relation_check,
 )
 from .exactfield import (
-    ConstantTermNotOne,
-    DegreeMismatch,
     QRational,
     URational,
     USeries,
     ZeroConstantTerm,
     kappa,
-    pade,
     qfactorial,
     qnum,
     series_invert,
-    series_log,
 )
 from .fock import FockState, ModePattern
 from .lweights import (
@@ -67,11 +63,7 @@ __all__ = [
     "qfactorial",
     "kappa",
     "series_invert",
-    "series_log",
-    "pade",
     "ZeroConstantTerm",
-    "ConstantTermNotOne",
-    "DegreeMismatch",
     "RootIndex",
     "CartanExponent",
     "NotAPositiveRoot",

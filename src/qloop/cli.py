@@ -131,9 +131,10 @@ def _families(args) -> list:
     return [(bar, a) for bar in bars for a in a_values]
 
 
-def _failure(a, bar: bool, i: int, m: list, status: str) -> dict:
+def _failure(a, bar: bool, i: int, m: list, status: str,
+             expected: str = "0", computed: str = "nonzero") -> dict:
     return {"a": a, "bar": bar, "i": i, "m": m, "status": status,
-            "expected": "0", "computed": "nonzero"}
+            "expected": expected, "computed": computed}
 
 
 def _cmd_verify(args) -> int:
@@ -251,9 +252,8 @@ def _cmd_factor(args) -> int:
         label = f"{name}" + (f"[{index}]" if name != "full-tensor" else "")
         lines.append(f"{label}: {'ok' if ok else 'MISMATCH'}")
         if not ok:
-            found.append({"a": index, "bar": False, "i": 0, "m": [],
-                          "status": f"{name}-mismatch",
-                          "expected": "equal l-weights", "computed": "unequal"})
+            found.append(_failure(index, False, 0, [], f"{name}-mismatch",
+                                  "equal l-weights", "unequal"))
     lines.append("all checks passed" if not found else f"{len(found)} failures")
     return _report(args, lines, found, _meta(args.l, args.index, False, None, zs))
 

@@ -19,13 +19,13 @@ q with integer coefficients.  Three layers live here:
   read-only views ``num`` and ``den``.
 
 - USeries: a truncated power series in a spectral variable u with QRational
-  coefficients, closed under ring operations, inversion (unit constant term)
-  and logarithm (constant term one).
+  coefficients, closed under ring operations and inversion (unit constant
+  term).
 
-- URational: a rational function in u over QRational, normalized so that
-  numerator and denominator are coprime and the denominator has constant
-  term one.  These are the closed forms the series computations are checked
-  against; ``expand`` produces the matching USeries and ``pade`` goes back.
+- URational: a rational function in u over QRational, built from a coprime
+  numerator and denominator, with the denominator scaled to constant term
+  one.  It displays and serializes the closed forms, and ``expand`` produces
+  the matching USeries; it has no arithmetic and runs no gcd.
 
 Polynomials in q (n and d above) are dense ascending coefficient tuples of
 ints; the zero polynomial is the empty tuple.  Polynomials in u are dense
@@ -40,14 +40,6 @@ from functools import lru_cache, reduce
 
 class ZeroConstantTerm(ValueError):
     """Series or denominator has a vanishing constant term where a unit is required."""
-
-
-class ConstantTermNotOne(ValueError):
-    """Series logarithm needs constant term exactly one."""
-
-
-class DegreeMismatch(ValueError):
-    """No rational function of the requested degrees reproduces the series."""
 
 
 # ---------------------------------------------------------------------------
@@ -607,14 +599,6 @@ class USeries:
             p = p * c
         return USeries(self.order, out)
 
-    def derivative(self) -> "USeries":
-        if self.order == 0:
-            return USeries(0)
-        return USeries(
-            self.order - 1,
-            tuple(QRational.from_int(k) * self.coeffs[k] for k in range(1, self.order + 1)),
-        )
-
     def __eq__(self, other):
         if not isinstance(other, USeries):
             return NotImplemented
@@ -649,19 +633,6 @@ def series_invert(s: USeries) -> USeries:
     return USeries(s.order, out)
 
 
-def series_log(s: USeries) -> USeries:
-    """log of a series with constant term one, via termwise-integrated s'/s."""
-    if s.coeff(0) != _QR_ONE:
-        raise ConstantTermNotOne("series logarithm needs constant term 1")
-    if s.order == 0:
-        return USeries(0)
-    r = s.derivative() * series_invert(s.truncate(s.order - 1))
-    out = [_QR_ZERO]
-    for n in range(1, s.order + 1):
-        out.append(r.coeff(n - 1) / QRational.from_int(n))
-    return USeries(s.order, out)
-
-
 # ---------------------------------------------------------------------------
 # polynomials in u over QRational (dense ascending tuples)
 
@@ -672,72 +643,24 @@ def _utrim(cs) -> tuple:
     return tuple(cs[:n])
 
 
-def _umod(a, b):
-    r = list(a)
-    db = len(b) - 1
-    ib = b[-1].inv()
-    while len(r) - 1 >= db:
-        c = r[-1] * ib
-        k = len(r) - 1 - db
-        for idx in range(db + 1):
-            r[k + idx] = r[k + idx] - c * b[idx]
-        r.pop()
-        while r and r[-1].is_zero():
-            r.pop()
-    return tuple(r)
-
-
-def _udivexact(a, b):
-    if not a:
-        return ()
-    r = list(a)
-    db = len(b) - 1
-    ib = b[-1].inv()
-    out = [_QR_ZERO] * (len(a) - db)
-    for k in range(len(a) - db - 1, -1, -1):
-        c = r[k + db] * ib
-        out[k] = c
-        if not c.is_zero():
-            for idx in range(db + 1):
-                r[k + idx] = r[k + idx] - c * b[idx]
-    if any(not x.is_zero() for x in r):
-        raise ArithmeticError("inexact polynomial division in u")
-    return _utrim(out)
-
-
-def _ugcd(a, b):
-    a, b = _utrim(a), _utrim(b)
-    while b:
-        a, b = b, _umod(a, b)
-    if not a:
-        return ()
-    ia = a[-1].inv()
-    return tuple(c * ia for c in a)
-
-
 class URational:
-    """A rational function of u over QRational.
+    """A rational function of u over QRational, for display and comparison.
 
-    Canonical form: numerator and denominator coprime, denominator constant
-    term equal to one, so equality is syntactic.  The denominator must be a
-    power-series unit (nonzero constant term).  A caller that knows the two
-    are coprime passes coprime=True, which skips the gcd over Q(q)[u].
+    The numerator and denominator must be coprime, as the closed forms'
+    factors are; no gcd over Q(q)[u] runs.  The denominator must be a
+    power-series unit (nonzero constant term) and is scaled to constant term
+    one, so the form is canonical and equality is syntactic.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, *, coprime: bool = False):
+    def __init__(self, num, den=None):
         if den is None:
             den = (_QR_ONE,)
         num = _utrim([QRational.from_int(c) if isinstance(c, int) else c for c in num])
         den = _utrim([QRational.from_int(c) if isinstance(c, int) else c for c in den])
         if not den:
             raise ZeroDivisionError("zero denominator in URational")
-        if not coprime and len(num) > 1 and len(den) > 1:
-            g = _ugcd(num, den)
-            if len(g) > 1:
-                num = _udivexact(num, g)
-                den = _udivexact(den, g)
         if not num:
             object.__setattr__(self, "num", ())
             object.__setattr__(self, "den", (_QR_ONE,))
@@ -791,79 +714,6 @@ class URational:
         if self.den == (_QR_ONE,):
             return ustr(self.num)
         return f"[{ustr(self.num)}] / [{ustr(self.den)}]"
-
-
-def _nullspace_vector(rows, width):
-    """One nonzero solution of rows . x = 0 over QRational, x of length width."""
-    rows = [list(r) for r in rows]
-    pivots = {}  # column -> reduced row, kept in full reduced echelon form
-    for row in rows:
-        for col, prow in pivots.items():
-            c = row[col]
-            if not c.is_zero():
-                for k in range(width):
-                    row[k] = row[k] - c * prow[k]
-        lead = next((k for k in range(width) if not row[k].is_zero()), None)
-        if lead is None:
-            continue
-        inv = row[lead].inv()
-        row = [c * inv for c in row]
-        for prow in pivots.values():
-            c = prow[lead]
-            if not c.is_zero():
-                for k in range(width):
-                    prow[k] = prow[k] - c * row[k]
-        pivots[lead] = row
-    free = next(k for k in range(width) if k not in pivots)
-    x = [_QR_ZERO] * width
-    x[free] = _QR_ONE
-    for col, prow in pivots.items():
-        acc = _QR_ZERO
-        for k in range(width):
-            if k != col and not prow[k].is_zero():
-                acc = acc + prow[k] * x[k]
-        x[col] = -acc
-    return x
-
-
-def pade(s: USeries, num_deg: int, den_deg: int) -> URational:
-    """Reconstruct the rational function of the given degrees from a series.
-
-    The linearized system num = den * s (mod u**(num_deg+den_deg+1)) is solved
-    for the denominator by a nullspace computation, and the candidate is
-    re-expanded and compared against s through order num_deg + den_deg; any
-    mismatch raises DegreeMismatch.  The series must carry at least that many
-    coefficients.
-    """
-    if num_deg < 0 or den_deg < 0:
-        raise ValueError("pade degrees must be >= 0")
-    k = num_deg + den_deg
-    if s.order < k:
-        raise ValueError("series order too small for the requested pade degrees")
-    c = s.coeff
-    rows = [
-        [c(num_deg + 1 + r - j) if num_deg + 1 + r - j >= 0 else _QR_ZERO
-         for j in range(den_deg + 1)]
-        for r in range(den_deg)
-    ]
-    b = _nullspace_vector(rows, den_deg + 1)
-    num = []
-    for kk in range(num_deg + 1):
-        acc = _QR_ZERO
-        for j in range(min(kk, den_deg) + 1):
-            if not b[j].is_zero():
-                acc = acc + b[j] * c(kk - j)
-        num.append(acc)
-    try:
-        cand = URational(num, b)
-    except ZeroConstantTerm as exc:
-        raise DegreeMismatch("series is not a (num_deg, den_deg) rational function") from exc
-    if cand.num_degree > num_deg or cand.den_degree > den_deg:
-        raise DegreeMismatch("series is not a (num_deg, den_deg) rational function")
-    again = cand.expand(k)
-    if any(again.coeff(j) != c(j) for j in range(k + 1)):
-        raise DegreeMismatch("series is not a (num_deg, den_deg) rational function")
-    return cand
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ q and the generating series
 acts diagonally with an eigenvalue that is a rational function Psi_i(u) of
 the spectral variable.  This module computes the eigenvalue series directly
 from the operator realization (phi_series), states the closed rational
-expressions for Psi_i and the weight lambda (closed_psi, closed_lambda), and
-combines the l-weights of one-dimensional shifts, prefundamental modules and
-oscillator modules to check the factorization identities relating the two
-families (factor_check).
+expressions for Psi_i (closed_psi) and reads the weight lambda off their
+constant terms, Psi_i(0) = q**<lambda, h_i> (closed_lambda), and combines the
+l-weights of one-dimensional shifts, prefundamental modules and oscillator
+modules to check the factorization identities relating the two families
+(factor_check).
 
 Factored form.  Every closed Psi_i(u) = q**<lambda, h_i> prod_x (1 - x u)**k_x
 is a Drinfeld rational fraction, so an l-weight (LWeight) is a weight plus,
@@ -20,7 +21,7 @@ per node, roots x with nonzero multiplicities k_x; products add both.  The
 series the operator side is checked against (closed_psi_series) is expanded
 straight from the factors, a product of binomials and geometric series, so
 no gcd over Q(q)[u] runs; closed_psi multiplies the factors out into a
-URational only for display, JSON and Pade.
+URational only for display and JSON.
 
 Twist conventions.  The spectral twist enters every eigenvalue through the
 single combination zs = zeta**s, kept as one exact scalar: a twisted series
@@ -221,7 +222,7 @@ def closed_psi(i: int, spec: RepSpec, m) -> URational:
     den = [x for x, k in roots for _ in range(-k)]
     c0 = QRational.q_power(e0)
     # a root is in num or in den, never both, so the two are coprime
-    return URational(tuple(c0 * x for x in _roots_poly(num)), _roots_poly(den), coprime=True)
+    return URational(tuple(c0 * x for x in _roots_poly(num)), _roots_poly(den))
 
 
 def closed_psi_series(i: int, spec: RepSpec, m, order: int) -> USeries:
@@ -248,31 +249,12 @@ def closed_psi_series(i: int, spec: RepSpec, m, order: int) -> USeries:
 
 
 def closed_lambda(spec: RepSpec, m) -> Weight:
-    """The closed form of the weight of v_m."""
+    """The weight of v_m, read off the constant terms Psi_i(0) = q**<lambda, h_i>."""
     l = spec.l
     mt = _check_m(l, m)
     if spec.bar:
         return closed_lambda(RepSpec(l, l - spec.a + 2), mt).iota()
-    a = spec.a
-    c = [0] * (l + 1)
-    if a == 1:
-        c[1] = -(2 * mt[0] + _msum(mt, 2, l) + l + 1)
-        for i in range(2, l + 1):
-            c[i] = -(mt[i - 1] - mt[i - 2])
-    elif a == l + 1:
-        for i in range(1, l):
-            c[i] = mt[i] - mt[i - 1]
-        c[l] = -(_msum(mt, 1, l - 1) + 2 * mt[l - 1])
-    else:
-        for i in range(1, a - 1):
-            c[i] = mt[l + i - a + 1] - mt[l + i - a]
-        for i in range(a + 1, l + 1):
-            c[i] = -(mt[i - a] - mt[i - a - 1])
-        c[a - 1] = (
-            _msum(mt, 1, l - a + 1) - _msum(mt, l - a + 2, l - 1) - 2 * mt[l - 1] + l - a + 1
-        )
-        c[a] = -(2 * mt[0] + _msum(mt, 2, l - a + 1) - _msum(mt, l - a + 2, l) + l - a + 2)
-    return Weight(l, tuple(c[1:]))
+    return Weight(l, tuple(_psi_parts(i, l, spec.a, mt)[0] for i in range(1, l + 1)))
 
 
 def phi_series(i: int, spec: RepSpec, m, order: int) -> USeries:
@@ -356,19 +338,10 @@ def shift_weight(w: Weight) -> LWeight:
 
 
 def oscillator_lweight(spec: RepSpec, m=None) -> LWeight:
-    """The closed-form l-weight of v_m (the highest one for m = 0).
-
-    Raises ValueError if the catalogs disagree on Psi_i(0) = q**<lambda, h_i>.
-    """
+    """The closed-form l-weight of v_m (the highest one for m = 0)."""
     mt = _check_m(spec.l, m) if m is not None else (0,) * spec.l
-    lam = closed_lambda(spec, mt)
-    roots = []
-    for i in range(1, spec.l + 1):
-        e0, r = _psi_roots(i, spec, mt)
-        if e0 != lam.pair_h(i):
-            raise ValueError("constant term of Psi must be q**<lambda, h_i>")
-        roots.append(r)
-    return LWeight(lam, tuple(roots))
+    e0s, roots = zip(*(_psi_roots(i, spec, mt) for i in range(1, spec.l + 1)))
+    return LWeight(Weight(spec.l, e0s), roots)
 
 
 # ---------------------------------------------------------------------------
@@ -414,22 +387,17 @@ def factor_osc(l: int, a: int, zs: QRational = _ONE) -> bool:
     return lhs == rhs
 
 
-def factor_pref_minus(l: int, i: int, zs: QRational = _ONE) -> bool:
-    """Shifted negative prefundamental as a product of theta_1 .. theta_i."""
-    lhs = lweight_product(shift_weight(xi_pref_minus(l, i)), prefundamental(l, i, -1, zs))
+def factor_pref(l: int, i: int, sign: int, zs: QRational = _ONE) -> bool:
+    """Shifted prefundamental with Psi_i = (1 - zs u)**sign as a product of
+    theta_1 .. theta_i (sign -1) or theta_{i+1} .. theta_{l+1} (sign +1)."""
+    if sign > 0:
+        xi, bs = xi_pref_plus(l, i), range(i + 1, l + 2)
+    else:
+        xi, bs = xi_pref_minus(l, i), range(1, i + 1)
+    lhs = lweight_product(shift_weight(xi), prefundamental(l, i, sign, zs))
     rhs = lweight_product(*[
         oscillator_lweight(RepSpec(l, b, False, QRational.q_power(l + i - 2 * b + 1) * zs))
-        for b in range(1, i + 1)
-    ])
-    return lhs == rhs
-
-
-def factor_pref_plus(l: int, i: int, zs: QRational = _ONE) -> bool:
-    """Shifted positive prefundamental as a product of theta_{i+1} .. theta_{l+1}."""
-    lhs = lweight_product(shift_weight(xi_pref_plus(l, i)), prefundamental(l, i, 1, zs))
-    rhs = lweight_product(*[
-        oscillator_lweight(RepSpec(l, b, False, QRational.q_power(l + i - 2 * b + 1) * zs))
-        for b in range(i + 1, l + 2)
+        for b in bs
     ])
     return lhs == rhs
 
@@ -461,10 +429,8 @@ def factor_check(kind: str, l: int, index: int = 0, zs: QRational = _ONE,
     """
     if kind == "osc":
         return factor_osc(l, index, zs)
-    if kind == "pref-minus":
-        return factor_pref_minus(l, index, zs)
-    if kind == "pref-plus":
-        return factor_pref_plus(l, index, zs)
+    if kind in ("pref-minus", "pref-plus"):
+        return factor_pref(l, index, 1 if kind == "pref-plus" else -1, zs)
     if kind == "full-tensor":
         if zs_list is None:
             zs_list = (zs,) * (l + 1)

@@ -10,15 +10,23 @@
   a fractions.Fraction, through the explicit tables and the mode-by-mode
   action, where qloop computes over Q(q) (borelrep.Evaluator).  It checks the
   scalar layer from outside the field.
+- The weight table: lambda_{m, a} typed in per module, where qloop reads it
+  off Psi_i(0) (lweights.closed_lambda).
+- Algebra in u that qloop does not need: the formal logarithm, the gcd over
+  Q(q)[u] (reduced) and Pade reconstruction.
 """
 
 from fractions import Fraction
 
 from qloop.borelrep import (CartanPower, Compose, Gen, OscWord, RepSpec, Scale,
                             Sum, image_e, image_qh)
-from qloop.exactfield import QRational, kappa, qnum
+from qloop.exactfield import (QRational, URational, USeries, ZeroConstantTerm,
+                              _utrim, kappa, qnum, series_invert)
 from qloop.fock import PLUS, FockState, ModePattern
+from qloop.lweights import Weight, _msum
 from qloop.rootsys import CartanExponent
+
+_ZERO = QRational.zero()
 
 # ------------------------------------------------------ explicit image tables
 
@@ -226,3 +234,187 @@ def apply_at(expr, spec: RepSpec, m: tuple, q: int, memo: dict) -> dict:
     out = {v: x for v, x in out.items() if x}
     memo[key] = out
     return out
+
+
+# ------------------------------------------------------------- weight table
+
+
+def table_lambda(spec: RepSpec, m: tuple) -> Weight:
+    """The weight lambda_{m, a} of v_m, typed in per module; the mirrored
+    weight is iota(lambda_{m, l-a+2})."""
+    l = spec.l
+    if spec.bar:
+        return table_lambda(RepSpec(l, l - spec.a + 2), m).iota()
+    a = spec.a
+    c = [0] * (l + 1)
+    if a == 1:
+        c[1] = -(2 * m[0] + _msum(m, 2, l) + l + 1)
+        for i in range(2, l + 1):
+            c[i] = -(m[i - 1] - m[i - 2])
+    elif a == l + 1:
+        for i in range(1, l):
+            c[i] = m[i] - m[i - 1]
+        c[l] = -(_msum(m, 1, l - 1) + 2 * m[l - 1])
+    else:
+        for i in range(1, a - 1):
+            c[i] = m[l + i - a + 1] - m[l + i - a]
+        for i in range(a + 1, l + 1):
+            c[i] = -(m[i - a] - m[i - a - 1])
+        c[a - 1] = (
+            _msum(m, 1, l - a + 1) - _msum(m, l - a + 2, l - 1) - 2 * m[l - 1] + l - a + 1
+        )
+        c[a] = -(2 * m[0] + _msum(m, 2, l - a + 1) - _msum(m, l - a + 2, l) + l - a + 2)
+    return Weight(l, tuple(c[1:]))
+
+
+# ------------------------------------------- series and rational functions in u
+
+
+class ConstantTermNotOne(ValueError):
+    """Series logarithm needs constant term exactly one."""
+
+
+def derivative(s: USeries) -> USeries:
+    """d/du of a series, one order shorter."""
+    if s.order == 0:
+        return USeries(0)
+    return USeries(s.order - 1, tuple(k * s.coeffs[k] for k in range(1, s.order + 1)))
+
+
+def series_log(s: USeries) -> USeries:
+    """log of a series with constant term one, via termwise-integrated s'/s."""
+    if s.coeff(0) != QRational.one():
+        raise ConstantTermNotOne("series logarithm needs constant term 1")
+    if s.order == 0:
+        return USeries(0)
+    r = derivative(s) * series_invert(s.truncate(s.order - 1))
+    return USeries(s.order, [_ZERO] + [r.coeff(n - 1) / n for n in range(1, s.order + 1)])
+
+
+def _umod(a, b):
+    r = list(a)
+    db = len(b) - 1
+    ib = b[-1].inv()
+    while len(r) - 1 >= db:
+        c = r[-1] * ib
+        k = len(r) - 1 - db
+        for idx in range(db + 1):
+            r[k + idx] = r[k + idx] - c * b[idx]
+        r.pop()
+        while r and r[-1].is_zero():
+            r.pop()
+    return tuple(r)
+
+
+def _udivexact(a, b):
+    if not a:
+        return ()
+    r = list(a)
+    db = len(b) - 1
+    ib = b[-1].inv()
+    out = [_ZERO] * (len(a) - db)
+    for k in range(len(a) - db - 1, -1, -1):
+        c = r[k + db] * ib
+        out[k] = c
+        if not c.is_zero():
+            for idx in range(db + 1):
+                r[k + idx] = r[k + idx] - c * b[idx]
+    if any(not x.is_zero() for x in r):
+        raise ArithmeticError("inexact polynomial division in u")
+    return _utrim(out)
+
+
+def _ugcd(a, b):
+    a, b = _utrim(a), _utrim(b)
+    while b:
+        a, b = b, _umod(a, b)
+    if not a:
+        return ()
+    ia = a[-1].inv()
+    return tuple(c * ia for c in a)
+
+
+def reduced(num, den) -> URational:
+    """num/den as a URational for any pair: their gcd over Q(q)[u] is divided
+    out first, since URational takes a coprime pair."""
+    g = _ugcd(num, den)
+    if len(g) > 1:
+        num, den = _udivexact(num, g), _udivexact(den, g)
+    return URational(num, den)
+
+
+class DegreeMismatch(ValueError):
+    """No rational function of the requested degrees reproduces the series."""
+
+
+def _nullspace_vector(rows, width):
+    """One nonzero solution of rows . x = 0 over QRational, x of length width."""
+    rows = [list(r) for r in rows]
+    pivots = {}  # column -> reduced row, kept in full reduced echelon form
+    for row in rows:
+        for col, prow in pivots.items():
+            c = row[col]
+            if not c.is_zero():
+                for k in range(width):
+                    row[k] = row[k] - c * prow[k]
+        lead = next((k for k in range(width) if not row[k].is_zero()), None)
+        if lead is None:
+            continue
+        inv = row[lead].inv()
+        row = [c * inv for c in row]
+        for prow in pivots.values():
+            c = prow[lead]
+            if not c.is_zero():
+                for k in range(width):
+                    prow[k] = prow[k] - c * row[k]
+        pivots[lead] = row
+    free = next(k for k in range(width) if k not in pivots)
+    x = [_ZERO] * width
+    x[free] = QRational.one()
+    for col, prow in pivots.items():
+        acc = _ZERO
+        for k in range(width):
+            if k != col and not prow[k].is_zero():
+                acc = acc + prow[k] * x[k]
+        x[col] = -acc
+    return x
+
+
+def pade(s: USeries, num_deg: int, den_deg: int) -> URational:
+    """Reconstruct the rational function of the given degrees from a series.
+
+    The linearized system num = den * s (mod u**(num_deg+den_deg+1)) is solved
+    for the denominator by a nullspace computation, and the candidate is
+    re-expanded and compared against s through order num_deg + den_deg; any
+    mismatch raises DegreeMismatch.  The series must carry at least that many
+    coefficients.
+    """
+    if num_deg < 0 or den_deg < 0:
+        raise ValueError("pade degrees must be >= 0")
+    k = num_deg + den_deg
+    if s.order < k:
+        raise ValueError("series order too small for the requested pade degrees")
+    c = s.coeff
+    rows = [
+        [c(num_deg + 1 + r - j) if num_deg + 1 + r - j >= 0 else _ZERO
+         for j in range(den_deg + 1)]
+        for r in range(den_deg)
+    ]
+    b = _nullspace_vector(rows, den_deg + 1)
+    num = []
+    for kk in range(num_deg + 1):
+        acc = _ZERO
+        for j in range(min(kk, den_deg) + 1):
+            if not b[j].is_zero():
+                acc = acc + b[j] * c(kk - j)
+        num.append(acc)
+    try:
+        cand = reduced(num, b)
+    except ZeroConstantTerm as exc:
+        raise DegreeMismatch("series is not a (num_deg, den_deg) rational function") from exc
+    if cand.num_degree > num_deg or cand.den_degree > den_deg:
+        raise DegreeMismatch("series is not a (num_deg, den_deg) rational function")
+    again = cand.expand(k)
+    if any(again.coeff(j) != c(j) for j in range(k + 1)):
+        raise DegreeMismatch("series is not a (num_deg, den_deg) rational function")
+    return cand

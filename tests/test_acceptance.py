@@ -27,9 +27,9 @@ verdicts survive pytest's capture.
 
 import itertools
 
-from oracles import twist_consistency
+from oracles import DegreeMismatch, pade, twist_consistency
 from qloop.borelrep import RepSpec, get_evaluator, serre_check, weight_relation_check
-from qloop.exactfield import DegreeMismatch, QRational, pade
+from qloop.exactfield import QRational
 from qloop.lweights import closed_lambda, closed_psi, factor_check, phi_series
 from qloop.rootsys import CartanExponent
 from qloop.rootvectors import drinfeld_check, e_prime_imag, e_real

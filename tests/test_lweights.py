@@ -1,15 +1,16 @@
 """Closed l-weights, operator-side series, and factorization identities."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import pade, reduced, table_lambda
 
 from qloop import lweights
 from qloop.borelrep import Gen, RepSpec, Sum, get_evaluator
-from qloop.exactfield import (QRational, URational, USeries, pade, qrational_to_json,
-                              series_invert)
+from qloop.exactfield import QRational, URational, USeries, qrational_to_json, series_invert
 from qloop.lweights import (LWeight, NotDiagonal, Weight, check_vector,
                             closed_lambda, closed_psi, closed_psi_series,
                             factor_check, lweight_product,
@@ -54,8 +55,8 @@ def test_closed_psi_highest_weight_spot_values():
 
 
 def test_closed_psi_is_canonical_without_the_gcd():
-    # closed_psi skips the gcd because its factors are coprime; normalizing
-    # its result again through the gcd must change nothing
+    # closed_psi runs no gcd because its factors are coprime; reducing its
+    # result through the gcd over Q(q)[u] must change nothing
     seen = 0
     for l in (2, 3):
         for a in range(1, l + 2):
@@ -64,7 +65,7 @@ def test_closed_psi_is_canonical_without_the_gcd():
                 for m in itertools.product(range(3), repeat=l):
                     for i in range(1, l + 1):
                         got = closed_psi(i, spec, m)
-                        assert URational(got.num, got.den) == got
+                        assert reduced(got.num, got.den) == got
                         seen += got.den_degree > 0 and got.num_degree > 0
     assert seen > 100
 
@@ -115,13 +116,17 @@ def test_twist_scales_the_spectral_variable():
 
 
 def test_constant_term_law_links_the_two_catalogs():
-    # Psi_i(0) = q^<lambda, h_i> with the two sides entered independently
-    for l in (1, 2, 3):
+    # closed_lambda reads lambda off Psi_i(0) = q^<lambda, h_i>; the oracle
+    # table enters it independently, per module
+    rng = random.Random(8)
+    for l in range(1, 21):
+        ms = [(0,) * l] + [tuple(rng.randrange(4) for _ in range(l)) for _ in range(3)]
         for a in range(1, l + 2):
             for bar in (False, True):
                 spec = RepSpec(l, a, bar)
-                for m in itertools.product(range(2), repeat=l):
+                for m in ms + list(itertools.product(range(2), repeat=l) if l <= 3 else ()):
                     lam = closed_lambda(spec, m)
+                    assert lam == table_lambda(spec, m), (l, a, bar, m)
                     for i in range(1, l + 1):
                         assert closed_psi(i, spec, m).constant_term() == qp(lam.pair_h(i))
 
@@ -245,17 +250,11 @@ def _psi_series(lw: LWeight, i: int, order: int) -> USeries:
     return out
 
 
-def test_lweight_validation(monkeypatch):
+def test_lweight_validation():
     lam = Weight(1, (-2,))
     LWeight(lam, (frozenset({(qp(-1), -1)}),))
     with pytest.raises(ValueError):
         LWeight(lam, (frozenset(),) * 2)
-    # the catalog check: Psi_i(0) of the closed forms must be q**<lambda, h_i>
-    spec = RepSpec(2, 2)
-    oscillator_lweight(spec)
-    monkeypatch.setattr(lweights, "closed_lambda", lambda spec, m: Weight(2, (0, 0)))
-    with pytest.raises(ValueError):
-        oscillator_lweight(spec)
 
 
 def test_lweight_product_multiplies_componentwise():

@@ -8,10 +8,10 @@ oscillator word or eigenvalue.
 import itertools
 
 import pytest
-from oracles import apply_at, specialize
+from oracles import apply_at, series_log, specialize
 
 from qloop.borelrep import Gen, OscWord, RepSpec, get_evaluator
-from qloop.exactfield import QRational, USeries, kappa, qnum, series_log
+from qloop.exactfield import QRational, USeries, kappa, qnum
 from qloop.fock import FockState
 from qloop.rootsys import RootIndex
 from qloop.rootvectors import (chi, drinfeld_check, drinfeld_check_minus,
