@@ -13,10 +13,12 @@ Operator images are OscWords: a scalar times an ordered product of b, bdag
 and q**(sum d_j N_j) factors.  Composite operators (q-commutators, divided
 powers, Serre sums, root vectors) are hash-consed OpExpr trees over the
 generators; Evaluator applies a tree to basis vectors of the matching Fock
-pattern, memoizing on (node, basis vector) so that equal subtrees are
-evaluated once.  The weight spaces of these modules are one-dimensional, so
+pattern and memoizes shared nodes, those referenced by two or more interned
+parents, on (node, basis vector), so that a subtree several trees share is
+evaluated once.  A node with one parent is reached only through it, so it
+gets no entry.  The weight spaces of these modules are one-dimensional, so
 the memo holds sparse term tuples, () or ((m', c),) for a homogeneous tree,
-rather than FockStates; apply_basis is the FockState view of one entry.
+rather than FockStates; apply_basis is the FockState view of one result.
 """
 
 from __future__ import annotations
@@ -225,17 +227,25 @@ class OpExpr:
 
     Hash-consed: a node whose class and fields (the subclass's __slots__, in
     order) equal an existing node's is that node, so identity is equality.
+    _refs counts the references to a node from interned parents, one per
+    child field of each parent (a Sum that lists a child twice counts twice);
+    it is bookkeeping for the evaluator memo, not part of the node's identity.
     """
 
-    __slots__ = ()
+    __slots__ = ("_refs",)
 
     def __new__(cls, *fields):
         key = (cls, fields)
         node = _NODES.get(key)
         if node is None:
             node = object.__new__(cls)
+            object.__setattr__(node, "_refs", 0)
             for name, value in zip(cls.__slots__, fields, strict=True):
                 object.__setattr__(node, name, value)
+            for value in fields:
+                for child in value if isinstance(value, tuple) else (value,):
+                    if isinstance(child, OpExpr):
+                        object.__setattr__(child, "_refs", child._refs + 1)
             _NODES[key] = node
         return node
 
@@ -328,10 +338,13 @@ def power(expr: OpExpr, k: int, l: int) -> OpExpr:
 class Evaluator:
     """Applies operator expressions in one fixed representation.
 
-    terms(expr, m) is memoized per (node, basis vector) as a tuple of
-    (target, coefficient) pairs.  Nodes are interned, so a tree that is built
-    again, or a subtree shared by several trees, is the same key and is
-    evaluated once.  apply_basis and apply wrap the pairs in FockStates.
+    terms(expr, m) is a tuple of (target, coefficient) pairs, memoized per
+    (node, basis vector) for shared nodes only.  Nodes are interned, so a
+    subtree that two or more parents reference is one key and is evaluated
+    once per basis vector.  A node with one parent is recomputed only when
+    that parent is, and the parent is memoized or is a root; a root (no
+    parent) is computed on each call.  apply_basis and apply wrap the pairs
+    in FockStates.
     """
 
     def __init__(self, spec: RepSpec):
@@ -351,10 +364,12 @@ class Evaluator:
         almost always () or one pair; each node handles that case directly
         and leaves anything else to _merge.
         """
-        key = (expr, m)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+        shared = expr._refs > 1
+        if shared:
+            key = (expr, m)
+            hit = self._cache.get(key)
+            if hit is not None:
+                return hit
         if isinstance(expr, Gen):
             res = self._e_words[expr.i].apply_basis(self.pattern, m)
             out = () if res is None else ((res[1], res[0]),)
@@ -383,7 +398,8 @@ class Evaluator:
                 out = _merge((u, c * x) for t, c in right for u, x in self.terms(expr.left, t))
         else:
             raise TypeError(f"unknown operator node {type(expr).__name__}")
-        self._cache[key] = out
+        if shared:
+            self._cache[key] = out
         return out
 
     def apply_basis(self, expr: OpExpr, m: tuple) -> FockState:

@@ -13,10 +13,12 @@ q with integer coefficients.  Three layers live here:
   with the higher exponent.  Common factors are the known ones q - 1, q + 1
   and q**2 + 1, cancelled by trial division: a root test on coefficient
   sums, then exact synthetic division.  The oscillator action's
-  denominators are integer * q**a * products of those factors, so only a
-  denominator with some other factor falls back to a polynomial gcd
-  (_pgcd).  The dense numerator and denominator stay available as the
-  read-only views ``num`` and ``den``.
+  denominators are integer * q**a * products of those factors; a
+  denominator with some other factor is tried next against q**2 + q + 1
+  and q**2 - q + 1, the factors of the [3]_q! in q-Serre sums, and only one
+  with a factor outside all five falls back to a polynomial gcd (_pgcd).
+  The dense numerator and denominator stay available as the read-only
+  views ``num`` and ``den``.
 
 - USeries: a truncated power series in a spectral variable u with QRational
   coefficients, closed under ring operations and inversion (unit constant
@@ -179,22 +181,57 @@ def _div_q2p1(a):
     return tuple(out)
 
 
+# q**2 + q + 1 and q**2 - q + 1 (roots: the primitive cube and sixth roots of
+# unity) are the factors of [3]_q = q**-2 (q**2 + q + 1)(q**2 - q + 1); only
+# the [3]_q! denominators of the q-Serre sums carry them.
+
+def _divides_q2pqp1(a) -> bool:
+    return sum(a[0::3]) == sum(a[1::3]) == sum(a[2::3])
+
+
+def _divides_q2mqp1(a) -> bool:
+    # a at a primitive sixth root z (z**3 = -1, z**2 = z - 1) is
+    # (t0 - t2) + (t1 + t2) z, with t_r the signed sums over k = r mod 3
+    t0 = sum(a[0::6]) - sum(a[3::6])
+    t1 = sum(a[1::6]) - sum(a[4::6])
+    t2 = sum(a[2::6]) - sum(a[5::6])
+    return t0 == t2 == -t1
+
+
+def _div_q2pqp1(a):
+    out = list(a[2:])
+    for k in range(len(out) - 1, 0, -1):
+        out[k - 1] -= out[k]
+        if k > 1:
+            out[k - 2] -= out[k]
+    return tuple(out)
+
+
+def _div_q2mqp1(a):
+    out = list(a[2:])
+    for k in range(len(out) - 1, 0, -1):
+        out[k - 1] += out[k]
+        if k > 1:
+            out[k - 2] -= out[k]
+    return tuple(out)
+
+
 _KNOWN_FACTORS = (
     (_divides_qm1, _div_qm1),
     (_divides_qp1, _div_qp1),
     (_divides_q2p1, _div_q2p1),
 )
+_Q3_FACTORS = (
+    (_divides_q2pqp1, _div_q2pqp1),
+    (_divides_q2mqp1, _div_q2mqp1),
+)
 
 
-def _cancel(num, den):
-    """num and den (each non-constant, with nonzero constant terms) over their gcd.
-
-    The known factors are cancelled by trial division.  If the denominator is
-    an integer times a product of known factors, no other common factor can
-    exist; otherwise the pair, already reduced, goes to _pgcd.
-    """
-    rest = den
-    for divides, divide in _KNOWN_FACTORS:
+def _trial_divide(num, den, rest, factors):
+    """Cancel each factor from num and den as often as both have it, and
+    divide every copy of it out of rest (den with the factors tried so far
+    removed)."""
+    for divides, divide in factors:
         common = True
         while divides(rest):
             rest = divide(rest)
@@ -202,6 +239,20 @@ def _cancel(num, den):
             if common:
                 num = divide(num)
                 den = divide(den)
+    return num, den, rest
+
+
+def _cancel(num, den):
+    """num and den (each non-constant, with nonzero constant terms) over their gcd.
+
+    The known factors are cancelled by trial division, then the factors of
+    [3]_q if some other factor is left.  If the denominator is an integer
+    times a product of these factors, no other common factor can exist;
+    otherwise the pair, already reduced, goes to _pgcd.
+    """
+    num, den, rest = _trial_divide(num, den, den, _KNOWN_FACTORS)
+    if len(rest) > 1:
+        num, den, rest = _trial_divide(num, den, rest, _Q3_FACTORS)
     if len(rest) > 1:
         g = _pgcd(num, den)
         if len(g) > 1:

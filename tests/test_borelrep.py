@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import apply_at, apply_mode, specialize, twist_consistency
-from qloop.borelrep import (CartanPower, Compose, Gen, OscWord, RepSpec, Scale,
-                            Sum, get_evaluator, identity, image_e, image_qh,
+from qloop import borelrep
+from qloop.borelrep import (CartanPower, Compose, Evaluator, Gen, OscWord, RepSpec,
+                            Scale, Sum, get_evaluator, identity, image_e, image_qh,
                             power, serre_check, weight_relation_check)
 from qloop.exactfield import QRational, kappa, qnum
 from qloop.fock import FockState
@@ -231,11 +232,15 @@ def test_evaluator_matches_reference_semantics(expr, m):
     want = _ref_apply(expr, ev, FockState.basis(m))
     assert FockState(2, _sparse(out)) == want
     assert ev.apply_basis(expr, m) == want
-    # a rebuilt tree is the same node, so it is answered from the memo
+    # a rebuilt tree is the same node: a second call adds no memo entry, and
+    # a shared node is answered from the memo
     entries = len(ev._cache)
     again = _rebuild(expr)
     assert again is expr
-    assert ev.terms(again, m) is out
+    second = ev.terms(again, m)
+    assert second == out
+    if expr._refs > 1:
+        assert second is out
     assert len(ev._cache) == entries
 
 
@@ -345,7 +350,34 @@ def test_evaluator_is_linear_and_cached():
     direct = ev.apply(e, v)
     parts = ev.apply_basis(e, (1, 0)).scale(qnum(2)) + ev.apply_basis(e, (0, 1))
     assert direct == parts
+    # two references from interned parents make e a shared node, so memoized
+    Compose(e, e)
     assert ev.terms(e, (1, 0)) is ev.terms(e, (1, 0))
+
+
+def test_memo_keeps_only_shared_nodes(monkeypatch):
+    # a fresh node table, so every reference count starts in this test
+    monkeypatch.setattr(borelrep, "_NODES", {})
+    ev = Evaluator(RepSpec(2, 2))
+    m = (1, 1)
+    sub = Compose(Gen(0), Gen(1))
+    root = Scale(qnum(2), sub)
+    assert Compose(Gen(0), Gen(1)) is sub and sub._refs == 1 and root._refs == 0
+    # one parent: sub is reached only through root, and nothing is stored
+    first = ev.terms(root, m)
+    assert first and ev._cache == {}
+    # an unshared root is computed again, to an equal result
+    assert ev.terms(root, m) == first and ev._cache == {}
+    # a second parent makes sub (and Gen(0)) shared
+    Sum((sub, Gen(0)))
+    assert sub._refs == 2 and Gen(0)._refs == 2 and Gen(1)._refs == 1
+    assert ev.terms(root, m) == first
+    assert (sub, m) in ev._cache and (root, m) not in ev._cache
+    assert all(node._refs > 1 for node, _ in ev._cache)
+    # a child listed twice counts twice
+    twice = Gen(2)
+    Sum((twice, twice))
+    assert twice._refs == 2
 
 
 def test_qh_exponent_is_additive():

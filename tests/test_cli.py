@@ -232,11 +232,13 @@ def test_drinfeld_command(capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "--l", "2", "--order", "4", "--mmax", "1"],
     ["drinfeld", "--l", "2", "--nmax", "1", "--mmax", "1"],
+    ["serre", "--l", "1", "--mmax", "2"],
 ])
 def test_verdicts_need_no_polynomial_gcd(monkeypatch, capsys, argv):
     # every denominator on these paths is int * q^a * products of q - 1,
-    # q + 1 and q^2 + 1, which trial division cancels; cold evaluators, so
-    # that every scalar is computed here
+    # q + 1, q^2 + 1 and (for the [3]_q! of serre at l = 1) q^2 +- q + 1,
+    # which trial division cancels; cold evaluators, so that every scalar is
+    # computed here
     calls = []
     pgcd = exactfield._pgcd
     monkeypatch.setattr(exactfield, "_pgcd", lambda a, b: calls.append((a, b)) or pgcd(a, b))
@@ -259,13 +261,33 @@ def test_closed_forms_need_no_polynomial_gcd(monkeypatch, capsys):
 
 def test_memoized_results_have_at_most_one_term(monkeypatch, capsys):
     # the weight spaces are one-dimensional, so every root-vector tree the
-    # checks build sends v_m to a multiple of one basis vector or to zero
+    # checks build sends v_m to a multiple of one basis vector or to zero;
+    # every result terms returns is recorded, memoized or not
+    sizes = []
+    terms = borelrep.Evaluator.terms
+
+    def recording(ev, expr, m):
+        out = terms(ev, expr, m)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(borelrep.Evaluator, "terms", recording)
     monkeypatch.setattr(borelrep, "_EVALUATORS", {})
     assert cli.main(["verify", "--l", "2", "--order", "4", "--mmax", "1"]) == 0
     assert cli.main(["drinfeld", "--l", "2", "--nmax", "1", "--mmax", "1"]) == 0
     capsys.readouterr()
-    sizes = [len(out) for ev in borelrep._EVALUATORS.values() for out in ev._cache.values()]
     assert max(sizes) == 1 and sizes.count(1) > 1000 and sizes.count(0) > 1000
+
+
+def test_memo_holds_only_shared_nodes(monkeypatch, capsys):
+    # a node with one parent is reached only through that parent, so only
+    # nodes referenced by two or more interned parents get memo entries
+    monkeypatch.setattr(borelrep, "_EVALUATORS", {})
+    assert cli.main(["verify", "--l", "2", "--order", "4", "--mmax", "1"]) == 0
+    assert cli.main(["drinfeld", "--l", "2", "--nmax", "1", "--mmax", "1"]) == 0
+    capsys.readouterr()
+    nodes = [node for ev in borelrep._EVALUATORS.values() for node, _ in ev._cache]
+    assert nodes and min(node._refs for node in nodes) >= 2
 
 
 def test_factor_command_and_aliases(capsys):

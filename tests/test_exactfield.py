@@ -156,9 +156,10 @@ def test_division_by_zero_raises():
 
 # ------------------------------------------------------------- normalization
 
-# the factors trial division knows, then two it does not (cyclotomic 3 and 6)
-KNOWN = ((-1, 1), (1, 1), (1, 0, 1))
-UNKNOWN = ((1, 1, 1), (1, -1, 1))
+# the factors trial division knows (q -+ 1, q^2 + 1, and q^2 +- q + 1 of
+# [3]_q), then two it does not (q^4 + 1 and q^2 + q + 2)
+KNOWN = ((-1, 1), (1, 1), (1, 0, 1), (1, 1, 1), (1, -1, 1))
+UNKNOWN = ((1, 0, 0, 0, 1), (2, 1, 1))
 
 
 def _product(factors):
@@ -241,8 +242,8 @@ def test_common_factor_cancels(n, d, f, k):
 
 def test_unknown_common_factor_falls_back_to_gcd(pgcd_calls):
     calls = pgcd_calls
-    # (q^2 + q + 1)(q + 2) / ((q^2 + q + 1)(q - 1)^2 (q^2 + 1))
-    f = (1, 1, 1)
+    # (q^4 + 1)(q + 2) / ((q^4 + 1)(q - 1)^2 (q^2 + 1))
+    f = (1, 0, 0, 0, 1)
     x = QRational(_pmul(f, (2, 1)), _product([f, (-1, 1), (-1, 1), (1, 0, 1)]))
     assert calls
     assert (x.num, x.den) == ((2, 1), _product([(-1, 1), (-1, 1), (1, 0, 1)]))
@@ -251,12 +252,18 @@ def test_unknown_common_factor_falls_back_to_gcd(pgcd_calls):
     y = QRational(_product([(-1, 1), (1, 0, 1), (3, 1)]), _product([(-1, 1), (1, 1), (1, 0, 1)]))
     assert not calls
     assert (y.num, y.den) == ((3, 1), (1, 1))
+    # nor does one with the factors of [3]_q: q^2 + q + 1 cancels, and
+    # (q + 1)(q^2 - q + 1) = q^3 + 1 stays
+    z = QRational(_product([(-1, 1), (1, 1, 1), (3, 1)]),
+                  _product([(-1, 1), (1, 1), (1, 1, 1), (1, -1, 1)]))
+    assert not calls
+    assert (z.num, z.den) == ((3, 1), (1, 0, 0, 1))
 
 
 # ----------------------------------------------------------- Laurent form
 
 # operands c * q**k * f/g: f and g products of the factors trial division
-# knows, the two cyclotomic ones it does not, or random polynomials; none of
+# knows, the two it does not, or random polynomials; none of
 # them vanishes at the specialization points, so no operand does
 POINTS = (2, 3, 5)
 factor_polys = st.one_of(
