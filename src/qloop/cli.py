@@ -243,7 +243,7 @@ def _cmd_factor(args) -> int:
     if kind in ("full-tensor", "all"):
         jobs.append(("full-tensor", 0))
     zs_list = None
-    if args.zs_list:
+    if args.zs_list is not None:
         zs_list = tuple(parse_zs(tok) for tok in args.zs_list.split(","))
     found = []
     lines = []

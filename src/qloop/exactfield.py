@@ -18,7 +18,13 @@ q with integer coefficients.  Three layers live here:
   and q**2 - q + 1, the factors of the [3]_q! in q-Serre sums, and only one
   with a factor outside all five falls back to a polynomial gcd (_pgcd).
   The dense numerator and denominator stay available as the read-only
-  views ``num`` and ``den``.
+  views ``num`` and ``den``.  QRational is hash-consed: there is one object
+  per value, held in the table _VALUES, so ``==`` is identity and copies
+  and pickles give back that object.  Sums and products are memoized per
+  operand pair in _ADD and _MUL, because the checks repeat most of their
+  arithmetic on equal operands.  _ADD and _MUL are pure caches and may be
+  cleared at any time; _VALUES must never be cleared while any QRational is
+  alive.
 
 - USeries: a truncated power series in a spectral variable u with QRational
   coefficients, closed under ring operations and inversion (unit constant
@@ -312,11 +318,19 @@ class QRational:
     Stored in Laurent normal form q**e * n/d with n(0) and d(0) nonzero; the
     dense numerator and denominator are the read-only views ``num`` and
     ``den``.  The public constructor normalizes any dense pair.
+
+    There is one object per value: every construction ends in _make, which
+    returns the entry of the value table _VALUES, so equality is identity
+    and the hash is the object's.  ``+`` and ``*`` look up their operand
+    pair in _ADD and _MUL before computing; ``-``, ``/`` and the reflected
+    operators go through them.  _ADD and _MUL may be cleared at any time;
+    _VALUES must never be cleared while any QRational is alive, or equal
+    values would stop comparing equal.
     """
 
     __slots__ = ("_e", "_n", "_d")
 
-    def __init__(self, num, den=(1,)):
+    def __new__(cls, num, den=(1,)):
         if isinstance(num, int):
             num = (num,) if num else ()
         if isinstance(den, int):
@@ -325,15 +339,13 @@ class QRational:
         den = _ptrim(den)
         if not den:
             raise ZeroDivisionError("zero denominator in QRational")
-        if num:
-            vn, vd = _pval(num), _pval(den)
-            r = _canon(vn - vd, num[vn:], den[vd:], True)
-            e, num, den = r._e, r._n, r._d
-        else:
-            e, den = 0, (1,)
-        _set_e(self, e)
-        _set_n(self, num)
-        _set_d(self, den)
+        if not num:
+            return _QR_ZERO
+        vn, vd = _pval(num), _pval(den)
+        return _canon(vn - vd, num[vn:], den[vd:], True)
+
+    def __init__(self, num, den=(1,)):
+        """A no-op (__new__ returns the interned value); perfbench's tracer counts constructions here."""
 
     def __setattr__(self, *args):
         raise AttributeError("QRational is immutable")
@@ -394,6 +406,15 @@ class QRational:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
+        key = (self, o)
+        r = _ADD.get(key)
+        if r is None:
+            r = _ADD[key] = self._add(o)
+        return r
+
+    __radd__ = __add__
+
+    def _add(self, o):
         xn, yn = self._n, o._n
         if not xn:
             return o
@@ -410,8 +431,6 @@ class QRational:
         # common factors of the sum and d can only come from gcd(xd, yd)
         return _canon(e, _padd(_pmul(xn, yd), _pmul(yn, xd), k), _pmul(xd, yd),
                       len(xd) > 1 and len(yd) > 1)
-
-    __radd__ = __add__
 
     def __neg__(self):
         if not self._n:
@@ -431,6 +450,15 @@ class QRational:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
+        key = (self, o)
+        r = _MUL.get(key)
+        if r is None:
+            r = _MUL[key] = self._mul(o)
+        return r
+
+    __rmul__ = __mul__
+
+    def _mul(self, o):
         xn, yn = self._n, o._n
         if not xn or not yn:
             return _QR_ZERO
@@ -441,8 +469,6 @@ class QRational:
         if len(xd) > 1 and len(yn) > 1:
             yn, xd = _cancel(yn, xd)
         return _canon(self._e + o._e, _pmul(xn, yn), _pmul(xd, yd), False)
-
-    __rmul__ = __mul__
 
     def inv(self) -> "QRational":
         n, d = self._d, self._n
@@ -475,10 +501,12 @@ class QRational:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self._e == o._e and self._n == o._n and self._d == o._d
+        return self is o
 
-    def __hash__(self):
-        return hash((self._e, self._n, self._d))
+    __hash__ = object.__hash__
+
+    def __reduce__(self):
+        return _make, (self._e, self._n, self._d)
 
     def __repr__(self):
         e, n, d = self._e, self._n, self._d
@@ -498,12 +526,23 @@ _set_n = QRational._n.__set__
 _set_d = QRational._d.__set__
 
 
+# (e, n, d) -> the one QRational of that value; never cleared while any
+# QRational is alive.  (x, y) -> x + y and x * y; pure caches.
+_VALUES = {}
+_ADD = {}
+_MUL = {}
+
+
 def _make(e, n, d) -> QRational:
-    # q**e * n/d, already in Laurent normal form
-    r = object.__new__(QRational)
-    _set_e(r, e)
-    _set_n(r, n)
-    _set_d(r, d)
+    # q**e * n/d, already in Laurent normal form; n and d are tuples
+    key = (e, n, d)
+    r = _VALUES.get(key)
+    if r is None:
+        r = object.__new__(QRational)
+        _set_e(r, e)
+        _set_n(r, n)
+        _set_d(r, d)
+        _VALUES[key] = r
     return r
 
 

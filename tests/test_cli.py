@@ -78,6 +78,8 @@ def test_usage_errors_exit_two(monkeypatch, tmp_path, capsys):
         # full-tensor with --zs-list has no use for --zs
         ["factor", "--l", "1", "--kind", "full-tensor", "--zs", "q^5", "--zs-list", "q,q"],
         ["factor", "--l", "1", "--kind", "full_tensor", "--zs", "q^2", "--zs-list", "q,q"],
+        # an empty --zs-list is refused, not read as absent
+        ["factor", "--l", "1", "--kind", "full-tensor", "--zs-list="],
         # twist exponents beyond +-1000, one factor's or the product's
         ["verify", "--l", "1", "--zs", "q^1000000000"],
         ["verify", "--l", "1", "--zs=q^1000*q^1000"],

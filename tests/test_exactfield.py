@@ -1,7 +1,9 @@
 """Exact rational functions of q, truncated series in u, Pade reconstruction."""
 
+import copy
 import fractions
 import math
+import pickle
 import random
 from functools import reduce
 
@@ -387,6 +389,63 @@ def test_display_reads_the_dense_views(a):
         ns = f"({ns})" if exactfield._pterms(x.num) > 1 else ns
         ds = f"({ds})" if exactfield._pterms(x.den) > 1 else ds
         assert repr(x) == f"{ns}/{ds}"
+
+
+# --------------------------------------------------------------- hash-consing
+
+def test_equal_values_are_one_object():
+    # the public constructor on non-canonical dense input: shared powers of
+    # q, a common integer content, a negative leading denominator
+    assert QRational((0, 0, 0, 2, 2), (0, 0, 1)) is qp(1) * 2 * QRational((1, 1))
+    assert QRational((0, 6, 0, 6), (0, 0, 4, 4)) is QRational((3, 0, 3), (0, 2, 2))
+    assert QRational((1,), (1, -1)) is QRational((-1,), (-1, 1))
+    assert QRational((4,), (-2,)) is QRational.from_int(-2) is QRational(-2)
+    assert QRational((), (5, 1)) is ZERO is QRational.from_int(0)
+    assert qp(2) is QRational((0, 0, 1)) is qp(1) * qp(1)
+    assert qp(-1) is QRational((1,), (0, 1))
+    assert qnum(3) is QRational((1, 0, 1, 0, 1), (0, 0, 1))
+    assert qfactorial(3) is QRational((1, 0, 2, 0, 2, 0, 1), (0, 0, 0, 1))
+    x, y = qnum(2), QRational((1, 1), (2, -1))
+    assert x + y is y + x is QRational((2, 0, 3, -1), (0, 2, -1)) - 1 + 1
+    assert x - y is -(y - x)
+    assert x * y is y * x
+    assert x / y is (y / x).inv()
+    assert x.inv() is QRational((0, 1), (1, 0, 1)) is x ** -1
+    assert x ** 2 is x * x is QRational((1, 0, 2, 0, 1), (0, 0, 1))
+    assert -x is QRational((-1, 0, -1), (0, 1))
+    assert 1 + x is x + 1 is x + ONE
+
+
+@pytest.mark.parametrize("roundtrip", [copy.copy, copy.deepcopy,
+                                       lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_are_the_interned_object(roundtrip):
+    values = [ZERO, ONE, qp(-7), qnum(3), kappa(), QRational((1, 2), (3, 0, 1))]
+    for x in values:
+        assert roundtrip(x) is x
+    assert all(a is b for a, b in zip(roundtrip(values), values))
+
+
+@given(laurent_operands(), laurent_operands())
+@settings(max_examples=40, deadline=None)
+def test_memoized_sums_and_products_are_correct(a, b):
+    x, y = _laurent(*a), _laurent(*b)
+    xv = [specialize(x, p) for p in POINTS]
+    yv = [specialize(y, p) for p in POINTS]
+    product, total = x * y, x + y
+    assert x * y is product and x + y is total
+    for got, want in ((product, [u * v for u, v in zip(xv, yv)]),
+                      (total, [u + v for u, v in zip(xv, yv)])):
+        assert [specialize(got, p) for p in POINTS] == want
+
+
+def test_result_tables_may_be_cleared(monkeypatch):
+    x, y = qnum(3), QRational((1, 1), (2, -1))
+    product, total = x * y, x + y
+    monkeypatch.setattr(exactfield, "_MUL", {})
+    monkeypatch.setattr(exactfield, "_ADD", {})
+    assert x * y is product and x + y is total
+    assert exactfield._MUL == {(x, y): product}
 
 
 # -------------------------------------------------------------------- series
