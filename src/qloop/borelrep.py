@@ -12,24 +12,24 @@ row of the base homomorphism that the twists send it to.
 Operator images are OscWords: a scalar times an ordered product of b, bdag
 and q**(sum d_j N_j) factors.  Composite operators (q-commutators, divided
 powers, Serre sums, root vectors) are hash-consed OpExpr trees over the
-generators; Evaluator applies a tree to basis vectors of the matching Fock
-pattern and memoizes shared nodes, those referenced by two or more interned
-parents, on (node, basis vector), so that a subtree several trees share is
-evaluated once.  A node with one parent is reached only through it, so it
-gets no entry.  The weight spaces of these modules are one-dimensional, so
-the memo holds sparse term tuples, () or ((m', c),) for a homogeneous tree,
-rather than FockStates; apply_basis is the FockState view of one result.
+generators.  Evaluator applies a tree once per node to v_m with m symbolic,
+as terms c Q**v v_{m+s} with Q**v = q**(v.m) and a shift s independent of m
+(one shift for a homogeneous tree).  terms(expr, m) specializes that at one
+m, exactly: specializing Q = q**m is a ring homomorphism, and a lowering step
+from occupation 0 carries [0]_q = 0, so a target outside the Fock space sums
+to 0 and _merge drops it.  apply_basis is the FockState view of terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactfield import QRational, kappa, qfactorial, qnum
-from .fock import FockState, ModePattern
+from .exactfield import QRational, kappa, qfactorial
+from .fock import PLUS, FockState, ModePattern
 from .rootsys import CartanExponent, RootIndex, cartan_entry
 
 _MINUS_ONE = QRational.from_int(-1)
+_KAPPA_INV = kappa().inv()
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,25 @@ class RepSpec:
         return ModePattern.theta(self.l, self.a)
 
 
+def _qn_form(pattern: ModePattern, d: tuple) -> tuple:
+    """(t0, v) with q**(sum d_j N_j) v_m = q**(t0 + v.m) v_m: q**N has the
+    eigenvalue q**m on a plus slot and q**-(m+1) on a minus slot."""
+    v = tuple(dj if kind == PLUS else -dj for dj, kind in zip(d, pattern.kinds))
+    return sum(vj for vj, kind in zip(v, pattern.kinds) if kind != PLUS), v
+
+
+def _dot(x: tuple, y: tuple) -> int:
+    return sum(a * b for a, b in zip(x, y))
+
+
+def _vadd(x: tuple, y: tuple) -> tuple:
+    return tuple(a + b for a, b in zip(x, y))
+
+
 def qn_exponent(pattern: ModePattern, d: tuple, m: tuple) -> int:
     """Integer t with q**(sum d_j N_j) v_m = q**t v_m."""
-    t = 0
-    for j, dj in enumerate(d):
-        if dj:
-            t += dj * m[j] if pattern.kinds[j] == "plus" else -dj * (m[j] + 1)
-    return t
+    t0, v = _qn_form(pattern, d)
+    return t0 + _dot(v, m)
 
 
 class OscWord:
@@ -81,32 +93,32 @@ class OscWord:
     def __setattr__(self, *args):
         raise AttributeError("OscWord is immutable")
 
-    def apply_basis(self, pattern: ModePattern, m: tuple):
-        """(coefficient, occupation vector) or None if annihilated."""
-        coeff = self.coeff
-        for atom in reversed(self.atoms):
-            tag = atom[0]
+    def terms(self, pattern: ModePattern) -> tuple:
+        """This word on v_m with m symbolic: ((shift, v), c) pairs meaning the
+        sum of c Q**v v_{m+shift}, Q**v = q**(v.m); a word has one shift."""
+        t = [0] * self.l
+        poly = {(0,) * self.l: self.coeff}
+        for tag, arg in reversed(self.atoms):
             if tag == "qN":
-                t = qn_exponent(pattern, atom[1], m)
-                if t:
-                    coeff = coeff * QRational.q_power(t)
+                t0, dv = _qn_form(pattern, arg)
+                k = t0 + _dot(dv, t)
+                poly = {_vadd(v, dv): _q_shifted(c, k) for v, c in poly.items()}
                 continue
-            mode = atom[1]
-            j = mode - 1
-            kind = pattern.kinds[j]
-            mj = m[j]
-            if (tag == "b") == (kind == "plus"):
-                # lowering action in this slot
-                if mj == 0:
-                    return None
-                c = qnum(mj)
-                if tag == "bdag":
-                    c = -c
-                coeff = coeff * c
-                m = m[:j] + (mj - 1,) + m[j + 1:]
-            else:
-                m = m[:j] + (mj + 1,) + m[j + 1:]
-        return coeff, m
+            j = arg - 1
+            if (tag == "b") != (pattern.kinds[j] == PLUS):
+                t[j] += 1
+                continue
+            # lowering: [m_j + t_j]_q = (Q_j q**t_j - Q_j**-1 q**-t_j) / (q - q**-1),
+            # negated for bdag
+            c0 = _KAPPA_INV if tag == "b" else -_KAPPA_INV
+            up, down = _q_shifted(c0, t[j]), -_q_shifted(c0, -t[j])
+            poly = dict(_merge(
+                p for v, c in poly.items()
+                for p in ((v[:j] + (v[j] + 1,) + v[j + 1:], c * up),
+                          (v[:j] + (v[j] - 1,) + v[j + 1:], c * down))))
+            t[j] -= 1
+        s = tuple(t)
+        return tuple(((s, v), c) for v, c in poly.items())
 
     def normalized(self) -> "OscWord":
         """Canonical form: ladder atoms sorted by mode, q-powers folded right."""
@@ -227,25 +239,17 @@ class OpExpr:
 
     Hash-consed: a node whose class and fields (the subclass's __slots__, in
     order) equal an existing node's is that node, so identity is equality.
-    _refs counts the references to a node from interned parents, one per
-    child field of each parent (a Sum that lists a child twice counts twice);
-    it is bookkeeping for the evaluator memo, not part of the node's identity.
     """
 
-    __slots__ = ("_refs",)
+    __slots__ = ()
 
     def __new__(cls, *fields):
         key = (cls, fields)
         node = _NODES.get(key)
         if node is None:
             node = object.__new__(cls)
-            object.__setattr__(node, "_refs", 0)
             for name, value in zip(cls.__slots__, fields, strict=True):
                 object.__setattr__(node, name, value)
-            for value in fields:
-                for child in value if isinstance(value, tuple) else (value,):
-                    if isinstance(child, OpExpr):
-                        object.__setattr__(child, "_refs", child._refs + 1)
             _NODES[key] = node
         return node
 
@@ -338,13 +342,10 @@ def power(expr: OpExpr, k: int, l: int) -> OpExpr:
 class Evaluator:
     """Applies operator expressions in one fixed representation.
 
-    terms(expr, m) is a tuple of (target, coefficient) pairs, memoized per
-    (node, basis vector) for shared nodes only.  Nodes are interned, so a
-    subtree that two or more parents reference is one key and is evaluated
-    once per basis vector.  A node with one parent is recomputed only when
-    that parent is, and the parent is memoized or is a root; a root (no
-    parent) is computed on each call.  apply_basis and apply wrap the pairs
-    in FockStates.
+    symbolic(expr) is expr on v_m with m symbolic, memoized per node: nodes
+    are interned, so a rebuilt tree is the same key and each node is
+    evaluated once.  terms(expr, m) specializes it at one basis vector, and
+    apply_basis and apply wrap the pairs in FockStates.
     """
 
     def __init__(self, spec: RepSpec):
@@ -357,50 +358,35 @@ class Evaluator:
         """Integer t with q**x v_m = q**t v_m."""
         return sum(qn_exponent(self.pattern, atom[1], m) for atom in image_qh(x, self.spec).atoms)
 
-    def terms(self, expr: OpExpr, m: tuple) -> tuple:
-        """expr v_m as (target, coefficient) pairs: distinct targets, no zero coefficient.
-
-        A homogeneous tree maps v_m to c v_{m'} or to 0, so a result is
-        almost always () or one pair; each node handles that case directly
-        and leaves anything else to _merge.
-        """
-        shared = expr._refs > 1
-        if shared:
-            key = (expr, m)
-            hit = self._cache.get(key)
-            if hit is not None:
-                return hit
+    def symbolic(self, expr: OpExpr) -> tuple:
+        """expr on v_m with m symbolic, in the form of OscWord.terms; no c is zero."""
+        out = self._cache.get(expr)
+        if out is not None:
+            return out
         if isinstance(expr, Gen):
-            res = self._e_words[expr.i].apply_basis(self.pattern, m)
-            out = () if res is None else ((res[1], res[0]),)
+            out = self._e_words[expr.i].terms(self.pattern)
         elif isinstance(expr, CartanPower):
-            out = ((m, QRational.q_power(self.qh_exponent(expr.x, m))),)
+            out = image_qh(expr.x, self.spec).terms(self.pattern)
         elif isinstance(expr, Scale):
             c = expr.c
-            out = tuple((t, c * x) for t, x in self.terms(expr.child, m)) if c else ()
+            out = tuple((k, c * x) for k, x in self.symbolic(expr.child)) if c else ()
         elif isinstance(expr, Sum):
-            parts = [p for child in expr.children for p in self.terms(child, m)]
-            if not parts:
-                out = ()
-            elif all(t == parts[0][0] for t, _ in parts):
-                target, s = parts[0]
-                for _, x in parts[1:]:
-                    s = s + x
-                out = ((target, s),) if s else ()
-            else:
-                out = _merge(parts)
+            out = _merge(p for child in expr.children for p in self.symbolic(child))
         elif isinstance(expr, Compose):
-            right = self.terms(expr.right, m)
-            if len(right) == 1:
-                (t, c), = right
-                out = tuple((u, c * x) for u, x in self.terms(expr.left, t))
-            else:
-                out = _merge((u, c * x) for t, c in right for u, x in self.terms(expr.left, t))
+            # the left factor acts on v_{m+sr}, where its Q**vl reads q**(vl.(m+sr))
+            right = self.symbolic(expr.right)
+            out = _merge(
+                ((_vadd(sl, sr), _vadd(vl, vr)), _q_shifted(cl * cr, _dot(vl, sr)))
+                for (sr, vr), cr in right
+                for (sl, vl), cl in self.symbolic(expr.left))
         else:
             raise TypeError(f"unknown operator node {type(expr).__name__}")
-        if shared:
-            self._cache[key] = out
+        self._cache[expr] = out
         return out
+
+    def terms(self, expr: OpExpr, m: tuple) -> tuple:
+        """expr v_m as (target, coefficient) pairs: distinct targets, no zero coefficient."""
+        return _merge((_vadd(m, s), _q_shifted(c, _dot(v, m))) for (s, v), c in self.symbolic(expr))
 
     def apply_basis(self, expr: OpExpr, m: tuple) -> FockState:
         """expr v_m as a FockState: the view of terms(expr, m)."""
@@ -409,6 +395,11 @@ class Evaluator:
     def apply(self, expr: OpExpr, state: FockState) -> FockState:
         pairs = ((t, c * x) for m, c in state.items() for t, x in self.terms(expr, m))
         return FockState(self.spec.l, dict(_merge(pairs)))
+
+
+def _q_shifted(c: QRational, k: int) -> QRational:
+    """c * q**k."""
+    return c * QRational.q_power(k) if k else c
 
 
 def _merge(pairs) -> tuple:

@@ -203,6 +203,11 @@ def _psi_roots(i: int, spec: RepSpec, m) -> tuple:
     return e0, _roots((QRational.q_power(c) * zeff, k) for c, k in mult.items())
 
 
+def _root_key(root) -> tuple:
+    """A canonical root order, products first; a frozenset iterates in address order."""
+    return -root[1], root[0]._e, root[0]._n, root[0]._d
+
+
 def _roots_poly(xs) -> tuple:
     """The u-polynomial prod_x (1 - x u) as QRational coefficients."""
     poly = [_ONE]
@@ -218,6 +223,7 @@ def _roots_poly(xs) -> tuple:
 def closed_psi(i: int, spec: RepSpec, m) -> URational:
     """The closed rational form of the eigenvalue of phi_i(u) on v_m."""
     e0, roots = _psi_roots(i, spec, m)
+    roots = sorted(roots, key=_root_key)
     num = [x for x, k in roots for _ in range(k)]
     den = [x for x, k in roots for _ in range(-k)]
     c0 = QRational.q_power(e0)
@@ -235,7 +241,7 @@ def closed_psi_series(i: int, spec: RepSpec, m, order: int) -> USeries:
     """
     e0, roots = _psi_roots(i, spec, m)
     c = [QRational.q_power(e0)] + [_ZERO] * order
-    for x, k in sorted(roots, key=lambda root: -root[1]):
+    for x, k in sorted(roots, key=_root_key):
         for _ in range(abs(k)):
             if k > 0:
                 for n in range(order, 0, -1):

@@ -25,9 +25,8 @@ graded by the roots rx, ry of its arguments.  The families:
 
 The Drinfeld generators xi+_{i,n}, xi-_{i,n} (n > 0) and chi_{i,n} are sign-
 decorated root vectors for the simple gamma = alpha_i.  Operator nodes are
-interned (see borelrep), so a rebuilt tree is the same object and its shared
-subtrees hit the evaluator memo; the lru_caches on the constructors only save
-build time.
+interned (see borelrep), so a rebuilt tree is the same object, which the
+evaluator applies once for every m; the lru_caches only save build time.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@
   per (a, bar) branch, where qloop derives them from one base homomorphism
   through the diagram twists (borelrep.image_e, borelrep.image_qh).
 - Mode-by-mode Fock action: each oscillator generator applied to a state one
-  tensor slot at a time, where qloop applies a whole word to a basis vector
-  (borelrep.OscWord.apply_basis).
+  tensor slot at a time, where qloop applies a whole word to v_m with m
+  symbolic (borelrep.OscWord.terms).
 - Specialization at an integer q: an operator tree applied with every scalar
   a fractions.Fraction, through the explicit tables and the mode-by-mode
   action, where qloop computes over Q(q) (borelrep.Evaluator).  It checks the
@@ -161,6 +161,18 @@ def apply_mode(op, mode: int, pattern: ModePattern, state: FockState) -> FockSta
         acc = out.get(m2)
         out[m2] = coeff * c if acc is None else acc + coeff * c
     return FockState(pattern.l, out)
+
+
+def apply_word(word: OscWord, pattern: ModePattern, state: FockState) -> FockState:
+    """Apply a word to a state atom by atom, each q**(dN) one slot at a time."""
+    for atom in reversed(word.atoms):
+        if atom[0] == "qN":
+            for j, d in enumerate(atom[1]):
+                if d:
+                    state = apply_mode(("qN", d), j + 1, pattern, state)
+        else:
+            state = apply_mode(atom[0], atom[1], pattern, state)
+    return state.scale(word.coeff)
 
 
 # ------------------------------------------------ specialization at integer q

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import apply_at, apply_mode, specialize, twist_consistency
+from oracles import apply_at, apply_word, specialize, twist_consistency
 from qloop import borelrep
 from qloop.borelrep import (CartanPower, Compose, Evaluator, Gen, OscWord, RepSpec,
                             Scale, Sum, get_evaluator, identity, image_e, image_qh,
@@ -126,55 +126,76 @@ osc_atoms = st.one_of(
 )
 
 
-@given(st.lists(osc_atoms, max_size=5), st.tuples(st.integers(0, 3), st.integers(0, 3)))
+GRID = list(itertools.product(range(4), repeat=2))
+
+
+def _at(pairs, m):
+    """Symbolic ((shift, v), c) pairs specialized at v_m: a FockState whose
+    targets are checked to lie in the Fock space."""
+    out = {}
+    for (s, v), c in pairs:
+        t = tuple(a + b for a, b in zip(m, s))
+        x = c * qp(sum(a * b for a, b in zip(v, m)))
+        out[t] = out[t] + x if t in out else x
+    state = FockState(len(m), out)
+    assert all(min(t) >= 0 for t, _ in state.items())
+    return state
+
+
+@given(st.lists(osc_atoms, max_size=5))
 @settings(max_examples=60, deadline=None)
-def test_word_application_matches_mode_by_mode_action(atoms, m):
-    spec = RepSpec(2, 2)
-    pattern = spec.pattern()
+def test_word_application_matches_mode_by_mode_action(atoms):
+    pattern = RepSpec(2, 2).pattern()
     word = OscWord(2, qnum(2), atoms)
-    res = word.apply_basis(pattern, m)
-    got = FockState.zero(2) if res is None else FockState(2, {res[1]: res[0]})
-
-    state = FockState.basis(m)
-    for atom in reversed(atoms):
-        if atom[0] == "qN":
-            for j, d in enumerate(atom[1]):
-                if d:
-                    state = apply_mode(("qN", d), j + 1, pattern, state)
-        else:
-            state = apply_mode(atom[0], atom[1], pattern, state)
-    assert got == state.scale(qnum(2))
+    pairs = word.terms(pattern)
+    assert len({s for (s, _), _ in pairs}) == 1
+    for m in GRID:
+        assert _at(pairs, m) == apply_word(word, pattern, FockState.basis(m)), m
 
 
-@given(st.lists(osc_atoms, max_size=5), st.tuples(st.integers(0, 3), st.integers(0, 3)))
+@given(st.lists(osc_atoms, max_size=5))
 @settings(max_examples=60, deadline=None)
-def test_normalized_word_acts_identically(atoms, m):
+def test_normalized_word_acts_identically(atoms):
     # normalization reorders ladder atoms only across distinct modes
     modes = [a[1] for a in atoms if a[0] != "qN"]
     if len(set(modes)) != len(modes):
         return
     pattern = RepSpec(2, 2).pattern()
     word = OscWord(2, qnum(2), atoms)
-    assert word.apply_basis(pattern, m) == word.normalized().apply_basis(pattern, m)
+    pairs, normal = word.terms(pattern), word.normalized().terms(pattern)
+    for m in GRID:
+        assert _at(pairs, m) == _at(normal, m), m
+    # one operator has one symbolic form
+    assert dict(pairs) == dict(normal)
+
+
+# slot 1 of RepSpec(2, 2) is a minus slot, where bdag lowers; slot 2 is a plus
+# slot, where b lowers
+@pytest.mark.parametrize("atoms, m", [
+    ((("b", 2),), (1, 0)),
+    ((("bdag", 1),), (0, 1)),
+    ((("bdag", 2), ("b", 2)), (1, 0)),
+    ((("b", 1), ("bdag", 1)), (0, 1)),
+])
+def test_lowering_from_occupation_zero_gives_zero(atoms, m):
+    pattern = RepSpec(2, 2).pattern()
+    word = OscWord(2, ONE, atoms)
+    pairs = word.terms(pattern)
+    # the symbolic action is nonzero; it carries [m_j]_q, which is 0 at m_j = 0
+    assert pairs and _at(pairs, m).is_zero()
+    assert apply_word(word, pattern, FockState.basis(m)).is_zero()
+    assert not _at(pairs, (1, 1)).is_zero()
 
 
 # ----------------------------------------------------------------- evaluator
 
 def _ref_apply(expr, ev, state):
-    """Reference semantics by structural recursion, no memoization."""
+    """Reference semantics by structural recursion, no memoization, with the
+    mode-by-mode action on the images."""
     if isinstance(expr, Gen):
-        out = FockState.zero(ev.spec.l)
-        for m, c in state.items():
-            res = image_e(expr.i, ev.spec).apply_basis(ev.pattern, m)
-            if res is not None:
-                out = out + FockState(ev.spec.l, {res[1]: res[0]}).scale(c)
-        return out
+        return apply_word(image_e(expr.i, ev.spec), ev.pattern, state)
     if isinstance(expr, CartanPower):
-        out = FockState.zero(ev.spec.l)
-        for m, c in state.items():
-            res = image_qh(expr.x, ev.spec).apply_basis(ev.pattern, m)
-            out = out + FockState(ev.spec.l, {res[1]: res[0]}).scale(c)
-        return out
+        return apply_word(image_qh(expr.x, ev.spec), ev.pattern, state)
     if isinstance(expr, Scale):
         return _ref_apply(expr.child, ev, state).scale(expr.c)
     if isinstance(expr, Sum):
@@ -232,15 +253,14 @@ def test_evaluator_matches_reference_semantics(expr, m):
     want = _ref_apply(expr, ev, FockState.basis(m))
     assert FockState(2, _sparse(out)) == want
     assert ev.apply_basis(expr, m) == want
-    # a rebuilt tree is the same node: a second call adds no memo entry, and
-    # a shared node is answered from the memo
+    # a rebuilt tree is the same node: a second call adds no memo entry and
+    # returns the memoized tuple
     entries = len(ev._cache)
+    assert entries <= len(borelrep._NODES)
     again = _rebuild(expr)
     assert again is expr
-    second = ev.terms(again, m)
-    assert second == out
-    if expr._refs > 1:
-        assert second is out
+    assert ev.terms(again, m) == out
+    assert ev.symbolic(again) is ev.symbolic(expr)
     assert len(ev._cache) == entries
 
 
@@ -350,34 +370,25 @@ def test_evaluator_is_linear_and_cached():
     direct = ev.apply(e, v)
     parts = ev.apply_basis(e, (1, 0)).scale(qnum(2)) + ev.apply_basis(e, (0, 1))
     assert direct == parts
-    # two references from interned parents make e a shared node, so memoized
-    Compose(e, e)
-    assert ev.terms(e, (1, 0)) is ev.terms(e, (1, 0))
+    # the memo holds one symbolic result per node, for every m
+    assert ev.symbolic(e) is ev.symbolic(e)
 
 
-def test_memo_keeps_only_shared_nodes(monkeypatch):
-    # a fresh node table, so every reference count starts in this test
+def test_memo_holds_one_entry_per_node(monkeypatch):
+    # a fresh node table, so every node of the tree is built in this test
     monkeypatch.setattr(borelrep, "_NODES", {})
     ev = Evaluator(RepSpec(2, 2))
-    m = (1, 1)
     sub = Compose(Gen(0), Gen(1))
     root = Scale(qnum(2), sub)
-    assert Compose(Gen(0), Gen(1)) is sub and sub._refs == 1 and root._refs == 0
-    # one parent: sub is reached only through root, and nothing is stored
-    first = ev.terms(root, m)
-    assert first and ev._cache == {}
-    # an unshared root is computed again, to an equal result
-    assert ev.terms(root, m) == first and ev._cache == {}
-    # a second parent makes sub (and Gen(0)) shared
-    Sum((sub, Gen(0)))
-    assert sub._refs == 2 and Gen(0)._refs == 2 and Gen(1)._refs == 1
-    assert ev.terms(root, m) == first
-    assert (sub, m) in ev._cache and (root, m) not in ev._cache
-    assert all(node._refs > 1 for node, _ in ev._cache)
-    # a child listed twice counts twice
-    twice = Gen(2)
-    Sum((twice, twice))
-    assert twice._refs == 2
+    first = ev.terms(root, (1, 1))
+    assert first
+    nodes = {root, sub, Gen(0), Gen(1)}
+    assert set(ev._cache) == nodes and set(borelrep._NODES.values()) == nodes
+    # other basis vectors are specializations of the same entries
+    for m in GRID:
+        ev.terms(root, m)
+    assert ev.terms(root, (1, 1)) == first
+    assert set(ev._cache) == nodes
 
 
 def test_qh_exponent_is_additive():

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 
 import pytest
@@ -13,6 +14,7 @@ from qloop import borelrep, cli, exactfield
 from qloop.exactfield import QRational, urational_to_json
 from qloop.lweights import closed_psi
 from qloop.borelrep import RepSpec
+from qloop.rootvectors import chi, e_prime_imag, xi_minus, xi_plus
 
 ONE = QRational.one()
 qp = QRational.q_power
@@ -261,35 +263,43 @@ def test_closed_forms_need_no_polynomial_gcd(monkeypatch, capsys):
     assert calls == []
 
 
-def test_memoized_results_have_at_most_one_term(monkeypatch, capsys):
-    # the weight spaces are one-dimensional, so every root-vector tree the
-    # checks build sends v_m to a multiple of one basis vector or to zero;
-    # every result terms returns is recorded, memoized or not
-    sizes = []
-    terms = borelrep.Evaluator.terms
-
-    def recording(ev, expr, m):
-        out = terms(ev, expr, m)
-        sizes.append(len(out))
-        return out
-
-    monkeypatch.setattr(borelrep.Evaluator, "terms", recording)
+def _checked_evaluators(monkeypatch, capsys) -> list:
+    """The evaluators of one verify, one drinfeld and one serre run at l = 2."""
     monkeypatch.setattr(borelrep, "_EVALUATORS", {})
     assert cli.main(["verify", "--l", "2", "--order", "4", "--mmax", "1"]) == 0
     assert cli.main(["drinfeld", "--l", "2", "--nmax", "1", "--mmax", "1"]) == 0
+    assert cli.main(["serre", "--l", "2", "--mmax", "1"]) == 0
     capsys.readouterr()
-    assert max(sizes) == 1 and sizes.count(1) > 1000 and sizes.count(0) > 1000
+    return list(borelrep._EVALUATORS.values())
 
 
-def test_memo_holds_only_shared_nodes(monkeypatch, capsys):
-    # a node with one parent is reached only through that parent, so only
-    # nodes referenced by two or more interned parents get memo entries
-    monkeypatch.setattr(borelrep, "_EVALUATORS", {})
-    assert cli.main(["verify", "--l", "2", "--order", "4", "--mmax", "1"]) == 0
-    assert cli.main(["drinfeld", "--l", "2", "--nmax", "1", "--mmax", "1"]) == 0
-    capsys.readouterr()
-    nodes = [node for ev in borelrep._EVALUATORS.values() for node, _ in ev._cache]
-    assert nodes and min(node._refs for node in nodes) >= 2
+def test_memoized_roots_have_one_shift(monkeypatch, capsys):
+    # the weight spaces are one-dimensional, so every tree the checks build
+    # (the e'_{n delta}, xi+-, chi and Serre roots and all their subtrees)
+    # moves v_m by one shift, the same for every m, or acts as zero
+    evs = _checked_evaluators(monkeypatch, capsys)
+    roots = [e_prime_imag(2, i, i + 1, n) for i in (1, 2) for n in range(1, 5)]
+    roots += [chi(2, i, 1) for i in (1, 2)]
+    roots += [xi_plus(2, j, k) for j in (1, 2) for k in (0, 1, 2)]
+    roots += [xi_minus(2, j, k) for j in (1, 2) for k in (1, 2)]
+    for ev in evs:
+        assert len(ev._cache) <= len(borelrep._NODES)
+        for node, out in ev._cache.items():
+            assert len({s for (s, _), _ in out}) <= 1, node
+    # every named root is memoized, and nonzero in some representation
+    for root in roots:
+        assert any(ev._cache.get(root) for ev in evs), root
+
+
+def test_specialized_targets_stay_in_the_fock_space(monkeypatch, capsys):
+    # a term whose target leaves the Fock space carries [0]_q = 0, so its
+    # coefficients sum to zero and the specialization drops it
+    evs = _checked_evaluators(monkeypatch, capsys)
+    samples = list(itertools.product(range(3), repeat=2))
+    for ev in evs:
+        for node in ev._cache:
+            for m in samples:
+                assert all(min(t) >= 0 for t, _ in ev.terms(node, m)), (node, m)
 
 
 def test_factor_command_and_aliases(capsys):

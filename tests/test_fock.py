@@ -6,7 +6,7 @@ freely and bdag lowers with coefficient -[m].  Together they realize the
 defining relations q^N b q^-N = q^-1 b, q^N bdag q^-N = q bdag,
 b bdag = [N+1] and bdag b = [N] ([N] evaluated on the q^N eigenvalue).
 The slot-by-slot action checked here is the reference in tests/oracles.py;
-test_borelrep ties OscWord.apply_basis to it.
+test_borelrep ties OscWord.terms to it.
 """
 
 import itertools

@@ -1,13 +1,18 @@
 """Closed l-weights, operator-side series, and factorization identities."""
 
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import pade, reduced, table_lambda
 
+import qloop
 from qloop import lweights
 from qloop.borelrep import Gen, RepSpec, Sum, get_evaluator
 from qloop.exactfield import QRational, URational, USeries, qrational_to_json, series_invert
@@ -142,6 +147,23 @@ def test_factored_expansion_is_the_expanded_closed_form(l):
                     for i in range(1, l + 1):
                         want = closed_psi(i, spec, m).expand(order)
                         assert closed_psi_series(i, spec, m, order) == want, (spec, m, i)
+
+
+def test_scalar_work_repeats_between_interpreters():
+    # the closed side multiplies its roots in a canonical order, not in the
+    # address order of a frozenset, so two runs intern the same scalars
+    code = ("import sys; from qloop import cli, exactfield; "
+            "assert cli.main(sys.argv[1:]) == 0; print(len(exactfield._VALUES))")
+    argv = ["verify", "--l", "3", "--order", "8", "--mmax", "2", "--zs=2*q^-2"]
+    src = str(pathlib.Path(qloop.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    counts = []
+    for _ in range(2):
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        counts.append(int(proc.stdout.split()[-1]))
+    assert counts[0] == counts[1] > 0
 
 
 # ------------------------------------------------------------- operator side

@@ -8,11 +8,12 @@ oscillator word or eigenvalue.
 import itertools
 
 import pytest
-from oracles import apply_at, series_log, specialize
+from oracles import apply_at, apply_word, series_log, specialize
 
 from qloop.borelrep import Gen, OscWord, RepSpec, get_evaluator
 from qloop.exactfield import QRational, USeries, kappa, qnum
 from qloop.fock import FockState
+from qloop.lweights import _psi_roots
 from qloop.rootsys import RootIndex
 from qloop.rootvectors import (chi, drinfeld_check, drinfeld_check_minus,
                                e_dual, e_prime_imag, e_real, e_unprimed_imag,
@@ -34,12 +35,13 @@ def nval(spec, m, j):
 
 
 def assert_action(expr, word, spec, samples):
-    """expr acts on each sample exactly as the closed-form word (None = zero)."""
+    """expr acts on each sample exactly as the closed-form word (None = zero),
+    the word applied mode by mode."""
     ev = get_evaluator(spec)
     for m in samples:
         got = ev.apply_basis(expr, m)
-        res = word.apply_basis(ev.pattern, m) if word is not None else None
-        want = FockState.zero(spec.l) if res is None else FockState(spec.l, {res[1]: res[0]})
+        v = FockState.basis(m)
+        want = FockState.zero(spec.l) if word is None else apply_word(word, ev.pattern, v)
         assert got == want, f"at m={m}: got {got!r}, want {want!r}"
 
 
@@ -244,6 +246,25 @@ def test_chi_is_diagonal():
             for m in grid(2, 2):
                 out = ev.apply_basis(chi(2, i, n), m)
                 assert set(dict(out.items())) <= {m}
+
+
+def test_symbolic_generators_and_imaginary_roots_are_nonzero():
+    # phi_i(u) = q**h_i (1 - kappa e'_delta(-o_i u)) has the eigenvalue Psi_i(u),
+    # so e'_{n delta} vanishes on every v_m exactly where Psi_i has fewer than
+    # min(n, 2) root factors (a single factor 1 - x u has no u**2 term)
+    for l in (1, 2, 3):
+        for a in range(1, l + 2):
+            for bar in (False, True):
+                spec = RepSpec(l, a, bar)
+                ev = get_evaluator(spec)
+                assert all(ev.symbolic(Gen(i)) for i in range(l + 1))
+                for i in range(1, l + 1):
+                    # at m = (1, ..., 1) no root factor of the closed form cancels
+                    factors = sum(abs(k) for _, k in _psi_roots(i, spec, (1,) * l)[1])
+                    for n in (1, 2, 3):
+                        got = ev.symbolic(e_prime_imag(l, i, i + 1, n))
+                        assert bool(got) == (factors >= min(n, 2)), (l, a, bar, i, n)
+                        assert {s for (s, _), _ in got} <= {(0,) * l}
 
 
 # ----------------------------------------------------------- loop relations
