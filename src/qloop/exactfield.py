@@ -43,7 +43,7 @@ ascending tuples of QRational.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
+from functools import reduce
 
 
 class ZeroConstantTerm(ValueError):
@@ -583,7 +583,6 @@ def kappa() -> QRational:
 _KAPPA = QRational((-1, 0, 1), (0, 1))
 
 
-@lru_cache(maxsize=None)
 def qnum(n: int) -> QRational:
     """The q-number [n]_q = (q**n - q**-n) / (q - q**-1)."""
     if n == 0:
@@ -594,7 +593,6 @@ def qnum(n: int) -> QRational:
     return _make(1 - n, tuple(1 if k % 2 == 0 else 0 for k in range(2 * n - 1)), (1,))
 
 
-@lru_cache(maxsize=None)
 def qfactorial(n: int) -> QRational:
     """[n]_q! = [1]_q [2]_q ... [n]_q."""
     if n < 0:

@@ -44,6 +44,7 @@ def test_generator_images_rank_one():
     s12 = RepSpec(1, 2)
     assert image_e(0, s12) == OscWord(1, ONE, (("bdag", 1),))
     assert image_e(1, s12) == OscWord(1, -KI, (("b", 1), qN(1)))
+    assert get_evaluator(s12).apply_basis(Gen(0), (0,)) == FockState.basis((1,))
     # a = 1: the two images swap roles
     s11 = RepSpec(1, 1)
     assert image_e(0, s11) == OscWord(1, -KI, (("b", 1), qN(1)))
@@ -308,7 +309,7 @@ def test_compose_over_a_two_term_right_side():
         expr = Compose(left, x)
         want = _ref_apply(expr, ev, FockState.basis(m))
         assert FockState(2, _sparse(ev.terms(expr, m))) == want
-        assert ev.apply(left, ev.apply_basis(x, m)) == want
+        assert _ref_apply(left, ev, ev.apply_basis(x, m)) == want
     # e0 e1 v and e1 e0 v reach one target, so the merge adds them
     m = (2, 2)
     (t01, c01), = ev.terms(Compose(Gen(0), Gen(1)), m)
@@ -352,12 +353,12 @@ def test_operator_overloads_build_the_right_trees():
     m = (1, 1)
     v = FockState.basis(m)
     assert ev.apply_basis(e0 * e1 - e1 * e0, m) == \
-        ev.apply(e0, ev.apply_basis(e1, m)) - ev.apply(e1, ev.apply_basis(e0, m))
+        _ref_apply(e0, ev, ev.apply_basis(e1, m)) - _ref_apply(e1, ev, ev.apply_basis(e0, m))
     assert ev.apply_basis(2 * e0, m) == ev.apply_basis(e0, m).scale(QRational.from_int(2))
     assert ev.apply_basis(-e0, m) == ev.apply_basis(e0, m).scale(-ONE)
-    assert ev.apply(identity(2), v) == v
+    assert ev.apply_basis(identity(2), m) == v
     assert ev.apply_basis(power(e0, 3, 2), m) == \
-        ev.apply(e0, ev.apply(e0, ev.apply_basis(e0, m)))
+        _ref_apply(e0, ev, _ref_apply(e0, ev, ev.apply_basis(e0, m)))
     assert ev.apply_basis(power(e0, 0, 2), m) == v
 
 
@@ -367,7 +368,7 @@ def test_evaluator_is_linear_and_cached():
     assert get_evaluator(RepSpec(2, 3)) is ev
     e = Gen(1)
     v = FockState.basis((1, 0)).scale(qnum(2)) + FockState.basis((0, 1))
-    direct = ev.apply(e, v)
+    direct = _ref_apply(e, ev, v)
     parts = ev.apply_basis(e, (1, 0)).scale(qnum(2)) + ev.apply_basis(e, (0, 1))
     assert direct == parts
     # the memo holds one symbolic result per node, for every m
@@ -399,12 +400,6 @@ def test_qh_exponent_is_additive():
     for m in ((0, 0, 0), (1, 2, 0), (2, 1, 1)):
         assert ev.qh_exponent(x + y, m) == ev.qh_exponent(x, m) + ev.qh_exponent(y, m)
         assert ev.qh_exponent(-x, m) == -ev.qh_exponent(x, m)
-
-
-def test_one_shot_apply_helper():
-    spec = RepSpec(1, 2)
-    v = FockState.basis((0,))
-    assert get_evaluator(spec).apply(Gen(0), v) == FockState.basis((1,))
 
 
 # ----------------------------------------------------- relations on the image
@@ -442,3 +437,24 @@ def test_weight_relations_small_ranks():
                     for j in range(l + 1):
                         x = CartanExponent.h(l, j)
                         assert weight_relation_check(i, x, spec, samples), (l, a, bar, i, j)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_serre_check_refuses_a_wrong_cartan_entry(l, monkeypatch):
+    # with a_01 = 0 the Serre sum is the commutator [e_0, e_1], which acts nonzero
+    spec = RepSpec(l, 1)
+    samples = list(itertools.product(range(2), repeat=l))
+    assert serre_check(0, 1, spec, samples)
+    monkeypatch.setattr(borelrep, "cartan_entry", lambda *args: 0)
+    assert not serre_check(0, 1, spec, samples)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_weight_relation_check_refuses_a_wrong_weight(l, monkeypatch):
+    spec = RepSpec(l, 1)
+    samples = list(itertools.product(range(2), repeat=l))
+    x = CartanExponent.h(l, 1)
+    assert weight_relation_check(1, x, spec, samples)
+    pair_root = CartanExponent.pair_root
+    monkeypatch.setattr(CartanExponent, "pair_root", lambda self, r: pair_root(self, r) + 1)
+    assert not weight_relation_check(1, x, spec, samples)

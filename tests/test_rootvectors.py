@@ -15,7 +15,7 @@ from qloop.exactfield import QRational, USeries, kappa, qnum
 from qloop.fock import FockState
 from qloop.lweights import _psi_roots
 from qloop.rootsys import RootIndex
-from qloop.rootvectors import (chi, drinfeld_check, drinfeld_check_minus,
+from qloop.rootvectors import (_chi_bracket, chi, drinfeld_check, drinfeld_check_minus,
                                e_dual, e_prime_imag, e_real, e_unprimed_imag,
                                qcomm, xi_minus, xi_plus)
 
@@ -287,6 +287,17 @@ def test_loop_relation_with_lowering_family(spec):
             for n in (1, 2):
                 for mm in (1, 2):
                     assert drinfeld_check_minus(i, j, n, mm, spec, ss), (i, j, n, mm)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_loop_relation_with_the_wrong_sign_fails(l):
+    # a = 1: at a >= 2, xi+-_{1,n} act as zero on these samples, so any sign passes
+    spec = RepSpec(l, 1)
+    ss = grid(l, 2)
+    assert _chi_bracket(1, 1, 1, 0, spec, ss, xi_plus, 1)
+    assert not _chi_bracket(1, 1, 1, 0, spec, ss, xi_plus, -1)
+    assert _chi_bracket(1, 1, 1, 1, spec, ss, xi_minus, -1)
+    assert not _chi_bracket(1, 1, 1, 1, spec, ss, xi_minus, 1)
 
 
 def test_repeated_drinfeld_check_adds_no_memo_entries():
