@@ -24,8 +24,8 @@ import sys
 
 from .borelrep import RepSpec, get_evaluator, image_e, image_qh, serre_check
 from .exactfield import QRational, qrational_to_json, urational_to_json
-from .lweights import (check_vector, closed_lambda, closed_psi, factor_check,
-                       verify_grid)
+from .lweights import (check_vector, closed_lambda, closed_psi, discrepancy,
+                       factor_check, verify_grid)
 from .rootsys import CartanExponent
 from .rootvectors import (drinfeld_check, drinfeld_check_minus, e_dual,
                           e_prime_imag, e_real, e_unprimed_imag)
@@ -131,12 +131,6 @@ def _families(args) -> list:
     return [(bar, a) for bar in bars for a in a_values]
 
 
-def _failure(a, bar: bool, i: int, m: list, status: str,
-             expected: str = "0", computed: str = "nonzero") -> dict:
-    return {"a": a, "bar": bar, "i": i, "m": m, "status": status,
-            "expected": expected, "computed": computed}
-
-
 def _cmd_verify(args) -> int:
     zs = parse_zs(args.zs)
     families = _families(args)
@@ -181,7 +175,7 @@ def _cmd_serre(args) -> int:
                     continue
                 pairs += 1
                 if not serre_check(i, j, spec, samples):
-                    found.append(_failure(a, bar, i, [j], "serre-failure"))
+                    found.append(discrepancy(a, bar, i, [j], "serre-failure"))
     lines = [f"checked {pairs} Serre relations at l={args.l}, occupations <= {args.mmax}",
              "all checks passed" if not found else f"{len(found)} failures"]
     return _report(args, lines, found, _meta(args.l, args.a, args.bar, None, QRational.one()))
@@ -199,11 +193,11 @@ def _cmd_drinfeld(args) -> int:
                     for k in range(0, args.nmax + 1):
                         count += 1
                         if not drinfeld_check(i, j, n, k, spec, samples):
-                            found.append(_failure(a, bar, i, [j, n, k], "drinfeld-plus-failure"))
+                            found.append(discrepancy(a, bar, i, [j, n, k], "drinfeld-plus-failure"))
                     for k in range(1, args.nmax + 1):
                         count += 1
                         if not drinfeld_check_minus(i, j, n, k, spec, samples):
-                            found.append(_failure(a, bar, i, [j, n, k], "drinfeld-minus-failure"))
+                            found.append(discrepancy(a, bar, i, [j, n, k], "drinfeld-minus-failure"))
     lines = [f"checked {count} loop relations at l={args.l}, n <= {args.nmax}, "
              f"occupations <= {args.mmax}",
              "all checks passed" if not found else f"{len(found)} failures"]
@@ -252,17 +246,17 @@ def _cmd_factor(args) -> int:
         label = f"{name}" + (f"[{index}]" if name != "full-tensor" else "")
         lines.append(f"{label}: {'ok' if ok else 'MISMATCH'}")
         if not ok:
-            found.append(_failure(index, False, 0, [], f"{name}-mismatch",
-                                  "equal l-weights", "unequal"))
+            found.append(discrepancy(index, False, 0, [], f"{name}-mismatch",
+                                     "equal l-weights", "unequal"))
     lines.append("all checks passed" if not found else f"{len(found)} failures")
     return _report(args, lines, found, _meta(args.l, args.index, False, None, zs))
 
 
 _ROOT_BUILDERS = {
-    "real": lambda l, i, j, n: e_real(l, i, j, n),
-    "dual": lambda l, i, j, n: e_dual(l, i, j, n),
-    "prime": lambda l, i, j, n: e_prime_imag(l, i, j, n),
-    "imag": lambda l, i, j, n: e_unprimed_imag(l, i, n),
+    "real": e_real,
+    "dual": e_dual,
+    "prime": e_prime_imag,
+    "imag": e_unprimed_imag,
 }
 
 
@@ -294,13 +288,13 @@ def _cmd_dump_op(args) -> int:
         i, n = nums
         if not (1 <= i <= args.l):
             raise ValueError("imaginary root vectors need 1 <= i <= l")
-        expr = builder(args.l, i, i + 1, n)
+        expr = builder(args.l, i, n)
         name = f"e_{n}delta,alpha_{i}"
     elif family == "prime" and len(nums) == 2:
         i, n = nums
         expr = builder(args.l, i, i + 1, n)
         name = f"e'_{n}delta,alpha_{i}"
-    elif len(nums) == 3:
+    elif family != "imag" and len(nums) == 3:
         i, j, n = nums
         expr = builder(args.l, i, j, n)
         name = f"{family}:{i},{j},{n}"

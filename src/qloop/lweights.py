@@ -18,21 +18,23 @@ modules to check the factorization identities relating the two families
 Factored form.  Every closed Psi_i(u) = q**<lambda, h_i> prod_x (1 - x u)**k_x
 is a Drinfeld rational fraction, so an l-weight (LWeight) is a weight plus,
 per node, roots x with nonzero multiplicities k_x; products add both.  The
-series the operator side is checked against (closed_psi_series) is expanded
-straight from the factors, a product of binomials and geometric series, so
-no gcd over Q(q)[u] runs; closed_psi multiplies the factors out into a
-URational only for display and JSON.
+closed side is read once per basis vector (oscillator_lweight), and the
+series the operator side is checked against is expanded straight from its
+factors, a product of binomials and geometric series (closed_psi_series for
+one node), so no gcd over Q(q)[u] runs; closed_psi multiplies the factors
+out into a URational only for display and JSON.
 
 Twist conventions.  The spectral twist enters every eigenvalue through the
 single combination zs = zeta**s, kept as one exact scalar: a twisted series
 is the untwisted one with u -> zs*u.  Mirrored representations satisfy
 
     Psi-bar_{i, m, a}(u) = Psi_{l-i+1, m, l-a+2}(-(-1)**l u),
-    lambda-bar_{m, a}    = iota(lambda_{m, l-a+2}),
 
-with iota(omega_i) = omega_{l-i+1}.  Weights are written over the fundamental
-weights omega_1 .. omega_l; the affine pairing is fixed by level zero,
-<lambda, h_0> = -sum_i <lambda, h_i>.
+written once, in _psi_roots; at u = 0 it gives the mirrored weight
+lambda-bar_{m, a} = iota(lambda_{m, l-a+2}), with iota(omega_i) =
+omega_{l-i+1}, so the weights need no law of their own.  Weights are
+written over the fundamental weights omega_1 .. omega_l; the affine pairing
+is fixed by level zero, <lambda, h_0> = -sum_i <lambda, h_i>.
 """
 
 from __future__ import annotations
@@ -129,24 +131,9 @@ def _psi_parts(i: int, l: int, a: int, m: tuple):
     """Prefactor exponent and root exponents of Psi_{i, m, a}.
 
     Returns (e0, num, den): the function is q**e0 times a product of factors
-    (1 - q**c zs u) over c in num, divided by the same over c in den.
+    (1 - q**c zs u) over c in num, divided by the same over c in den.  One
+    family in a answers for every module, theta_1 and theta_{l+1} included.
     """
-    if a == 1:
-        if i == 1:
-            return (
-                -2 * m[0] - _msum(m, 2, l) - l - 1,
-                [-2 * _msum(m, 2, l) - l + 2],
-                [-2 * _msum(m, 1, l) - l, -2 * _msum(m, 1, l) - l + 2],
-            )
-        return (
-            m[i - 2] - m[i - 1],
-            [-2 * _msum(m, i - 1, l) - l + i - 1, -2 * _msum(m, i + 1, l) - l + i + 1],
-            [-2 * _msum(m, i, l) - l + i - 1, -2 * _msum(m, i, l) - l + i + 1],
-        )
-    if a == l + 1:
-        if i <= l - 1:
-            return (m[i] - m[i - 1], [], [])
-        return (-2 * m[l - 1] - _msum(m, 1, l - 1), [1], [])
     if i <= a - 2:
         return (m[l + i - a + 1] - m[l + i - a], [], [])
     if i == a - 1:
@@ -198,9 +185,8 @@ def _psi_roots(i: int, spec: RepSpec, m) -> tuple:
     else:
         e0, num, den = _psi_parts(i, l, spec.a, mt)
         zeff = spec.zs
-    mult = Counter(num)
-    mult.subtract(den)
-    return e0, _roots((QRational.q_power(c) * zeff, k) for c, k in mult.items())
+    pairs = [(c, 1) for c in num] + [(c, -1) for c in den]
+    return e0, _roots((QRational.q_power(c) * zeff, k) for c, k in pairs)
 
 
 def _root_key(root) -> tuple:
@@ -234,12 +220,18 @@ def closed_psi(i: int, spec: RepSpec, m) -> URational:
 def closed_psi_series(i: int, spec: RepSpec, m, order: int) -> USeries:
     """The closed Psi_i on v_m expanded to the given order, from its factors.
 
-    Equal to closed_psi(i, spec, m).expand(order): starting from q**e0, each
-    root (x, k) multiplies by (1 - x u) k times or divides by it -k times, in
-    place on the truncated coefficient list.  The products come first, while
-    the list is still a short polynomial.
+    Equal to closed_psi(i, spec, m).expand(order).
     """
-    e0, roots = _psi_roots(i, spec, m)
+    return _psi_series(*_psi_roots(i, spec, m), order)
+
+
+def _psi_series(e0: int, roots, order: int) -> USeries:
+    """q**e0 prod (1 - x u)**k over (x, k) in roots, expanded to the given order.
+
+    Starting from q**e0, each root multiplies by (1 - x u) k times or divides
+    by it -k times, in place on the truncated coefficient list.  The products
+    come first, while the list is still a short polynomial.
+    """
     c = [QRational.q_power(e0)] + [_ZERO] * order
     for x, k in sorted(roots, key=_root_key):
         for _ in range(abs(k)):
@@ -255,12 +247,9 @@ def closed_psi_series(i: int, spec: RepSpec, m, order: int) -> USeries:
 
 
 def closed_lambda(spec: RepSpec, m) -> Weight:
-    """The weight of v_m, read off the constant terms Psi_i(0) = q**<lambda, h_i>."""
-    l = spec.l
-    mt = _check_m(l, m)
-    if spec.bar:
-        return closed_lambda(RepSpec(l, l - spec.a + 2), mt).iota()
-    return Weight(l, tuple(_psi_parts(i, l, spec.a, mt)[0] for i in range(1, l + 1)))
+    """The weight of v_m, read off the constant terms Psi_i(0) = q**<lambda, h_i>
+    of oscillator_lweight, whose mirror law gives the mirrored weight too."""
+    return oscillator_lweight(spec, m).weight
 
 
 def phi_series(i: int, spec: RepSpec, m, order: int) -> USeries:
@@ -447,46 +436,43 @@ def factor_check(kind: str, l: int, index: int = 0, zs: QRational = _ONE,
 # ---------------------------------------------------------------------------
 # grid verification
 
-def _entry(spec: RepSpec, i: int, m: tuple, status: str, expected: str, computed) -> dict:
-    return {
-        "l": spec.l,
-        "a": spec.a,
-        "bar": spec.bar,
-        "i": i,
-        "m": list(m),
-        "status": status,
-        "expected": expected,
-        "computed": computed,
-    }
+def discrepancy(a, bar: bool, i: int, m, status: str,
+                expected="0", computed="nonzero") -> dict:
+    """One failed check of a report: the module, node, index vector and values."""
+    return {"a": a, "bar": bar, "i": i, "m": list(m), "status": status,
+            "expected": expected, "computed": computed}
 
 
 def check_vector(spec: RepSpec, m: tuple, order: int) -> list:
     """Discrepancies of one basis vector v_m against the closed forms.
 
-    Compares every q**h_j exponent with the closed weight and every phi_i
-    series with the closed Psi_i through the given order; the expected series
-    comes from the factored form (closed_psi_series), and the URational
-    closed_psi is built only to show a failure.  Returns a list of
+    Reads the closed l-weight of v_m once (oscillator_lweight), then compares
+    every q**h_j exponent with its weight and every phi_i series with its
+    Psi_i, expanded from the factored form through the given order; the
+    URational closed_psi is built only to show a failure.  Returns a list of
     discrepancy entries; empty means pass.
     """
     l = spec.l
     ev = get_evaluator(spec)
-    lam = closed_lambda(spec, m)
+    closed = oscillator_lweight(spec, m)
+    lam = closed.weight
     found = []
     for j in range(l + 1):
         t = ev.qh_exponent(CartanExponent.h(l, j), m)
         if t != lam.pair_h(j):
-            found.append(_entry(spec, j, m, "weight-mismatch", f"q^{lam.pair_h(j)}", f"q^{t}"))
+            found.append(discrepancy(spec.a, spec.bar, j, m, "weight-mismatch",
+                                     f"q^{lam.pair_h(j)}", f"q^{t}"))
     for i in range(1, l + 1):
         try:
             series = phi_series(i, spec, m, order)
         except NotDiagonal as exc:
             off = [[list(t), qrational_to_json(c)] for t, c in sorted(exc.off, key=lambda p: p[0])]
-            found.append(_entry(spec, i, m, "not-diagonal", repr(closed_psi(i, spec, m)), off))
+            found.append(discrepancy(spec.a, spec.bar, i, m, "not-diagonal",
+                                     repr(closed_psi(i, spec, m)), off))
             continue
-        if closed_psi_series(i, spec, m, order) != series:
-            found.append(_entry(spec, i, m, "psi-mismatch", repr(closed_psi(i, spec, m)),
-                                repr(series)))
+        if _psi_series(lam.pair_h(i), closed.roots[i - 1], order) != series:
+            found.append(discrepancy(spec.a, spec.bar, i, m, "psi-mismatch",
+                                     repr(closed_psi(i, spec, m)), repr(series)))
     return found
 
 

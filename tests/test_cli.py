@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qloop import borelrep, cli, exactfield
+from qloop import borelrep, cli, exactfield, lweights, rootvectors
 from qloop.exactfield import QRational, urational_to_json
-from qloop.lweights import closed_psi
+from qloop.lweights import Weight, closed_psi
 from qloop.borelrep import RepSpec
+from qloop.rootsys import o_sign
 from qloop.rootvectors import chi, e_prime_imag, xi_minus, xi_plus
 
 ONE = QRational.one()
@@ -98,12 +99,39 @@ def test_usage_errors_exit_two(monkeypatch, tmp_path, capsys):
 
 
 def test_verification_failure_exits_one(monkeypatch, capsys):
-    fake = [{"l": 1, "a": 1, "bar": False, "i": 1, "m": [0], "status": "psi-mismatch",
+    fake = [{"a": 1, "bar": False, "i": 1, "m": [0], "status": "psi-mismatch",
              "expected": "x", "computed": "y"}]
     monkeypatch.setattr(cli, "verify_grid", lambda *a, **k: list(fake))
     assert cli.main(["verify", "--l", "1"]) == 1
     out = capsys.readouterr().out
     assert "MISMATCH" in out and "psi-mismatch" in out
+
+
+# per command, an argv and one broken ingredient that fails some of its checks
+_BROKEN_RUNS = [
+    # o_i of the wrong sign flips every odd coefficient of the phi_i series
+    (["verify", "--l", "2", "--order", "3", "--mmax", "1"],
+     lweights, "o_sign", lambda i, l: -o_sign(i, l)),
+    # with a_01 = 0 the Serre sum is the commutator [e_0, e_1]
+    (["serre", "--l", "2", "--mmax", "1"], borelrep, "cartan_entry", lambda *args: 0),
+    # with a_ij = 0 every bracket [chi_{i,n}, xi_{j,m}] would have to vanish
+    (["drinfeld", "--l", "2", "--nmax", "1", "--mmax", "1"],
+     rootvectors, "finite_cartan_entry", lambda *args: 0),
+    # theta_a without its shift is not the product of its prefundamentals
+    (["factor", "--l", "2", "--kind", "osc"], lweights, "xi_osc", lambda l, a: Weight.zero(l)),
+]
+
+
+@pytest.mark.parametrize("argv,module,name,broken", _BROKEN_RUNS,
+                         ids=[run[0][0] for run in _BROKEN_RUNS])
+def test_every_failure_entry_has_the_seven_keys(monkeypatch, capsys, argv, module, name, broken):
+    monkeypatch.setattr(module, name, broken)
+    assert cli.main(argv + ["--json"]) == 1
+    found = _json_line(capsys.readouterr().out)["discrepancies"]
+    assert found
+    for d in found:
+        assert sorted(d) == ["a", "bar", "computed", "expected", "i", "m", "status"], d
+        assert isinstance(d["m"], list)
 
 
 _SMALL = st.integers(-1, 3).map(str)
@@ -120,7 +148,8 @@ _FLAG_VALUES = {
     "--zs-list": st.sampled_from(("q,q^2", "1,1/0", "q,q,q", "0,1,q")),
     "--kind": st.sampled_from(("osc", "pref-minus", "pref_plus", "full-tensor", "all")),
     "--root": st.sampled_from(("real:1,2,0", "dual:1,2,1", "prime:1,1", "imag:0,1",
-                               "imag:1,0", "prime:2,1", "real:2,1,0", "imag:3,1", "bogus")),
+                               "imag:1,0", "prime:2,1", "real:2,1,0", "imag:3,1", "imag:1,2,1",
+                               "bogus")),
 }
 # per subcommand: the flags always given, then the flags given or not
 _COMMANDS = {
@@ -338,6 +367,14 @@ def test_dump_op_root_action(capsys):
 def test_dump_op_bad_root_spec(capsys):
     assert cli.main(["dump-op", "--l", "1", "--a", "1", "--root", "bogus"]) == 2
     assert cli.main(["dump-op", "--l", "1", "--a", "1", "--root", "real:1"]) == 2
+
+
+def test_dump_op_imag_takes_two_numbers(capsys):
+    # imag:i,n has no j; a third number is an arity error, not an ignored one
+    assert cli.main(["dump-op", "--l", "2", "--a", "1", "--root", "imag:1,7,2",
+                     "--mmax", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "wrong arity" in captured.err and captured.out == ""
 
 
 # sha256 of stdout and of the --output report, recorded before the evaluator

@@ -185,6 +185,18 @@ def test_verify_grid_restricted_to_one_module():
     assert out == []
 
 
+@pytest.mark.parametrize("l,first,twisted", [
+    (5, True, False), (5, False, False), (6, True, False), (6, False, False), (6, True, True),
+])
+def test_boundary_modules_beyond_rank_three(l, first, twisted):
+    # theta_1 and theta_{l+1} have no formulas of their own; the general ones
+    # in a must answer for them, and for their mirrors, at every rank
+    a = 1 if first else l + 1
+    zs = -qp(3) if twisted else ONE
+    for bar in (False, True):
+        assert verify_grid(l, 4, m_max=1, bar=bar, zs=zs, a_values=(a,)) == [], (a, bar)
+
+
 def test_weight_exponents_match_on_the_operator_side():
     for l in (1, 2):
         for a in range(1, l + 2):
