@@ -24,8 +24,7 @@ import sys
 
 from .borelrep import RepSpec, get_evaluator, image_e, image_qh, serre_check
 from .exactfield import QRational, qrational_to_json, urational_to_json
-from .lweights import (check_vector, closed_lambda, closed_psi, discrepancy,
-                       factor_check, verify_grid)
+from .lweights import VectorChecks, discrepancy, factor_check, verify_grid
 from .rootsys import CartanExponent
 from .rootvectors import (drinfeld_check, drinfeld_check_minus, e_dual,
                           e_prime_imag, e_real, e_unprimed_imag)
@@ -151,9 +150,11 @@ def _cmd_lweight(args) -> int:
     zs = parse_zs(args.zs)
     spec = RepSpec(args.l, args.a, args.bar, zs)
     m = _parse_m(args.m, args.l)
-    lam = closed_lambda(spec, m)
-    psi = [closed_psi(i, spec, m) for i in range(1, args.l + 1)]
-    found = check_vector(spec, m, args.order)
+    checks = VectorChecks(spec, args.order)
+    lw = checks.lweight(m)
+    lam = lw.weight
+    psi = [lw.psi(i) for i in range(1, args.l + 1)]
+    found = checks.check(m)
     lines = [f"weight: {' '.join(f'omega_{k+1}:{c}' for k, c in enumerate(lam.omega))}"]
     for i, f in enumerate(psi, start=1):
         lines.append(f"Psi_{i}(u) = {f!r}")

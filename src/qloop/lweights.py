@@ -17,12 +17,20 @@ modules to check the factorization identities relating the two families
 
 Factored form.  Every closed Psi_i(u) = q**<lambda, h_i> prod_x (1 - x u)**k_x
 is a Drinfeld rational fraction, so an l-weight (LWeight) is a weight plus,
-per node, roots x with nonzero multiplicities k_x; products add both.  The
-closed side is read once per basis vector (oscillator_lweight), and the
-series the operator side is checked against is expanded straight from its
-factors, a product of binomials and geometric series (closed_psi_series for
-one node), so no gcd over Q(q)[u] runs; closed_psi multiplies the factors
-out into a URational only for display and JSON.
+per node, roots x with nonzero multiplicities k_x; products add both.  Its
+exponents are affine in the occupations m: x = zs q**c(m), lambda = e0(m).
+closed_psi multiplies the factors out into a URational for display and JSON;
+no gcd over Q(q)[u] runs.
+
+Symbolic m.  The series checks are decided once per node for every m
+(VectorChecks): _psi_parts is read on affine occupation forms (_Affine), the
+closed Psi_i is expanded as Laurent polynomials in Q = q**m, and the operator
+series, from Evaluator.symbolic with m symbolic too, is subtracted.  The
+difference, empty when the catalog holds, is specialized at each grid vector;
+the weight of v_m and any action off the diagonal are still decided per m.
+The factorization checks read the catalog at integer m (oscillator_lweight).
+phi_series and closed_psi_series are the two series at one m; phi_series
+and closed_psi fill the entry of a failed check.
 
 Twist conventions.  The spectral twist enters every eigenvalue through the
 single combination zs = zeta**s, kept as one exact scalar: a twisted series
@@ -30,7 +38,7 @@ is the untwisted one with u -> zs*u.  Mirrored representations satisfy
 
     Psi-bar_{i, m, a}(u) = Psi_{l-i+1, m, l-a+2}(-(-1)**l u),
 
-written once, in _psi_roots; at u = 0 it gives the mirrored weight
+written once, in _psi_forms; at u = 0 it gives the mirrored weight
 lambda-bar_{m, a} = iota(lambda_{m, l-a+2}), with iota(omega_i) =
 omega_{l-i+1}, so the weights need no law of their own.  Weights are
 written over the fundamental weights omega_1 .. omega_l; the affine pairing
@@ -43,7 +51,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .borelrep import RepSpec, get_evaluator
+from .borelrep import CartanPower, RepSpec, _dot, _vadd, get_evaluator
 from .exactfield import QRational, URational, USeries, kappa, qrational_to_json
 from .rootsys import CartanExponent, o_sign
 from .rootvectors import e_prime_imag
@@ -127,6 +135,64 @@ def _msum(m: tuple, lo: int, hi: int) -> int:
     return sum(m[j - 1] for j in range(lo, hi + 1)) if lo <= hi else 0
 
 
+class _Affine:
+    """An integer affine form c + v.m in the occupations m_1 .. m_l.
+
+    It has +, - and integer *, and nothing more: _psi_parts read on these
+    forms is the catalog for every m at once, and an edit to the catalog
+    that is not affine in m (a product of occupations, a comparison, a
+    branch on m) raises TypeError rather than passing on a grid.
+    """
+
+    __slots__ = ("c", "v")
+
+    def __init__(self, c: int, v: tuple):
+        self.c = c
+        self.v = v
+
+    @classmethod
+    def occupations(cls, l: int) -> tuple:
+        """m_1 .. m_l as forms."""
+        return tuple(cls(0, tuple(int(j == k) for j in range(l))) for k in range(l))
+
+    def at(self, m: tuple) -> int:
+        """The value at an integer occupation vector."""
+        return self.c + _dot(self.v, m)
+
+    def __add__(self, other):
+        if isinstance(other, _Affine):
+            return _Affine(self.c + other.c, _vadd(self.v, other.v))
+        if isinstance(other, int):
+            return _Affine(self.c + other, self.v)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, k):
+        if isinstance(k, int):
+            return _Affine(k * self.c, tuple(k * x for x in self.v))
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        raise TypeError("an affine occupation form has no truth value")
+
+    def __eq__(self, other):
+        raise TypeError("an affine occupation form has no equality")
+
+    __hash__ = None
+
+
 def _psi_parts(i: int, l: int, a: int, m: tuple):
     """Prefactor exponent and root exponents of Psi_{i, m, a}.
 
@@ -168,25 +234,86 @@ def _roots(pairs) -> frozenset:
     return frozenset((x, k) for x, k in mult.items() if k and x)
 
 
+def _psi_forms(i: int, spec: RepSpec, m) -> tuple:
+    """The closed Psi_i on v_m as catalog exponents: (e0, pairs, zeff).
+
+    Psi_i(u) = q**e0 prod (1 - q**c zeff u)**k over (c, k) in pairs, k = +-1
+    per numerator and denominator factor of _psi_parts.  The exponents are
+    integers for an integer m and affine forms for _Affine.occupations(l).
+    This is the one place the mirror law is written.
+    """
+    l = spec.l
+    if not (1 <= i <= l):
+        raise IndexError("node index out of range")
+    if spec.bar:
+        e0, num, den = _psi_parts(l - i + 1, l, l - spec.a + 2, m)
+        # the mirrored series is the reflected one at u -> -(-1)**l u
+        zeff = spec.zs if l % 2 else -spec.zs
+    else:
+        e0, num, den = _psi_parts(i, l, spec.a, m)
+        zeff = spec.zs
+    return e0, [(c, 1) for c in num] + [(c, -1) for c in den], zeff
+
+
+def _factored(e0: int, pairs, zeff: QRational) -> tuple:
+    """(e0, roots) from integer catalog exponents: the roots q**c zeff, common ones cancelled."""
+    return e0, _roots((QRational.q_power(c) * zeff, k) for c, k in pairs)
+
+
 def _psi_roots(i: int, spec: RepSpec, m) -> tuple:
     """The closed Psi_i on v_m in factored form.
 
     Returns (e0, roots) with Psi_i(u) = q**e0 prod (1 - x u)**k over (x, k) in
     roots: the factors of _psi_parts, common ones cancelled.
     """
-    l = spec.l
-    mt = _check_m(l, m)
-    if not (1 <= i <= l):
-        raise IndexError("node index out of range")
-    if spec.bar:
-        e0, num, den = _psi_parts(l - i + 1, l, l - spec.a + 2, mt)
-        # the mirrored series is the reflected one at u -> -(-1)**l u
-        zeff = spec.zs if l % 2 else -spec.zs
+    return _factored(*_psi_forms(i, spec, _check_m(spec.l, m)))
+
+
+def _symbolic_forms(i: int, spec: RepSpec) -> tuple:
+    """_psi_forms with m symbolic: every exponent an _Affine."""
+    e0, pairs, zeff = _psi_forms(i, spec, _Affine.occupations(spec.l))
+    # adding the zero form lifts an integer, such as an empty _msum
+    zero = _Affine(0, (0,) * spec.l)
+    return zero + e0, [(zero + c, k) for c, k in pairs], zeff
+
+
+def _poly_series(e0: _Affine, pairs, zeff: QRational, order: int) -> list:
+    """The closed Psi_i with m symbolic, expanded through u**order.
+
+    One Laurent polynomial {v: c} in Q = q**m per power of u, as in
+    Evaluator.symbolic: q**e0 is q**e0.c Q**e0.v and a root is
+    zeff q**c.c Q**c.v.  As in _psi_series, each factor multiplies (k = 1) or
+    divides (k = -1) in place, the products first.  Specializing at m gives
+    _psi_series at m: Q -> q**m is a ring homomorphism.
+    """
+    c = [{e0.v: QRational.q_power(e0.c)}] + [{} for _ in range(order)]
+    for x, k in sorted(pairs, key=lambda p: -p[1]):
+        xc = QRational.q_power(x.c) * zeff
+        if k > 0:
+            xc, steps = -xc, range(order, 0, -1)
+        else:
+            steps = range(1, order + 1)
+        for n in steps:
+            for v, y in c[n - 1].items():
+                _add_term(c[n], _vadd(v, x.v), y * xc)
+    return c
+
+
+def _add_term(poly: dict, v: tuple, c: QRational) -> None:
+    """poly += c Q**v, in place; a zero sum drops out."""
+    s = poly[v] + c if v in poly else c
+    if s:
+        poly[v] = s
     else:
-        e0, num, den = _psi_parts(i, l, spec.a, mt)
-        zeff = spec.zs
-    pairs = [(c, 1) for c in num] + [(c, -1) for c in den]
-    return e0, _roots((QRational.q_power(c) * zeff, k) for c, k in pairs)
+        poly.pop(v, None)
+
+
+def _poly_at(poly: dict, m: tuple) -> QRational:
+    """A Laurent polynomial {v: c} in Q at Q = q**m."""
+    out = _ZERO
+    for v, c in poly.items():
+        out = out + c * QRational.q_power(_dot(v, m))
+    return out
 
 
 def _root_key(root) -> tuple:
@@ -208,7 +335,11 @@ def _roots_poly(xs) -> tuple:
 
 def closed_psi(i: int, spec: RepSpec, m) -> URational:
     """The closed rational form of the eigenvalue of phi_i(u) on v_m."""
-    e0, roots = _psi_roots(i, spec, m)
+    return _psi_urational(*_psi_roots(i, spec, m))
+
+
+def _psi_urational(e0: int, roots) -> URational:
+    """q**e0 prod (1 - x u)**k over (x, k) in roots, multiplied out."""
     roots = sorted(roots, key=_root_key)
     num = [x for x, k in roots for _ in range(k)]
     den = [x for x, k in roots for _ in range(-k)]
@@ -252,6 +383,11 @@ def closed_lambda(spec: RepSpec, m) -> Weight:
     return oscillator_lweight(spec, m).weight
 
 
+def _phi_sign(i: int, l: int, n: int) -> int:
+    """The sign of kappa q**h_i e'_{n delta, alpha_i} u**n in phi_i(u)."""
+    return (-1) ** (n + 1) * o_sign(i, l) ** n
+
+
 def phi_series(i: int, spec: RepSpec, m, order: int) -> USeries:
     """Eigenvalue series of phi_i(u) on v_m, computed by operator action.
 
@@ -267,7 +403,6 @@ def phi_series(i: int, spec: RepSpec, m, order: int) -> USeries:
         raise ValueError("order must be >= 0")
     ev = get_evaluator(spec)
     c0 = QRational.q_power(ev.qh_exponent(CartanExponent.h(l, i), mt))
-    o = o_sign(i, l)
     kc0 = kappa() * c0
     coeffs = [c0]
     for n in range(1, order + 1):
@@ -277,9 +412,7 @@ def phi_series(i: int, spec: RepSpec, m, order: int) -> USeries:
             raise NotDiagonal(spec, i, n, mt, off)
         s = pairs[0][1] if pairs else _ZERO
         c = kc0 * s
-        if (-1) ** (n + 1) * o ** n < 0:
-            c = -c
-        coeffs.append(c)
+        coeffs.append(c if _phi_sign(i, l, n) > 0 else -c)
     series = USeries(order, coeffs)
     if spec.zs != _ONE:
         series = series.scale_var(spec.zs)
@@ -301,6 +434,10 @@ class LWeight:
     def __post_init__(self):
         if len(self.roots) != self.weight.l:
             raise ValueError("need one root multiset per node")
+
+    def psi(self, i: int) -> URational:
+        """Psi_i multiplied out, for display and JSON."""
+        return _psi_urational(self.weight.pair_h(i), self.roots[i - 1])
 
 
 def lweight_product(*factors: LWeight) -> LWeight:
@@ -443,52 +580,108 @@ def discrepancy(a, bar: bool, i: int, m, status: str,
             "expected": expected, "computed": computed}
 
 
-def check_vector(spec: RepSpec, m: tuple, order: int) -> list:
-    """Discrepancies of one basis vector v_m against the closed forms.
+class VectorChecks:
+    """The checks of every basis vector v_m of one representation through an
+    order, built once with m symbolic.
 
-    Reads the closed l-weight of v_m once (oscillator_lweight), then compares
-    every q**h_j exponent with its weight and every phi_i series with its
-    Psi_i, expanded from the factored form through the given order; the
-    URational closed_psi is built only to show a failure.  Returns a list of
-    discrepancy entries; empty means pass.
+    Per node i, the series check is one difference of Laurent polynomials in
+    Q = q**m, one per power of u: the closed Psi_i, read on affine occupation
+    forms and expanded by _poly_series, minus the operator series
+    q**h_i (1 - kappa e'_{delta, alpha_i}(-o_i zs u)), whose q**h_i and
+    e'_{n delta, alpha_i} come from Evaluator.symbolic.  When the catalog
+    holds, the difference cancels to nothing, once for every m.  check(m)
+    specializes it at v_m, which is exact (see borelrep), and decides there
+    the weight of v_m and, for each e'_{n delta} with a term off the
+    diagonal, the diagonal action.  phi_series and closed_psi only show a
+    failure.
     """
-    l = spec.l
-    ev = get_evaluator(spec)
-    closed = oscillator_lweight(spec, m)
-    lam = closed.weight
-    found = []
-    for j in range(l + 1):
-        t = ev.qh_exponent(CartanExponent.h(l, j), m)
-        if t != lam.pair_h(j):
-            found.append(discrepancy(spec.a, spec.bar, j, m, "weight-mismatch",
-                                     f"q^{lam.pair_h(j)}", f"q^{t}"))
-    for i in range(1, l + 1):
-        try:
-            series = phi_series(i, spec, m, order)
-        except NotDiagonal as exc:
-            off = [[list(t), qrational_to_json(c)] for t, c in sorted(exc.off, key=lambda p: p[0])]
-            found.append(discrepancy(spec.a, spec.bar, i, m, "not-diagonal",
-                                     repr(closed_psi(i, spec, m)), off))
-            continue
-        if _psi_series(lam.pair_h(i), closed.roots[i - 1], order) != series:
-            found.append(discrepancy(spec.a, spec.bar, i, m, "psi-mismatch",
-                                     repr(closed_psi(i, spec, m)), repr(series)))
-    return found
+
+    def __init__(self, spec: RepSpec, order: int):
+        l = spec.l
+        ev = get_evaluator(spec)
+        self.spec = spec
+        self.order = order
+        self._ev = ev
+        self._forms = [_symbolic_forms(i, spec) for i in range(1, l + 1)]
+        # per node, the nonzero powers of u of the difference and the
+        # e'_{n delta} with a term off the diagonal, in increasing n
+        self._diff = []
+        self._off = []
+        zero = (0,) * l
+        for i, (e0, pairs, zeff) in enumerate(self._forms, start=1):
+            diff = _poly_series(e0, pairs, zeff, order)
+            (((_, vh), ch),) = ev.symbolic(CartanPower(CartanExponent.h(l, i)))
+            _add_term(diff[0], vh, -ch)
+            off = []
+            scale = kappa() * ch
+            for n in range(1, order + 1):
+                scale = scale * spec.zs
+                expr = e_prime_imag(l, i, i + 1, n)
+                terms = ev.symbolic(expr)
+                if any(s != zero for (s, _), _ in terms):
+                    off.append(expr)
+                c = -scale if _phi_sign(i, l, n) > 0 else scale
+                for (s, v), x in terms:
+                    if s == zero:
+                        _add_term(diff[n], _vadd(v, vh), c * x)
+            self._diff.append([poly for poly in diff if poly])
+            self._off.append(off)
+
+    def lweight(self, m) -> LWeight:
+        """The closed l-weight of v_m, specialized from the forms the checks read."""
+        mt = _check_m(self.spec.l, m)
+        e0s, roots = zip(*(_factored(e0.at(mt), [(c.at(mt), k) for c, k in pairs], zeff)
+                           for e0, pairs, zeff in self._forms))
+        return LWeight(Weight(self.spec.l, e0s), roots)
+
+    def check(self, m) -> list:
+        """Discrepancies of v_m: its weight, then per node the diagonal action
+        and the series; empty means pass."""
+        spec, ev, l = self.spec, self._ev, self.spec.l
+        mt = _check_m(l, m)
+        lam = Weight(l, tuple(e0.at(mt) for e0, _, _ in self._forms))
+        found = []
+        for j in range(l + 1):
+            t = ev.qh_exponent(CartanExponent.h(l, j), mt)
+            if t != lam.pair_h(j):
+                found.append(discrepancy(spec.a, spec.bar, j, mt, "weight-mismatch",
+                                         f"q^{lam.pair_h(j)}", f"q^{t}"))
+        for i, (diff, off_exprs) in enumerate(zip(self._diff, self._off), start=1):
+            for expr in off_exprs:
+                off = [p for p in ev.terms(expr, mt) if p[0] != mt]
+                if off:
+                    shown = [[list(t), qrational_to_json(c)] for t, c in sorted(off, key=lambda p: p[0])]
+                    found.append(discrepancy(spec.a, spec.bar, i, mt, "not-diagonal",
+                                             repr(closed_psi(i, spec, mt)), shown))
+                    break
+            else:
+                if any(_poly_at(poly, mt) for poly in diff):
+                    found.append(discrepancy(spec.a, spec.bar, i, mt, "psi-mismatch",
+                                             repr(closed_psi(i, spec, mt)),
+                                             repr(phi_series(i, spec, mt, self.order))))
+        return found
+
+
+def check_vector(spec: RepSpec, m: tuple, order: int) -> list:
+    """Discrepancies of one basis vector v_m against the closed forms, through
+    the given order: VectorChecks(spec, order).check(m).  Returns a list of
+    discrepancy entries; empty means pass."""
+    return VectorChecks(spec, order).check(m)
 
 
 def verify_grid(l: int, order: int, m_max: int = 1, bar: bool = False,
                 zs: QRational = _ONE, a_values=None) -> list:
-    """check_vector over a grid of representations and basis vectors.
+    """The checks of a grid of representations and basis vectors.
 
-    Runs over every a (or the given a_values) and every occupation vector
-    with entries up to m_max.  Returns a list of discrepancy entries; empty
-    means pass.
+    Runs over every a (or the given a_values), builds each VectorChecks once,
+    and specializes it at every occupation vector with entries up to m_max.
+    Returns a list of discrepancy entries; empty means pass.
     """
     found = []
     if a_values is None:
         a_values = range(1, l + 2)
     for a in a_values:
-        spec = RepSpec(l, a, bar, zs)
+        checks = VectorChecks(RepSpec(l, a, bar, zs), order)
         for m in itertools.product(range(m_max + 1), repeat=l):
-            found.extend(check_vector(spec, m, order))
+            found.extend(checks.check(m))
     return found

@@ -12,18 +12,23 @@
   scalar layer from outside the field.
 - The weight table: lambda_{m, a} typed in per module, where qloop reads it
   off Psi_i(0) (lweights.closed_lambda).
+- The series checks decided at one m at a time: per basis vector, the closed
+  l-weight at that m against phi_series, where qloop builds each check once
+  with m symbolic and specializes the difference (lweights.VectorChecks).
 - Algebra in u that qloop does not need: the formal logarithm, the gcd over
   Q(q)[u] (reduced) and Pade reconstruction.
 """
 
+import itertools
 from fractions import Fraction
 
+from qloop import lweights
 from qloop.borelrep import (CartanPower, Compose, Gen, OscWord, RepSpec, Scale,
-                            Sum, image_e, image_qh)
+                            Sum, get_evaluator, image_e, image_qh)
 from qloop.exactfield import (QRational, URational, USeries, ZeroConstantTerm,
-                              _utrim, kappa, qnum, series_invert)
+                              _utrim, kappa, qnum, qrational_to_json, series_invert)
 from qloop.fock import PLUS, FockState, ModePattern
-from qloop.lweights import Weight, _msum
+from qloop.lweights import NotDiagonal, Weight, _msum, discrepancy
 from qloop.rootsys import CartanExponent
 
 _ZERO = QRational.zero()
@@ -277,6 +282,50 @@ def table_lambda(spec: RepSpec, m: tuple) -> Weight:
         )
         c[a] = -(2 * m[0] + _msum(m, 2, l - a + 1) - _msum(m, l - a + 2, l) + l - a + 2)
     return Weight(l, tuple(c[1:]))
+
+
+# ------------------------------------------------------ per-m series checks
+
+
+def check_vector_at(spec: RepSpec, m: tuple, order: int) -> list:
+    """The discrepancies of v_m, decided at that m alone.
+
+    Reads the closed l-weight of v_m, compares every q**h_j exponent with
+    its weight and every phi_i series with its Psi_i expanded from the
+    factored form; the entries are those of lweights.check_vector.
+    """
+    l = spec.l
+    ev = get_evaluator(spec)
+    closed = lweights.oscillator_lweight(spec, m)
+    lam = closed.weight
+    found = []
+    for j in range(l + 1):
+        t = ev.qh_exponent(CartanExponent.h(l, j), m)
+        if t != lam.pair_h(j):
+            found.append(discrepancy(spec.a, spec.bar, j, m, "weight-mismatch",
+                                     f"q^{lam.pair_h(j)}", f"q^{t}"))
+    for i in range(1, l + 1):
+        try:
+            series = lweights.phi_series(i, spec, m, order)
+        except NotDiagonal as exc:
+            off = [[list(t), qrational_to_json(c)] for t, c in sorted(exc.off, key=lambda p: p[0])]
+            found.append(discrepancy(spec.a, spec.bar, i, m, "not-diagonal",
+                                     repr(lweights.closed_psi(i, spec, m)), off))
+            continue
+        if lweights._psi_series(lam.pair_h(i), closed.roots[i - 1], order) != series:
+            found.append(discrepancy(spec.a, spec.bar, i, m, "psi-mismatch",
+                                     repr(lweights.closed_psi(i, spec, m)), repr(series)))
+    return found
+
+
+def verify_grid_at(l: int, order: int, m_max: int, bar: bool, zs: QRational) -> list:
+    """check_vector_at over every module and every m with entries up to m_max."""
+    found = []
+    for a in range(1, l + 2):
+        spec = RepSpec(l, a, bar, zs)
+        for m in itertools.product(range(m_max + 1), repeat=l):
+            found.extend(check_vector_at(spec, m, order))
+    return found
 
 
 # ------------------------------------------- series and rational functions in u

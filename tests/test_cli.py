@@ -410,3 +410,20 @@ def test_output_is_byte_stable(tmp_path, capsys, argv, stdout_sha, report_sha):
     # with --output the JSON goes to the file, not to stdout
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
     assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha
+
+
+def test_failing_report_is_byte_stable(monkeypatch, tmp_path, capsys):
+    # o_i of the wrong sign fails 468 series checks; sha256 of stdout and of
+    # the --output report, recorded before the series checks were built with
+    # m symbolic: the failure entries must not change either
+    monkeypatch.setattr(lweights, "o_sign", lambda i, l: -o_sign(i, l))
+    report = tmp_path / "report.json"
+    argv = ["verify", "--l", "3", "--order", "6", "--mmax", "2", "--zs=2*q^-2",
+            "--output", str(report)]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "468 discrepancies"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "579afb3e03fcf887fd8e5a556d4bfb4af4e82c5682c095590e7c78f12c5131a9"
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == \
+        "2f99a42d8b30f4ff9e3431b5f307116c7d8b575eb994557075ed38b96d9b0e93"

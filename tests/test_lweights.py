@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import pade, reduced, table_lambda
+from oracles import pade, reduced, table_lambda, verify_grid_at
 
 import qloop
 from qloop import lweights
@@ -223,19 +223,89 @@ def test_check_vector_sees_a_root_multiplicity_off_by_one(monkeypatch, shift):
     spec = RepSpec(3, 2, True, qp(2))
     m = (1, 0, 2)
     assert check_vector(spec, m, 6) == []
-    psi_roots = lweights._psi_roots
+    psi_forms = lweights._psi_forms
 
+    # one more (or one fewer) factor (1 - x u) at a root x of Psi_2
     def mutated(i, spec_, m_):
-        e0, roots = psi_roots(i, spec_, m_)
+        e0, pairs, zeff = psi_forms(i, spec_, m_)
         if i == 2:
-            x = min(roots, key=repr)[0]
-            roots = lweights._roots(list(roots) + [(x, shift)])
-        return e0, roots
+            pairs = pairs + [(pairs[0][0], shift)]
+        return e0, pairs, zeff
 
-    monkeypatch.setattr(lweights, "_psi_roots", mutated)
+    monkeypatch.setattr(lweights, "_psi_forms", mutated)
     found = check_vector(spec, m, 6)
     assert [(d["i"], d["status"]) for d in found] == [(2, "psi-mismatch")]
     assert found[0]["expected"] == repr(closed_psi(2, spec, m))
+
+
+def test_affine_forms_refuse_what_is_not_affine():
+    m1, m2 = lweights._Affine.occupations(2)
+    f = 3 - 2 * (m1 - m2) + 1
+    assert (f.c, f.v) == (4, (-2, 2))
+    assert f.at((5, 1)) == -4
+    for op in (lambda: m1 * m2, lambda: m1 >= 2, lambda: m1 == 2, lambda: bool(m1),
+               lambda: max(m1, 0), lambda: m1 // 2, lambda: m1 * QRational.one()):
+        with pytest.raises(TypeError):
+            op()
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_symbolic_closed_series_specializes_to_the_per_m_series(l):
+    order = 5
+    for zs in (ONE, 2 * qp(-2), -qp(3)):
+        for a in range(1, l + 2):
+            for bar in (False, True):
+                spec = RepSpec(l, a, bar, zs)
+                for i in range(1, l + 1):
+                    polys = lweights._poly_series(*lweights._symbolic_forms(i, spec), order)
+                    for m in itertools.product(range(3), repeat=l):
+                        want = lweights._psi_series(*lweights._psi_roots(i, spec, m), order)
+                        got = tuple(lweights._poly_at(p, m) for p in polys)
+                        assert got == want.coeffs, (spec, i, m)
+
+
+def test_series_checks_hold_for_every_m():
+    # the symbolic difference cancels and no e'_{n delta} leaves the diagonal,
+    # so a passing grid is a pass on every basis vector
+    for l in (1, 2, 3, 4):
+        for a in range(1, l + 2):
+            for bar in (False, True):
+                checks = lweights.VectorChecks(RepSpec(l, a, bar, 2 * qp(-2)), 8)
+                assert checks._diff == checks._off == [[]] * l, (l, a, bar)
+
+
+def _perturbed_parts(monkeypatch, shift):
+    # adds shift(m) to the first numerator exponent of every Psi_i
+    psi_parts = lweights._psi_parts
+
+    def mutated(i, l, a, m):
+        e0, num, den = psi_parts(i, l, a, m)
+        return (e0, [num[0] + shift(m)] + num[1:], den) if num else (e0, num, den)
+
+    monkeypatch.setattr(lweights, "_psi_parts", mutated)
+
+
+def test_an_affine_catalog_edit_fails_where_the_per_m_oracle_does(monkeypatch):
+    _perturbed_parts(monkeypatch, lambda m: m[0])
+    zs = 2 * qp(-2)
+    found = 0
+    for bar in (False, True):
+        got = verify_grid(3, 6, m_max=2, bar=bar, zs=zs)
+        assert got == verify_grid_at(3, 6, 2, bar, zs)
+        assert {d["status"] for d in got} == {"psi-mismatch"}
+        found += len(got)
+    assert found == 324
+
+
+def test_a_catalog_edit_that_is_not_affine_raises(monkeypatch):
+    # active only at m_1 >= 2: a grid with mmax 2 sees it per m, and the
+    # affine forms refuse it rather than pass
+    _perturbed_parts(monkeypatch, lambda m: 1 if m[0] >= 2 else 0)
+    assert verify_grid_at(3, 6, 2, False, ONE)
+    with pytest.raises(TypeError):
+        verify_grid(3, 6, m_max=2)
+    with pytest.raises(TypeError):
+        check_vector(RepSpec(3, 2), (0, 0, 0), 6)
 
 
 def test_not_diagonal_carries_context():
