@@ -34,7 +34,6 @@ from .lweights import (
     Weight,
     closed_lambda,
     closed_psi,
-    closed_psi_series,
     factor_check,
     lweight_product,
     oscillator_lweight,
@@ -93,7 +92,6 @@ __all__ = [
     "NotDiagonal",
     "closed_lambda",
     "closed_psi",
-    "closed_psi_series",
     "phi_series",
     "oscillator_lweight",
     "prefundamental",

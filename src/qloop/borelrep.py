@@ -348,11 +348,6 @@ class Evaluator:
         self._e_words = tuple(image_e(i, spec) for i in range(spec.l + 1))
         self._cache = {}
 
-    def qh_exponent(self, x: CartanExponent, m: tuple) -> int:
-        """Integer t with q**x v_m = q**t v_m."""
-        ((_, c),) = self.terms(CartanPower(x), m)
-        return c.as_q_power()
-
     def symbolic(self, expr: OpExpr) -> tuple:
         """expr on v_m with m symbolic, in the form of OscWord.terms; no c is zero."""
         out = self._cache.get(expr)
@@ -414,6 +409,17 @@ def get_evaluator(spec: RepSpec) -> Evaluator:
     return ev
 
 
+def _vanishes_on(spec: RepSpec, expr: OpExpr, samples) -> bool:
+    """expr specializes to no terms on every sample basis vector.  The
+    samples are read once, and none is a ValueError: a check of nothing
+    must not pass."""
+    samples = list(samples)
+    if not samples:
+        raise ValueError("need at least one sample basis vector")
+    ev = get_evaluator(spec)
+    return not any(ev.terms(expr, m) for m in samples)
+
+
 def serre_check(i: int, j: int, spec: RepSpec, samples) -> bool:
     """The q-Serre sum for the pair (i, j) vanishes on sample basis vectors."""
     l = spec.l
@@ -427,14 +433,11 @@ def serre_check(i: int, j: int, spec: RepSpec, samples) -> bool:
             c = -c
         expr = Compose(power(Gen(i), n - k, l), Compose(Gen(j), power(Gen(i), k, l)))
         terms.append(Scale(c, expr))
-    serre = Sum(tuple(terms))
-    ev = get_evaluator(spec)
-    return not any(ev.terms(serre, m) for m in samples)
+    return _vanishes_on(spec, Sum(tuple(terms)), samples)
 
 
 def weight_relation_check(i: int, x: CartanExponent, spec: RepSpec, samples) -> bool:
     """q**x e_i q**(-x) - q**<alpha_i, x> e_i vanishes on sample basis vectors."""
     c = -QRational.q_power(x.pair_root(RootIndex.simple(spec.l, i)))
     diff = Sum((Compose(CartanPower(x), Compose(Gen(i), CartanPower(-x))), Scale(c, Gen(i))))
-    ev = get_evaluator(spec)
-    return not any(ev.terms(diff, m) for m in samples)
+    return _vanishes_on(spec, diff, samples)

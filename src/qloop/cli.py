@@ -289,20 +289,28 @@ def _cmd_dump_op(args) -> int:
         i, n = nums
         if not (1 <= i <= args.l):
             raise ValueError("imaginary root vectors need 1 <= i <= l")
-        expr = builder(args.l, i, n)
+        head = (args.l, i)
         name = f"e_{n}delta,alpha_{i}"
     elif family == "prime" and len(nums) == 2:
         i, n = nums
-        expr = builder(args.l, i, i + 1, n)
+        head = (args.l, i, i + 1)
         name = f"e'_{n}delta,alpha_{i}"
     elif family != "imag" and len(nums) == 3:
         i, j, n = nums
-        expr = builder(args.l, i, j, n)
+        head = (args.l, i, j)
         name = f"{family}:{i},{j},{n}"
     else:
         print(f"wrong arity in root spec {args.root!r}", file=sys.stderr)
         return 2
+    # a level's tree holds the levels below it (an e_{n delta} the e'_{k delta}),
+    # so those are built and evaluated first, as verify does: recursion stays shallow
     ev = get_evaluator(spec)
+    for k in range(n):
+        if family in ("real", "dual"):
+            ev.symbolic(builder(*head, k))
+        elif k:
+            ev.symbolic(e_prime_imag(args.l, i, i + 1, k))
+    expr = builder(*head, n)
     action = []
     for m in itertools.product(range(args.mmax + 1), repeat=args.l):
         out = ev.apply_basis(expr, m)

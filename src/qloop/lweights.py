@@ -22,15 +22,14 @@ exponents are affine in the occupations m: x = zs q**c(m), lambda = e0(m).
 closed_psi multiplies the factors out into a URational for display and JSON;
 no gcd over Q(q)[u] runs.
 
-Symbolic m.  The series checks are decided once per node for every m
-(VectorChecks): _psi_parts is read on affine occupation forms (_Affine), the
-closed Psi_i is expanded as Laurent polynomials in Q = q**m, and the operator
-series, from Evaluator.symbolic with m symbolic too, is subtracted.  The
-difference, empty when the catalog holds, is specialized at each grid vector;
-the weight of v_m and any action off the diagonal are still decided per m.
+Symbolic m.  verify and lweight build their checks once per module with m
+symbolic (VectorChecks): _psi_parts is read on affine occupation forms
+(_Affine), each weight <lambda, h_j> is compared as a form with the exponent
+of q**h_j, and the operator series (_operator_series) is subtracted from the
+closed Psi_i, both as Laurent polynomials in Q = q**m.  What differs, nothing
+when the catalog holds, is specialized at each grid vector.  phi_series is
+the operator series at one m; it and closed_psi fill a failed check's entry.
 The factorization checks read the catalog at integer m (oscillator_lweight).
-phi_series and closed_psi_series are the two series at one m; phi_series
-and closed_psi fill the entry of a failed check.
 
 Twist conventions.  The spectral twist enters every eigenvalue through the
 single combination zs = zeta**s, kept as one exact scalar: a twisted series
@@ -51,7 +50,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .borelrep import CartanPower, RepSpec, _dot, _vadd, get_evaluator
+from .borelrep import CartanPower, Evaluator, RepSpec, _dot, _vadd, get_evaluator
 from .exactfield import QRational, URational, USeries, kappa, qrational_to_json
 from .rootsys import CartanExponent, o_sign
 from .rootvectors import e_prime_imag
@@ -282,9 +281,10 @@ def _poly_series(e0: _Affine, pairs, zeff: QRational, order: int) -> list:
 
     One Laurent polynomial {v: c} in Q = q**m per power of u, as in
     Evaluator.symbolic: q**e0 is q**e0.c Q**e0.v and a root is
-    zeff q**c.c Q**c.v.  As in _psi_series, each factor multiplies (k = 1) or
-    divides (k = -1) in place, the products first.  Specializing at m gives
-    _psi_series at m: Q -> q**m is a ring homomorphism.
+    zeff q**c.c Q**c.v.  Each factor multiplies (k = 1) or divides (k = -1)
+    in place on the truncated list, the products first, while the list is
+    still a short polynomial.  Specializing at m gives
+    closed_psi(i, spec, m).expand(order): Q -> q**m is a ring homomorphism.
     """
     c = [{e0.v: QRational.q_power(e0.c)}] + [{} for _ in range(order)]
     for x, k in sorted(pairs, key=lambda p: -p[1]):
@@ -348,35 +348,6 @@ def _psi_urational(e0: int, roots) -> URational:
     return URational(tuple(c0 * x for x in _roots_poly(num)), _roots_poly(den))
 
 
-def closed_psi_series(i: int, spec: RepSpec, m, order: int) -> USeries:
-    """The closed Psi_i on v_m expanded to the given order, from its factors.
-
-    Equal to closed_psi(i, spec, m).expand(order).
-    """
-    return _psi_series(*_psi_roots(i, spec, m), order)
-
-
-def _psi_series(e0: int, roots, order: int) -> USeries:
-    """q**e0 prod (1 - x u)**k over (x, k) in roots, expanded to the given order.
-
-    Starting from q**e0, each root multiplies by (1 - x u) k times or divides
-    by it -k times, in place on the truncated coefficient list.  The products
-    come first, while the list is still a short polynomial.
-    """
-    c = [QRational.q_power(e0)] + [_ZERO] * order
-    for x, k in sorted(roots, key=_root_key):
-        for _ in range(abs(k)):
-            if k > 0:
-                for n in range(order, 0, -1):
-                    if c[n - 1]:
-                        c[n] = c[n] - x * c[n - 1]
-            else:
-                for n in range(1, order + 1):
-                    if c[n - 1]:
-                        c[n] = c[n] + x * c[n - 1]
-    return USeries(order, c)
-
-
 def closed_lambda(spec: RepSpec, m) -> Weight:
     """The weight of v_m, read off the constant terms Psi_i(0) = q**<lambda, h_i>
     of oscillator_lweight, whose mirror law gives the mirrored weight too."""
@@ -388,12 +359,44 @@ def _phi_sign(i: int, l: int, n: int) -> int:
     return (-1) ** (n + 1) * o_sign(i, l) ** n
 
 
+def _operator_series(ev: Evaluator, spec: RepSpec, i: int, order: int) -> tuple:
+    """phi_i(u) = q**h_i (1 - kappa e'_{delta, alpha_i}(-o_i zs u)) on v_m, m
+    symbolic, through u**order: (series, off), one Laurent polynomial {v: c}
+    in Q = q**m per power of u for the action back onto v_m, and the n whose
+    e'_{n delta, alpha_i} also has a term with a nonzero shift."""
+    l = spec.l
+    (((_, vh), ch),) = ev.symbolic(CartanPower(CartanExponent.h(l, i)))
+    series = [{vh: ch}]
+    off = []
+    scale = kappa() * ch
+    for n in range(1, order + 1):
+        scale = scale * spec.zs
+        terms = ev.symbolic(e_prime_imag(l, i, i + 1, n))
+        if any(any(s) for (s, _), _ in terms):
+            off.append(n)
+        c = scale if _phi_sign(i, l, n) > 0 else -scale
+        poly = {}
+        for (s, v), x in terms:
+            if not any(s):
+                _add_term(poly, _vadd(v, vh), c * x)
+        series.append(poly)
+    return series, off
+
+
+def _check_diagonal(ev: Evaluator, spec: RepSpec, i: int, off, m: tuple) -> None:
+    """NotDiagonal at the first e'_{n delta, alpha_i}, n in off, with a term off v_m."""
+    for n in off:
+        pairs = [p for p in ev.terms(e_prime_imag(spec.l, i, i + 1, n), m) if p[0] != m]
+        if pairs:
+            raise NotDiagonal(spec, i, n, m, pairs)
+
+
 def phi_series(i: int, spec: RepSpec, m, order: int) -> USeries:
     """Eigenvalue series of phi_i(u) on v_m, computed by operator action.
 
     The u**n coefficient comes from applying the imaginary root vector
-    e'_{n delta, alpha_i}; NotDiagonal is raised if that action fails to be
-    diagonal on v_m.  The spectral twist rescales u at the very end.
+    e'_{n delta, alpha_i}: node i's _operator_series, specialized at m.
+    NotDiagonal is raised if that action fails to be diagonal on v_m.
     """
     l = spec.l
     mt = _check_m(l, m)
@@ -402,21 +405,9 @@ def phi_series(i: int, spec: RepSpec, m, order: int) -> USeries:
     if order < 0:
         raise ValueError("order must be >= 0")
     ev = get_evaluator(spec)
-    c0 = QRational.q_power(ev.qh_exponent(CartanExponent.h(l, i), mt))
-    kc0 = kappa() * c0
-    coeffs = [c0]
-    for n in range(1, order + 1):
-        pairs = ev.terms(e_prime_imag(l, i, i + 1, n), mt)
-        off = [p for p in pairs if p[0] != mt]
-        if off:
-            raise NotDiagonal(spec, i, n, mt, off)
-        s = pairs[0][1] if pairs else _ZERO
-        c = kc0 * s
-        coeffs.append(c if _phi_sign(i, l, n) > 0 else -c)
-    series = USeries(order, coeffs)
-    if spec.zs != _ONE:
-        series = series.scale_var(spec.zs)
-    return series
+    series, off = _operator_series(ev, spec, i, order)
+    _check_diagonal(ev, spec, i, off, mt)
+    return USeries(order, [_poly_at(poly, mt) for poly in series])
 
 
 @dataclass(frozen=True)
@@ -584,16 +575,15 @@ class VectorChecks:
     """The checks of every basis vector v_m of one representation through an
     order, built once with m symbolic.
 
-    Per node i, the series check is one difference of Laurent polynomials in
-    Q = q**m, one per power of u: the closed Psi_i, read on affine occupation
-    forms and expanded by _poly_series, minus the operator series
-    q**h_i (1 - kappa e'_{delta, alpha_i}(-o_i zs u)), whose q**h_i and
-    e'_{n delta, alpha_i} come from Evaluator.symbolic.  When the catalog
-    holds, the difference cancels to nothing, once for every m.  check(m)
-    specializes it at v_m, which is exact (see borelrep), and decides there
-    the weight of v_m and, for each e'_{n delta} with a term off the
-    diagonal, the diagonal action.  phi_series and closed_psi only show a
-    failure.
+    The weight is decided once per module: each <lambda, h_j>, j = 0 .. l,
+    on affine occupation forms against the exponent of q**h_j, an affine form
+    from Evaluator.symbolic.  Per node i, the series check is one difference
+    of Laurent polynomials in Q = q**m, one per power of u: the closed Psi_i
+    (_poly_series) minus the operator series (_operator_series).  When the
+    catalog holds, no weight form differs and the difference cancels, once
+    for every m.  check(m) specializes what is left at v_m, which is exact
+    (see borelrep), and applies only the e'_{n delta} with a term off the
+    diagonal.  phi_series is the operator series at one m.
     """
 
     def __init__(self, spec: RepSpec, order: int):
@@ -603,27 +593,24 @@ class VectorChecks:
         self.order = order
         self._ev = ev
         self._forms = [_symbolic_forms(i, spec) for i in range(1, l + 1)]
-        # per node, the nonzero powers of u of the difference and the
-        # e'_{n delta} with a term off the diagonal, in increasing n
-        self._diff = []
-        self._off = []
-        zero = (0,) * l
-        for i, (e0, pairs, zeff) in enumerate(self._forms, start=1):
-            diff = _poly_series(e0, pairs, zeff, order)
-            (((_, vh), ch),) = ev.symbolic(CartanPower(CartanExponent.h(l, i)))
-            _add_term(diff[0], vh, -ch)
-            off = []
-            scale = kappa() * ch
-            for n in range(1, order + 1):
-                scale = scale * spec.zs
-                expr = e_prime_imag(l, i, i + 1, n)
-                terms = ev.symbolic(expr)
-                if any(s != zero for (s, _), _ in terms):
-                    off.append(expr)
-                c = -scale if _phi_sign(i, l, n) > 0 else scale
-                for (s, v), x in terms:
-                    if s == zero:
-                        _add_term(diff[n], _vadd(v, vh), c * x)
+        # (j, <lambda, h_j>, exponent of q**h_j) where the forms differ;
+        # <lambda, h_0> is minus the sum of the others
+        e0s = [e0 for e0, _, _ in self._forms]
+        self._weights = []
+        for j, want in enumerate([-sum(e0s, _Affine(0, (0,) * l))] + e0s):
+            (((_, v), c),) = ev.symbolic(CartanPower(CartanExponent.h(l, j)))
+            got = _Affine(c.as_q_power(), v)
+            if (got.c, got.v) != (want.c, want.v):
+                self._weights.append((j, want, got))
+        # per node, the nonzero powers of u of closed minus operator series
+        # and the n of each e'_{n delta} with a term off the diagonal
+        self._diff, self._off = [], []
+        for i, forms in enumerate(self._forms, start=1):
+            series, off = _operator_series(ev, spec, i, order)
+            diff = _poly_series(*forms, order)
+            for poly, op in zip(diff, series):
+                for v, c in op.items():
+                    _add_term(poly, v, -c)
             self._diff.append([poly for poly in diff if poly])
             self._off.append(off)
 
@@ -637,28 +624,26 @@ class VectorChecks:
     def check(self, m) -> list:
         """Discrepancies of v_m: its weight, then per node the diagonal action
         and the series; empty means pass."""
-        spec, ev, l = self.spec, self._ev, self.spec.l
-        mt = _check_m(l, m)
-        lam = Weight(l, tuple(e0.at(mt) for e0, _, _ in self._forms))
+        spec = self.spec
+        mt = _check_m(spec.l, m)
         found = []
-        for j in range(l + 1):
-            t = ev.qh_exponent(CartanExponent.h(l, j), mt)
-            if t != lam.pair_h(j):
+        for j, want, got in self._weights:
+            e, t = want.at(mt), got.at(mt)
+            if t != e:
                 found.append(discrepancy(spec.a, spec.bar, j, mt, "weight-mismatch",
-                                         f"q^{lam.pair_h(j)}", f"q^{t}"))
-        for i, (diff, off_exprs) in enumerate(zip(self._diff, self._off), start=1):
-            for expr in off_exprs:
-                off = [p for p in ev.terms(expr, mt) if p[0] != mt]
-                if off:
-                    shown = [[list(t), qrational_to_json(c)] for t, c in sorted(off, key=lambda p: p[0])]
-                    found.append(discrepancy(spec.a, spec.bar, i, mt, "not-diagonal",
-                                             repr(closed_psi(i, spec, mt)), shown))
-                    break
-            else:
-                if any(_poly_at(poly, mt) for poly in diff):
-                    found.append(discrepancy(spec.a, spec.bar, i, mt, "psi-mismatch",
-                                             repr(closed_psi(i, spec, mt)),
-                                             repr(phi_series(i, spec, mt, self.order))))
+                                         f"q^{e}", f"q^{t}"))
+        for i, (diff, off) in enumerate(zip(self._diff, self._off), start=1):
+            try:
+                _check_diagonal(self._ev, spec, i, off, mt)
+            except NotDiagonal as exc:
+                shown = [[list(t), qrational_to_json(c)] for t, c in sorted(exc.off, key=lambda p: p[0])]
+                found.append(discrepancy(spec.a, spec.bar, i, mt, "not-diagonal",
+                                         repr(closed_psi(i, spec, mt)), shown))
+                continue
+            if any(_poly_at(poly, mt) for poly in diff):
+                found.append(discrepancy(spec.a, spec.bar, i, mt, "psi-mismatch",
+                                         repr(closed_psi(i, spec, mt)),
+                                         repr(phi_series(i, spec, mt, self.order))))
         return found
 
 
@@ -675,11 +660,15 @@ def verify_grid(l: int, order: int, m_max: int = 1, bar: bool = False,
 
     Runs over every a (or the given a_values), builds each VectorChecks once,
     and specializes it at every occupation vector with entries up to m_max.
-    Returns a list of discrepancy entries; empty means pass.
+    Returns a list of discrepancy entries; empty means pass.  A grid without
+    a module or an occupation vector is a ValueError, not a pass.
     """
+    if m_max < 0:
+        raise ValueError("need m_max >= 0")
+    a_values = range(1, l + 2) if a_values is None else tuple(a_values)
+    if not a_values:
+        raise ValueError("need at least one module index")
     found = []
-    if a_values is None:
-        a_values = range(1, l + 2)
     for a in a_values:
         checks = VectorChecks(RepSpec(l, a, bar, zs), order)
         for m in itertools.product(range(m_max + 1), repeat=l):

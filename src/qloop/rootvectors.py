@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exactfield import QRational, kappa, qnum
-from .borelrep import CartanPower, Compose, Gen, OpExpr, RepSpec, Scale, Sum, get_evaluator
+from .borelrep import CartanPower, Compose, Gen, OpExpr, RepSpec, Scale, Sum, _vanishes_on
 from .rootsys import CartanExponent, RootIndex, bilinear, finite_cartan_entry, o_sign
 
 
@@ -175,8 +175,7 @@ def _chi_bracket(i: int, j: int, n: int, m: int, spec: RepSpec, samples, xi, sig
     c = qnum(n * finite_cartan_entry(l, i, j)) / QRational.from_int(n)
     diff = Sum((Compose(x, y), Scale(QRational.from_int(-1), Compose(y, x)),
                 Scale(-c if sign > 0 else c, xi(l, j, n + m))))
-    ev = get_evaluator(spec)
-    return not any(ev.terms(diff, s) for s in samples)
+    return _vanishes_on(spec, diff, samples)
 
 
 def drinfeld_check(i: int, j: int, n: int, m: int, spec: RepSpec, samples) -> bool:

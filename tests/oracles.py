@@ -12,9 +12,12 @@
   scalar layer from outside the field.
 - The weight table: lambda_{m, a} typed in per module, where qloop reads it
   off Psi_i(0) (lweights.closed_lambda).
-- The series checks decided at one m at a time: per basis vector, the closed
-  l-weight at that m against phi_series, where qloop builds each check once
-  with m symbolic and specializes the difference (lweights.VectorChecks).
+- The checks decided at one m at a time: per basis vector, the exponent of
+  every q**h_j (qh_exponent) against the closed weight at that m, and the
+  operator series built from e'_{n delta} applied to v_m (phi_series_at)
+  against the closed Psi_i multiplied out and expanded, where qloop builds
+  each check once with m symbolic and specializes what differs
+  (lweights.VectorChecks, lweights.phi_series).
 - Algebra in u that qloop does not need: the formal logarithm, the gcd over
   Q(q)[u] (reduced) and Pade reconstruction.
 """
@@ -287,34 +290,61 @@ def table_lambda(spec: RepSpec, m: tuple) -> Weight:
 # ------------------------------------------------------ per-m series checks
 
 
+def qh_exponent(ev, x: CartanExponent, m: tuple) -> int:
+    """Integer t with q**x v_m = q**t v_m."""
+    ((_, c),) = ev.terms(CartanPower(x), m)
+    return c.as_q_power()
+
+
+def phi_series_at(i: int, spec: RepSpec, m: tuple, order: int) -> USeries:
+    """The eigenvalue series of phi_i(u) on v_m, each e'_{n delta, alpha_i}
+    applied to v_m itself; NotDiagonal as lweights.phi_series raises it."""
+    l = spec.l
+    ev = get_evaluator(spec)
+    c0 = QRational.q_power(qh_exponent(ev, CartanExponent.h(l, i), m))
+    kc0 = kappa() * c0
+    coeffs = [c0]
+    for n in range(1, order + 1):
+        pairs = ev.terms(lweights.e_prime_imag(l, i, i + 1, n), m)
+        off = [p for p in pairs if p[0] != m]
+        if off:
+            raise NotDiagonal(spec, i, n, m, off)
+        s = pairs[0][1] if pairs else _ZERO
+        c = kc0 * s
+        coeffs.append(c if lweights._phi_sign(i, l, n) > 0 else -c)
+    series = USeries(order, coeffs)
+    if spec.zs != QRational.one():
+        series = series.scale_var(spec.zs)
+    return series
+
+
 def check_vector_at(spec: RepSpec, m: tuple, order: int) -> list:
     """The discrepancies of v_m, decided at that m alone.
 
     Reads the closed l-weight of v_m, compares every q**h_j exponent with
-    its weight and every phi_i series with its Psi_i expanded from the
-    factored form; the entries are those of lweights.check_vector.
+    its weight and every phi_i series with its closed Psi_i expanded; the
+    entries are those of lweights.check_vector.
     """
     l = spec.l
     ev = get_evaluator(spec)
-    closed = lweights.oscillator_lweight(spec, m)
-    lam = closed.weight
+    lam = lweights.closed_lambda(spec, m)
     found = []
     for j in range(l + 1):
-        t = ev.qh_exponent(CartanExponent.h(l, j), m)
+        t = qh_exponent(ev, CartanExponent.h(l, j), m)
         if t != lam.pair_h(j):
             found.append(discrepancy(spec.a, spec.bar, j, m, "weight-mismatch",
                                      f"q^{lam.pair_h(j)}", f"q^{t}"))
     for i in range(1, l + 1):
+        closed = lweights.closed_psi(i, spec, m)
         try:
-            series = lweights.phi_series(i, spec, m, order)
+            series = phi_series_at(i, spec, m, order)
         except NotDiagonal as exc:
             off = [[list(t), qrational_to_json(c)] for t, c in sorted(exc.off, key=lambda p: p[0])]
-            found.append(discrepancy(spec.a, spec.bar, i, m, "not-diagonal",
-                                     repr(lweights.closed_psi(i, spec, m)), off))
+            found.append(discrepancy(spec.a, spec.bar, i, m, "not-diagonal", repr(closed), off))
             continue
-        if lweights._psi_series(lam.pair_h(i), closed.roots[i - 1], order) != series:
+        if closed.expand(order) != series:
             found.append(discrepancy(spec.a, spec.bar, i, m, "psi-mismatch",
-                                     repr(lweights.closed_psi(i, spec, m)), repr(series)))
+                                     repr(closed), repr(series)))
     return found
 
 

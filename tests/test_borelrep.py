@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import apply_at, apply_word, specialize, twist_consistency
+from oracles import apply_at, apply_word, qh_exponent, specialize, twist_consistency
 from qloop import borelrep
 from qloop.borelrep import (CartanPower, Compose, Evaluator, Gen, OscWord, RepSpec,
                             Scale, Sum, get_evaluator, identity, image_e, image_qh,
@@ -397,8 +397,8 @@ def test_qh_exponent_is_additive():
     x = CartanExponent.h(3, 0)
     y = CartanExponent.h(3, 2)
     for m in ((0, 0, 0), (1, 2, 0), (2, 1, 1)):
-        assert ev.qh_exponent(x + y, m) == ev.qh_exponent(x, m) + ev.qh_exponent(y, m)
-        assert ev.qh_exponent(-x, m) == -ev.qh_exponent(x, m)
+        assert qh_exponent(ev, x + y, m) == qh_exponent(ev, x, m) + qh_exponent(ev, y, m)
+        assert qh_exponent(ev, -x, m) == -qh_exponent(ev, x, m)
 
 
 def test_one_shot_apply_helper():
@@ -462,3 +462,17 @@ def test_weight_relation_check_refuses_a_wrong_weight(l, monkeypatch):
     pair_root = CartanExponent.pair_root
     monkeypatch.setattr(CartanExponent, "pair_root", lambda self, r: pair_root(self, r) + 1)
     assert not weight_relation_check(1, x, spec, samples)
+
+
+def test_relation_checks_refuse_no_samples():
+    # a check of no basis vector examines nothing, so it must not pass
+    spec = RepSpec(2, 1)
+    x = CartanExponent.h(2, 1)
+    for samples in ([], iter(())):
+        with pytest.raises(ValueError):
+            serre_check(0, 1, spec, samples)
+        with pytest.raises(ValueError):
+            weight_relation_check(1, x, spec, samples)
+    # samples may be a generator, read once for every basis vector
+    gen = (m for m in itertools.product(range(2), repeat=2))
+    assert weight_relation_check(1, x, spec, gen)

@@ -377,6 +377,17 @@ def test_dump_op_imag_takes_two_numbers(capsys):
     assert "wrong arity" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [["--l", "1", "--a", "1", "--root", "real:1,2,300"],
+                                  ["--l", "2", "--a", "2", "--root", "dual:1,2,300"],
+                                  ["--l", "2", "--a", "1", "--root", "prime:1,300"]],
+                         ids=["real", "dual", "prime"])
+def test_dump_op_reaches_deep_levels(capsys, argv):
+    # a level-n tree nests n levels; evaluated from the bottom up, it needs
+    # no deeper recursion than one level
+    assert cli.main(["dump-op", *argv, "--mmax", "0", "--json"]) == 0
+    assert _json_line(capsys.readouterr().out)["action"][0]["m"] == [0] * int(argv[1])
+
+
 # sha256 of stdout and of the --output report, recorded before the evaluator
 # memo moved from FockStates to term tuples; output must stay byte-stable
 _GOLDEN = [

@@ -10,14 +10,15 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import pade, reduced, table_lambda, verify_grid_at
+from oracles import (check_vector_at, pade, phi_series_at, qh_exponent, reduced, table_lambda,
+                     verify_grid_at)
 
 import qloop
 from qloop import lweights
-from qloop.borelrep import Gen, RepSpec, Sum, get_evaluator
+from qloop.borelrep import Evaluator, Gen, RepSpec, Sum, get_evaluator
 from qloop.exactfield import QRational, URational, USeries, qrational_to_json, series_invert
 from qloop.lweights import (LWeight, NotDiagonal, Weight, check_vector,
-                            closed_lambda, closed_psi, closed_psi_series,
+                            closed_lambda, closed_psi,
                             factor_check, lweight_product,
                             oscillator_lweight, phi_series, prefundamental,
                             shift_weight, verify_grid, xi_osc)
@@ -136,19 +137,6 @@ def test_constant_term_law_links_the_two_catalogs():
                         assert closed_psi(i, spec, m).constant_term() == qp(lam.pair_h(i))
 
 
-@pytest.mark.parametrize("l", [2, 3])
-def test_factored_expansion_is_the_expanded_closed_form(l):
-    order = 6
-    for zs in (ONE, -2 * qp(-3), qp(2)):
-        for a in range(1, l + 2):
-            for bar in (False, True):
-                spec = RepSpec(l, a, bar, zs)
-                for m in itertools.product(range(3), repeat=l):
-                    for i in range(1, l + 1):
-                        want = closed_psi(i, spec, m).expand(order)
-                        assert closed_psi_series(i, spec, m, order) == want, (spec, m, i)
-
-
 def test_scalar_work_repeats_between_interpreters():
     # the closed side multiplies its roots in a canonical order, not in the
     # address order of a frozenset, so two runs intern the same scalars
@@ -185,6 +173,46 @@ def test_verify_grid_restricted_to_one_module():
     assert out == []
 
 
+def test_verify_grid_refuses_an_empty_grid():
+    # no occupation vector or no module would check nothing and pass
+    with pytest.raises(ValueError):
+        verify_grid(2, 4, m_max=-1)
+    with pytest.raises(ValueError):
+        verify_grid(2, 4, a_values=())
+    with pytest.raises(ValueError):
+        verify_grid(2, 4, a_values=(a for a in ()))
+    assert verify_grid(2, 3, m_max=0, a_values=(a for a in (1, 3))) == []
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_phi_series_is_the_per_m_oracle(l):
+    # the symbolic operator series specialized at m is the series built from
+    # e'_{n delta} applied to v_m
+    for zs in (ONE, 2 * qp(-2), -qp(3)):
+        for a in range(1, l + 2):
+            for bar in (False, True):
+                spec = RepSpec(l, a, bar, zs)
+                for m in itertools.product(range(3), repeat=l):
+                    for i in range(1, l + 1):
+                        assert phi_series(i, spec, m, 5) == phi_series_at(i, spec, m, 5), \
+                            (spec, m, i)
+
+
+def test_built_checks_call_no_evaluator(monkeypatch):
+    # once built, a passing check specializes the symbolic results it holds
+    built = [lweights.VectorChecks(RepSpec(l, a, bar, 2 * qp(-2)), 6)
+             for l in (1, 2, 3) for a in range(1, l + 2) for bar in (False, True)]
+
+    def refuse(*args):
+        raise AssertionError("evaluator called after construction")
+
+    monkeypatch.setattr(Evaluator, "terms", refuse)
+    monkeypatch.setattr(Evaluator, "symbolic", refuse)
+    for checks in built:
+        for m in itertools.product(range(3), repeat=checks.spec.l):
+            assert checks.check(m) == []
+
+
 @pytest.mark.parametrize("l,first,twisted", [
     (5, True, False), (5, False, False), (6, True, False), (6, False, False), (6, True, True),
 ])
@@ -206,7 +234,7 @@ def test_weight_exponents_match_on_the_operator_side():
                 for m in itertools.product(range(2), repeat=l):
                     lam = closed_lambda(spec, m)
                     for j in range(l + 1):
-                        t = ev.qh_exponent(CartanExponent.h(l, j), m)
+                        t = qh_exponent(ev, CartanExponent.h(l, j), m)
                         assert t == lam.pair_h(j), (l, a, bar, m, j)
 
 
@@ -251,15 +279,17 @@ def test_affine_forms_refuse_what_is_not_affine():
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4])
 def test_symbolic_closed_series_specializes_to_the_per_m_series(l):
+    # the factored form expanded with m symbolic, then specialized, is the
+    # closed form multiplied out and then expanded
     order = 5
-    for zs in (ONE, 2 * qp(-2), -qp(3)):
+    for zs in (ONE, 2 * qp(-2), -qp(3), -2 * qp(-3)):
         for a in range(1, l + 2):
             for bar in (False, True):
                 spec = RepSpec(l, a, bar, zs)
                 for i in range(1, l + 1):
                     polys = lweights._poly_series(*lweights._symbolic_forms(i, spec), order)
                     for m in itertools.product(range(3), repeat=l):
-                        want = lweights._psi_series(*lweights._psi_roots(i, spec, m), order)
+                        want = closed_psi(i, spec, m).expand(order)
                         got = tuple(lweights._poly_at(p, m) for p in polys)
                         assert got == want.coeffs, (spec, i, m)
 
@@ -271,30 +301,40 @@ def test_series_checks_hold_for_every_m():
         for a in range(1, l + 2):
             for bar in (False, True):
                 checks = lweights.VectorChecks(RepSpec(l, a, bar, 2 * qp(-2)), 8)
+                assert checks._weights == [], (l, a, bar)
                 assert checks._diff == checks._off == [[]] * l, (l, a, bar)
 
 
-def _perturbed_parts(monkeypatch, shift):
-    # adds shift(m) to the first numerator exponent of every Psi_i
+def _perturbed_parts(monkeypatch, shift, where="num"):
+    # adds shift(m) to the first numerator exponent of every Psi_i, or to
+    # its prefactor exponent e0, which moves the weight as well
     psi_parts = lweights._psi_parts
 
     def mutated(i, l, a, m):
         e0, num, den = psi_parts(i, l, a, m)
+        if where == "e0":
+            return e0 + shift(m), num, den
         return (e0, [num[0] + shift(m)] + num[1:], den) if num else (e0, num, den)
 
     monkeypatch.setattr(lweights, "_psi_parts", mutated)
 
 
 def test_an_affine_catalog_edit_fails_where_the_per_m_oracle_does(monkeypatch):
-    _perturbed_parts(monkeypatch, lambda m: m[0])
+    # an e0 edit fails the l + 1 weights and the l series of each vector
+    # where it is nonzero: 7 entries on 144 and on 216 of the 216 vectors
     zs = 2 * qp(-2)
-    found = 0
-    for bar in (False, True):
-        got = verify_grid(3, 6, m_max=2, bar=bar, zs=zs)
-        assert got == verify_grid_at(3, 6, 2, bar, zs)
-        assert {d["status"] for d in got} == {"psi-mismatch"}
-        found += len(got)
-    assert found == 324
+    for shift, where, want in ((lambda m: m[0], "num", 324), (lambda m: m[0], "e0", 1008),
+                               (lambda m: 1, "e0", 1512)):
+        with monkeypatch.context() as mp:
+            _perturbed_parts(mp, shift, where)
+            found = []
+            for bar in (False, True):
+                got = verify_grid(3, 6, m_max=2, bar=bar, zs=zs)
+                assert got == verify_grid_at(3, 6, 2, bar, zs)
+                found += got
+        statuses = {"psi-mismatch"} | ({"weight-mismatch"} if where == "e0" else set())
+        assert {d["status"] for d in found} == statuses
+        assert len(found) == want, (where, len(found))
 
 
 def test_a_catalog_edit_that_is_not_affine_raises(monkeypatch):
@@ -329,6 +369,7 @@ def test_not_diagonal_entry_lists_the_off_diagonal_terms(monkeypatch, op):
     assert info.value.n == 1 and dict(info.value.off) == dict(pairs)
     found = check_vector(spec, m, 3)
     assert [(d["i"], d["status"]) for d in found] == [(1, "not-diagonal"), (2, "not-diagonal")]
+    assert found == check_vector_at(spec, m, 3)
     want = [[list(t), qrational_to_json(c)] for t, c in sorted(pairs, key=lambda p: p[0])]
     assert all(d["computed"] == want for d in found)
 

@@ -311,6 +311,18 @@ def test_repeated_drinfeld_check_adds_no_memo_entries():
     assert len(ev._cache) == entries
 
 
+def test_loop_relation_checks_refuse_no_samples():
+    # a check of no basis vector examines nothing, so it must not pass
+    spec = RepSpec(2, 1)
+    for samples in ([], iter(())):
+        with pytest.raises(ValueError):
+            drinfeld_check(1, 1, 1, 0, spec, samples)
+        with pytest.raises(ValueError):
+            drinfeld_check_minus(1, 1, 1, 1, spec, samples)
+    # samples may be a generator, read once for every basis vector
+    assert drinfeld_check(1, 2, 1, 1, spec, iter(grid(2, 1)))
+
+
 def test_raising_family_kills_the_highest_vector():
     # xi+_{i,n} annihilates the occupation-zero vector in every module
     for l in (1, 2, 3):
