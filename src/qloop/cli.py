@@ -24,7 +24,8 @@ import sys
 
 from .borelrep import RepSpec, get_evaluator, image_e, image_qh, serre_check
 from .exactfield import QRational, qrational_to_json, urational_to_json
-from .lweights import VectorChecks, discrepancy, factor_check, verify_grid
+from .lweights import (VectorChecks, discrepancy, factor_check, oscillator_lweight,
+                       verify_grid)
 from .rootsys import CartanExponent
 from .rootvectors import (drinfeld_check, drinfeld_check_minus, e_dual,
                           e_prime_imag, e_real, e_unprimed_imag)
@@ -150,11 +151,10 @@ def _cmd_lweight(args) -> int:
     zs = parse_zs(args.zs)
     spec = RepSpec(args.l, args.a, args.bar, zs)
     m = _parse_m(args.m, args.l)
-    checks = VectorChecks(spec, args.order)
-    lw = checks.lweight(m)
+    lw = oscillator_lweight(spec, m)
     lam = lw.weight
     psi = [lw.psi(i) for i in range(1, args.l + 1)]
-    found = checks.check(m)
+    found = VectorChecks(spec, args.order).check(m)
     lines = [f"weight: {' '.join(f'omega_{k+1}:{c}' for k, c in enumerate(lam.omega))}"]
     for i, f in enumerate(psi, start=1):
         lines.append(f"Psi_{i}(u) = {f!r}")
@@ -302,14 +302,11 @@ def _cmd_dump_op(args) -> int:
     else:
         print(f"wrong arity in root spec {args.root!r}", file=sys.stderr)
         return 2
-    # a level's tree holds the levels below it (an e_{n delta} the e'_{k delta}),
-    # so those are built and evaluated first, as verify does: recursion stays shallow
+    # every family's tree holds its lower levels, so those are evaluated
+    # first, from the lowest up, as verify does: recursion stays shallow
     ev = get_evaluator(spec)
-    for k in range(n):
-        if family in ("real", "dual"):
-            ev.symbolic(builder(*head, k))
-        elif k:
-            ev.symbolic(e_prime_imag(args.l, i, i + 1, k))
+    for k in range(0 if family in ("real", "dual") else 1, n):
+        ev.symbolic(builder(*head, k))
     expr = builder(*head, n)
     action = []
     for m in itertools.product(range(args.mmax + 1), repeat=args.l):

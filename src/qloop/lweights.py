@@ -29,7 +29,8 @@ of q**h_j, and the operator series (_operator_series) is subtracted from the
 closed Psi_i, both as Laurent polynomials in Q = q**m.  What differs, nothing
 when the catalog holds, is specialized at each grid vector.  phi_series is
 the operator series at one m; it and closed_psi fill a failed check's entry.
-The factorization checks read the catalog at integer m (oscillator_lweight).
+The printed l-weight of lweight and the factorization checks read the
+catalog at integer m (oscillator_lweight).
 
 Twist conventions.  The spectral twist enters every eigenvalue through the
 single combination zs = zeta**s, kept as one exact scalar: a twisted series
@@ -254,18 +255,14 @@ def _psi_forms(i: int, spec: RepSpec, m) -> tuple:
     return e0, [(c, 1) for c in num] + [(c, -1) for c in den], zeff
 
 
-def _factored(e0: int, pairs, zeff: QRational) -> tuple:
-    """(e0, roots) from integer catalog exponents: the roots q**c zeff, common ones cancelled."""
-    return e0, _roots((QRational.q_power(c) * zeff, k) for c, k in pairs)
-
-
 def _psi_roots(i: int, spec: RepSpec, m) -> tuple:
     """The closed Psi_i on v_m in factored form.
 
     Returns (e0, roots) with Psi_i(u) = q**e0 prod (1 - x u)**k over (x, k) in
     roots: the factors of _psi_parts, common ones cancelled.
     """
-    return _factored(*_psi_forms(i, spec, _check_m(spec.l, m)))
+    e0, pairs, zeff = _psi_forms(i, spec, _check_m(spec.l, m))
+    return e0, _roots((QRational.q_power(c) * zeff, k) for c, k in pairs)
 
 
 def _symbolic_forms(i: int, spec: RepSpec) -> tuple:
@@ -592,10 +589,10 @@ class VectorChecks:
         self.spec = spec
         self.order = order
         self._ev = ev
-        self._forms = [_symbolic_forms(i, spec) for i in range(1, l + 1)]
+        forms = [_symbolic_forms(i, spec) for i in range(1, l + 1)]
         # (j, <lambda, h_j>, exponent of q**h_j) where the forms differ;
         # <lambda, h_0> is minus the sum of the others
-        e0s = [e0 for e0, _, _ in self._forms]
+        e0s = [e0 for e0, _, _ in forms]
         self._weights = []
         for j, want in enumerate([-sum(e0s, _Affine(0, (0,) * l))] + e0s):
             (((_, v), c),) = ev.symbolic(CartanPower(CartanExponent.h(l, j)))
@@ -605,21 +602,14 @@ class VectorChecks:
         # per node, the nonzero powers of u of closed minus operator series
         # and the n of each e'_{n delta} with a term off the diagonal
         self._diff, self._off = [], []
-        for i, forms in enumerate(self._forms, start=1):
+        for i, form in enumerate(forms, start=1):
             series, off = _operator_series(ev, spec, i, order)
-            diff = _poly_series(*forms, order)
+            diff = _poly_series(*form, order)
             for poly, op in zip(diff, series):
                 for v, c in op.items():
                     _add_term(poly, v, -c)
             self._diff.append([poly for poly in diff if poly])
             self._off.append(off)
-
-    def lweight(self, m) -> LWeight:
-        """The closed l-weight of v_m, specialized from the forms the checks read."""
-        mt = _check_m(self.spec.l, m)
-        e0s, roots = zip(*(_factored(e0.at(mt), [(c.at(mt), k) for c, k in pairs], zeff)
-                           for e0, pairs, zeff in self._forms))
-        return LWeight(Weight(self.spec.l, e0s), roots)
 
     def check(self, m) -> list:
         """Discrepancies of v_m: its weight, then per node the diagonal action
@@ -645,13 +635,6 @@ class VectorChecks:
                                          repr(closed_psi(i, spec, mt)),
                                          repr(phi_series(i, spec, mt, self.order))))
         return found
-
-
-def check_vector(spec: RepSpec, m: tuple, order: int) -> list:
-    """Discrepancies of one basis vector v_m against the closed forms, through
-    the given order: VectorChecks(spec, order).check(m).  Returns a list of
-    discrepancy entries; empty means pass."""
-    return VectorChecks(spec, order).check(m)
 
 
 def verify_grid(l: int, order: int, m_max: int = 1, bar: bool = False,

@@ -20,8 +20,9 @@ graded by the roots rx, ry of its arguments.  The families:
   e_{delta - gamma}]_q;
 
 - unprimed imaginary, defined by -kappa_q e_{delta,gamma}(u) =
-  log(1 - kappa_q e'_{delta,gamma}(u)), expanded into ordered compositions
-  of the level n.
+  log(1 - kappa_q e'_{delta,gamma}(u)) and built by its log-derivative
+  recursion n e_{n delta} = n e'_{n delta} + kappa_q sum_{k<n} k e_{k delta}
+  e'_{(n-k) delta}, which holds because the e'_{k delta,gamma} commute.
 
 The Drinfeld generators xi+_{i,n}, xi-_{i,n} (n > 0) and chi_{i,n} are sign-
 decorated root vectors for the simple gamma = alpha_i.  Operator nodes are
@@ -101,40 +102,26 @@ def e_prime_imag(l: int, i: int, j: int, n: int) -> OpExpr:
     return qcomm(e_real(l, i, j, n - 1), prev_root, e_dual(l, i, j, 0), RootIndex.delta(l) - gamma)
 
 
-def _compositions(n: int):
-    """Ordered tuples of positive integers summing to n."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=None)
 def e_unprimed_imag(l: int, i: int, n: int) -> OpExpr:
     """Unprimed imaginary root vector e_{n delta, alpha_i} for simple alpha_i.
 
-    Matching coefficients in -kappa_q E(u) = log(1 - kappa_q E'(u)) gives
+    The e'_{k delta, alpha_i} of one node commute, so differentiating
+    -kappa_q E(u) = log(1 - kappa_q E'(u)) in u gives
 
-        e_{n delta} = sum_{j >= 1} (kappa_q**(j-1) / j)
-                      sum_{k_1 + ... + k_j = n} e'_{k_1 delta} ... e'_{k_j delta},
+        n e_{n delta} = n e'_{n delta} + kappa_q sum_{k=1}^{n-1} k e_{k delta} e'_{(n-k) delta},
 
-    the inner sum over ordered compositions.
+    one product per lower level: each tree holds the trees of the levels below.
     """
     if not (1 <= i <= l):
         raise IndexError("node index out of range")
     if n < 1:
         raise ValueError("need n >= 1")
     kq = kappa()
-    terms = []
-    for comp in _compositions(n):
-        parts = len(comp)
-        expr = e_prime_imag(l, i, i + 1, comp[0])
-        for k in comp[1:]:
-            expr = Compose(expr, e_prime_imag(l, i, i + 1, k))
-        terms.append(Scale(kq ** (parts - 1) / QRational.from_int(parts), expr))
-    return Sum(tuple(terms))
+    return Sum((e_prime_imag(l, i, i + 1, n),) + tuple(
+        Scale(kq * QRational.from_int(k) / QRational.from_int(n),
+              Compose(e_unprimed_imag(l, i, k), e_prime_imag(l, i, i + 1, n - k)))
+        for k in range(1, n)))
 
 
 @lru_cache(maxsize=None)

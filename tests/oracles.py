@@ -18,6 +18,10 @@
   against the closed Psi_i multiplied out and expanded, where qloop builds
   each check once with m symbolic and specializes what differs
   (lweights.VectorChecks, lweights.phi_series).
+- The unprimed imaginary root vectors e_{n delta, alpha_i} as the expanded
+  logarithm, a sum over all 2**(n-1) ordered compositions of n
+  (e_unprimed_by_compositions), where qloop builds them by the
+  log-derivative recursion (rootvectors.e_unprimed_imag).
 - Algebra in u that qloop does not need: the formal logarithm, the gcd over
   Q(q)[u] (reduced) and Pade reconstruction.
 """
@@ -33,6 +37,7 @@ from qloop.exactfield import (QRational, URational, USeries, ZeroConstantTerm,
 from qloop.fock import PLUS, FockState, ModePattern
 from qloop.lweights import NotDiagonal, Weight, _msum, discrepancy
 from qloop.rootsys import CartanExponent
+from qloop.rootvectors import e_prime_imag
 
 _ZERO = QRational.zero()
 
@@ -256,6 +261,35 @@ def apply_at(expr, spec: RepSpec, m: tuple, q: int, memo: dict) -> dict:
     return out
 
 
+# ------------------------------------- unprimed imaginary roots by compositions
+
+
+def _compositions(n: int):
+    """Ordered tuples of positive integers summing to n."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+def e_unprimed_by_compositions(l: int, i: int, n: int):
+    """e_{n delta, alpha_i} from -kappa E(u) = log(1 - kappa E'(u)) expanded:
+
+        e_{n delta} = sum_{j >= 1} (kappa**(j-1) / j)
+                      sum_{k_1 + ... + k_j = n} e'_{k_1 delta} ... e'_{k_j delta},
+
+    the inner sum over ordered compositions, 2**(n-1) products in all."""
+    terms = []
+    for comp in _compositions(n):
+        expr = e_prime_imag(l, i, i + 1, comp[0])
+        for k in comp[1:]:
+            expr = Compose(expr, e_prime_imag(l, i, i + 1, k))
+        terms.append(Scale(kappa() ** (len(comp) - 1) / QRational.from_int(len(comp)), expr))
+    return Sum(tuple(terms))
+
+
 # ------------------------------------------------------------- weight table
 
 
@@ -323,7 +357,7 @@ def check_vector_at(spec: RepSpec, m: tuple, order: int) -> list:
 
     Reads the closed l-weight of v_m, compares every q**h_j exponent with
     its weight and every phi_i series with its closed Psi_i expanded; the
-    entries are those of lweights.check_vector.
+    entries are those of lweights.VectorChecks.check.
     """
     l = spec.l
     ev = get_evaluator(spec)

@@ -377,44 +377,67 @@ def test_dump_op_imag_takes_two_numbers(capsys):
     assert "wrong arity" in captured.err and captured.out == ""
 
 
-@pytest.mark.parametrize("argv", [["--l", "1", "--a", "1", "--root", "real:1,2,300"],
-                                  ["--l", "2", "--a", "2", "--root", "dual:1,2,300"],
-                                  ["--l", "2", "--a", "1", "--root", "prime:1,300"]],
-                         ids=["real", "dual", "prime"])
+@pytest.mark.parametrize("argv", [["--l", "1", "--a", "1", "--root", "real:1,2,300", "--mmax", "0"],
+                                  ["--l", "2", "--a", "2", "--root", "dual:1,2,300", "--mmax", "0"],
+                                  ["--l", "2", "--a", "1", "--root", "prime:1,300", "--mmax", "0"],
+                                  ["--l", "2", "--a", "1", "--root", "imag:1,40", "--mmax", "1"]],
+                         ids=["real", "dual", "prime", "imag"])
 def test_dump_op_reaches_deep_levels(capsys, argv):
     # a level-n tree nests n levels; evaluated from the bottom up, it needs
-    # no deeper recursion than one level
-    assert cli.main(["dump-op", *argv, "--mmax", "0", "--json"]) == 0
+    # no deeper recursion than one level; e_{n delta} adds 2n - 1 nodes per
+    # level, where the composition sum in tests/oracles has 2**(n-1) products
+    assert cli.main(["dump-op", *argv, "--json"]) == 0
     assert _json_line(capsys.readouterr().out)["action"][0]["m"] == [0] * int(argv[1])
 
 
 # sha256 of stdout and of the --output report, recorded before the evaluator
-# memo moved from FockStates to term tuples; output must stay byte-stable
-_GOLDEN = [
+# memo moved from FockStates to term tuples, and the lweight-mirrored,
+# imag-12 and nmax-8 rows while lweight built its l-weight from the checks'
+# forms and e_{n delta} was the sum over compositions; output must stay
+# byte-stable.  Keys are the test ids.
+_GOLDEN = {
+    "verify":
     (["verify", "--l", "3", "--order", "8", "--mmax", "2", "--zs=-1*q^-3"],
      "83b558125632cd8f50bd6dfba81a657f7639182f2bc63052b272bb649141ca0e",
      "3f51c83e7f49503fa33223074f2bed5fdd3ce1fa5a9cedbef88c6f86fc804903"),
+    "drinfeld":
     (["drinfeld", "--l", "3", "--nmax", "3", "--mmax", "1"],
      "246265bb5f3dd489a50497e6a14a2fc9ca44964289ca9d28368ab58c771f4f90",
      "2c2c01e272579b640368bc22e1156fa97379b329a9c003ff368a32f058bcad3f"),
+    "factor":
     (["factor", "--l", "20", "--kind", "all", "--zs=-2*q^0",
       "--zs-list=-2*q^3,1*q^-1,1*q^0,-1*q^0,-1*q^3,1*q^0,1*q^-3,-2*q^1,1*q^0,-2*q^-2,1*q^1,"
       "2*q^0,-2*q^3,-1*q^-3,1*q^1,-1*q^2,1*q^2,1*q^1,-2*q^-1,1*q^-1,-1*q^-1"],
      "99ba3f47fb2065a37d27a0f4034a6c1a48e395ef162a266feb7bb68a937fd088",
      "d3cc02c4c89839b18cb6c5ebacea1a534721dc7120a99f93b6045d5b3d9aa7f4"),
+    "serre":
     (["serre", "--l", "3", "--mmax", "2"],
      "dcb1c3419244e8753f526f5d75b9e9f204ebfc42dcca4cdc6e94244dec9df83e",
      "2c2c01e272579b640368bc22e1156fa97379b329a9c003ff368a32f058bcad3f"),
+    "lweight":
     (["lweight", "--l", "3", "--a", "2", "--m", "1,0,2", "--bar", "--zs", "q^2", "--json"],
      "26ef961e1b9cba36bc86469441a7735d98ba6fe50fa9b8c2afb3bc28affcfe91",
      "7ea69c8bbc640c177ba6767200bd2fd7814ac8c1780d4ff1acc0fca1d7dc97e4"),
+    "lweight-mirrored":
+    (["lweight", "--l", "4", "--a", "5", "--m", "2,0,1,3", "--bar", "--json"],
+     "f66aab1fbb75d16bdd15e18571c2b5d411ffc5df2c3db305ff8d13559293313a",
+     "dc0b1fe756a089f060f02e5271ed3d8803fa54dc607150be656dddddc9d99599"),
+    "dump-op":
     (["dump-op", "--l", "3", "--a", "2", "--root", "imag:1,3", "--json"],
      "c9fa2c5ffec042c49a22d1eaa5580e3087b3d19fd023ff6c3a40cfea81820c0f",
      "2f747e6b8595215e2e6ebc8abaaaf9e5d4fb81ecd55ae30098a172c9e034abd6"),
-]
+    "dump-op-imag-12":
+    (["dump-op", "--l", "2", "--a", "1", "--root", "imag:1,12", "--mmax", "0", "--json"],
+     "0b1ccbf195af3604ef3d207760623baac8eeadd6883a1a240106cfa04caf5b3e",
+     "43a26f91fc3223cec5e91024c7f481dbae7f05e27e960782bf5407fe74df94d8"),
+    "drinfeld-nmax-8":
+    (["drinfeld", "--l", "2", "--nmax", "8", "--mmax", "1"],
+     "679ba776a01fe1606fced0801e2292e87294e7fb3d19e8aa12a024e9f7d9bb16",
+     "92388b6de7f887ce018bbccb44748c46d39e7dab96204e591948170c1b298e64"),
+}
 
 
-@pytest.mark.parametrize("argv,stdout_sha,report_sha", _GOLDEN, ids=[g[0][0] for g in _GOLDEN])
+@pytest.mark.parametrize("argv,stdout_sha,report_sha", _GOLDEN.values(), ids=_GOLDEN)
 def test_output_is_byte_stable(tmp_path, capsys, argv, stdout_sha, report_sha):
     report = tmp_path / "report.json"
     assert cli.main(argv + ["--output", str(report)]) == 0

@@ -17,7 +17,7 @@ import qloop
 from qloop import lweights
 from qloop.borelrep import Evaluator, Gen, RepSpec, Sum, get_evaluator
 from qloop.exactfield import QRational, URational, USeries, qrational_to_json, series_invert
-from qloop.lweights import (LWeight, NotDiagonal, Weight, check_vector,
+from qloop.lweights import (LWeight, NotDiagonal, VectorChecks, Weight,
                             closed_lambda, closed_psi,
                             factor_check, lweight_product,
                             oscillator_lweight, phi_series, prefundamental,
@@ -250,7 +250,7 @@ def test_pade_recovers_the_closed_form_from_the_series():
 def test_check_vector_sees_a_root_multiplicity_off_by_one(monkeypatch, shift):
     spec = RepSpec(3, 2, True, qp(2))
     m = (1, 0, 2)
-    assert check_vector(spec, m, 6) == []
+    assert VectorChecks(spec, 6).check(m) == []
     psi_forms = lweights._psi_forms
 
     # one more (or one fewer) factor (1 - x u) at a root x of Psi_2
@@ -261,7 +261,7 @@ def test_check_vector_sees_a_root_multiplicity_off_by_one(monkeypatch, shift):
         return e0, pairs, zeff
 
     monkeypatch.setattr(lweights, "_psi_forms", mutated)
-    found = check_vector(spec, m, 6)
+    found = VectorChecks(spec, 6).check(m)
     assert [(d["i"], d["status"]) for d in found] == [(2, "psi-mismatch")]
     assert found[0]["expected"] == repr(closed_psi(2, spec, m))
 
@@ -345,7 +345,7 @@ def test_a_catalog_edit_that_is_not_affine_raises(monkeypatch):
     with pytest.raises(TypeError):
         verify_grid(3, 6, m_max=2)
     with pytest.raises(TypeError):
-        check_vector(RepSpec(3, 2), (0, 0, 0), 6)
+        VectorChecks(RepSpec(3, 2), 6).check((0, 0, 0))
 
 
 def test_not_diagonal_carries_context():
@@ -367,7 +367,7 @@ def test_not_diagonal_entry_lists_the_off_diagonal_terms(monkeypatch, op):
     with pytest.raises(NotDiagonal) as info:
         phi_series(1, spec, m, 3)
     assert info.value.n == 1 and dict(info.value.off) == dict(pairs)
-    found = check_vector(spec, m, 3)
+    found = VectorChecks(spec, 3).check(m)
     assert [(d["i"], d["status"]) for d in found] == [(1, "not-diagonal"), (2, "not-diagonal")]
     assert found == check_vector_at(spec, m, 3)
     want = [[list(t), qrational_to_json(c)] for t, c in sorted(pairs, key=lambda p: p[0])]

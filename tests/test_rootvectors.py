@@ -8,9 +8,9 @@ oscillator word or eigenvalue.
 import itertools
 
 import pytest
-from oracles import apply_at, apply_word, series_log, specialize
+from oracles import apply_at, apply_word, e_unprimed_by_compositions, series_log, specialize
 
-from qloop.borelrep import Gen, OscWord, RepSpec, get_evaluator
+from qloop.borelrep import Compose, Gen, OscWord, RepSpec, Scale, Sum, get_evaluator
 from qloop.exactfield import QRational, USeries, kappa, qnum
 from qloop.fock import FockState
 from qloop.lweights import _psi_roots
@@ -236,6 +236,81 @@ def test_unprimed_tower_is_the_formal_logarithm(l, a):
         p = USeries(top, [ONE] + [-(kappa() * c) for c in prim[1:]])
         lhs = USeries(top, [QRational.zero()] + [-(kappa() * c) for c in unprim[1:]])
         assert lhs == series_log(p)
+
+
+def _specs(top_l):
+    """Every module theta_a, plain and mirrored, at l = 1 .. top_l."""
+    return [RepSpec(l, a, bar) for l in range(1, top_l + 1)
+            for a in range(1, l + 2) for bar in (False, True)]
+
+
+def test_primed_imaginary_root_vectors_of_one_node_commute():
+    # the premise of e_unprimed_imag's recursion, decided with m symbolic
+    cases = 0
+    for spec in _specs(3):
+        ev = get_evaluator(spec)
+        for i in range(1, spec.l + 1):
+            for j, k in itertools.product(range(1, 4), repeat=2):
+                x = e_prime_imag(spec.l, i, i + 1, j)
+                y = e_prime_imag(spec.l, i, i + 1, k)
+                bracket = Sum((Compose(x, y), Scale(-ONE, Compose(y, x))))
+                assert ev.symbolic(bracket) == (), (spec, i, j, k)
+                cases += 1
+    assert cases == 360
+
+
+def test_unprimed_recursion_equals_the_composition_sum():
+    # the symbolic terms come in different orders, so compare them as dicts
+    cases = 0
+    for spec in _specs(3):
+        ev = get_evaluator(spec)
+        for i in range(1, spec.l + 1):
+            for n in range(1, 9):
+                got = dict(ev.symbolic(e_unprimed_imag(spec.l, i, n)))
+                assert got == dict(ev.symbolic(e_unprimed_by_compositions(spec.l, i, n))), \
+                    (spec, i, n)
+                cases += 1
+    assert cases == 320
+
+
+def test_unprimed_recursion_with_a_wrong_weight_differs():
+    # kappa/n in place of kappa k/n agrees up to n = 2 (only k = 1 occurs)
+    # and differs from the composition sum at n = 3
+    kq = kappa()
+
+    def wrong(l, i, n):
+        return Sum((e_prime_imag(l, i, i + 1, n),) + tuple(
+            Scale(kq / QRational.from_int(n),
+                  Compose(wrong(l, i, k), e_prime_imag(l, i, i + 1, n - k)))
+            for k in range(1, n)))
+
+    ev = get_evaluator(RepSpec(2, 1))
+    for n, same in ((1, True), (2, True), (3, False)):
+        got = dict(ev.symbolic(wrong(2, 1, n)))
+        assert (got == dict(ev.symbolic(e_unprimed_by_compositions(2, 1, n)))) == same, n
+
+
+def test_unprimed_tree_grows_quadratically():
+    # outside the e'_{k delta} trees, e_{n delta} holds one Sum, n - 1 Scales
+    # and n - 1 Composes per level: n**2 nodes in all, where the composition
+    # sum reaches 98,288 at n = 16.  The walk starts at the root, so it does
+    # not depend on what other trees were built before.
+    l, i, n = 2, 1, 16
+    primed = {e_prime_imag(l, i, i + 1, k) for k in range(1, n + 1)}
+    seen = set()
+    stack = [e_unprimed_imag(l, i, n)]
+    while stack:
+        node = stack.pop()
+        if node in seen or node in primed:
+            continue
+        seen.add(node)
+        if isinstance(node, Sum):
+            stack.extend(node.children)
+        elif isinstance(node, Scale):
+            stack.append(node.child)
+        elif isinstance(node, Compose):
+            stack.extend((node.left, node.right))
+    assert len(seen) <= n * n
 
 
 def test_chi_is_diagonal():
