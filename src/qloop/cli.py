@@ -24,7 +24,7 @@ import sys
 
 from .borelrep import RepSpec, get_evaluator, image_e, image_qh, serre_check
 from .exactfield import QRational, qrational_to_json, urational_to_json
-from .lweights import (VectorChecks, discrepancy, factor_check, oscillator_lweight,
+from .lweights import (VectorChecks, discrepancy, factor_checks, oscillator_lweight,
                        verify_grid)
 from .rootsys import CartanExponent
 from .rootvectors import (drinfeld_check, drinfeld_check_minus, e_dual,
@@ -242,8 +242,7 @@ def _cmd_factor(args) -> int:
         zs_list = tuple(parse_zs(tok) for tok in args.zs_list.split(","))
     found = []
     lines = []
-    for name, index in jobs:
-        ok = factor_check(name, args.l, index, zs, zs_list)
+    for (name, index), ok in zip(jobs, factor_checks(args.l, jobs, zs, zs_list)):
         label = f"{name}" + (f"[{index}]" if name != "full-tensor" else "")
         lines.append(f"{label}: {'ok' if ok else 'MISMATCH'}")
         if not ok:

@@ -13,7 +13,7 @@ expressions for Psi_i (closed_psi) and reads the weight lambda off their
 constant terms, Psi_i(0) = q**<lambda, h_i> (closed_lambda), and combines the
 l-weights of one-dimensional shifts, prefundamental modules and oscillator
 modules to check the factorization identities relating the two families
-(factor_check).
+(factor_checks).
 
 Factored form.  Every closed Psi_i(u) = q**<lambda, h_i> prod_x (1 - x u)**k_x
 is a Drinfeld rational fraction, so an l-weight (LWeight) is a weight plus,
@@ -34,7 +34,10 @@ catalog at integer m (oscillator_lweight).
 
 Twist conventions.  The spectral twist enters every eigenvalue through the
 single combination zs = zeta**s, kept as one exact scalar: a twisted series
-is the untwisted one with u -> zs*u.  Mirrored representations satisfy
+is the untwisted one with u -> zs*u.  In factored form every root x becomes
+zs*x and the weight stays (LWeight.twisted), so factor_checks reads each
+module once, untwisted, and twists it per identity.  Mirrored
+representations satisfy
 
     Psi-bar_{i, m, a}(u) = Psi_{l-i+1, m, l-a+2}(-(-1)**l u),
 
@@ -48,7 +51,6 @@ is fixed by level zero, <lambda, h_0> = -sum_i <lambda, h_i>.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 from .borelrep import CartanPower, Evaluator, RepSpec, _dot, _vadd, get_evaluator
@@ -228,9 +230,9 @@ def _roots(pairs) -> frozenset:
 
     Zero sums cancel, and x = 0 drops out because 1 - 0 u is one.
     """
-    mult = Counter()
+    mult = {}
     for x, k in pairs:
-        mult[x] += k
+        mult[x] = mult.get(x, 0) + k
     return frozenset((x, k) for x, k in mult.items() if k and x)
 
 
@@ -261,7 +263,7 @@ def _psi_roots(i: int, spec: RepSpec, m) -> tuple:
     Returns (e0, roots) with Psi_i(u) = q**e0 prod (1 - x u)**k over (x, k) in
     roots: the factors of _psi_parts, common ones cancelled.
     """
-    e0, pairs, zeff = _psi_forms(i, spec, _check_m(spec.l, m))
+    e0, pairs, zeff = _psi_forms(i, spec, m)
     return e0, _roots((QRational.q_power(c) * zeff, k) for c, k in pairs)
 
 
@@ -332,7 +334,7 @@ def _roots_poly(xs) -> tuple:
 
 def closed_psi(i: int, spec: RepSpec, m) -> URational:
     """The closed rational form of the eigenvalue of phi_i(u) on v_m."""
-    return _psi_urational(*_psi_roots(i, spec, m))
+    return _psi_urational(*_psi_roots(i, spec, _check_m(spec.l, m)))
 
 
 def _psi_urational(e0: int, roots) -> URational:
@@ -427,6 +429,16 @@ class LWeight:
         """Psi_i multiplied out, for display and JSON."""
         return _psi_urational(self.weight.pair_h(i), self.roots[i - 1])
 
+    def twisted(self, z: QRational) -> "LWeight":
+        """The l-weight at u -> z u: every root times z, the weight kept.
+
+        Scaling by a nonzero z is injective, so no two roots merge and the
+        factored form stays unique."""
+        if z.is_zero():
+            raise ValueError("spectral twist must be nonzero")
+        return LWeight(self.weight, tuple(
+            frozenset((x * z, k) for x, k in node) for node in self.roots))
+
 
 def lweight_product(*factors: LWeight) -> LWeight:
     """Componentwise product: weights add, root multiplicities add."""
@@ -490,72 +502,73 @@ def xi_pref_plus(l: int, i: int) -> Weight:
     ))
 
 
-def factor_osc(l: int, a: int, zs: QRational = _ONE) -> bool:
-    """theta_a with twist zs matches a shift times prefundamental factors."""
-    lhs = oscillator_lweight(RepSpec(l, a, False, zs))
-    shift = shift_weight(xi_osc(l, a))
-    if a == 1:
-        rhs = lweight_product(shift, prefundamental(l, 1, -1, QRational.q_power(-l) * zs))
-    elif a == l + 1:
-        rhs = lweight_product(shift, prefundamental(l, l, 1, QRational.q_power(1) * zs))
-    else:
-        rhs = lweight_product(
-            shift,
-            prefundamental(l, a - 1, 1, QRational.q_power(-l + a) * zs),
-            prefundamental(l, a, -1, QRational.q_power(-l + a - 1) * zs),
-        )
-    return lhs == rhs
+def factor_checks(l: int, jobs, zs: QRational = _ONE, zs_list=None) -> list:
+    """The verdicts of factorization identities at rank l, one per job.
 
+    A job is (kind, index), kind one of "osc" (index = a), "pref-minus" /
+    "pref-plus" (index = i) or "full-tensor" (index unused; zs_list holds
+    l+1 twists, defaulting to zs everywhere):
 
-def factor_pref(l: int, i: int, sign: int, zs: QRational = _ONE) -> bool:
-    """Shifted prefundamental with Psi_i = (1 - zs u)**sign as a product of
-    theta_1 .. theta_i (sign -1) or theta_{i+1} .. theta_{l+1} (sign +1)."""
-    if sign > 0:
-        xi, bs = xi_pref_plus(l, i), range(i + 1, l + 2)
-    else:
-        xi, bs = xi_pref_minus(l, i), range(1, i + 1)
-    lhs = lweight_product(shift_weight(xi), prefundamental(l, i, sign, zs))
-    rhs = lweight_product(*[
-        oscillator_lweight(RepSpec(l, b, False, QRational.q_power(l + i - 2 * b + 1) * zs))
-        for b in bs
-    ])
-    return lhs == rhs
+    - osc: theta_a with twist zs is a shift times prefundamental factors;
+    - pref-minus / pref-plus: the shifted prefundamental with
+      Psi_i = (1 - zs u)**(-1 or +1) is the product of theta_b twisted by
+      q**(l+i-2b+1) zs over b = 1 .. i or b = i+1 .. l+1;
+    - full-tensor: the product of all theta_a, one twist each, telescopes
+      to l linear ratios.
 
-
-def factor_full_tensor(l: int, zs_list) -> bool:
-    """Product of all theta_a, one twist each, telescopes to l linear ratios."""
+    A twist scales roots (LWeight.twisted), so each theta_b is read from the
+    catalog at most once per call, untwisted, and scaled for every identity.
+    """
+    if zs_list is None:
+        zs_list = (zs,) * (l + 1)
     zs_list = tuple(zs_list)
-    if len(zs_list) != l + 1:
-        raise ValueError("need one twist per tensor factor")
-    lhs = lweight_product(*[
-        oscillator_lweight(RepSpec(l, a, False, zs_list[a - 1])) for a in range(1, l + 2)
-    ])
-    # Psi_i = q**-2 (1 - q**(i-l+1) zs_i u) / (1 - q**(i-l-1) zs_{i-1} u)
-    roots = tuple(
-        _roots([(QRational.q_power(-l + i + 1) * zs_list[i], 1),
-                (QRational.q_power(-l + i - 1) * zs_list[i - 1], -1)])
-        for i in range(1, l + 1)
-    )
-    rhs = LWeight(Weight(l, (-2,) * l), roots)
-    return lhs == rhs
+    theta = {}
+
+    def osc(b: int, z: QRational) -> LWeight:
+        if b not in theta:
+            theta[b] = oscillator_lweight(RepSpec(l, b))
+        return theta[b].twisted(z)
+
+    q = QRational.q_power
+    verdicts = []
+    for kind, index in jobs:
+        if kind == "osc":
+            a = index
+            if a == 1:
+                pref = [prefundamental(l, 1, -1, q(-l) * zs)]
+            elif a == l + 1:
+                pref = [prefundamental(l, l, 1, q(1) * zs)]
+            else:
+                pref = [prefundamental(l, a - 1, 1, q(-l + a) * zs),
+                        prefundamental(l, a, -1, q(-l + a - 1) * zs)]
+            lhs = osc(a, zs)
+            rhs = lweight_product(shift_weight(xi_osc(l, a)), *pref)
+        elif kind in ("pref-minus", "pref-plus"):
+            i = index
+            if kind == "pref-plus":
+                sign, xi, bs = 1, xi_pref_plus(l, i), range(i + 1, l + 2)
+            else:
+                sign, xi, bs = -1, xi_pref_minus(l, i), range(1, i + 1)
+            lhs = lweight_product(shift_weight(xi), prefundamental(l, i, sign, zs))
+            rhs = lweight_product(*[osc(b, q(l + i - 2 * b + 1) * zs) for b in bs])
+        elif kind == "full-tensor":
+            if len(zs_list) != l + 1:
+                raise ValueError("need one twist per tensor factor")
+            lhs = lweight_product(*[osc(a, zs_list[a - 1]) for a in range(1, l + 2)])
+            # Psi_i = q**-2 (1 - q**(i-l+1) zs_i u) / (1 - q**(i-l-1) zs_{i-1} u)
+            rhs = LWeight(Weight(l, (-2,) * l), tuple(
+                _roots([(q(-l + i + 1) * zs_list[i], 1), (q(-l + i - 1) * zs_list[i - 1], -1)])
+                for i in range(1, l + 1)))
+        else:
+            raise ValueError(f"unknown factorization kind {kind!r}")
+        verdicts.append(lhs == rhs)
+    return verdicts
 
 
 def factor_check(kind: str, l: int, index: int = 0, zs: QRational = _ONE,
                  zs_list=None) -> bool:
-    """Dispatch on the factorization family.
-
-    kind is one of "osc" (index = a), "pref-minus" / "pref-plus" (index = i)
-    or "full-tensor" (zs_list holds l+1 twists, defaulting to zs everywhere).
-    """
-    if kind == "osc":
-        return factor_osc(l, index, zs)
-    if kind in ("pref-minus", "pref-plus"):
-        return factor_pref(l, index, 1 if kind == "pref-plus" else -1, zs)
-    if kind == "full-tensor":
-        if zs_list is None:
-            zs_list = (zs,) * (l + 1)
-        return factor_full_tensor(l, zs_list)
-    raise ValueError(f"unknown factorization kind {kind!r}")
+    """One factorization identity: factor_checks of the one job (kind, index)."""
+    return factor_checks(l, [(kind, index)], zs, zs_list)[0]
 
 
 # ---------------------------------------------------------------------------

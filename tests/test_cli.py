@@ -83,6 +83,9 @@ def test_usage_errors_exit_two(monkeypatch, tmp_path, capsys):
         ["factor", "--l", "1", "--kind", "full_tensor", "--zs", "q^2", "--zs-list", "q,q"],
         # an empty --zs-list is refused, not read as absent
         ["factor", "--l", "1", "--kind", "full-tensor", "--zs-list="],
+        # a zero twist, of the indexed families or of one tensor factor
+        ["factor", "--l", "2", "--zs", "0"],
+        ["factor", "--l", "2", "--kind", "full-tensor", "--zs-list", "q,0,q"],
         # twist exponents beyond +-1000, one factor's or the product's
         ["verify", "--l", "1", "--zs", "q^1000000000"],
         ["verify", "--l", "1", "--zs=q^1000*q^1000"],
@@ -344,6 +347,31 @@ def test_factor_command_and_aliases(capsys):
     assert cli.main(["factor", "--l", "1", "--kind", "all", "--zs", "q^3",
                      "--zs-list", "q,q^2", "--json"]) == 0
     assert _json_line(capsys.readouterr().out)["meta"]["zs"] == repr(QRational.q_power(3))
+
+
+def _factor_verdicts(capsys, argv):
+    cli.main(["factor"] + argv)
+    return capsys.readouterr().out.splitlines()[:-1]
+
+
+@pytest.mark.parametrize("broken", [None, "xi_pref_minus"])
+@pytest.mark.parametrize("l", [3, 4])
+def test_factor_all_is_the_concatenation_of_the_single_runs(monkeypatch, capsys, l, broken):
+    # --kind all and one run per --index decide each identity alike, also
+    # where some fail: with the negative family's shift zeroed, only it does
+    if broken:
+        monkeypatch.setattr(lweights, broken, lambda l, i: Weight.zero(l))
+    twist = ["--zs=-2*q^-1"]
+    single = []
+    for kind, extra in (("osc", 1), ("pref-minus", 0), ("pref-plus", 0)):
+        for index in range(1, l + extra + 1):
+            single += _factor_verdicts(
+                capsys, ["--l", str(l), "--kind", kind, "--index", str(index)] + twist)
+    single += _factor_verdicts(capsys, ["--l", str(l), "--kind", "full-tensor"] + twist)
+    together = _factor_verdicts(capsys, ["--l", str(l), "--kind", "all"] + twist)
+    assert together == single
+    assert len(together) == 3 * l + 2
+    assert sum("MISMATCH" in line for line in together) == (l if broken else 0)
 
 
 def test_dump_op_generator(capsys):

@@ -1,6 +1,7 @@
 """Closed l-weights, operator-side series, and factorization identities."""
 
 import itertools
+import json
 import os
 import pathlib
 import random
@@ -14,7 +15,7 @@ from oracles import (check_vector_at, pade, phi_series_at, qh_exponent, reduced,
                      verify_grid_at)
 
 import qloop
-from qloop import lweights
+from qloop import cli, lweights
 from qloop.borelrep import Evaluator, Gen, RepSpec, Sum, get_evaluator
 from qloop.exactfield import QRational, URational, USeries, qrational_to_json, series_invert
 from qloop.lweights import (LWeight, NotDiagonal, VectorChecks, Weight,
@@ -464,6 +465,50 @@ def test_factorizations_hold_at_generic_scalars():
     for a in range(1, 3):
         assert factor_check("osc", 1, a, zs)
     assert factor_check("full-tensor", 1, zs_list=[zs, zs * qp(2)])
+
+
+_LAW_TWISTS = (qp(3), -2 * qp(-1), ONE / QRational.from_int(2), -ONE)
+
+
+def test_a_twist_scales_every_root():
+    # a twisted module is the untwisted one at u -> z u, the mirrored ones
+    # (zeff = +-zs) included, at every occupation vector
+    for l in (1, 2, 3, 4):
+        for a in range(1, l + 2):
+            for bar in (False, True):
+                for m in itertools.product((0, 1), repeat=l):
+                    plain = oscillator_lweight(RepSpec(l, a, bar), m)
+                    for z in _LAW_TWISTS:
+                        assert oscillator_lweight(RepSpec(l, a, bar, z), m) == plain.twisted(z), \
+                            (l, a, bar, m, z)
+
+
+def test_twisted_roots_of_different_factors_cancel():
+    # theta_a has the root q**(a-l-1) zs_a at node a and theta_{a+1} the root
+    # q**(a-l+1) zs_{a+1} at the same node, with opposite multiplicities; with
+    # zs_{a+1} = q**-2 zs_a the two coincide and every root of the tensor cancels
+    for l in (1, 2, 3, 4):
+        for z in _LAW_TWISTS:
+            zs_list = [z * qp(-2 * a) for a in range(l + 1)]
+            factors = [oscillator_lweight(RepSpec(l, a)).twisted(zs_list[a - 1])
+                       for a in range(1, l + 2)]
+            assert all(any(f.roots) for f in factors)
+            want = LWeight(Weight(l, (-2,) * l), (frozenset(),) * l)
+            assert lweight_product(*factors) == want, (l, z)
+            assert factor_check("full-tensor", l, zs_list=zs_list), (l, z)
+
+
+def test_factor_reads_do_not_outlive_a_call(monkeypatch, capsys):
+    # a catalog edit between two runs of one process reaches the second run
+    argv = ["factor", "--l", "3", "--kind", "all", "--json"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    with monkeypatch.context() as mp:
+        _perturbed_parts(mp, lambda m: 1, "e0")
+        assert cli.main(argv) == 1
+        found = json.loads(capsys.readouterr().out.splitlines()[-1])["discrepancies"]
+        assert len(found) == 11
+    assert cli.main(argv) == 0
 
 
 def test_factor_check_rejects_unknown_kind():
