@@ -15,6 +15,7 @@ from .borelrep import (
     image_e,
     image_qh,
     serre_check,
+    serre_sum,
     weight_relation_check,
 )
 from .exactfield import (
@@ -44,6 +45,7 @@ from .lweights import (
 from .rootsys import CartanExponent, NotAPositiveRoot, RootIndex, bilinear, cartan_entry
 from .rootvectors import (
     chi,
+    chi_bracket,
     drinfeld_check,
     drinfeld_check_minus,
     e_dual,
@@ -77,6 +79,7 @@ __all__ = [
     "image_e",
     "image_qh",
     "serre_check",
+    "serre_sum",
     "weight_relation_check",
     "e_real",
     "e_dual",
@@ -85,6 +88,7 @@ __all__ = [
     "xi_plus",
     "xi_minus",
     "chi",
+    "chi_bracket",
     "drinfeld_check",
     "drinfeld_check_minus",
     "Weight",

@@ -22,6 +22,7 @@ to 0 and _merge drops it.  apply_basis is the FockState view of terms.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .exactfield import QRational, kappa, qfactorial
@@ -63,11 +64,11 @@ def _qn_form(pattern: ModePattern, d: tuple) -> tuple:
 
 
 def _dot(x: tuple, y: tuple) -> int:
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(operator.mul, x, y))
 
 
 def _vadd(x: tuple, y: tuple) -> tuple:
-    return tuple(a + b for a, b in zip(x, y))
+    return tuple(map(operator.add, x, y))
 
 
 class OscWord:
@@ -363,12 +364,14 @@ class Evaluator:
         elif isinstance(expr, Sum):
             out = _merge(p for child in expr.children for p in self.symbolic(child))
         elif isinstance(expr, Compose):
-            # the left factor acts on v_{m+sr}, where its Q**vl reads q**(vl.(m+sr))
+            # the left factor acts on v_{m+sr}, where its Q**vl reads q**(vl.(m+sr));
+            # it is read once, and not at all when the right factor gives 0
             right = self.symbolic(expr.right)
+            left = self.symbolic(expr.left) if right else ()
             out = _merge(
                 ((_vadd(sl, sr), _vadd(vl, vr)), _q_shifted(cl * cr, _dot(vl, sr)))
                 for (sr, vr), cr in right
-                for (sl, vl), cl in self.symbolic(expr.left))
+                for (sl, vl), cl in left)
         else:
             raise TypeError(f"unknown operator node {type(expr).__name__}")
         self._cache[expr] = out
@@ -412,17 +415,23 @@ def get_evaluator(spec: RepSpec) -> Evaluator:
 def _vanishes_on(spec: RepSpec, expr: OpExpr, samples) -> bool:
     """expr specializes to no terms on every sample basis vector.  The
     samples are read once, and none is a ValueError: a check of nothing
-    must not pass."""
+    must not pass.
+
+    Decided with m symbolic first: terms(expr, m) only specializes
+    symbolic(expr), so an empty symbolic result vanishes on every vector.
+    A nonempty one can still vanish on every sample (a lowering from
+    occupation 0), so then the samples decide."""
     samples = list(samples)
     if not samples:
         raise ValueError("need at least one sample basis vector")
     ev = get_evaluator(spec)
+    if not ev.symbolic(expr):
+        return True
     return not any(ev.terms(expr, m) for m in samples)
 
 
-def serre_check(i: int, j: int, spec: RepSpec, samples) -> bool:
-    """The q-Serre sum for the pair (i, j) vanishes on sample basis vectors."""
-    l = spec.l
+def serre_sum(l: int, i: int, j: int) -> OpExpr:
+    """The q-Serre sum for the pair (i, j), a tree that must vanish."""
     if i == j:
         raise ValueError("Serre relation needs i != j")
     n = 1 - cartan_entry(l, i, j)
@@ -433,7 +442,12 @@ def serre_check(i: int, j: int, spec: RepSpec, samples) -> bool:
             c = -c
         expr = Compose(power(Gen(i), n - k, l), Compose(Gen(j), power(Gen(i), k, l)))
         terms.append(Scale(c, expr))
-    return _vanishes_on(spec, Sum(tuple(terms)), samples)
+    return Sum(tuple(terms))
+
+
+def serre_check(i: int, j: int, spec: RepSpec, samples) -> bool:
+    """The q-Serre sum for the pair (i, j) vanishes on sample basis vectors."""
+    return _vanishes_on(spec, serre_sum(spec.l, i, j), samples)
 
 
 def weight_relation_check(i: int, x: CartanExponent, spec: RepSpec, samples) -> bool:

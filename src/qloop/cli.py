@@ -22,13 +22,13 @@ import json
 import os
 import sys
 
-from .borelrep import RepSpec, get_evaluator, image_e, image_qh, serre_check
+from .borelrep import RepSpec, _vanishes_on, get_evaluator, image_e, image_qh, serre_sum
 from .exactfield import QRational, qrational_to_json, urational_to_json
 from .lweights import (VectorChecks, discrepancy, factor_checks, oscillator_lweight,
                        verify_grid)
 from .rootsys import CartanExponent
-from .rootvectors import (drinfeld_check, drinfeld_check_minus, e_dual,
-                          e_prime_imag, e_real, e_unprimed_imag)
+from .rootvectors import (chi_bracket, e_dual, e_prime_imag, e_real, e_unprimed_imag,
+                          xi_minus, xi_plus)
 
 _DEFAULT_ORDER = 6
 
@@ -166,39 +166,47 @@ def _cmd_lweight(args) -> int:
 
 def _cmd_serre(args) -> int:
     samples = list(itertools.product(range(args.mmax + 1), repeat=args.l))
+    # the trees do not depend on the module, so each is built once per command
+    sums = [(i, j, serre_sum(args.l, i, j))
+            for i in range(args.l + 1) for j in range(args.l + 1) if i != j]
     found = []
     pairs = 0
     for bar, a in _families(args):
         spec = RepSpec(args.l, a, bar)
-        for i in range(args.l + 1):
-            for j in range(args.l + 1):
-                if i == j:
-                    continue
-                pairs += 1
-                if not serre_check(i, j, spec, samples):
-                    found.append(discrepancy(a, bar, i, [j], "serre-failure"))
+        for i, j, tree in sums:
+            pairs += 1
+            if not _vanishes_on(spec, tree, samples):
+                found.append(discrepancy(a, bar, i, [j], "serre-failure"))
     lines = [f"checked {pairs} Serre relations at l={args.l}, occupations <= {args.mmax}",
              "all checks passed" if not found else f"{len(found)} failures"]
     return _report(args, lines, found, _meta(args.l, args.a, args.bar, None, QRational.one()))
 
 
+def _loop_relations(l: int, nmax: int) -> list:
+    """(i, [j, n, k], difference tree, status) for every loop relation, in report order."""
+    out = []
+    for i in range(1, l + 1):
+        for j in range(1, l + 1):
+            for n in range(1, nmax + 1):
+                out += [(i, [j, n, k], chi_bracket(l, i, j, n, k, xi_plus, 1),
+                         "drinfeld-plus-failure") for k in range(0, nmax + 1)]
+                out += [(i, [j, n, k], chi_bracket(l, i, j, n, k, xi_minus, -1),
+                         "drinfeld-minus-failure") for k in range(1, nmax + 1)]
+    return out
+
+
 def _cmd_drinfeld(args) -> int:
     samples = list(itertools.product(range(args.mmax + 1), repeat=args.l))
+    # the trees do not depend on the module, so each is built once per command
+    relations = _loop_relations(args.l, args.nmax)
     found = []
     count = 0
     for bar, a in _families(args):
         spec = RepSpec(args.l, a, bar)
-        for i in range(1, args.l + 1):
-            for j in range(1, args.l + 1):
-                for n in range(1, args.nmax + 1):
-                    for k in range(0, args.nmax + 1):
-                        count += 1
-                        if not drinfeld_check(i, j, n, k, spec, samples):
-                            found.append(discrepancy(a, bar, i, [j, n, k], "drinfeld-plus-failure"))
-                    for k in range(1, args.nmax + 1):
-                        count += 1
-                        if not drinfeld_check_minus(i, j, n, k, spec, samples):
-                            found.append(discrepancy(a, bar, i, [j, n, k], "drinfeld-minus-failure"))
+        for i, m, tree, status in relations:
+            count += 1
+            if not _vanishes_on(spec, tree, samples):
+                found.append(discrepancy(a, bar, i, m, status))
     lines = [f"checked {count} loop relations at l={args.l}, n <= {args.nmax}, "
              f"occupations <= {args.mmax}",
              "all checks passed" if not found else f"{len(found)} failures"]

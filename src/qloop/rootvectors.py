@@ -154,22 +154,24 @@ def chi(l: int, i: int, n: int) -> OpExpr:
     return Scale(QRational.from_int(sign), e_unprimed_imag(l, i, n))
 
 
-def _chi_bracket(i: int, j: int, n: int, m: int, spec: RepSpec, samples, xi, sign: int) -> bool:
-    """[chi_{i,n}, xi_{j,m}] - sign (1/n) [n a_ij]_q xi_{j,n+m} vanishes on sample basis vectors."""
-    l = spec.l
+def chi_bracket(l: int, i: int, j: int, n: int, m: int, xi, sign: int) -> OpExpr:
+    """[chi_{i,n}, xi_{j,m}] - sign (1/n) [n a_ij]_q xi_{j,n+m}, a tree that must vanish.
+
+    Not cached: a_ij is read when the tree is built.  The CLI builds each tree
+    once per command and decides it in every module.
+    """
     x = chi(l, i, n)
     y = xi(l, j, m)
     c = qnum(n * finite_cartan_entry(l, i, j)) / QRational.from_int(n)
-    diff = Sum((Compose(x, y), Scale(QRational.from_int(-1), Compose(y, x)),
+    return Sum((Compose(x, y), Scale(QRational.from_int(-1), Compose(y, x)),
                 Scale(-c if sign > 0 else c, xi(l, j, n + m))))
-    return _vanishes_on(spec, diff, samples)
 
 
 def drinfeld_check(i: int, j: int, n: int, m: int, spec: RepSpec, samples) -> bool:
     """[chi_{i,n}, xi+_{j,m}] = (1/n) [n a_ij]_q xi+_{j,n+m} on sample basis vectors."""
-    return _chi_bracket(i, j, n, m, spec, samples, xi_plus, 1)
+    return _vanishes_on(spec, chi_bracket(spec.l, i, j, n, m, xi_plus, 1), samples)
 
 
 def drinfeld_check_minus(i: int, j: int, n: int, m: int, spec: RepSpec, samples) -> bool:
     """[chi_{i,n}, xi-_{j,m}] = -(1/n) [n a_ij]_q xi-_{j,n+m} on sample basis vectors, m > 0."""
-    return _chi_bracket(i, j, n, m, spec, samples, xi_minus, -1)
+    return _vanishes_on(spec, chi_bracket(spec.l, i, j, n, m, xi_minus, -1), samples)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from oracles import apply_at, apply_word, qh_exponent, specialize, twist_consistency
 from qloop import borelrep
 from qloop.borelrep import (CartanPower, Compose, Evaluator, Gen, OscWord, RepSpec,
-                            Scale, Sum, get_evaluator, identity, image_e, image_qh,
-                            power, serre_check, weight_relation_check)
+                            Scale, Sum, _vanishes_on, get_evaluator, identity, image_e,
+                            image_qh, power, serre_check, serre_sum, weight_relation_check)
 from qloop.exactfield import QRational, kappa, qnum
 from qloop.fock import FockState
 from qloop.rootsys import CartanExponent
@@ -418,6 +418,10 @@ def test_serre_relations_small_ranks():
                     for j in range(l + 1):
                         if i != j:
                             assert serre_check(i, j, spec, samples), (l, a, bar, i, j)
+                            # and for every m
+                            assert not get_evaluator(spec).symbolic(serre_sum(l, i, j))
+    with pytest.raises(ValueError):
+        serre_sum(2, 1, 1)
 
 
 def test_repeated_serre_check_adds_no_memo_entries():
@@ -476,3 +480,29 @@ def test_relation_checks_refuse_no_samples():
     # samples may be a generator, read once for every basis vector
     gen = (m for m in itertools.product(range(2), repeat=2))
     assert weight_relation_check(1, x, spec, gen)
+
+
+def test_an_empty_symbolic_difference_is_decided_without_the_samples(monkeypatch):
+    spec = RepSpec(2, 1)
+    diff = Gen(1) - Gen(1)
+    assert get_evaluator(spec).symbolic(diff) == ()
+
+    def no_terms(*args):
+        raise AssertionError("specialized an empty symbolic result")
+
+    monkeypatch.setattr(Evaluator, "terms", no_terms)
+    assert _vanishes_on(spec, diff, itertools.product(range(2), repeat=2))
+    # the symbolic verdict is read only after the samples: none is still refused
+    for samples in ([], iter(())):
+        with pytest.raises(ValueError):
+            _vanishes_on(spec, diff, samples)
+
+
+def test_a_nonempty_symbolic_result_falls_back_to_the_samples():
+    # e_1 of theta_2 at l = 1 lowers the one slot: its symbolic terms are
+    # nonempty, yet from occupation 0 the lowering carries [0]_q = 0
+    spec = RepSpec(1, 2)
+    assert get_evaluator(spec).symbolic(Gen(1))
+    assert _vanishes_on(spec, Gen(1), [(0,)])
+    assert _vanishes_on(spec, Gen(1), iter([(0,)]))
+    assert not _vanishes_on(spec, Gen(1), [(0,), (1,)])

@@ -15,7 +15,9 @@ from qloop.exactfield import QRational, urational_to_json
 from qloop.lweights import Weight, closed_psi
 from qloop.borelrep import RepSpec
 from qloop.rootsys import o_sign
-from qloop.rootvectors import chi, e_prime_imag, xi_minus, xi_plus
+from qloop.lweights import discrepancy
+from qloop.rootvectors import (chi, drinfeld_check, drinfeld_check_minus, e_prime_imag,
+                               xi_minus, xi_plus)
 
 ONE = QRational.one()
 qp = QRational.q_power
@@ -263,6 +265,56 @@ def test_drinfeld_command(capsys):
     assert cli.main(["drinfeld", "--l", "1", "--a", "1", "--mmax", "1",
                      "--nmax", "1"]) == 0
     assert "loop relations" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,module,name", [
+    (["drinfeld", "--l", "2", "--nmax", "1", "--mmax", "1"], rootvectors, "finite_cartan_entry"),
+    (["serre", "--l", "2", "--mmax", "1"], borelrep, "cartan_entry"),
+], ids=["drinfeld", "serre"])
+def test_no_relation_tree_outlives_its_command(monkeypatch, capsys, argv, module, name):
+    # relation trees read the Cartan matrix when they are built, so a tree
+    # kept from a broken run would fail the next one
+    with monkeypatch.context() as patch:
+        patch.setattr(module, name, lambda *args: 0)
+        assert cli.main(argv) == 1
+    assert cli.main(argv) == 0
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "all checks passed"
+
+
+def test_failing_drinfeld_report_keeps_the_nested_loop_order(monkeypatch, capsys):
+    # the report lists (bar, a), then i, j, n and k, as the checks one by one give it
+    l, nmax = 2, 2
+    samples = list(itertools.product(range(2), repeat=l))
+    monkeypatch.setattr(rootvectors, "finite_cartan_entry", lambda *args: 0)
+    want = []
+    for bar in (False, True):
+        for a in range(1, l + 2):
+            spec = RepSpec(l, a, bar)
+            for i in range(1, l + 1):
+                for j in range(1, l + 1):
+                    for n in range(1, nmax + 1):
+                        for k in range(0, nmax + 1):
+                            if not drinfeld_check(i, j, n, k, spec, samples):
+                                want.append(discrepancy(a, bar, i, [j, n, k],
+                                                        "drinfeld-plus-failure"))
+                        for k in range(1, nmax + 1):
+                            if not drinfeld_check_minus(i, j, n, k, spec, samples):
+                                want.append(discrepancy(a, bar, i, [j, n, k],
+                                                        "drinfeld-minus-failure"))
+    payloads = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda args, payload, lines:
+                        payloads.append(payload) or emit(args, payload, lines))
+    argv = ["drinfeld", "--l", str(l), "--nmax", str(nmax), "--mmax", "1", "--json"]
+    assert cli.main(argv) == 1
+    found = payloads[0]["discrepancies"]
+    assert _json_line(capsys.readouterr().out)["discrepancies"] == found
+    assert len(found) == len(want) > 0
+    for got, expected in zip(found, want):
+        assert got == expected
+    # every entry owns its index vector; none is shared between modules
+    assert len({id(d["m"]) for d in found}) == len(found)
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,12 +10,12 @@ import itertools
 import pytest
 from oracles import apply_at, apply_word, e_unprimed_by_compositions, series_log, specialize
 
-from qloop.borelrep import Compose, Gen, OscWord, RepSpec, Scale, Sum, get_evaluator
+from qloop.borelrep import Compose, Gen, OscWord, RepSpec, Scale, Sum, _vanishes_on, get_evaluator
 from qloop.exactfield import QRational, USeries, kappa, qnum
 from qloop.fock import FockState
 from qloop.lweights import _psi_roots
 from qloop.rootsys import RootIndex
-from qloop.rootvectors import (_chi_bracket, chi, drinfeld_check, drinfeld_check_minus,
+from qloop.rootvectors import (chi, chi_bracket, drinfeld_check, drinfeld_check_minus,
                                e_dual, e_prime_imag, e_real, e_unprimed_imag,
                                qcomm, xi_minus, xi_plus)
 
@@ -369,10 +369,10 @@ def test_loop_relation_with_the_wrong_sign_fails(l):
     # a = 1: at a >= 2, xi+-_{1,n} act as zero on these samples, so any sign passes
     spec = RepSpec(l, 1)
     ss = grid(l, 2)
-    assert _chi_bracket(1, 1, 1, 0, spec, ss, xi_plus, 1)
-    assert not _chi_bracket(1, 1, 1, 0, spec, ss, xi_plus, -1)
-    assert _chi_bracket(1, 1, 1, 1, spec, ss, xi_minus, -1)
-    assert not _chi_bracket(1, 1, 1, 1, spec, ss, xi_minus, 1)
+    assert _vanishes_on(spec, chi_bracket(l, 1, 1, 1, 0, xi_plus, 1), ss)
+    assert not _vanishes_on(spec, chi_bracket(l, 1, 1, 1, 0, xi_plus, -1), ss)
+    assert _vanishes_on(spec, chi_bracket(l, 1, 1, 1, 1, xi_minus, -1), ss)
+    assert not _vanishes_on(spec, chi_bracket(l, 1, 1, 1, 1, xi_minus, 1), ss)
 
 
 def test_repeated_drinfeld_check_adds_no_memo_entries():
