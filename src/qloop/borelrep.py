@@ -12,12 +12,16 @@ row of the base homomorphism that the twists send it to.
 Operator images are OscWords: a scalar times an ordered product of b, bdag
 and q**(sum d_j N_j) factors.  Composite operators (q-commutators, divided
 powers, Serre sums, root vectors) are hash-consed OpExpr trees over the
-generators.  Evaluator applies a tree once per node to v_m with m symbolic,
-as terms c Q**v v_{m+s} with Q**v = q**(v.m) and a shift s independent of m
-(one shift for a homogeneous tree).  terms(expr, m) specializes that at one
-m, exactly: specializing Q = q**m is a ring homomorphism, and a lowering step
-from occupation 0 carries [0]_q = 0, so a target outside the Fock space sums
-to 0 and _merge drops it.  apply_basis is the FockState view of terms.
+generators.  Evaluator applies a tree to v_m with m symbolic, as terms
+c Q**v v_{m+s} with Q**v = q**(v.m) and a shift s independent of m (one
+shift for a homogeneous tree).  It memoizes the nodes that can be read
+again (roots, Sums, leaves, Scales, Compose factors) and streams the
+products of a Sum's Compose children into the Sum's own accumulator, so a
+q-commutator's two products are never stored.  terms(expr, m) specializes
+that at one m, exactly: specializing Q = q**m is a ring homomorphism, and a
+lowering step from occupation 0 carries [0]_q = 0, so a target outside the
+Fock space sums to 0 and _merge drops it.  apply_basis is the FockState
+view of terms.
 """
 
 from __future__ import annotations
@@ -337,9 +341,14 @@ def power(expr: OpExpr, k: int, l: int) -> OpExpr:
 class Evaluator:
     """Applies operator expressions in one fixed representation.
 
-    symbolic(expr) is expr on v_m with m symbolic, memoized per node: nodes
-    are interned, so a rebuilt tree is the same key and each node is
-    evaluated once.  terms(expr, m) specializes it at one basis vector, and
+    symbolic(expr) is expr on v_m with m symbolic.  Nodes are interned, so a
+    rebuilt tree is the same key.  The memo (_cache) holds each node that is
+    evaluated on its own, once: roots, Sums, leaves, Scales and Compose
+    factors.  A Sum's children Compose(L, R) and Scale(c, Compose(L, R)),
+    such as a q-commutator's two products, are streamed instead: the Sum adds
+    the products of the memoized L and R straight into its own sum, and they
+    get no memo entry (one shared by several Sums is multiplied out in each).
+    terms(expr, m) specializes symbolic(expr) at one basis vector, and
     apply_basis wraps the pairs in a FockState.
     """
 
@@ -354,28 +363,52 @@ class Evaluator:
         out = self._cache.get(expr)
         if out is not None:
             return out
-        if isinstance(expr, Gen):
-            out = self._e_words[expr.i].terms(self.pattern)
-        elif isinstance(expr, CartanPower):
-            out = image_qh(expr.x, self.spec).terms(self.pattern)
-        elif isinstance(expr, Scale):
+        kind = type(expr)
+        if kind is Sum:
+            out = self._sum(expr.children)
+        elif kind is Compose:
+            out = self._sum((expr,))
+        elif kind is Scale:
             c = expr.c
             out = tuple((k, c * x) for k, x in self.symbolic(expr.child)) if c else ()
-        elif isinstance(expr, Sum):
-            out = _merge(p for child in expr.children for p in self.symbolic(child))
-        elif isinstance(expr, Compose):
-            # the left factor acts on v_{m+sr}, where its Q**vl reads q**(vl.(m+sr));
-            # it is read once, and not at all when the right factor gives 0
-            right = self.symbolic(expr.right)
-            left = self.symbolic(expr.left) if right else ()
-            out = _merge(
-                ((_vadd(sl, sr), _vadd(vl, vr)), _q_shifted(cl * cr, _dot(vl, sr)))
-                for (sr, vr), cr in right
-                for (sl, vl), cl in left)
+        elif kind is Gen:
+            out = self._e_words[expr.i].terms(self.pattern)
+        elif kind is CartanPower:
+            out = image_qh(expr.x, self.spec).terms(self.pattern)
         else:
-            raise TypeError(f"unknown operator node {type(expr).__name__}")
+            raise TypeError(f"unknown operator node {kind.__name__}")
         self._cache[expr] = out
         return out
+
+    def _sum(self, children) -> tuple:
+        """The sum of children in one accumulator.  A child Compose(L, R) or
+        Scale(c, Compose(L, R)) is streamed: its products are added here and
+        it gets no memo entry.  Every other child is read through symbolic."""
+        acc = {}
+        for child in children:
+            c = None
+            if type(child) is Scale and type(child.child) is Compose:
+                c, child = child.c, child.child
+                if not c:
+                    continue
+            if type(child) is not Compose:
+                for k, x in self.symbolic(child):
+                    acc[k] = acc[k] + x if k in acc else x
+                continue
+            # the left factor acts on v_{m+sr}, where its Q**vl reads q**(vl.(m+sr));
+            # it is read once, and not at all when the right factor gives 0
+            right = self.symbolic(child.right)
+            if not right:
+                continue
+            left = self.symbolic(child.left)
+            for (sr, vr), cr in right:
+                if c is not None:
+                    cr = c * cr
+                for (sl, vl), cl in left:
+                    k = (_vadd(sl, sr), _vadd(vl, vr))
+                    x = _q_shifted(cl * cr, _dot(vl, sr))
+                    acc[k] = acc[k] + x if k in acc else x
+        return tuple((k, x) for k, x in acc.items() if x)
 
     def terms(self, expr: OpExpr, m: tuple) -> tuple:
         """expr v_m as (target, coefficient) pairs: distinct targets, no zero coefficient."""

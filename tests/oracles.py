@@ -10,6 +10,10 @@
   a fractions.Fraction, through the explicit tables and the mode-by-mode
   action, where qloop computes over Q(q) (borelrep.Evaluator).  It checks the
   scalar layer from outside the field.
+- Symbolic action node by node: every Compose, Scale and Sum of a tree
+  evaluated and kept on its own (symbolic_by_nodes), where qloop streams a
+  Sum's products into one accumulator and keeps only the nodes read again
+  (borelrep.Evaluator.symbolic).
 - The weight table: lambda_{m, a} typed in per module, where qloop reads it
   off Psi_i(0) (lweights.closed_lambda).
 - The checks decided at one m at a time: per basis vector, the exponent of
@@ -258,6 +262,55 @@ def apply_at(expr, spec: RepSpec, m: tuple, q: int, memo: dict) -> dict:
         raise TypeError(f"unknown operator node {type(expr).__name__}")
     out = {v: x for v, x in out.items() if x}
     memo[key] = out
+    return out
+
+
+# ------------------------------------------------ symbolic action node by node
+
+
+def _merge_into(acc: dict, pairs) -> None:
+    """Add (key, coefficient) pairs into acc; zero sums stay until the caller drops them."""
+    for k, x in pairs:
+        acc[k] = acc[k] + x if k in acc else x
+
+
+def symbolic_by_nodes(ev, expr, memo=None) -> dict:
+    """expr on v_m with m symbolic as {(shift, v): c}, evaluated node by node.
+
+    Every Compose, Scale and Sum is its own result: a Compose multiplies its
+    factors' results, a Scale scales its child's and a Sum merges its
+    children's, each dropping zero sums.  qloop instead streams a Sum's
+    Compose children into one accumulator (Evaluator.symbolic).  memo maps
+    nodes to results and is owned by the caller; ev is read only for its
+    representation.
+    """
+    if memo is None:
+        memo = {}
+    out = memo.get(expr)
+    if out is not None:
+        return out
+    out = {}
+    if isinstance(expr, Gen):
+        _merge_into(out, image_e(expr.i, ev.spec).terms(ev.pattern))
+    elif isinstance(expr, CartanPower):
+        _merge_into(out, image_qh(expr.x, ev.spec).terms(ev.pattern))
+    elif isinstance(expr, Scale):
+        _merge_into(out, ((k, expr.c * x) for k, x in symbolic_by_nodes(ev, expr.child, memo).items()))
+    elif isinstance(expr, Sum):
+        for child in expr.children:
+            _merge_into(out, symbolic_by_nodes(ev, child, memo).items())
+    elif isinstance(expr, Compose):
+        # the left factor acts on v_{m+sr}: its Q**vl reads q**(vl.(m+sr))
+        left = symbolic_by_nodes(ev, expr.left, memo)
+        right = symbolic_by_nodes(ev, expr.right, memo)
+        _merge_into(out, (
+            ((tuple(map(sum, zip(sl, sr))), tuple(map(sum, zip(vl, vr)))),
+             cl * cr * QRational.q_power(sum(a * b for a, b in zip(vl, sr))))
+            for (sr, vr), cr in right.items() for (sl, vl), cl in left.items()))
+    else:
+        raise TypeError(f"unknown operator node {type(expr).__name__}")
+    out = {k: x for k, x in out.items() if x}
+    memo[expr] = out
     return out
 
 

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import apply_at, apply_word, qh_exponent, specialize, twist_consistency
-from qloop import borelrep
+from oracles import (apply_at, apply_word, qh_exponent, specialize, symbolic_by_nodes,
+                     twist_consistency)
+from qloop import borelrep, cli
 from qloop.borelrep import (CartanPower, Compose, Evaluator, Gen, OscWord, RepSpec,
                             Scale, Sum, _vanishes_on, get_evaluator, identity, image_e,
                             image_qh, power, serre_check, serre_sum, weight_relation_check)
 from qloop.exactfield import QRational, kappa, qnum
 from qloop.fock import FockState
 from qloop.rootsys import CartanExponent
+from qloop.rootvectors import chi, e_prime_imag, e_unprimed_imag, xi_minus, xi_plus
 
 ONE = QRational.one()
 qp = QRational.q_power
@@ -506,3 +508,95 @@ def test_a_nonempty_symbolic_result_falls_back_to_the_samples():
     assert _vanishes_on(spec, Gen(1), [(0,)])
     assert _vanishes_on(spec, Gen(1), iter([(0,)]))
     assert not _vanishes_on(spec, Gen(1), [(0,), (1,)])
+
+
+# ------------------------------------- symbolic action against the node-by-node oracle
+
+def _modules(ls):
+    return [RepSpec(l, a, bar) for l in ls for a in range(1, l + 2) for bar in (False, True)]
+
+
+def assert_matches_nodes(ev, tree, memo) -> tuple:
+    """ev.symbolic(tree) equals the node-by-node oracle as {(s, v): c}, with
+    distinct keys and no zero coefficient."""
+    got = ev.symbolic(tree)
+    assert all(c for _, c in got), tree
+    assert len(dict(got)) == len(got), tree
+    assert dict(got) == symbolic_by_nodes(ev, tree, memo), tree
+    return got
+
+
+@pytest.mark.parametrize("spec", _modules([2, 3]), ids=repr)
+def test_a_shared_compose_streams_and_stays_memoized(spec):
+    # C is a child of the Sums (streamed), a root and a Compose factor (memoized)
+    C = Compose(Gen(1), Gen(2))
+    sums = [Sum((C, C)), Sum((C, Scale(-ONE, C))),
+            Sum((Sum((C, Scale(qp(1), C))), Gen(0), Scale(-ONE, Compose(Gen(2), Gen(1))))),
+            Sum((Scale(QRational.zero(), C), Gen(0), Scale(-ONE, C))),
+            Sum((Scale(qnum(2), C), Sum((C, Scale(-ONE, C))), Compose(C, Gen(0))))]
+    want = symbolic_by_nodes(Evaluator(spec), C)
+    for sums_first in (False, True):
+        ev, memo = Evaluator(spec), {}
+        if sums_first:
+            for tree in sums[:-1]:
+                assert_matches_nodes(ev, tree, memo)
+            # streamed children get no memo entry; the last Sum reads C as a factor
+            assert C not in ev._cache and Scale(-ONE, C) not in ev._cache
+            assert_matches_nodes(ev, sums[-1], memo)
+            assert C in ev._cache and Compose(C, Gen(0)) not in ev._cache
+        root = assert_matches_nodes(ev, C, memo)
+        outer = assert_matches_nodes(ev, Compose(C, Gen(0)), memo)
+        for tree in sums:
+            assert_matches_nodes(ev, tree, memo)
+        assert ev._cache[C] is root and ev.symbolic(C) is root
+        assert ev.symbolic(Compose(C, Gen(0))) is outer
+        assert dict(root) == want
+        assert dict(ev.symbolic(sums[0])) == {k: c + c for k, c in want.items()}
+        assert ev.symbolic(sums[1]) == ()
+
+
+def test_a_shared_compose_is_nonzero_somewhere():
+    # so that the test above compares nonempty results
+    C = Compose(Gen(1), Gen(2))
+    assert all(any(Evaluator(spec).symbolic(C) for spec in _modules([l])) for l in (2, 3))
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_serre_and_weight_relation_trees_match_the_oracle(l, monkeypatch):
+    weight_trees = []
+    monkeypatch.setattr(borelrep, "_vanishes_on",
+                        lambda spec, expr, samples: weight_trees.append(expr) or True)
+    for i in range(l + 1):
+        for j in range(l + 1):
+            weight_relation_check(i, CartanExponent.h(l, j), RepSpec(l, 1), [(0,) * l])
+    monkeypatch.undo()
+    for spec in _modules([l]):
+        ev, memo = Evaluator(spec), {}
+        for i in range(l + 1):
+            for j in range(l + 1):
+                if i != j:
+                    assert assert_matches_nodes(ev, serre_sum(l, i, j), memo) == ()
+        for tree in weight_trees:
+            assert assert_matches_nodes(ev, tree, memo) == ()
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_loop_relation_trees_match_the_oracle(l):
+    # every tree of `qloop drinfeld --nmax 3`, both signs, in every module
+    relations = cli._loop_relations(l, 3)
+    for spec in _modules([l]):
+        ev, memo = Evaluator(spec), {}
+        for _, _, tree, _ in relations:
+            assert assert_matches_nodes(ev, tree, memo) == ()
+
+
+def test_root_vectors_match_the_oracle():
+    for spec in _modules([1, 2, 3]):
+        l = spec.l
+        ev, memo = Evaluator(spec), {}
+        for i in range(1, l + 1):
+            assert_matches_nodes(ev, xi_plus(l, i, 0), memo)
+            for n in range(1, 5):
+                for tree in (e_prime_imag(l, i, i + 1, n), e_unprimed_imag(l, i, n),
+                             xi_plus(l, i, n), xi_minus(l, i, n), chi(l, i, n)):
+                    assert_matches_nodes(ev, tree, memo)

@@ -375,6 +375,22 @@ def test_memoized_roots_have_one_shift(monkeypatch, capsys):
         assert any(ev._cache.get(root) for ev in evs), root
 
 
+def test_relation_products_get_no_memo_entry(monkeypatch, capsys):
+    # a relation's [chi, xi] products are read once, inside their Sum, so they
+    # are streamed into it and never memoized
+    monkeypatch.setattr(borelrep, "_EVALUATORS", {})
+    assert cli.main(["drinfeld", "--l", "3", "--nmax", "3", "--mmax", "1"]) == 0
+    capsys.readouterr()
+    chis = {chi(3, i, n) for i in (1, 2, 3) for n in (1, 2, 3)}
+    evs = list(borelrep._EVALUATORS.values())
+    assert len(evs) == 8
+    for ev in evs:
+        for node in ev._cache:
+            assert not (type(node) is borelrep.Compose
+                        and (node.left in chis or node.right in chis)), node
+    assert sum(len(ev._cache) for ev in evs) <= 4000
+
+
 def test_specialized_targets_stay_in_the_fock_space(monkeypatch, capsys):
     # a term whose target leaves the Fock space carries [0]_q = 0, so its
     # coefficients sum to zero and the specialization drops it
