@@ -25,12 +25,13 @@ no gcd over Q(q)[u] runs.
 Symbolic m.  verify and lweight build their checks once per module with m
 symbolic (VectorChecks): _psi_parts is read on affine occupation forms
 (_Affine), each weight <lambda, h_j> is compared as a form with the exponent
-of q**h_j, and the operator series (_operator_series) is subtracted from the
-closed Psi_i, both as Laurent polynomials in Q = q**m.  What differs, nothing
-when the catalog holds, is specialized at each grid vector.  phi_series is
-the operator series at one m; it and closed_psi fill a failed check's entry.
-The printed l-weight of lweight and the factorization checks read the
-catalog at integer m (oscillator_lweight).
+of q**h_j, and each Psi_i with the operator's phi_i, summed to all orders by
+the level-geometric lemma (_operator_fraction), both as fractions in u over
+Laurent polynomials in Q = q**m.  What differs, nothing when the catalog
+holds, is specialized at each grid vector.  phi_series is the operator's
+fraction at one m; it and closed_psi fill a failed check's entry.  The
+printed l-weight of lweight and the factorization checks read the catalog
+at integer m (oscillator_lweight).
 
 Twist conventions.  The spectral twist enters every eigenvalue through the
 single combination zs = zeta**s, kept as one exact scalar: a twisted series
@@ -53,10 +54,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .borelrep import CartanPower, Evaluator, RepSpec, _dot, _vadd, get_evaluator
-from .exactfield import QRational, URational, USeries, kappa, qrational_to_json
-from .rootsys import CartanExponent, o_sign
-from .rootvectors import e_prime_imag
+from .borelrep import (CartanPower, Compose, Evaluator, Gen, RepSpec, _dot, _q_shifted, _vadd,
+                       get_evaluator)
+from .exactfield import QRational, URational, USeries, kappa, qnum, qrational_to_json
+from .rootsys import CartanExponent, RootIndex, bilinear, o_sign
+from .rootvectors import e_dual, e_prime_imag, qcomm
 
 _ONE = QRational.one()
 _ZERO = QRational.zero()
@@ -275,43 +277,23 @@ def _symbolic_forms(i: int, spec: RepSpec) -> tuple:
     return zero + e0, [(zero + c, k) for c, k in pairs], zeff
 
 
-def _poly_series(e0: _Affine, pairs, zeff: QRational, order: int) -> list:
-    """The closed Psi_i with m symbolic, expanded through u**order.
-
-    One Laurent polynomial {v: c} in Q = q**m per power of u, as in
-    Evaluator.symbolic: q**e0 is q**e0.c Q**e0.v and a root is
-    zeff q**c.c Q**c.v.  Each factor multiplies (k = 1) or divides (k = -1)
-    in place on the truncated list, the products first, while the list is
-    still a short polynomial.  Specializing at m gives
-    closed_psi(i, spec, m).expand(order): Q -> q**m is a ring homomorphism.
-    """
-    c = [{e0.v: QRational.q_power(e0.c)}] + [{} for _ in range(order)]
-    for x, k in sorted(pairs, key=lambda p: -p[1]):
-        xc = QRational.q_power(x.c) * zeff
-        if k > 0:
-            xc, steps = -xc, range(order, 0, -1)
-        else:
-            steps = range(1, order + 1)
-        for n in steps:
-            for v, y in c[n - 1].items():
-                _add_term(c[n], _vadd(v, x.v), y * xc)
-    return c
+def _poly(*terms) -> dict:
+    """The sum of c x y over the (c, x, y) in terms, for polynomials {(k, v): c}
+    in u and Q = q**m, meaning c u**k Q**v; zero coefficients drop out."""
+    out = {}
+    for c, x, y in terms:
+        for (kx, vx), cx in x.items():
+            for (ky, vy), cy in y.items():
+                key, b = (kx + ky, _vadd(vx, vy)), c * cx * cy
+                out[key] = out[key] + b if key in out else b
+    return {key: b for key, b in out.items() if b}
 
 
-def _add_term(poly: dict, v: tuple, c: QRational) -> None:
-    """poly += c Q**v, in place; a zero sum drops out."""
-    s = poly[v] + c if v in poly else c
-    if s:
-        poly[v] = s
-    else:
-        poly.pop(v, None)
-
-
-def _poly_at(poly: dict, m: tuple) -> QRational:
-    """A Laurent polynomial {v: c} in Q at Q = q**m."""
-    out = _ZERO
-    for v, c in poly.items():
-        out = out + c * QRational.q_power(_dot(v, m))
+def _coeffs_at(terms, m: tuple) -> list:
+    """The u**k coefficients, k = 0 up to the degree, of ((k, v), c) terms at Q = q**m."""
+    out = [_ZERO] * (1 + max((k for (k, _), _ in terms), default=0))
+    for (k, v), c in terms:
+        out[k] = out[k] + _q_shifted(c, _dot(v, m))
     return out
 
 
@@ -353,49 +335,62 @@ def closed_lambda(spec: RepSpec, m) -> Weight:
     return oscillator_lweight(spec, m).weight
 
 
-def _phi_sign(i: int, l: int, n: int) -> int:
-    """The sign of kappa q**h_i e'_{n delta, alpha_i} u**n in phi_i(u)."""
-    return (-1) ** (n + 1) * o_sign(i, l) ** n
+def _operator_fraction(ev: Evaluator, spec: RepSpec, i: int) -> tuple:
+    """phi_i(u) on v_m with m symbolic and to all orders: (num, den, failed).
 
-
-def _operator_series(ev: Evaluator, spec: RepSpec, i: int, order: int) -> tuple:
-    """phi_i(u) = q**h_i (1 - kappa e'_{delta, alpha_i}(-o_i zs u)) on v_m, m
-    symbolic, through u**order: (series, off), one Laurent polynomial {v: c}
-    in Q = q**m per power of u for the action back onto v_m, and the n whose
-    e'_{n delta, alpha_i} also has a term with a nonzero shift."""
+    With E_0 = e_i, F = e_{delta - alpha_i}, d(m) the eigenvalue of e'_delta and
+    [2]_q rho(m) = d(m) - d(m + s_E), the level step gives E_n = rho**n E_0, so
+        phi_i = q**h_i [1 + kappa w (P_EF / (1 + rho' w) - c P_FE / (1 + rho w))],
+    w = o_i zs u, rho' = rho(m + s_F), P_EF and P_FE the eigenvalues of E_0 F and
+    F E_0 and c the factor of every [E_{n-1}, F]_q.  num and den are polynomials
+    {(k, v): c} in u and Q, both empty where the lemma's hypotheses in failed fail.
+    """
     l = spec.l
+    e, f, ed = Gen(i), e_dual(l, i, i + 1, 0), e_prime_imag(l, i, i + 1, 1)
+    terms = [ev.symbolic(x) for x in (e, f, ed, Compose(e, f), Compose(f, e))]
+    shifts = [{s for (s, _), _ in t} for t in terms]
+    zero = (0,) * l
+    gamma, delta = RootIndex.alpha(l, i, i + 1), RootIndex.delta(l)
+    failed = [what for what, holds in (
+        ("E_0 or F has two shifts", max(len(shifts[0]), len(shifts[1])) <= 1),
+        ("e'_delta, E_0 F or F E_0 moves v_m", shifts[2] | shifts[3] | shifts[4] <= {zero}),
+        ("e'_delta is not [E_0, F]_q", ed is qcomm(e, gamma, f, delta - gamma)),
+    ) if not holds]
+    if failed:
+        return {}, {}, failed
+    s_e, s_f = (next(iter(s), zero) for s in shifts[:2])
+    t = QRational.from_int(o_sign(i, l)) * spec.zs  # w = t u
+    half, c = t / qnum(2), QRational.q_power(-bilinear(gamma, delta - gamma))
+    # 1 + rho w and 1 + rho' w: [2]_q rho(m) = d(m) - d(m + s_E), rho' = rho(m + s_F)
+    rho = {v: x - _q_shifted(x, _dot(v, s_e)) for (_, v), x in terms[2]}
+    a, b = ({(0, zero): _ONE, **{(1, v): _q_shifted(x, _dot(v, s)) * half
+                                 for v, x in rho.items() if x}} for s in (zero, s_f))
+    pef, pfe = ({(0, v): x for (_, v), x in p} for p in terms[3:])
     (((_, vh), ch),) = ev.symbolic(CartanPower(CartanExponent.h(l, i)))
-    series = [{vh: ch}]
-    off = []
-    scale = kappa() * ch
-    for n in range(1, order + 1):
-        scale = scale * spec.zs
-        terms = ev.symbolic(e_prime_imag(l, i, i + 1, n))
-        if any(any(s) for (s, _), _ in terms):
-            off.append(n)
-        c = scale if _phi_sign(i, l, n) > 0 else -scale
-        poly = {}
-        for (s, v), x in terms:
-            if not any(s):
-                _add_term(poly, _vadd(v, vh), c * x)
-        series.append(poly)
-    return series, off
+    # num = q**h_i [den + kappa w (P_EF (1 + rho w) - c P_FE (1 + rho' w))]
+    den = _poly((_ONE, a, b))
+    pab = _poly((_ONE, pef, a), (-c, pfe, b))
+    num = _poly((ch, {(0, vh): _ONE}, den), (ch * kappa() * t, {(1, vh): _ONE}, pab))
+    return num, den, []
 
 
-def _check_diagonal(ev: Evaluator, spec: RepSpec, i: int, off, m: tuple) -> None:
-    """NotDiagonal at the first e'_{n delta, alpha_i}, n in off, with a term off v_m."""
-    for n in off:
-        pairs = [p for p in ev.terms(e_prime_imag(spec.l, i, i + 1, n), m) if p[0] != m]
-        if pairs:
-            raise NotDiagonal(spec, i, n, m, pairs)
+def _check_lemma(ev: Evaluator, spec: RepSpec, i: int, failed, m: tuple) -> None:
+    """NotDiagonal (n = 1) where e'_{delta, alpha_i} has a term off v_m, else a
+    ValueError if a hypothesis of the lemma failed: such a node never passes."""
+    if not failed:
+        return
+    pairs = [p for p in ev.terms(e_prime_imag(spec.l, i, i + 1, 1), m) if p[0] != m]
+    if pairs:
+        raise NotDiagonal(spec, i, 1, m, pairs)
+    raise ValueError(f"phi_{i} of {spec} is not level-geometric: {'; '.join(failed)}")
 
 
 def phi_series(i: int, spec: RepSpec, m, order: int) -> USeries:
     """Eigenvalue series of phi_i(u) on v_m, computed by operator action.
 
-    The u**n coefficient comes from applying the imaginary root vector
-    e'_{n delta, alpha_i}: node i's _operator_series, specialized at m.
-    NotDiagonal is raised if that action fails to be diagonal on v_m.
+    Node i's _operator_fraction at m, expanded through u**order: the u**n
+    coefficient is that of e'_{n delta, alpha_i} acting on v_m.  Raises as
+    _check_lemma does where the lemma does not hold.
     """
     l = spec.l
     mt = _check_m(l, m)
@@ -404,9 +399,9 @@ def phi_series(i: int, spec: RepSpec, m, order: int) -> USeries:
     if order < 0:
         raise ValueError("order must be >= 0")
     ev = get_evaluator(spec)
-    series, off = _operator_series(ev, spec, i, order)
-    _check_diagonal(ev, spec, i, off, mt)
-    return USeries(order, [_poly_at(poly, mt) for poly in series])
+    num, den, failed = _operator_fraction(ev, spec, i)
+    _check_lemma(ev, spec, i, failed, mt)
+    return URational(_coeffs_at(num.items(), mt), _coeffs_at(den.items(), mt)).expand(order)
 
 
 @dataclass(frozen=True)
@@ -587,13 +582,13 @@ class VectorChecks:
 
     The weight is decided once per module: each <lambda, h_j>, j = 0 .. l,
     on affine occupation forms against the exponent of q**h_j, an affine form
-    from Evaluator.symbolic.  Per node i, the series check is one difference
-    of Laurent polynomials in Q = q**m, one per power of u: the closed Psi_i
-    (_poly_series) minus the operator series (_operator_series).  When the
-    catalog holds, no weight form differs and the difference cancels, once
-    for every m.  check(m) specializes what is left at v_m, which is exact
-    (see borelrep), and applies only the e'_{n delta} with a term off the
-    diagonal.  phi_series is the operator series at one m.
+    from Evaluator.symbolic.  Per node i, the closed Psi_i and the operator's
+    phi_i (_operator_fraction), fractions whose denominators have constant
+    term one, are cross-multiplied into one polynomial in u and Q = q**m;
+    through u**order it vanishes at m exactly when the two series agree, and
+    from its degree on, at every order.  When the catalog holds, no weight
+    form differs and the polynomial cancels, once for every m.  check(m)
+    specializes what is left at v_m, which is exact (see borelrep).
     """
 
     def __init__(self, spec: RepSpec, order: int):
@@ -612,17 +607,19 @@ class VectorChecks:
             got = _Affine(c.as_q_power(), v)
             if (got.c, got.v) != (want.c, want.v):
                 self._weights.append((j, want, got))
-        # per node, the nonzero powers of u of closed minus operator series
-        # and the n of each e'_{n delta} with a term off the diagonal
+        # per node, the terms through u**order of closed num * operator den
+        # minus closed den * operator num, and the lemma's failed hypotheses
         self._diff, self._off = [], []
-        for i, form in enumerate(forms, start=1):
-            series, off = _operator_series(ev, spec, i, order)
-            diff = _poly_series(*form, order)
-            for poly, op in zip(diff, series):
-                for v, c in op.items():
-                    _add_term(poly, v, -c)
-            self._diff.append([poly for poly in diff if poly])
-            self._off.append(off)
+        one = {(0, (0,) * l): _ONE}
+        for i, (e0, pairs, zeff) in enumerate(forms, start=1):
+            num, den, failed = _operator_fraction(ev, spec, i)
+            cl = [{(0, e0.v): QRational.q_power(e0.c)}, one]  # closed num and den
+            for x, k in pairs:
+                root = {**one, (1, x.v): -zeff * QRational.q_power(x.c)}
+                cl[k < 0] = _poly((_ONE, cl[k < 0], root))
+            diff = _poly((_ONE, cl[0], den), (-_ONE, cl[1], num))
+            self._diff.append([t for t in diff.items() if t[0][0] <= order])
+            self._off.append(failed)
 
     def check(self, m) -> list:
         """Discrepancies of v_m: its weight, then per node the diagonal action
@@ -635,15 +632,15 @@ class VectorChecks:
             if t != e:
                 found.append(discrepancy(spec.a, spec.bar, j, mt, "weight-mismatch",
                                          f"q^{e}", f"q^{t}"))
-        for i, (diff, off) in enumerate(zip(self._diff, self._off), start=1):
+        for i, (diff, failed) in enumerate(zip(self._diff, self._off), start=1):
             try:
-                _check_diagonal(self._ev, spec, i, off, mt)
+                _check_lemma(self._ev, spec, i, failed, mt)
             except NotDiagonal as exc:
                 shown = [[list(t), qrational_to_json(c)] for t, c in sorted(exc.off, key=lambda p: p[0])]
                 found.append(discrepancy(spec.a, spec.bar, i, mt, "not-diagonal",
                                          repr(closed_psi(i, spec, mt)), shown))
                 continue
-            if any(_poly_at(poly, mt) for poly in diff):
+            if diff and any(_coeffs_at(diff, mt)):
                 found.append(discrepancy(spec.a, spec.bar, i, mt, "psi-mismatch",
                                          repr(closed_psi(i, spec, mt)),
                                          repr(phi_series(i, spec, mt, self.order))))

@@ -22,6 +22,11 @@
   against the closed Psi_i multiplied out and expanded, where qloop builds
   each check once with m symbolic and specializes what differs
   (lweights.VectorChecks, lweights.phi_series).
+- The series truncated through an order with m symbolic: the operator
+  series from every e'_{n delta} tree (_operator_series) and the closed
+  Psi_i expanded factor by factor (_poly_series), where qloop sums the
+  e'_{n delta} by the level-geometric lemma and compares the two sides as
+  fractions to all orders (lweights._operator_fraction).
 - The unprimed imaginary root vectors e_{n delta, alpha_i} as the expanded
   logarithm, a sum over all 2**(n-1) ordered compositions of n
   (e_unprimed_by_compositions), where qloop builds them by the
@@ -35,12 +40,12 @@ from fractions import Fraction
 
 from qloop import lweights
 from qloop.borelrep import (CartanPower, Compose, Gen, OscWord, RepSpec, Scale,
-                            Sum, get_evaluator, image_e, image_qh)
+                            Sum, _dot, _vadd, get_evaluator, image_e, image_qh)
 from qloop.exactfield import (QRational, URational, USeries, ZeroConstantTerm,
                               _utrim, kappa, qnum, qrational_to_json, series_invert)
 from qloop.fock import PLUS, FockState, ModePattern
 from qloop.lweights import NotDiagonal, Weight, _msum, discrepancy
-from qloop.rootsys import CartanExponent
+from qloop.rootsys import CartanExponent, o_sign
 from qloop.rootvectors import e_prime_imag
 
 _ZERO = QRational.zero()
@@ -398,11 +403,81 @@ def phi_series_at(i: int, spec: RepSpec, m: tuple, order: int) -> USeries:
             raise NotDiagonal(spec, i, n, m, off)
         s = pairs[0][1] if pairs else _ZERO
         c = kc0 * s
-        coeffs.append(c if lweights._phi_sign(i, l, n) > 0 else -c)
+        coeffs.append(c if _phi_sign(i, l, n) > 0 else -c)
     series = USeries(order, coeffs)
     if spec.zs != QRational.one():
         series = series.scale_var(spec.zs)
     return series
+
+
+def _add_term(poly: dict, v: tuple, c: QRational) -> None:
+    """poly += c Q**v, in place; a zero sum drops out."""
+    s = poly[v] + c if v in poly else c
+    if s:
+        poly[v] = s
+    else:
+        poly.pop(v, None)
+
+
+def _phi_sign(i: int, l: int, n: int) -> int:
+    """The sign of kappa q**h_i e'_{n delta, alpha_i} u**n in phi_i(u)."""
+    return (-1) ** (n + 1) * o_sign(i, l) ** n
+
+
+def _operator_series(ev, spec: RepSpec, i: int, order: int) -> tuple:
+    """phi_i(u) = q**h_i (1 - kappa e'_{delta, alpha_i}(-o_i zs u)) on v_m, m
+    symbolic, through u**order, from every e'_{n delta, alpha_i} tree:
+    (series, off), one Laurent polynomial {v: c} in Q = q**m per power of u
+    for the action back onto v_m, and the n whose e'_{n delta} also has a
+    term with a nonzero shift."""
+    l = spec.l
+    (((_, vh), ch),) = ev.symbolic(CartanPower(CartanExponent.h(l, i)))
+    series = [{vh: ch}]
+    off = []
+    scale = kappa() * ch
+    for n in range(1, order + 1):
+        scale = scale * spec.zs
+        terms = ev.symbolic(lweights.e_prime_imag(l, i, i + 1, n))
+        if any(any(s) for (s, _), _ in terms):
+            off.append(n)
+        c = scale if _phi_sign(i, l, n) > 0 else -scale
+        poly = {}
+        for (s, v), x in terms:
+            if not any(s):
+                _add_term(poly, _vadd(v, vh), c * x)
+        series.append(poly)
+    return series, off
+
+
+def _poly_series(e0, pairs, zeff: QRational, order: int) -> list:
+    """The closed Psi_i with m symbolic (lweights._symbolic_forms), expanded
+    through u**order.
+
+    One Laurent polynomial {v: c} in Q = q**m per power of u: q**e0 is
+    q**e0.c Q**e0.v and a root is zeff q**c.c Q**c.v.  Each factor
+    multiplies (k = 1) or divides (k = -1) in place on the truncated list,
+    the products first.  Specializing at m gives
+    closed_psi(i, spec, m).expand(order): Q -> q**m is a ring homomorphism.
+    """
+    c = [{e0.v: QRational.q_power(e0.c)}] + [{} for _ in range(order)]
+    for x, k in sorted(pairs, key=lambda p: -p[1]):
+        xc = QRational.q_power(x.c) * zeff
+        if k > 0:
+            xc, steps = -xc, range(order, 0, -1)
+        else:
+            steps = range(1, order + 1)
+        for n in steps:
+            for v, y in c[n - 1].items():
+                _add_term(c[n], _vadd(v, x.v), y * xc)
+    return c
+
+
+def _poly_at(poly: dict, m: tuple) -> QRational:
+    """A Laurent polynomial {v: c} in Q at Q = q**m."""
+    out = _ZERO
+    for v, c in poly.items():
+        out = out + c * QRational.q_power(_dot(v, m))
+    return out
 
 
 def check_vector_at(spec: RepSpec, m: tuple, order: int) -> list:

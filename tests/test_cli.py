@@ -348,10 +348,13 @@ def test_closed_forms_need_no_polynomial_gcd(monkeypatch, capsys):
 
 
 def _checked_evaluators(monkeypatch, capsys) -> list:
-    """The evaluators of one verify, one drinfeld and one serre run at l = 2."""
+    """The evaluators of one verify, one drinfeld and one serre run at l = 2.
+
+    verify evaluates no e'_{n delta} with n >= 2; drinfeld at nmax 4 builds
+    them all into chi_{i,4}."""
     monkeypatch.setattr(borelrep, "_EVALUATORS", {})
     assert cli.main(["verify", "--l", "2", "--order", "4", "--mmax", "1"]) == 0
-    assert cli.main(["drinfeld", "--l", "2", "--nmax", "1", "--mmax", "1"]) == 0
+    assert cli.main(["drinfeld", "--l", "2", "--nmax", "4", "--mmax", "1"]) == 0
     assert cli.main(["serre", "--l", "2", "--mmax", "1"]) == 0
     capsys.readouterr()
     return list(borelrep._EVALUATORS.values())
@@ -389,6 +392,23 @@ def test_relation_products_get_no_memo_entry(monkeypatch, capsys):
             assert not (type(node) is borelrep.Compose
                         and (node.left in chis or node.right in chis)), node
     assert sum(len(ev._cache) for ev in evs) <= 4000
+
+
+def test_verify_evaluates_no_deep_imaginary_root(monkeypatch, capsys):
+    # each phi_i is summed to all orders from E_0, F, e'_delta and two
+    # products, so no e'_{n delta} with n >= 2 is evaluated and the memo does
+    # not grow with --order
+    sizes = []
+    for order in (8, 40):
+        monkeypatch.setattr(borelrep, "_EVALUATORS", {})
+        assert cli.main(["verify", "--l", "3", "--order", str(order), "--mmax", "2"]) == 0
+        capsys.readouterr()
+        deep = {e_prime_imag(3, i, i + 1, n) for i in (1, 2, 3) for n in range(2, order + 1)}
+        evs = list(borelrep._EVALUATORS.values())
+        assert len(evs) == 8
+        assert not any(node in deep for ev in evs for node in ev._cache)
+        sizes.append(sum(len(ev._cache) for ev in evs))
+    assert sizes[0] == sizes[1] > 0
 
 
 def test_specialized_targets_stay_in_the_fock_space(monkeypatch, capsys):

@@ -11,19 +11,22 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (check_vector_at, pade, phi_series_at, qh_exponent, reduced, table_lambda,
-                     verify_grid_at)
+from oracles import (_operator_series, _poly_at, _poly_series, check_vector_at, pade,
+                     phi_series_at, qh_exponent, reduced, table_lambda, verify_grid_at)
 
 import qloop
 from qloop import cli, lweights
-from qloop.borelrep import Evaluator, Gen, RepSpec, Sum, get_evaluator
-from qloop.exactfield import QRational, URational, USeries, qrational_to_json, series_invert
+from qloop.borelrep import (Compose, Evaluator, Gen, RepSpec, Scale, Sum, _dot, _vadd,
+                            get_evaluator)
+from qloop.exactfield import (QRational, URational, USeries, qnum, qrational_to_json,
+                              series_invert)
 from qloop.lweights import (LWeight, NotDiagonal, VectorChecks, Weight,
                             closed_lambda, closed_psi,
                             factor_check, lweight_product,
                             oscillator_lweight, phi_series, prefundamental,
                             shift_weight, verify_grid, xi_osc)
 from qloop.rootsys import CartanExponent
+from qloop.rootvectors import e_dual, e_prime_imag, e_real
 
 ONE = QRational.one()
 qp = QRational.q_power
@@ -185,18 +188,112 @@ def test_verify_grid_refuses_an_empty_grid():
     assert verify_grid(2, 3, m_max=0, a_values=(a for a in (1, 3))) == []
 
 
+_TWISTS = (ONE, 2 * qp(-2), -qp(3))
+
+
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_phi_series_is_the_per_m_oracle(l):
-    # the symbolic operator series specialized at m is the series built from
+    # the operator's fraction expanded at m is the series built from
     # e'_{n delta} applied to v_m
-    for zs in (ONE, 2 * qp(-2), -qp(3)):
+    for zs in _TWISTS:
         for a in range(1, l + 2):
             for bar in (False, True):
                 spec = RepSpec(l, a, bar, zs)
                 for m in itertools.product(range(3), repeat=l):
                     for i in range(1, l + 1):
-                        assert phi_series(i, spec, m, 5) == phi_series_at(i, spec, m, 5), \
+                        assert phi_series(i, spec, m, 12) == phi_series_at(i, spec, m, 12), \
                             (spec, m, i)
+
+
+def _pointwise(x: dict, y: dict) -> dict:
+    """x(m) y(m) for results {(s, v): c}, c Q**v at the shift s, read at one m:
+    shifts and exponents add."""
+    out = {}
+    for (sx, vx), cx in x.items():
+        for (sy, vy), cy in y.items():
+            key = (_vadd(sx, sy), _vadd(vx, vy))
+            out[key] = out[key] + cx * cy if key in out else cx * cy
+    return {key: c for key, c in out.items() if c}
+
+
+def _combine(x: dict, y: dict, c: QRational) -> dict:
+    """x + c y, zero sums dropped."""
+    out = dict(x)
+    for key, b in y.items():
+        out[key] = out[key] + c * b if key in out else c * b
+    return {key: b for key, b in out.items() if b}
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_the_level_geometric_lemma_holds_on_the_trees(l):
+    # with d the eigenvalue of e'_delta and [2]_q rho(m) = d(m) - d(m + s_E),
+    # E_n v_m = rho(m)**n E_0 v_m and e'_{n delta} v_m =
+    # (rho(m + s_F)**(n-1) P_EF - q**2 rho(m)**(n-1) P_FE) v_m, where
+    # q**2 = q**-(alpha_i | delta - alpha_i) is the factor of every [E_{n-1}, F]_q
+    zero = (0,) * l
+    unit = {(zero, zero): ONE}
+    nonzero = 0
+    for a in range(1, l + 2):
+        for bar in (False, True):
+            ev = get_evaluator(RepSpec(l, a, bar))
+
+            def sym(x):
+                return dict(ev.symbolic(x))
+
+            for i in range(1, l + 1):
+                e, f = Gen(i), e_dual(l, i, i + 1, 0)
+                e0, d = sym(e), sym(e_prime_imag(l, i, i + 1, 1))
+                assert len({s for s, _ in e0}) == 1
+                # F acts as zero in some modules; then any shift will do
+                s_e, s_f = (next(iter({s for s, _ in t}), zero) for t in (e0, sym(f)))
+                assert {s for s, _ in d} <= {zero}
+                rho = _combine(d, {(s, v): x * qp(_dot(v, s_e)) for (s, v), x in d.items()},
+                               -ONE)
+                rho = {key: x / qnum(2) for key, x in rho.items()}
+                rho_f = {(s, v): x * qp(_dot(v, s_f)) for (s, v), x in rho.items()}
+                power = unit
+                for n in range(1, 5):
+                    power = _pointwise(power, rho)
+                    assert _pointwise(power, e0) == sym(e_real(l, i, i + 1, n)), (a, bar, i, n)
+                pef, pfe = sym(Compose(e, f)), sym(Compose(f, e))
+                gef = gfe = unit
+                for n in range(1, 7):
+                    want = _combine(_pointwise(gef, pef), _pointwise(gfe, pfe), -qp(2))
+                    assert want == sym(e_prime_imag(l, i, i + 1, n)), (a, bar, i, n)
+                    nonzero += bool(want)
+                    gef, gfe = _pointwise(gef, rho_f), _pointwise(gfe, rho)
+    assert nonzero > 0
+
+
+def _expand(num: dict, den: dict, order: int) -> dict:
+    """num / den as a series in u through u**order, all polynomials {(k, v): c}
+    in u and Q = q**m; den has constant term one."""
+    one = {(0, (0,) * len(next(iter(den))[1])): ONE}
+    assert {key: c for key, c in den.items() if key[0] == 0} == one
+    rest = {key: c for key, c in den.items() if key[0]}
+    series = {}
+    for _ in range(order + 1):
+        series = lweights._poly((ONE, num, one), (-ONE, rest, series))
+        series = {key: c for key, c in series.items() if key[0] <= order}
+    return series
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_the_operator_fraction_expands_to_the_tree_series(l):
+    # with m symbolic, the fraction summed by the lemma agrees term by term
+    # with the series of the e'_{n delta} trees through u**8
+    order = 8
+    for zs in _TWISTS:
+        for a in range(1, l + 2):
+            for bar in (False, True):
+                spec = RepSpec(l, a, bar, zs)
+                ev = get_evaluator(spec)
+                for i in range(1, l + 1):
+                    num, den, failed = lweights._operator_fraction(ev, spec, i)
+                    series, off = _operator_series(ev, spec, i, order)
+                    assert failed == off == []
+                    want = {(n, v): c for n, poly in enumerate(series) for v, c in poly.items()}
+                    assert _expand(num, den, order) == want, (spec, i)
 
 
 def test_built_checks_call_no_evaluator(monkeypatch):
@@ -288,10 +385,10 @@ def test_symbolic_closed_series_specializes_to_the_per_m_series(l):
             for bar in (False, True):
                 spec = RepSpec(l, a, bar, zs)
                 for i in range(1, l + 1):
-                    polys = lweights._poly_series(*lweights._symbolic_forms(i, spec), order)
+                    polys = _poly_series(*lweights._symbolic_forms(i, spec), order)
                     for m in itertools.product(range(3), repeat=l):
                         want = closed_psi(i, spec, m).expand(order)
-                        got = tuple(lweights._poly_at(p, m) for p in polys)
+                        got = tuple(_poly_at(p, m) for p in polys)
                         assert got == want.coeffs, (spec, i, m)
 
 
@@ -308,13 +405,16 @@ def test_series_checks_hold_for_every_m():
 
 def _perturbed_parts(monkeypatch, shift, where="num"):
     # adds shift(m) to the first numerator exponent of every Psi_i, or to
-    # its prefactor exponent e0, which moves the weight as well
+    # its prefactor exponent e0, which moves the weight as well; "den"
+    # negates every denominator exponent
     psi_parts = lweights._psi_parts
 
     def mutated(i, l, a, m):
         e0, num, den = psi_parts(i, l, a, m)
         if where == "e0":
             return e0 + shift(m), num, den
+        if where == "den":
+            return e0, num, [-c for c in den]
         return (e0, [num[0] + shift(m)] + num[1:], den) if num else (e0, num, den)
 
     monkeypatch.setattr(lweights, "_psi_parts", mutated)
@@ -336,6 +436,25 @@ def test_an_affine_catalog_edit_fails_where_the_per_m_oracle_does(monkeypatch):
         statuses = {"psi-mismatch"} | ({"weight-mismatch"} if where == "e0" else set())
         assert {d["status"] for d in found} == statuses
         assert len(found) == want, (where, len(found))
+
+
+@pytest.mark.parametrize("shift,where,want", [
+    (lambda m: 1, "e0", 7272), (lambda m: 1, "num", 2352), (lambda m: m[0], "num", 1568),
+    (None, "den", 1264),
+], ids=["e0+1", "num+1", "num+m1", "-den"])
+def test_catalog_edits_fail_entry_for_entry_as_the_trees_do(monkeypatch, shift, where, want):
+    # the fraction through u**order fails exactly where the e'_{n delta} trees,
+    # applied at each m, differ from the closed series through u**order
+    _perturbed_parts(monkeypatch, shift, where)
+    zs = -qp(3)
+    found = 0
+    for order in (1, 2, 3, 8):
+        for l in (1, 2, 3):
+            for bar in (False, True):
+                got = verify_grid(l, order, m_max=2, bar=bar, zs=zs)
+                assert got == verify_grid_at(l, order, 2, bar, zs), (order, l, bar)
+                found += len(got)
+    assert found == want
 
 
 def test_a_catalog_edit_that_is_not_affine_raises(monkeypatch):
@@ -373,6 +492,36 @@ def test_not_diagonal_entry_lists_the_off_diagonal_terms(monkeypatch, op):
     assert found == check_vector_at(spec, m, 3)
     want = [[list(t), qrational_to_json(c)] for t, c in sorted(pairs, key=lambda p: p[0])]
     assert all(d["computed"] == want for d in found)
+
+
+@pytest.mark.parametrize("name,reading,reasons", [
+    # E_0 with two shifts
+    ("Gen", lambda i: Sum((Gen(1), Gen(0))), {"two shifts", "moves v_m", "not [E_0, F]_q"}),
+    # F = e_i, so E_0 F and F E_0 move v_m
+    ("e_dual", lambda l, i, j, n: Gen(i), {"moves v_m", "not [E_0, F]_q"}),
+    # a diagonal e'_delta that is not the tree [E_0, F]_q
+    ("e_prime_imag", lambda l, i, j, n: Scale(qp(1), e_prime_imag(l, i, j, n)),
+     {"not [E_0, F]_q"}),
+])
+def test_a_failed_hypothesis_of_the_lemma_never_passes(monkeypatch, capsys, name, reading,
+                                                       reasons):
+    # e'_delta stays diagonal, so no not-diagonal entry applies: the check raises
+    spec = RepSpec(2, 2)
+    monkeypatch.setattr(lweights, name, reading)
+    checks = VectorChecks(spec, 3)
+    assert {r for r in reasons if any(r in what for what in checks._off[0])} == reasons
+    assert len(checks._off[0]) == len(reasons) and checks._diff[0] == []
+    for m in itertools.product(range(2), repeat=2):
+        with pytest.raises(ValueError, match="level-geometric"):
+            checks.check(m)
+        with pytest.raises(ValueError, match="level-geometric"):
+            phi_series(1, spec, m, 3)
+    with pytest.raises(ValueError):
+        verify_grid(2, 3, m_max=1)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", "--l", "2", "--order", "3", "--mmax", "1"])
+    assert err.value.code == 2
+    assert "level-geometric" in capsys.readouterr().err
 
 
 def test_phi_series_input_validation():
