@@ -32,6 +32,7 @@ from .fock import FockState, ModePattern
 from .lweights import (
     LWeight,
     NotDiagonal,
+    Undecided,
     Weight,
     closed_lambda,
     closed_psi,
@@ -94,6 +95,7 @@ __all__ = [
     "Weight",
     "LWeight",
     "NotDiagonal",
+    "Undecided",
     "closed_lambda",
     "closed_psi",
     "phi_series",

@@ -119,28 +119,6 @@ class OscWord:
         s = tuple(t)
         return tuple(((s, v), c) for v, c in poly.items())
 
-    def normalized(self) -> "OscWord":
-        """Canonical form: ladder atoms sorted by mode, q-powers folded right."""
-        coeff = self.coeff
-        dsum = [0] * self.l
-        ladder = []
-        for atom in self.atoms:
-            if atom[0] == "qN":
-                for j, d in enumerate(atom[1]):
-                    dsum[j] += d
-            else:
-                # commute every q-power accumulated so far past this atom:
-                # q**(dN) b = q**(-d) b q**(dN) and q**(dN) bdag = q**d bdag q**(dN)
-                d = dsum[atom[1] - 1]
-                if d:
-                    coeff = coeff * QRational.q_power(-d if atom[0] == "b" else d)
-                ladder.append(atom)
-        ladder.sort(key=lambda atom: atom[1])
-        atoms = tuple(ladder)
-        if any(dsum):
-            atoms = atoms + (("qN", tuple(dsum)),)
-        return OscWord(self.l, coeff, atoms)
-
     def __eq__(self, other):
         if not isinstance(other, OscWord):
             return NotImplemented

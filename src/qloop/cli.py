@@ -5,7 +5,9 @@ closed forms), lweight (closed l-weight of one basis vector, checked against
 the operator series), serre (q-Serre relations), drinfeld (loop relations),
 factor (factorization identities) and dump-op (operator images).  Exit code
 0 means every requested check passed, 1 means some comparison failed, 2 is
-a usage error.  JSON output is deterministic: keys are sorted and scalars
+a usage error, and 3 means a check could not be decided (a hypothesis of the
+level-geometric lemma failed; the node and the failed hypotheses go to
+stderr).  JSON output is deterministic: keys are sorted and scalars
 use the canonical exact encodings from exactfield.
 
 The spectral twist is given as a tiny exact expression over q: factors
@@ -19,13 +21,12 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 
 from .borelrep import RepSpec, _vanishes_on, get_evaluator, image_e, image_qh, serre_sum
 from .exactfield import QRational, qrational_to_json, urational_to_json
-from .lweights import (VectorChecks, discrepancy, factor_checks, oscillator_lweight,
-                       verify_grid)
+from .lweights import (Undecided, VectorChecks, discrepancy, factor_checks,
+                       oscillator_lweight, verify_grid)
 from .rootsys import CartanExponent
 from .rootvectors import (chi_bracket, e_dual, e_prime_imag, e_real, e_unprimed_imag,
                           xi_minus, xi_plus)
@@ -82,14 +83,6 @@ def _parse_m(text: str, l: int) -> tuple:
     if len(m) != l or any(x < 0 for x in m):
         raise ValueError(f"occupation vector needs {l} nonnegative entries")
     return m
-
-
-def _default_order() -> int:
-    text = os.environ.get("QLOOP_ORDER", str(_DEFAULT_ORDER))
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"QLOOP_ORDER must be an integer, not {text!r}") from None
 
 
 def _emit(args, payload: dict, lines) -> None:
@@ -164,22 +157,28 @@ def _cmd_lweight(args) -> int:
                    lam.omega, [urational_to_json(f) for f in psi])
 
 
-def _cmd_serre(args) -> int:
+def _decide(args, relations: list, what: str) -> int:
+    """Decide every (i, index, tree, status) relation in every requested
+    module, in that order; 1 on any failure.  A relation tree does not
+    depend on the module, so each is built once per command."""
     samples = list(itertools.product(range(args.mmax + 1), repeat=args.l))
-    # the trees do not depend on the module, so each is built once per command
-    sums = [(i, j, serre_sum(args.l, i, j))
-            for i in range(args.l + 1) for j in range(args.l + 1) if i != j]
     found = []
-    pairs = 0
-    for bar, a in _families(args):
+    families = _families(args)
+    for bar, a in families:
         spec = RepSpec(args.l, a, bar)
-        for i, j, tree in sums:
-            pairs += 1
+        for i, index, tree, status in relations:
             if not _vanishes_on(spec, tree, samples):
-                found.append(discrepancy(a, bar, i, [j], "serre-failure"))
-    lines = [f"checked {pairs} Serre relations at l={args.l}, occupations <= {args.mmax}",
+                found.append(discrepancy(a, bar, i, index, status))
+    lines = [f"checked {len(families) * len(relations)} {what}",
              "all checks passed" if not found else f"{len(found)} failures"]
     return _report(args, lines, found, _meta(args.l, args.a, args.bar, None, QRational.one()))
+
+
+def _cmd_serre(args) -> int:
+    l = args.l
+    relations = [(i, [j], serre_sum(l, i, j), "serre-failure")
+                 for i in range(l + 1) for j in range(l + 1) if i != j]
+    return _decide(args, relations, f"Serre relations at l={l}, occupations <= {args.mmax}")
 
 
 def _loop_relations(l: int, nmax: int) -> list:
@@ -196,46 +195,25 @@ def _loop_relations(l: int, nmax: int) -> list:
 
 
 def _cmd_drinfeld(args) -> int:
-    samples = list(itertools.product(range(args.mmax + 1), repeat=args.l))
-    # the trees do not depend on the module, so each is built once per command
-    relations = _loop_relations(args.l, args.nmax)
-    found = []
-    count = 0
-    for bar, a in _families(args):
-        spec = RepSpec(args.l, a, bar)
-        for i, m, tree, status in relations:
-            count += 1
-            if not _vanishes_on(spec, tree, samples):
-                found.append(discrepancy(a, bar, i, m, status))
-    lines = [f"checked {count} loop relations at l={args.l}, n <= {args.nmax}, "
-             f"occupations <= {args.mmax}",
-             "all checks passed" if not found else f"{len(found)} failures"]
-    return _report(args, lines, found, _meta(args.l, args.a, args.bar, None, QRational.one()))
+    return _decide(args, _loop_relations(args.l, args.nmax),
+                   f"loop relations at l={args.l}, n <= {args.nmax}, occupations <= {args.mmax}")
 
-
-_KIND_ALIASES = {
-    "osc_to_pref": "osc",
-    "pref_minus": "pref-minus",
-    "pref_plus": "pref-plus",
-    "full_tensor": "full-tensor",
-}
 
 # the families that take --index, each over 1 .. l + extra
 _INDEXED_KINDS = {"osc": 1, "pref-minus": 0, "pref-plus": 0}
 
 
 def _cmd_factor(args) -> int:
-    kind = _KIND_ALIASES.get(args.kind, args.kind)
-    if args.index is not None and kind not in _INDEXED_KINDS:
-        raise ValueError(f"--index does not apply to --kind {kind}")
-    if args.zs_list is not None and kind in _INDEXED_KINDS:
-        raise ValueError(f"--zs-list does not apply to --kind {kind}")
-    if args.zs is not None and args.zs_list is not None and kind == "full-tensor":
+    if args.index is not None and args.kind not in _INDEXED_KINDS:
+        raise ValueError(f"--index does not apply to --kind {args.kind}")
+    if args.zs_list is not None and args.kind in _INDEXED_KINDS:
+        raise ValueError(f"--zs-list does not apply to --kind {args.kind}")
+    if args.zs is not None and args.zs_list is not None and args.kind == "full-tensor":
         raise ValueError("--zs does not apply to --kind full-tensor with --zs-list")
     zs = parse_zs("q^2" if args.zs is None else args.zs)
     jobs = []
     for name, extra in _INDEXED_KINDS.items():
-        if kind not in (name, "all"):
+        if args.kind not in (name, "all"):
             continue
         indices = range(1, args.l + extra + 1)
         if args.index is not None:
@@ -243,7 +221,7 @@ def _cmd_factor(args) -> int:
                 raise ValueError(f"{name} needs 1 <= index <= {args.l + extra}")
             indices = (args.index,)
         jobs += [(name, index) for index in indices]
-    if kind in ("full-tensor", "all"):
+    if args.kind in ("full-tensor", "all"):
         jobs.append(("full-tensor", 0))
     zs_list = None
     if args.zs_list is not None:
@@ -272,7 +250,7 @@ def _cmd_dump_op(args) -> int:
     spec = RepSpec(args.l, args.a, args.bar)
     lines = []
     if args.gen is not None:
-        word = image_e(args.gen, spec).normalized()
+        word = image_e(args.gen, spec)
         hw = image_qh(CartanExponent.h(args.l, args.gen), spec)
         lines.append(f"e_{args.gen} -> {word!r}")
         lines.append(f"q^h_{args.gen} -> {hw!r}")
@@ -289,9 +267,8 @@ def _cmd_dump_op(args) -> int:
         nums = [int(x) for x in rest.split(",")]
         builder = _ROOT_BUILDERS[family]
     except (KeyError, ValueError):
-        print(f"cannot parse root spec {args.root!r}; use e.g. real:1,2,0 or imag:1,2",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot parse root spec {args.root!r}; "
+                         "use e.g. real:1,2,0 or imag:1,2") from None
     if family == "imag" and len(nums) == 2:
         i, n = nums
         if not (1 <= i <= args.l):
@@ -307,8 +284,7 @@ def _cmd_dump_op(args) -> int:
         head = (args.l, i, j)
         name = f"{family}:{i},{j},{n}"
     else:
-        print(f"wrong arity in root spec {args.root!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"wrong arity in root spec {args.root!r}")
     # every family's tree holds its lower levels, so those are evaluated
     # first, from the lowest up, as verify does: recursion stays shallow
     ev = get_evaluator(spec)
@@ -340,8 +316,8 @@ def _add_common(sub, *, a_required=False, with_order=True):
         sub.add_argument("--a", type=int, default=None, help="restrict to one representation index")
     sub.add_argument("--bar", action="store_true", help="mirrored family")
     if with_order:
-        sub.add_argument("--order", type=int, default=None,
-                         help="series comparison order (default QLOOP_ORDER or 6)")
+        sub.add_argument("--order", type=int, default=_DEFAULT_ORDER,
+                         help=f"series comparison order (default {_DEFAULT_ORDER})")
     sub.add_argument("--json", action="store_true", help="print a JSON report")
     sub.add_argument("--output", default=None, help="write the JSON report to this path")
 
@@ -379,8 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("factor", help="factorization identities between l-weights")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--kind", default="all",
-                   choices=["osc", "pref-minus", "pref-plus", "full-tensor", "all",
-                            "osc_to_pref", "pref_minus", "pref_plus", "full_tensor"])
+                   choices=["osc", "pref-minus", "pref-plus", "full-tensor", "all"])
     p.add_argument("--index", type=int, default=None, help="a or i, depending on kind")
     p.add_argument("--zs", default=None, help=_ZS_HELP + " (default q^2)")
     p.add_argument("--zs-list", default=None,
@@ -416,16 +391,15 @@ def main(argv=None) -> int:
         parser.error("dump-op needs exactly one of --gen or --root")
     if getattr(args, "gen", None) is not None and not (0 <= args.gen <= args.l):
         parser.error("need 0 <= gen <= l")
+    if getattr(args, "order", 2) < 2:
+        parser.error("need order >= 2")
     try:
-        if hasattr(args, "order"):
-            if args.order is None:
-                args.order = _default_order()
-            if args.order < 2:
-                parser.error("need order >= 2")
         return args.func(args)
+    except Undecided as exc:
+        print(f"qloop {args.command}: undecided: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         parser.error(str(exc))
-        return 2
 
 
 if __name__ == "__main__":

@@ -82,6 +82,11 @@ class NotDiagonal(Exception):
         self.off = tuple(off)
 
 
+class Undecided(ValueError):
+    """A hypothesis of the level-geometric lemma failed at a node, so its
+    check can be decided neither way; the message names the hypotheses."""
+
+
 @dataclass(frozen=True)
 class Weight:
     """An integral weight over the fundamental weights omega_1 .. omega_l."""
@@ -375,14 +380,14 @@ def _operator_fraction(ev: Evaluator, spec: RepSpec, i: int) -> tuple:
 
 
 def _check_lemma(ev: Evaluator, spec: RepSpec, i: int, failed, m: tuple) -> None:
-    """NotDiagonal (n = 1) where e'_{delta, alpha_i} has a term off v_m, else a
-    ValueError if a hypothesis of the lemma failed: such a node never passes."""
+    """NotDiagonal (n = 1) where e'_{delta, alpha_i} has a term off v_m, else
+    Undecided if a hypothesis of the lemma failed: such a node never passes."""
     if not failed:
         return
     pairs = [p for p in ev.terms(e_prime_imag(spec.l, i, i + 1, 1), m) if p[0] != m]
     if pairs:
         raise NotDiagonal(spec, i, 1, m, pairs)
-    raise ValueError(f"phi_{i} of {spec} is not level-geometric: {'; '.join(failed)}")
+    raise Undecided(f"phi_{i} of {spec} is not level-geometric: {'; '.join(failed)}")
 
 
 def phi_series(i: int, spec: RepSpec, m, order: int) -> USeries:

@@ -1,4 +1,4 @@
-"""The affine root system of type A_l^(1) and its convex normal order.
+"""The affine root system of type A_l^(1).
 
 Positive roots of the affine algebra come in three families built from the
 finite positive roots alpha_{ij} = alpha_i + ... + alpha_{j-1} (1 <= i < j <=
@@ -11,12 +11,8 @@ l+1) and the imaginary root delta = alpha_0 + alpha_1 + ... + alpha_l:
 A root is stored by its coefficient vector over the simple roots alpha_0 ..
 alpha_l.  The bilinear form is induced by the extended Cartan matrix; for
 l = 1 the two nodes of the Dynkin diagram are joined by a double bond, so
-a_{01} = a_{10} = -2 there.
-
-The normal (convex) order puts every real root before every imaginary root
-before every dual root, refined lexicographically inside the real and dual
-blocks; imaginary roots are ordered by their level.  Cartan exponents (the
-integer vectors x with q**x in the algebra) live here too.
+a_{01} = a_{10} = -2 there.  Cartan exponents (the integer vectors x with
+q**x in the algebra) live here too.
 """
 
 from __future__ import annotations
@@ -98,40 +94,6 @@ class RootIndex:
 
     __rmul__ = __mul__
 
-    def classify(self):
-        """Sort into the three positive families.
-
-        Returns ("real", i, j, n) for alpha_{ij} + n*delta, ("dual", i, j, n)
-        for (delta - alpha_{ij}) + n*delta, ("imaginary", n) for n*delta, or
-        None when the vector is not a positive root.
-        """
-        c = self.coeffs
-        m = min(c)
-        if m < 0:
-            return None
-        pat = tuple(x - m for x in c)
-        if all(x == 0 for x in pat):
-            return ("imaginary", m) if m >= 1 else None
-        if any(x not in (0, 1) for x in pat):
-            return None
-        ones = [k for k, x in enumerate(pat) if x == 1]
-        if pat[0] == 0:
-            # support of alpha_{ij} must be a contiguous block inside 1..l
-            i, j = ones[0], ones[-1] + 1
-            if ones == list(range(i, j)):
-                return ("real", i, j, m)
-            return None
-        zeros = [k for k, x in enumerate(pat) if x == 0]
-        if not zeros:
-            return None
-        i, j = zeros[0], zeros[-1] + 1
-        if i >= 1 and zeros == list(range(i, j)):
-            return ("dual", i, j, m)
-        return None
-
-    def is_positive_root(self) -> bool:
-        return self.classify() is not None
-
 
 def bilinear(a: RootIndex, b: RootIndex) -> int:
     """Symmetric form (a|b) induced by the extended Cartan matrix."""
@@ -144,28 +106,6 @@ def bilinear(a: RootIndex, b: RootIndex) -> int:
                 if cb:
                     total += ca * cb * cartan_entry(a.l, i, j)
     return total
-
-
-_BLOCK = {"real": 0, "imaginary": 1, "dual": 2}
-
-
-def normal_less(a: RootIndex, b: RootIndex) -> bool:
-    """Strict convex order: real block, then imaginary, then dual."""
-    ca = a.classify()
-    cb = b.classify()
-    if ca is None or cb is None:
-        raise NotAPositiveRoot("normal_less is defined on positive roots only")
-    ba, bb = _BLOCK[ca[0]], _BLOCK[cb[0]]
-    if ba != bb:
-        return ba < bb
-    if ca[0] == "imaginary":
-        return ca[1] < cb[1]
-    _, i, j, r = ca
-    _, m, n, s = cb
-    if ca[0] == "real":
-        return (i, r, j) < (m, s, n)
-    # dual block: first index and level run backwards
-    return (-i, -r, j) < (-m, -s, n)
 
 
 @dataclass(frozen=True)

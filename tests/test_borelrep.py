@@ -57,9 +57,9 @@ def test_generator_images_middle_row():
     s32 = RepSpec(3, 2)
     assert image_e(3, s32) == OscWord(3, -qp(-1), (("b", 1), ("bdag", 2), qN(1, -1, 0)))
     # creation row (i = a) picks up the q-power of all later modes
-    assert image_e(2, s32).normalized() == OscWord(3, ONE, (("bdag", 1), qN(0, 1, 1)))
+    assert image_e(2, s32) == OscWord(3, ONE, (("bdag", 1), qN(0, 1, 1)))
     # kappa row (i = a-1) annihilates against the last mode
-    assert image_e(1, s32).normalized() == OscWord(3, -KI, (("b", 3), qN(0, 0, 1)))
+    assert image_e(1, s32) == OscWord(3, -KI, (("b", 3), qN(0, 0, 1)))
 
 
 def test_cartan_images():
@@ -82,6 +82,19 @@ def test_images_preserve_rank():
                 for i in range(l + 1):
                     assert image_e(i, spec).l == l
                     assert image_qh(CartanExponent.h(l, i), spec).l == l
+
+
+def test_images_are_in_normal_form():
+    # every image word has its ladder atoms sorted by mode and at most one
+    # q-power, placed last, so equal operators are equal words
+    for l in range(1, 9):
+        for a in range(1, l + 2):
+            for bar in (False, True):
+                for i in range(l + 1):
+                    atoms = image_e(i, RepSpec(l, a, bar)).atoms
+                    ladder = tuple(atom for atom in atoms if atom[0] != "qN")
+                    assert [mode for _, mode in ladder] == sorted(mode for _, mode in ladder)
+                    assert atoms[:len(ladder)] == ladder and len(atoms) <= len(ladder) + 1
 
 
 # -------------------------------------------------- twist and reflection laws
@@ -115,7 +128,7 @@ def test_bar_images_are_reflected_images():
             mirrored, refl = RepSpec(l, a, bar=True), RepSpec(l, l - a + 2)
             for i in range(l + 1):
                 r = (l + 1 - i) % (l + 1)
-                assert image_e(i, mirrored).normalized() == image_e(r, refl).normalized()
+                assert image_e(i, mirrored) == image_e(r, refl)
                 assert image_qh(CartanExponent.h(l, i), mirrored) == \
                     image_qh(CartanExponent.h(l, r), refl)
 
@@ -153,22 +166,6 @@ def test_word_application_matches_mode_by_mode_action(atoms):
     assert len({s for (s, _), _ in pairs}) == 1
     for m in GRID:
         assert _at(pairs, m) == apply_word(word, pattern, FockState.basis(m)), m
-
-
-@given(st.lists(osc_atoms, max_size=5))
-@settings(max_examples=60, deadline=None)
-def test_normalized_word_acts_identically(atoms):
-    # normalization reorders ladder atoms only across distinct modes
-    modes = [a[1] for a in atoms if a[0] != "qN"]
-    if len(set(modes)) != len(modes):
-        return
-    pattern = RepSpec(2, 2).pattern()
-    word = OscWord(2, qnum(2), atoms)
-    pairs, normal = word.terms(pattern), word.normalized().terms(pattern)
-    for m in GRID:
-        assert _at(pairs, m) == _at(normal, m), m
-    # one operator has one symbolic form
-    assert dict(pairs) == dict(normal)
 
 
 # slot 1 of RepSpec(2, 2) is a minus slot, where bdag lowers; slot 2 is a plus

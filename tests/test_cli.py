@@ -5,6 +5,8 @@ import hashlib
 import io
 import itertools
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from qloop import borelrep, cli, exactfield, lweights, rootvectors
 from qloop.exactfield import QRational, urational_to_json
 from qloop.lweights import Weight, closed_psi
-from qloop.borelrep import RepSpec
+from qloop.borelrep import RepSpec, serre_check
 from qloop.rootsys import o_sign
 from qloop.lweights import discrepancy
 from qloop.rootvectors import (chi, drinfeld_check, drinfeld_check_minus, e_prime_imag,
@@ -55,7 +57,7 @@ def test_verify_passes(capsys):
     assert "all checks passed" in out
 
 
-def test_usage_errors_exit_two(monkeypatch, tmp_path, capsys):
+def test_usage_errors_exit_two(tmp_path, capsys):
     for argv in (
         ["lweight", "--l", "0", "--a", "1", "--m", "0"],
         ["lweight", "--l", "1", "--a", "3", "--m", "0"],
@@ -79,10 +81,10 @@ def test_usage_errors_exit_two(monkeypatch, tmp_path, capsys):
         ["factor", "--l", "2", "--kind", "full-tensor", "--index", "1"],
         ["factor", "--l", "2", "--kind", "all", "--index", "1"],
         ["factor", "--l", "2", "--kind", "osc", "--zs-list", "q,q,q"],
-        ["factor", "--l", "2", "--kind", "pref_minus", "--zs-list", "q,q,q"],
+        ["factor", "--l", "2", "--kind", "pref-minus", "--zs-list", "q,q,q"],
         # full-tensor with --zs-list has no use for --zs
         ["factor", "--l", "1", "--kind", "full-tensor", "--zs", "q^5", "--zs-list", "q,q"],
-        ["factor", "--l", "1", "--kind", "full_tensor", "--zs", "q^2", "--zs-list", "q,q"],
+        ["factor", "--l", "1", "--kind", "full-tensor", "--zs", "q^2", "--zs-list", "q,q"],
         # an empty --zs-list is refused, not read as absent
         ["factor", "--l", "1", "--kind", "full-tensor", "--zs-list="],
         # a zero twist, of the indexed families or of one tensor factor
@@ -91,16 +93,28 @@ def test_usage_errors_exit_two(monkeypatch, tmp_path, capsys):
         # twist exponents beyond +-1000, one factor's or the product's
         ["verify", "--l", "1", "--zs", "q^1000000000"],
         ["verify", "--l", "1", "--zs=q^1000*q^1000"],
+        # --kind takes the hyphen spellings only
+        ["factor", "--l", "1", "--kind", "pref_minus"],
     ):
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
         assert err.value.code == 2, argv
         assert "error:" in capsys.readouterr().err, argv
-    monkeypatch.setenv("QLOOP_ORDER", "x")
-    with pytest.raises(SystemExit) as err:
-        cli.main(["verify", "--l", "1"])
-    assert err.value.code == 2
-    assert "QLOOP_ORDER" in capsys.readouterr().err
+
+
+def _readme_commands() -> list:
+    """The qloop lines of the first code block under README's "Command line"."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## Command line\n", 1)[1].split("```\n", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("qloop ")]
+
+
+def test_readme_commands_pass(capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_verification_failure_exits_one(monkeypatch, capsys):
@@ -151,7 +165,7 @@ _FLAG_VALUES = {
     "--m": st.lists(st.integers(-1, 2), max_size=3).map(lambda m: ",".join(map(str, m))),
     "--zs": st.sampled_from(("0", "1", "1/0", "q^x", "-2*q^3", "q^-1", "3/2", "")),
     "--zs-list": st.sampled_from(("q,q^2", "1,1/0", "q,q,q", "0,1,q")),
-    "--kind": st.sampled_from(("osc", "pref-minus", "pref_plus", "full-tensor", "all")),
+    "--kind": st.sampled_from(("osc", "pref-minus", "pref-plus", "full-tensor", "all")),
     "--root": st.sampled_from(("real:1,2,0", "dual:1,2,1", "prime:1,1", "imag:0,1",
                                "imag:1,0", "prime:2,1", "real:2,1,0", "imag:3,1", "imag:1,2,1",
                                "bogus")),
@@ -248,10 +262,11 @@ def test_output_file_matches_stdout_json(tmp_path, capsys):
 
 
 def test_order_env_default(monkeypatch, capsys):
+    # the default order is 6; the CLI reads no environment variable
     monkeypatch.setenv("QLOOP_ORDER", "3")
     assert cli.main(["lweight", "--l", "1", "--a", "1", "--m", "0", "--json"]) == 0
     doc = _json_line(capsys.readouterr().out)
-    assert doc["meta"]["order"] == 3
+    assert doc["meta"]["order"] == 6
 
 
 # ----------------------------------------------------------------- subcommands
@@ -315,6 +330,31 @@ def test_failing_drinfeld_report_keeps_the_nested_loop_order(monkeypatch, capsys
         assert got == expected
     # every entry owns its index vector; none is shared between modules
     assert len({id(d["m"]) for d in found}) == len(found)
+
+
+def test_failing_serre_report_keeps_the_nested_loop_order(monkeypatch, tmp_path, capsys):
+    # with a_ij = 0 each Serre sum is the commutator [e_i, e_j], which fails
+    # for neighbouring nodes only; the report lists (bar, a), then i and j
+    l = 3
+    samples = list(itertools.product(range(2), repeat=l))
+    monkeypatch.setattr(borelrep, "cartan_entry", lambda *args: 0)
+    want = [discrepancy(a, bar, i, [j], "serre-failure")
+            for bar in (False, True) for a in range(1, l + 2)
+            for i in range(l + 1) for j in range(l + 1)
+            if i != j and not serre_check(i, j, RepSpec(l, a, bar), samples)]
+    report = tmp_path / "report.json"
+    assert cli.main(["serre", "--l", str(l), "--mmax", "1", "--output", str(report)]) == 1
+    out = capsys.readouterr().out
+    assert json.loads(report.read_text())["discrepancies"] == want
+    assert out.splitlines() == ["checked 96 Serre relations at l=3, occupations <= 1",
+                                "64 failures"]
+    assert len(want) == 64
+    # sha256 of stdout and of the report, recorded while serre and drinfeld
+    # each had a loop of their own
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "ed8e26094f14586abe7a74a9f8665e8e7b9fdf0438afc7618d6135017425ecde"
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == \
+        "390596919dff564c713805f0d004ac4c104f8c3d59226f9ab27f29af12ccad53"
 
 
 @pytest.mark.parametrize("argv", [
@@ -425,10 +465,10 @@ def test_specialized_targets_stay_in_the_fock_space(monkeypatch, capsys):
 def test_factor_command_and_aliases(capsys):
     assert cli.main(["factor", "--l", "1"]) == 0
     capsys.readouterr()
-    assert cli.main(["factor", "--l", "1", "--kind", "pref_minus", "--index", "1"]) == 0
+    assert cli.main(["factor", "--l", "1", "--kind", "pref-minus", "--index", "1"]) == 0
     out = capsys.readouterr().out
     assert "pref-minus[1]: ok" in out
-    assert cli.main(["factor", "--l", "1", "--kind", "full_tensor",
+    assert cli.main(["factor", "--l", "1", "--kind", "full-tensor",
                      "--zs-list", "q,q^2"]) == 0
     capsys.readouterr()
     # --kind all takes both: --zs for the indexed families, --zs-list for the tensor
@@ -481,14 +521,19 @@ def test_dump_op_root_action(capsys):
 
 
 def test_dump_op_bad_root_spec(capsys):
-    assert cli.main(["dump-op", "--l", "1", "--a", "1", "--root", "bogus"]) == 2
-    assert cli.main(["dump-op", "--l", "1", "--a", "1", "--root", "real:1"]) == 2
+    for root, message in (("bogus", "cannot parse root spec"), ("real:1", "wrong arity")):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["dump-op", "--l", "1", "--a", "1", "--root", root])
+        assert err.value.code == 2, root
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == "", root
 
 
 def test_dump_op_imag_takes_two_numbers(capsys):
     # imag:i,n has no j; a third number is an arity error, not an ignored one
-    assert cli.main(["dump-op", "--l", "2", "--a", "1", "--root", "imag:1,7,2",
-                     "--mmax", "0"]) == 2
+    with pytest.raises(SystemExit) as err:
+        cli.main(["dump-op", "--l", "2", "--a", "1", "--root", "imag:1,7,2", "--mmax", "0"])
+    assert err.value.code == 2
     captured = capsys.readouterr()
     assert "wrong arity" in captured.err and captured.out == ""
 
@@ -507,10 +552,11 @@ def test_dump_op_reaches_deep_levels(capsys, argv):
 
 
 # sha256 of stdout and of the --output report, recorded before the evaluator
-# memo moved from FockStates to term tuples, and the lweight-mirrored,
-# imag-12 and nmax-8 rows while lweight built its l-weight from the checks'
-# forms and e_{n delta} was the sum over compositions; output must stay
-# byte-stable.  Keys are the test ids.
+# memo moved from FockStates to term tuples, the lweight-mirrored, imag-12
+# and nmax-8 rows while lweight built its l-weight from the checks' forms
+# and e_{n delta} was the sum over compositions, and the dump-op-gen rows
+# while dump-op --gen normalized the image word before printing it; output
+# must stay byte-stable.  Keys are the test ids.
 _GOLDEN = {
     "verify":
     (["verify", "--l", "3", "--order", "8", "--mmax", "2", "--zs=-1*q^-3"],
@@ -542,6 +588,14 @@ _GOLDEN = {
     (["dump-op", "--l", "3", "--a", "2", "--root", "imag:1,3", "--json"],
      "c9fa2c5ffec042c49a22d1eaa5580e3087b3d19fd023ff6c3a40cfea81820c0f",
      "2f747e6b8595215e2e6ebc8abaaaf9e5d4fb81ecd55ae30098a172c9e034abd6"),
+    "dump-op-gen":
+    (["dump-op", "--l", "3", "--a", "2", "--gen", "0", "--json"],
+     "790d11480705a2b0345281f53f0b17380dae40ab317539404fdd0048a963620b",
+     "53f67ff66a345d1f0d52a55e4c1267dbd9a9e1bebafee37671748659951d3196"),
+    "dump-op-gen-bar":
+    (["dump-op", "--l", "3", "--a", "2", "--bar", "--gen", "2", "--json"],
+     "e45b717c4cbe49d61e985b6de38057ecf48c8cf7ca9e7b2cd72cc9a97971c720",
+     "17a14e52ca841d238bf21d73e16f751a78f9d307ab0ebfefedeefd78da1c203a"),
     "dump-op-imag-12":
     (["dump-op", "--l", "2", "--a", "1", "--root", "imag:1,12", "--mmax", "0", "--json"],
      "0b1ccbf195af3604ef3d207760623baac8eeadd6883a1a240106cfa04caf5b3e",

@@ -1,14 +1,9 @@
-"""Affine root system of sl(l+1): Cartan data, root families, normal order."""
-
-import itertools
+"""Affine root system of sl(l+1): Cartan data, roots, Cartan exponents."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from qloop.rootsys import (CartanExponent, NotAPositiveRoot, RootIndex,
-                           bilinear, cartan_entry, finite_cartan_entry,
-                           normal_less, o_sign)
+from qloop.rootsys import (CartanExponent, RootIndex, bilinear, cartan_entry,
+                           finite_cartan_entry, o_sign)
 
 
 # ----------------------------------------------------------------- Cartan data
@@ -67,94 +62,6 @@ def test_alpha_interval():
     assert RootIndex.alpha(l, 2, 3) == RootIndex.simple(l, 2)
     with pytest.raises(ValueError):
         RootIndex.alpha(l, 3, 3)
-
-
-def test_classify_families():
-    l = 2
-    d = RootIndex.delta(l)
-    a12 = RootIndex.alpha(l, 1, 2)
-    assert a12.classify() == ("real", 1, 2, 0)
-    assert (a12 + 2 * d).classify() == ("real", 1, 2, 2)
-    assert (3 * d).classify() == ("imaginary", 3)
-    assert (d - a12).classify() == ("dual", 1, 2, 0)
-    assert ((d - a12) + d).classify() == ("dual", 1, 2, 1)
-    assert (a12 - d).classify() is None
-    assert RootIndex(l, (0, 0, 0)).classify() is None
-    assert RootIndex(l, (0, 2, 0)).classify() is None
-    assert RootIndex(l, (0, 1, 0)).is_positive_root()
-
-
-@given(st.integers(1, 4), st.data())
-@settings(max_examples=60, deadline=None)
-def test_classify_roundtrip(l, data):
-    fam = data.draw(st.sampled_from(("real", "dual", "imaginary")))
-    n = data.draw(st.integers(0, 3))
-    if fam == "imaginary":
-        if n == 0:
-            n = 1
-        root = n * RootIndex.delta(l)
-        assert root.classify() == ("imaginary", n)
-        return
-    i = data.draw(st.integers(1, l))
-    j = data.draw(st.integers(i + 1, l + 1))
-    base = RootIndex.alpha(l, i, j)
-    if fam == "dual":
-        base = RootIndex.delta(l) - base
-    root = base + n * RootIndex.delta(l)
-    assert root.classify() == (fam, i, j, n)
-
-
-def _positive_roots(l, max_level):
-    out = []
-    d = RootIndex.delta(l)
-    for i in range(1, l + 1):
-        for j in range(i + 1, l + 2):
-            for n in range(max_level + 1):
-                out.append(RootIndex.alpha(l, i, j) + n * d)
-                out.append((d - RootIndex.alpha(l, i, j)) + n * d)
-    for n in range(1, max_level + 1):
-        out.append(n * d)
-    return out
-
-
-def test_normal_less_is_a_strict_total_order():
-    roots = _positive_roots(2, 2)
-    for x in roots:
-        assert not normal_less(x, x)
-    for x, y in itertools.permutations(roots, 2):
-        assert normal_less(x, y) != normal_less(y, x)
-    for x, y, z in itertools.permutations(roots, 3):
-        if normal_less(x, y) and normal_less(y, z):
-            assert normal_less(x, z)
-
-
-def test_normal_order_block_structure():
-    l = 2
-    d = RootIndex.delta(l)
-    real = RootIndex.alpha(l, 1, 2) + 5 * d
-    imag = d
-    dual = (d - RootIndex.alpha(l, 1, 3)) + 0 * d
-    assert normal_less(real, imag)
-    assert normal_less(imag, dual)
-    assert normal_less(real, dual)
-    # within the imaginary block the level increases
-    assert normal_less(d, 2 * d)
-    with pytest.raises(NotAPositiveRoot):
-        normal_less(real, RootIndex(l, (0, 0, 0)))
-
-
-def test_normal_order_is_convex():
-    # whenever x, y and x + y are all positive roots, x + y sits between them;
-    # pairs inside the isotropic imaginary block are exempt
-    roots = _positive_roots(2, 2)
-    for x, y in itertools.combinations(roots, 2):
-        s = x + y
-        if s.classify() is None:
-            continue
-        if x.classify()[0] == "imaginary" and y.classify()[0] == "imaginary":
-            continue
-        lo, hi = (x, y) if normal_less(x, y) else (y, x)
-        assert normal_less(lo, s) and normal_less(s, hi)
 
 
 # ------------------------------------------------------------ Cartan exponents
