@@ -27,32 +27,33 @@ view of terms.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 
 from .exactfield import QRational, kappa, qfactorial
 from .fock import PLUS, FockState, ModePattern
+from .record import Record
 from .rootsys import CartanExponent, RootIndex, cartan_entry
 
+_ONE = QRational.one()
 _MINUS_ONE = QRational.from_int(-1)
 _KAPPA_INV = kappa().inv()
 
 
-@dataclass(frozen=True)
-class RepSpec:
+class RepSpec(Record):
     """Which representation: rank l, index a, mirrored or not, spectral twist zs."""
 
-    l: int
-    a: int
-    bar: bool = False
-    zs: QRational = field(default_factory=QRational.one)
+    __slots__ = ("l", "a", "bar", "zs")
 
-    def __post_init__(self):
-        if self.l < 1:
+    def __init__(self, l: int, a: int, bar: bool = False, zs: QRational = _ONE):
+        if l < 1:
             raise ValueError("need l >= 1")
-        if not (1 <= self.a <= self.l + 1):
+        if not (1 <= a <= l + 1):
             raise ValueError("need 1 <= a <= l+1")
-        if self.zs.is_zero():
+        if zs.is_zero():
             raise ValueError("spectral twist must be nonzero")
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "bar", bar)
+        object.__setattr__(self, "zs", zs)
 
     def pattern(self) -> ModePattern:
         if self.bar:

@@ -679,14 +679,6 @@ class USeries:
 
     __rmul__ = __mul__
 
-    def scale_var(self, c: QRational) -> "USeries":
-        """Substitute u -> c*u."""
-        out, p = [], _QR_ONE
-        for x in self.coeffs:
-            out.append(x * p)
-            p = p * c
-        return USeries(self.order, out)
-
     def __eq__(self, other):
         if not isinstance(other, USeries):
             return NotImplemented
@@ -765,17 +757,6 @@ class URational:
 
     def __setattr__(self, *args):
         raise AttributeError("URational is immutable")
-
-    @property
-    def num_degree(self) -> int:
-        return len(self.num) - 1 if self.num else -1
-
-    @property
-    def den_degree(self) -> int:
-        return len(self.den) - 1
-
-    def constant_term(self) -> QRational:
-        return self.num[0] if self.num else _QR_ZERO
 
     def expand(self, order: int) -> USeries:
         """Power-series expansion to the given order."""

@@ -16,26 +16,25 @@ by a-1 plus slots, and their mirrored counterparts swap the two groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactfield import QRational
+from .record import Record
 
 PLUS = "plus"
 MINUS = "minus"
 
 
-@dataclass(frozen=True)
-class ModePattern:
+class ModePattern(Record):
     """Assignment of a Fock module type to each of the l tensor slots."""
 
-    l: int
-    kinds: tuple
+    __slots__ = ("l", "kinds")
 
-    def __post_init__(self):
-        if self.l < 1 or len(self.kinds) != self.l:
+    def __init__(self, l: int, kinds: tuple):
+        if l < 1 or len(kinds) != l:
             raise ValueError("pattern must assign one kind per slot")
-        if any(k not in (PLUS, MINUS) for k in self.kinds):
+        if any(k not in (PLUS, MINUS) for k in kinds):
             raise ValueError("slot kinds must be 'plus' or 'minus'")
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "kinds", kinds)
 
     @staticmethod
     def theta(l: int, a: int) -> "ModePattern":
@@ -84,28 +83,8 @@ class FockState:
     def items(self):
         return self._terms.items()
 
-    def coefficient(self, m) -> QRational:
-        return self._terms.get(tuple(m), QRational.zero())
-
     def is_zero(self) -> bool:
         return not self._terms
-
-    def __add__(self, other: "FockState") -> "FockState":
-        if self.l != other.l:
-            raise ValueError("rank mismatch")
-        terms = dict(self._terms)
-        for m, c in other._terms.items():
-            acc = terms.get(m)
-            terms[m] = c if acc is None else acc + c
-        return FockState(self.l, terms)
-
-    def __sub__(self, other: "FockState") -> "FockState":
-        return self + other.scale(QRational.from_int(-1))
-
-    def scale(self, c: QRational) -> "FockState":
-        if c.is_zero():
-            return FockState.zero(self.l)
-        return FockState(self.l, {m: c * x for m, x in self._terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, FockState):

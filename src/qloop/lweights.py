@@ -52,11 +52,11 @@ is fixed by level zero, <lambda, h_0> = -sum_i <lambda, h_i>.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .borelrep import (CartanPower, Compose, Evaluator, Gen, RepSpec, _dot, _q_shifted, _vadd,
                        get_evaluator)
 from .exactfield import QRational, URational, USeries, kappa, qnum, qrational_to_json
+from .record import Record
 from .rootsys import CartanExponent, RootIndex, bilinear, o_sign
 from .rootvectors import e_dual, e_prime_imag, qcomm
 
@@ -87,16 +87,16 @@ class Undecided(ValueError):
     check can be decided neither way; the message names the hypotheses."""
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Record):
     """An integral weight over the fundamental weights omega_1 .. omega_l."""
 
-    l: int
-    omega: tuple
+    __slots__ = ("l", "omega")
 
-    def __post_init__(self):
-        if len(self.omega) != self.l:
+    def __init__(self, l: int, omega: tuple):
+        if len(omega) != l:
             raise ValueError("need one coefficient per fundamental weight")
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "omega", omega)
 
     @classmethod
     def zero(cls, l: int) -> "Weight":
@@ -409,8 +409,7 @@ def phi_series(i: int, spec: RepSpec, m, order: int) -> USeries:
     return URational(_coeffs_at(num.items(), mt), _coeffs_at(den.items(), mt)).expand(order)
 
 
-@dataclass(frozen=True)
-class LWeight:
+class LWeight(Record):
     """A highest l-weight in factored form: a weight and root multiplicities.
 
     Psi_i(u) = q**<lambda, h_i> prod (1 - x u)**k over the pairs (x, k), x and
@@ -418,12 +417,13 @@ class LWeight:
     so equality is equality of l-weights.
     """
 
-    weight: Weight
-    roots: tuple
+    __slots__ = ("weight", "roots")
 
-    def __post_init__(self):
-        if len(self.roots) != self.weight.l:
+    def __init__(self, weight: Weight, roots: tuple):
+        if len(roots) != weight.l:
             raise ValueError("need one root multiset per node")
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "roots", roots)
 
     def psi(self, i: int) -> URational:
         """Psi_i multiplied out, for display and JSON."""

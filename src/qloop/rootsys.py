@@ -17,7 +17,7 @@ q**x in the algebra) live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 
 class NotAPositiveRoot(ValueError):
@@ -51,16 +51,16 @@ def o_sign(i: int, l: int) -> int:
     return -1 if i % 2 == 0 else 1
 
 
-@dataclass(frozen=True)
-class RootIndex:
+class RootIndex(Record):
     """An element of the positive root lattice of A_l^(1)."""
 
-    l: int
-    coeffs: tuple
+    __slots__ = ("l", "coeffs")
 
-    def __post_init__(self):
-        if self.l < 1 or len(self.coeffs) != self.l + 1:
+    def __init__(self, l: int, coeffs: tuple):
+        if l < 1 or len(coeffs) != l + 1:
             raise ValueError("coefficient vector must have length l+1")
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def simple(l: int, i: int) -> "RootIndex":
@@ -108,16 +108,16 @@ def bilinear(a: RootIndex, b: RootIndex) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class CartanExponent:
+class CartanExponent(Record):
     """Integer vector x over h_0..h_l, labelling the group-like q**(nu x)."""
 
-    l: int
-    coeffs: tuple
+    __slots__ = ("l", "coeffs")
 
-    def __post_init__(self):
-        if self.l < 1 or len(self.coeffs) != self.l + 1:
+    def __init__(self, l: int, coeffs: tuple):
+        if l < 1 or len(coeffs) != l + 1:
             raise ValueError("coefficient vector must have length l+1")
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def h(l: int, i: int) -> "CartanExponent":

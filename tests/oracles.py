@@ -31,8 +31,11 @@
   logarithm, a sum over all 2**(n-1) ordered compositions of n
   (e_unprimed_by_compositions), where qloop builds them by the
   log-derivative recursion (rootvectors.e_unprimed_imag).
-- Algebra in u that qloop does not need: the formal logarithm, the gcd over
-  Q(q)[u] (reduced) and Pade reconstruction.
+- State arithmetic that qloop does not need: sums, differences, scalar
+  multiples and coefficients of FockStates.
+- Algebra in u that qloop does not need: the substitution u -> c u, the
+  degrees and constant term of a URational, the formal logarithm, the gcd
+  over Q(q)[u] (reduced) and Pade reconstruction.
 """
 
 import itertools
@@ -194,7 +197,32 @@ def apply_word(word: OscWord, pattern: ModePattern, state: FockState) -> FockSta
                     state = apply_mode(("qN", d), j + 1, pattern, state)
         else:
             state = apply_mode(atom[0], atom[1], pattern, state)
-    return state.scale(word.coeff)
+    return state_scale(state, word.coeff)
+
+
+def state_coefficient(state: FockState, m) -> QRational:
+    """The coefficient of v_m in a state."""
+    return dict(state.items()).get(tuple(m), _ZERO)
+
+
+def state_scale(state: FockState, c: QRational) -> FockState:
+    """c times a state; FockState drops the zero coefficients."""
+    return FockState(state.l, {m: c * x for m, x in state.items()})
+
+
+def state_add(a: FockState, b: FockState) -> FockState:
+    """The sum of two states of one rank."""
+    if a.l != b.l:
+        raise ValueError("rank mismatch")
+    terms = dict(a.items())
+    for m, c in b.items():
+        terms[m] = terms[m] + c if m in terms else c
+    return FockState(a.l, terms)
+
+
+def state_sub(a: FockState, b: FockState) -> FockState:
+    """The difference of two states of one rank."""
+    return state_add(a, state_scale(b, QRational.from_int(-1)))
 
 
 # ------------------------------------------------ specialization at integer q
@@ -406,7 +434,7 @@ def phi_series_at(i: int, spec: RepSpec, m: tuple, order: int) -> USeries:
         coeffs.append(c if _phi_sign(i, l, n) > 0 else -c)
     series = USeries(order, coeffs)
     if spec.zs != QRational.one():
-        series = series.scale_var(spec.zs)
+        series = scale_var(series, spec.zs)
     return series
 
 
@@ -521,6 +549,30 @@ def verify_grid_at(l: int, order: int, m_max: int, bar: bool, zs: QRational) -> 
 
 
 # ------------------------------------------- series and rational functions in u
+
+
+def scale_var(s: USeries, c: QRational) -> USeries:
+    """s with u -> c*u substituted."""
+    out, p = [], QRational.one()
+    for x in s.coeffs:
+        out.append(x * p)
+        p = p * c
+    return USeries(s.order, out)
+
+
+def num_degree(r: URational) -> int:
+    """Degree in u of r's numerator, -1 for r = 0."""
+    return len(r.num) - 1 if r.num else -1
+
+
+def den_degree(r: URational) -> int:
+    """Degree in u of r's denominator."""
+    return len(r.den) - 1
+
+
+def constant_term(r: URational) -> QRational:
+    """r at u = 0."""
+    return r.num[0] if r.num else _ZERO
 
 
 class ConstantTermNotOne(ValueError):
@@ -665,7 +717,7 @@ def pade(s: USeries, num_deg: int, den_deg: int) -> URational:
         cand = reduced(num, b)
     except ZeroConstantTerm as exc:
         raise DegreeMismatch("series is not a (num_deg, den_deg) rational function") from exc
-    if cand.num_degree > num_deg or cand.den_degree > den_deg:
+    if num_degree(cand) > num_deg or den_degree(cand) > den_deg:
         raise DegreeMismatch("series is not a (num_deg, den_deg) rational function")
     again = cand.expand(k)
     if any(again.coeff(j) != c(j) for j in range(k + 1)):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (apply_at, apply_word, qh_exponent, specialize, symbolic_by_nodes,
-                     twist_consistency)
+from oracles import (apply_at, apply_word, qh_exponent, specialize, state_add, state_scale,
+                     state_sub, symbolic_by_nodes, twist_consistency)
 from qloop import borelrep, cli
 from qloop.borelrep import (CartanPower, Compose, Evaluator, Gen, OscWord, RepSpec,
                             Scale, Sum, _vanishes_on, get_evaluator, identity, image_e,
@@ -196,11 +196,11 @@ def _ref_apply(expr, ev, state):
     if isinstance(expr, CartanPower):
         return apply_word(image_qh(expr.x, ev.spec), ev.pattern, state)
     if isinstance(expr, Scale):
-        return _ref_apply(expr.child, ev, state).scale(expr.c)
+        return state_scale(_ref_apply(expr.child, ev, state), expr.c)
     if isinstance(expr, Sum):
         out = FockState.zero(ev.spec.l)
         for child in expr.children:
-            out = out + _ref_apply(child, ev, state)
+            out = state_add(out, _ref_apply(child, ev, state))
         return out
     if isinstance(expr, Compose):
         return _ref_apply(expr.left, ev, _ref_apply(expr.right, ev, state))
@@ -351,9 +351,10 @@ def test_operator_overloads_build_the_right_trees():
     m = (1, 1)
     v = FockState.basis(m)
     assert ev.apply_basis(e0 * e1 - e1 * e0, m) == \
-        _ref_apply(e0, ev, ev.apply_basis(e1, m)) - _ref_apply(e1, ev, ev.apply_basis(e0, m))
-    assert ev.apply_basis(2 * e0, m) == ev.apply_basis(e0, m).scale(QRational.from_int(2))
-    assert ev.apply_basis(-e0, m) == ev.apply_basis(e0, m).scale(-ONE)
+        state_sub(_ref_apply(e0, ev, ev.apply_basis(e1, m)),
+                  _ref_apply(e1, ev, ev.apply_basis(e0, m)))
+    assert ev.apply_basis(2 * e0, m) == state_scale(ev.apply_basis(e0, m), QRational.from_int(2))
+    assert ev.apply_basis(-e0, m) == state_scale(ev.apply_basis(e0, m), -ONE)
     assert ev.apply_basis(identity(2), m) == v
     assert ev.apply_basis(power(e0, 3, 2), m) == \
         _ref_apply(e0, ev, _ref_apply(e0, ev, ev.apply_basis(e0, m)))
@@ -365,9 +366,10 @@ def test_evaluator_is_linear_and_cached():
     ev = get_evaluator(spec)
     assert get_evaluator(RepSpec(2, 3)) is ev
     e = Gen(1)
-    v = FockState.basis((1, 0)).scale(qnum(2)) + FockState.basis((0, 1))
+    v = state_add(state_scale(FockState.basis((1, 0)), qnum(2)), FockState.basis((0, 1)))
     direct = _ref_apply(e, ev, v)
-    parts = ev.apply_basis(e, (1, 0)).scale(qnum(2)) + ev.apply_basis(e, (0, 1))
+    parts = state_add(state_scale(ev.apply_basis(e, (1, 0)), qnum(2)),
+                      ev.apply_basis(e, (0, 1)))
     assert direct == parts
     # the memo holds one symbolic result per node, for every m
     assert ev.symbolic(e) is ev.symbolic(e)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import apply_mode
+from oracles import apply_mode, state_add, state_coefficient, state_scale, state_sub
 from qloop.exactfield import QRational, qnum
 from qloop.fock import FockState, ModePattern
 
@@ -41,19 +41,19 @@ def _nexp(kind, m):
 def test_plus_module_ladder():
     p = _single("plus")
     assert apply_mode("bdag", 1, p, _v(2)) == _v(3)
-    assert apply_mode("b", 1, p, _v(3)) == _v(2).scale(qnum(3))
+    assert apply_mode("b", 1, p, _v(3)) == state_scale(_v(2), qnum(3))
     assert apply_mode("b", 1, p, _v(0)).is_zero()
-    assert apply_mode(("qN", 1), 1, p, _v(2)) == _v(2).scale(qp(2))
-    assert apply_mode(("qN", -2), 1, p, _v(3)) == _v(3).scale(qp(-6))
+    assert apply_mode(("qN", 1), 1, p, _v(2)) == state_scale(_v(2), qp(2))
+    assert apply_mode(("qN", -2), 1, p, _v(3)) == state_scale(_v(3), qp(-6))
 
 
 def test_minus_module_ladder():
     p = _single("minus")
     assert apply_mode("b", 1, p, _v(2)) == _v(3)
-    assert apply_mode("bdag", 1, p, _v(3)) == _v(2).scale(-qnum(3))
+    assert apply_mode("bdag", 1, p, _v(3)) == state_scale(_v(2), -qnum(3))
     assert apply_mode("bdag", 1, p, _v(0)).is_zero()
-    assert apply_mode(("qN", 1), 1, p, _v(2)) == _v(2).scale(qp(-3))
-    assert apply_mode(("qN", 3), 1, p, _v(0)) == _v(0).scale(qp(-3))
+    assert apply_mode(("qN", 1), 1, p, _v(2)) == state_scale(_v(2), qp(-3))
+    assert apply_mode(("qN", 3), 1, p, _v(0)) == state_scale(_v(0), qp(-3))
 
 
 @pytest.mark.parametrize("kind", ["plus", "minus"])
@@ -66,15 +66,15 @@ def test_defining_relations_one_mode(kind, m):
     # q^N b = q^-1 b q^N and q^N bdag = q bdag q^N
     for op, shift in (("b", -1), ("bdag", 1)):
         lhs = apply_mode(("qN", 1), 1, p, apply_mode(op, 1, p, v))
-        rhs = apply_mode(op, 1, p, apply_mode(("qN", 1), 1, p, v)).scale(qp(shift))
+        rhs = state_scale(apply_mode(op, 1, p, apply_mode(("qN", 1), 1, p, v)), qp(shift))
         assert lhs == rhs
 
     # b bdag v = [N+1] v and bdag b v = [N] v, with [k] read off q^N
     def bracket(t):
         return (qp(t) - qp(-t)) / (qp(1) - qp(-1))
 
-    assert apply_mode("b", 1, p, apply_mode("bdag", 1, p, v)) == v.scale(bracket(n + 1))
-    assert apply_mode("bdag", 1, p, apply_mode("b", 1, p, v)) == v.scale(bracket(n))
+    assert apply_mode("b", 1, p, apply_mode("bdag", 1, p, v)) == state_scale(v, bracket(n + 1))
+    assert apply_mode("bdag", 1, p, apply_mode("b", 1, p, v)) == state_scale(v, bracket(n))
 
 
 @pytest.mark.parametrize("kind", ["plus", "minus"])
@@ -84,10 +84,10 @@ def test_commutator_value(kind, m):
     p = _single(kind)
     v = _v(m)
     n = _nexp(kind, m)
-    lhs = (apply_mode("b", 1, p, apply_mode("bdag", 1, p, v))
-           - apply_mode("bdag", 1, p, apply_mode("b", 1, p, v)))
+    lhs = state_sub(apply_mode("b", 1, p, apply_mode("bdag", 1, p, v)),
+                    apply_mode("bdag", 1, p, apply_mode("b", 1, p, v)))
     want = (qp(n + 1) - qp(-n - 1) - qp(n) + qp(-n)) / (qp(1) - qp(-1))
-    assert lhs == v.scale(want)
+    assert lhs == state_scale(v, want)
 
 
 def test_qn_is_additive_in_the_exponent():
@@ -133,15 +133,15 @@ def test_modes_in_different_slots_commute():
 def test_state_vector_space_ops():
     v = FockState.basis((0, 1))
     w = FockState.basis((1, 0))
-    s = v + w
-    assert s.coefficient((0, 1)) == ONE
-    assert s.coefficient((1, 0)) == ONE
-    assert s.coefficient((1, 1)).is_zero()
-    assert (s - v) == w
-    assert v.scale(QRational.zero()).is_zero()
+    s = state_add(v, w)
+    assert state_coefficient(s, (0, 1)) == ONE
+    assert state_coefficient(s, (1, 0)) == ONE
+    assert state_coefficient(s, (1, 1)).is_zero()
+    assert state_sub(s, v) == w
+    assert state_scale(v, QRational.zero()).is_zero()
     assert FockState.zero(2).is_zero()
-    assert (v - v).is_zero()
-    assert v.scale(qnum(2)).coefficient((0, 1)) == qnum(2)
+    assert state_sub(v, v).is_zero()
+    assert state_coefficient(state_scale(v, qnum(2)), (0, 1)) == qnum(2)
 
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=3))
@@ -149,7 +149,7 @@ def test_state_vector_space_ops():
 def test_basis_vector_is_the_unit_occupation_state(m):
     v = FockState.basis(m)
     assert v.l == len(m)
-    assert v.coefficient(tuple(m)) == ONE
+    assert state_coefficient(v, m) == ONE
     assert len(dict(v.items())) == 1
     with pytest.raises(ValueError):
         FockState.basis(m[:-1] + [-1])

@@ -8,7 +8,8 @@ oscillator word or eigenvalue.
 import itertools
 
 import pytest
-from oracles import apply_at, apply_word, e_unprimed_by_compositions, series_log, specialize
+from oracles import (apply_at, apply_word, e_unprimed_by_compositions, series_log, specialize,
+                     state_coefficient)
 
 from qloop.borelrep import Compose, Gen, OscWord, RepSpec, Scale, Sum, _vanishes_on, get_evaluator
 from qloop.exactfield import QRational, USeries, kappa, qnum
@@ -221,7 +222,7 @@ def _diag_tower(spec, i, top):
         for target, expr in ((prim, e_prime_imag(spec.l, i, i + 1, n)),
                              (unprim, e_unprimed_imag(spec.l, i, n))):
             out = ev.apply_basis(expr, (0,) * spec.l)
-            target.append(out.coefficient((0,) * spec.l))
+            target.append(state_coefficient(out, (0,) * spec.l))
             assert set(dict(out.items())) <= {(0,) * spec.l}
     return prim, unprim
 
