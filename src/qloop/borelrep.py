@@ -389,6 +389,12 @@ class Evaluator:
                     acc[k] = acc[k] + x if k in acc else x
         return tuple((k, x) for k, x in acc.items() if x)
 
+    def zero_shift(self, expr: OpExpr) -> bool:
+        """expr acts with m symbolic by terms of the zero shift only; any two
+        such operators commute, as their terms c Q**v are polynomials in Q."""
+        zero = (0,) * self.spec.l
+        return all(s == zero for (s, _), _ in self.symbolic(expr))
+
     def terms(self, expr: OpExpr, m: tuple) -> tuple:
         """expr v_m as (target, coefficient) pairs: distinct targets, no zero coefficient."""
         return _merge((_vadd(m, s), _q_shifted(c, _dot(v, m))) for (s, v), c in self.symbolic(expr))

@@ -425,6 +425,14 @@ class LWeight(Record):
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "roots", roots)
 
+    def __repr__(self):
+        # as Record prints it, but each node's roots in _root_key order, not
+        # in the address order a frozenset of QRationals iterates in
+        nodes = [f"frozenset({{{', '.join(map(repr, sorted(node, key=_root_key)))}}})"
+                 if node else "frozenset()" for node in self.roots]
+        roots = ", ".join(nodes) + ("," if len(nodes) == 1 else "")
+        return f"LWeight(weight={self.weight!r}, roots=({roots}))"
+
     def psi(self, i: int) -> URational:
         """Psi_i multiplied out, for display and JSON."""
         return _psi_urational(self.weight.pair_h(i), self.roots[i - 1])

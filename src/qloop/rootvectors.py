@@ -35,7 +35,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exactfield import QRational, kappa, qnum
-from .borelrep import CartanPower, Compose, Gen, OpExpr, RepSpec, Scale, Sum, _vanishes_on
+from .borelrep import (_MINUS_ONE, CartanPower, Compose, Gen, OpExpr, RepSpec, Scale, Sum,
+                       _vanishes_on)
 from .rootsys import CartanExponent, RootIndex, bilinear, finite_cartan_entry, o_sign
 
 
@@ -165,6 +166,74 @@ def chi_bracket(l: int, i: int, j: int, n: int, m: int, xi, sign: int) -> OpExpr
     c = qnum(n * finite_cartan_entry(l, i, j)) / QRational.from_int(n)
     return Sum((Compose(x, y), Scale(QRational.from_int(-1), Compose(y, x)),
                 Scale(-c if sign > 0 else c, xi(l, j, n + m))))
+
+
+def _commutator(xy: OpExpr, yx: OpExpr):
+    """(x, y) when xy and yx are the terms x y and -1 y x of [x, y], else None.
+
+    The -1 must be literal: a q-commutator with another y x coefficient fails."""
+    if (type(xy) is Compose and type(yx) is Scale and yx.c == _MINUS_ONE
+            and type(yx.child) is Compose
+            and yx.child.left is xy.right and yx.child.right is xy.left):
+        return xy.left, xy.right
+    return None
+
+
+def _level_step(prev: OpExpr, x: OpExpr):
+    """(rho, D, hs) when x is the level step of prev, else None; rho = b c / a.
+
+    xi+: prev = a E and x = b (c [E, D]), so x = rho [prev, D]; hs = ().
+    xi-: prev = a E H and x = b ((c [D, E]) H), so x = rho [D, prev] once H
+    and D commute; hs = (H,).
+    """
+    if type(prev) is not Scale or type(x) is not Scale or not prev.c:
+        return None
+    step, h = x.child, ()
+    if type(step) is Compose:
+        step, h = step.left, (step.right,)
+    if type(step) is not Scale or type(step.child) is not Sum or len(step.child.children) != 2:
+        return None
+    pair = _commutator(*step.child.children)
+    if pair is None:
+        return None
+    rho = x.c * step.c / prev.c
+    e = prev.child
+    if not h and pair[0] is e:
+        return rho, pair[1], h
+    if h and type(e) is Compose and e.right is h[0] and pair[1] is e.left:
+        return rho, pair[0], h
+    return None
+
+
+def _bracket_parts(tree: OpExpr):
+    """(C, X, c, Y) when tree is [C, X] + c Y as chi_bracket builds it, else None."""
+    if type(tree) is not Sum or len(tree.children) != 3:
+        return None
+    xy, yx, last = tree.children
+    pair = _commutator(xy, yx)
+    if pair is None or type(last) is not Scale:
+        return None
+    return pair[0], pair[1], last.c, last.child
+
+
+def loop_step(prev: OpExpr, tree: OpExpr):
+    """The operators that make tree vanish with m symbolic wherever prev does.
+
+    prev and tree are chi_bracket trees [C, X] + c Y and [C, X'] + c Y' with
+    the same C and c, where X' and Y' are the level steps of X and Y with one
+    rho and D, both of xi+ or both of xi-.  If C, D (and the q**h of a xi- step) act with only the
+    zero shift, they commute in the shift algebra, and the Jacobi identity
+    gives tree = rho [prev, D] (xi+) or rho [D, prev] (xi-): so an empty
+    symbolic(prev) makes symbolic(tree) empty.  Returns those operators, or
+    None when the trees have another shape.
+    """
+    a, b = _bracket_parts(prev), _bracket_parts(tree)
+    if a is None or b is None or a[0] is not b[0] or a[2] != b[2]:
+        return None
+    step = _level_step(a[1], b[1])
+    if step is None or step != _level_step(a[3], b[3]):
+        return None
+    return (a[0], step[1]) + step[2]
 
 
 def drinfeld_check(i: int, j: int, n: int, m: int, spec: RepSpec, samples) -> bool:

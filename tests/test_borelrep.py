@@ -483,6 +483,16 @@ def test_relation_checks_refuse_no_samples():
     assert weight_relation_check(1, x, spec, gen)
 
 
+def test_zero_shift_is_read_from_the_symbolic_terms():
+    # a generator moves v_m; q**h, the zero operator and e'_delta do not
+    for spec in _modules([2]):
+        ev = Evaluator(spec)
+        assert not any(ev.zero_shift(Gen(i)) for i in range(3))
+        assert ev.zero_shift(CartanPower(CartanExponent.h(2, 1)))
+        assert ev.zero_shift(Scale(QRational.zero(), Gen(0)))
+        assert ev.zero_shift(e_prime_imag(2, 1, 2, 1))
+
+
 def test_an_empty_symbolic_difference_is_decided_without_the_samples(monkeypatch):
     spec = RepSpec(2, 1)
     diff = Gen(1) - Gen(1)
@@ -585,7 +595,7 @@ def test_loop_relation_trees_match_the_oracle(l):
     relations = cli._loop_relations(l, 3)
     for spec in _modules([l]):
         ev, memo = Evaluator(spec), {}
-        for _, _, tree, _ in relations:
+        for _, _, tree, _, _ in relations:
             assert assert_matches_nodes(ev, tree, memo) == ()
 
 

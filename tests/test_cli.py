@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 from qloop import borelrep, cli, exactfield, lweights, rootvectors
 from qloop.exactfield import QRational, urational_to_json
 from qloop.lweights import Weight, closed_psi
-from qloop.borelrep import RepSpec, serre_check
-from qloop.rootsys import o_sign
+from qloop.borelrep import Compose, RepSpec, Scale, Sum, serre_check
+from qloop.rootsys import bilinear, o_sign
 from qloop.lweights import discrepancy
-from qloop.rootvectors import (chi, drinfeld_check, drinfeld_check_minus, e_prime_imag,
-                               xi_minus, xi_plus)
+from qloop.rootvectors import (chi, drinfeld_check, drinfeld_check_minus, e_dual, e_prime_imag,
+                               e_real, xi_minus, xi_plus)
 
 ONE = QRational.one()
 qp = QRational.q_power
@@ -330,6 +330,129 @@ def test_failing_drinfeld_report_keeps_the_nested_loop_order(monkeypatch, capsys
         assert got == expected
     # every entry owns its index vector; none is shared between modules
     assert len({id(d["m"]) for d in found}) == len(found)
+
+
+# the lru_caches of rootvectors, read before any test patches a builder
+_ROOT_CACHES = [f for f in vars(rootvectors).values() if hasattr(f, "cache_clear")]
+
+
+@pytest.fixture
+def cold_roots(monkeypatch):
+    """monkeypatch, with cold rootvectors lru_caches and evaluators; the
+    caches are cleared again after the test's patches are undone, so no
+    patched tree outlives the test."""
+    for f in _ROOT_CACHES:
+        f.cache_clear()
+    monkeypatch.setattr(borelrep, "_EVALUATORS", {})
+    yield monkeypatch
+    monkeypatch.undo()
+    for f in _ROOT_CACHES:
+        f.cache_clear()
+
+
+def _level_two_real_doubled(monkeypatch):
+    real = rootvectors.e_real
+    monkeypatch.setattr(rootvectors, "e_real", lambda l, i, j, n:
+                        Scale(QRational.from_int(2), real(l, i, j, n)) if n == 2
+                        else real(l, i, j, n))
+
+
+def _level_step_qcomm_doubled(monkeypatch):
+    # the y x coefficient of a level step, where (rx|ry) = 0, is -2, not -1
+    qcomm = rootvectors.qcomm
+    monkeypatch.setattr(rootvectors, "qcomm", lambda x, rx, y, ry:
+                        qcomm(x, rx, y, ry) if bilinear(rx, ry) else
+                        Sum((Compose(x, y), Scale(QRational.from_int(-2), Compose(y, x)))))
+
+
+def _cartan_entries_zero(monkeypatch):
+    monkeypatch.setattr(rootvectors, "finite_cartan_entry", lambda *args: 0)
+
+
+def _loop_failures(l, nmax, samples):
+    """The failure entries of drinfeld_check and drinfeld_check_minus run on
+    every loop relation in every module, in report order."""
+    want = []
+    for bar, a in itertools.product((False, True), range(1, l + 2)):
+        spec = RepSpec(l, a, bar)
+        for i, j, n in itertools.product(range(1, l + 1), range(1, l + 1), range(1, nmax + 1)):
+            want += [discrepancy(a, bar, i, [j, n, k], "drinfeld-plus-failure")
+                     for k in range(0, nmax + 1)
+                     if not rootvectors.drinfeld_check(i, j, n, k, spec, samples)]
+            want += [discrepancy(a, bar, i, [j, n, k], "drinfeld-minus-failure")
+                     for k in range(1, nmax + 1)
+                     if not rootvectors.drinfeld_check_minus(i, j, n, k, spec, samples)]
+    return want
+
+
+# (mutant, l, nmax): each mutant at every l <= 3 and nmax 4, except the
+# mutated q-commutator, whose broken roots are slow to evaluate
+_CHAIN_RUNS = [(mutate, l, 4) for mutate in (None, _level_two_real_doubled, _cartan_entries_zero)
+               for l in (1, 2, 3)]
+_CHAIN_RUNS += [(_level_step_qcomm_doubled, 1, 4), (_level_step_qcomm_doubled, 2, 2)]
+
+
+@pytest.mark.parametrize("mutate,l,nmax", _CHAIN_RUNS,
+                         ids=[f"{getattr(m, '__name__', '_clean')[1:]}-l{l}-nmax{n}"
+                              for m, l, n in _CHAIN_RUNS])
+def test_chain_decision_matches_every_relation_evaluated(cold_roots, capsys, mutate, l, nmax):
+    # the CLI evaluates a relation after the first of its chain only where
+    # the level step cannot prove it; a loop of the single checks evaluates
+    # every relation, and the two must report the same failures
+    if mutate is not None:
+        mutate(cold_roots)
+    code = cli.main(["drinfeld", "--l", str(l), "--nmax", str(nmax), "--mmax", "1", "--json"])
+    found = _json_line(capsys.readouterr().out)["discrepancies"]
+    cold_roots.setattr(borelrep, "_EVALUATORS", {})
+    want = _loop_failures(l, nmax, list(itertools.product(range(2), repeat=l)))
+    assert found == want
+    assert code == (1 if want else 0)
+    assert bool(want) == (mutate is not None)
+
+
+def test_a_doubled_level_two_real_root_fails_110_relations(cold_roots, capsys):
+    # the doubled level-2 tree is not the level step of level 1, nor level 3
+    # of it with the old scalar, so no chain may skip past it
+    _level_two_real_doubled(cold_roots)
+    assert cli.main(["drinfeld", "--l", "2", "--nmax", "3", "--mmax", "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "110 failures"
+
+
+def _counted_decisions(monkeypatch) -> list:
+    """Fresh evaluators, and a list that gets one entry per relation the CLI evaluates."""
+    monkeypatch.setattr(borelrep, "_EVALUATORS", {})
+    calls = []
+    vanishes_on = cli._vanishes_on
+    monkeypatch.setattr(cli, "_vanishes_on", lambda spec, tree, samples:
+                        calls.append(tree) or vanishes_on(spec, tree, samples))
+    return calls
+
+
+def test_loop_chains_skip_their_later_relations(monkeypatch, capsys):
+    # each (i, j, n, sign) chain evaluates its first relation only: 54 chains
+    # in each of 8 modules.  So no real or dual root above level nmax is
+    # evaluated, and the memo holds under half of what evaluating all 1,512
+    # trees leaves
+    calls = _counted_decisions(monkeypatch)
+    assert cli.main(["drinfeld", "--l", "3", "--nmax", "3", "--mmax", "1"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 54 * 8
+    deep = {f(3, j, j + 1, k) for f in (e_real, e_dual) for j in (1, 2, 3) for k in range(4, 7)}
+    evs = list(borelrep._EVALUATORS.values())
+    assert len(evs) == 8
+    assert not any(node in deep for ev in evs for node in ev._cache)
+    assert sum(len(ev._cache) for ev in evs) <= 2000
+
+
+def test_a_nonzero_shift_makes_every_relation_evaluated(monkeypatch, capsys):
+    # the Jacobi step needs chi and e'_delta to commute; an operator with a
+    # nonzero shift need not, so then every relation is evaluated
+    calls = _counted_decisions(monkeypatch)
+    monkeypatch.setattr(borelrep.Evaluator, "zero_shift", lambda self, expr: False)
+    assert cli.main(["drinfeld", "--l", "3", "--nmax", "3", "--mmax", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "checked 1512 loop relations at l=3, n <= 3, occupations <= 1", "all checks passed"]
+    assert len(calls) == 1512
 
 
 def test_failing_serre_report_keeps_the_nested_loop_order(monkeypatch, tmp_path, capsys):

@@ -129,3 +129,24 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.split() == ["[]"]
+
+
+_THREE_ROOTS = ("LWeight(weight=Weight(l=2, omega=(2, -4)), roots=(frozenset({(1/q^2, 1)}), "
+                "frozenset({(q, 1), (1/q^3, -1), (1/q, -1)})))")
+
+
+@pytest.mark.parametrize("prelude", ["pass", "QRational.q_power(-1); QRational.q_power(1)",
+                                     "QRational.q_power(-3); QRational.q_power(-1)"],
+                         ids=["cold", "q-first", "q^-3-first"])
+def test_lweight_repr_is_the_same_in_every_interpreter(prelude):
+    # a QRational hashes by address, so a frozenset of roots iterates in an
+    # order that depends on what was allocated first; repr sorts each node
+    assert repr(oscillator_lweight(RepSpec(2, 2), (1, 0))) == _THREE_ROOTS
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from qloop.exactfield import QRational; " + prelude + "; "
+            "from qloop.borelrep import RepSpec; from qloop.lweights import oscillator_lweight; "
+            "print(repr(oscillator_lweight(RepSpec(2, 2), (1, 0))))")
+    src = str(pathlib.Path(qloop.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == _THREE_ROOTS

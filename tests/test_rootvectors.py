@@ -11,14 +11,15 @@ import pytest
 from oracles import (apply_at, apply_word, e_unprimed_by_compositions, series_log, specialize,
                      state_coefficient)
 
-from qloop.borelrep import Compose, Gen, OscWord, RepSpec, Scale, Sum, _vanishes_on, get_evaluator
+from qloop.borelrep import (CartanPower, Compose, Gen, OscWord, RepSpec, Scale, Sum, _vanishes_on,
+                            get_evaluator)
 from qloop.exactfield import QRational, USeries, kappa, qnum
 from qloop.fock import FockState
 from qloop.lweights import _psi_roots
-from qloop.rootsys import RootIndex
+from qloop.rootsys import CartanExponent, RootIndex
 from qloop.rootvectors import (chi, chi_bracket, drinfeld_check, drinfeld_check_minus,
                                e_dual, e_prime_imag, e_real, e_unprimed_imag,
-                               qcomm, xi_minus, xi_plus)
+                               loop_step, qcomm, xi_minus, xi_plus)
 
 ONE = QRational.one()
 qp = QRational.q_power
@@ -374,6 +375,59 @@ def test_loop_relation_with_the_wrong_sign_fails(l):
     assert not _vanishes_on(spec, chi_bracket(l, 1, 1, 1, 0, xi_plus, -1), ss)
     assert _vanishes_on(spec, chi_bracket(l, 1, 1, 1, 1, xi_minus, -1), ss)
     assert not _vanishes_on(spec, chi_bracket(l, 1, 1, 1, 1, xi_minus, 1), ss)
+
+
+def _bracket(c_op, x, c, y):
+    """[c_op, x] + c y as chi_bracket builds it."""
+    return Sum((Compose(c_op, x), Scale(QRational.from_int(-1), Compose(x, c_op)), Scale(c, y)))
+
+
+def _plus_step(prev, s, d, yx=-1):
+    """s [2]_q**-1 (E d + yx d E) for prev = a E: the xi+ level step at yx = -1."""
+    e = prev.child
+    return Scale(s, Scale(qnum(2).inv(),
+                          Sum((Compose(e, d), Scale(QRational.from_int(yx), Compose(d, e))))))
+
+
+def test_loop_step_matches_the_level_step_and_nothing_else():
+    l, i, j, n = 2, 1, 2, 1
+    big_c, d = chi(l, i, n), e_prime_imag(l, j, j + 1, 1)
+    plus = [chi_bracket(l, i, j, n, k, xi_plus, 1) for k in (0, 1, 2)]
+    minus = [chi_bracket(l, i, j, n, k, xi_minus, -1) for k in (1, 2, 3)]
+    assert loop_step(plus[0], plus[1]) == loop_step(plus[1], plus[2]) == (big_c, d)
+    h = CartanPower(CartanExponent.h(l, j))
+    assert loop_step(minus[0], minus[1]) == loop_step(minus[1], minus[2]) == (big_c, d, h)
+    # not one chain: two levels up, another n, another sign, another j
+    assert loop_step(plus[0], plus[2]) is None
+    assert loop_step(plus[0], chi_bracket(l, i, j, 2, 1, xi_plus, 1)) is None
+    assert loop_step(plus[0], chi_bracket(l, i, j, n, 1, xi_plus, -1)) is None
+    assert loop_step(minus[0], chi_bracket(l, i, 1, n, 2, xi_minus, -1)) is None
+    assert loop_step(plus[0], minus[1]) is None
+    # rebuilt by hand, the level steps of xi+_{j,0} and xi+_{j,1} are plus[1]
+    x0, y0, c = xi_plus(l, j, 0), xi_plus(l, j, n), plus[0].children[2].c
+    s1, s2 = xi_plus(l, j, 1).c, xi_plus(l, j, n + 1).c
+    assert _bracket(big_c, _plus_step(x0, s1, d), c, _plus_step(y0, s2, d)) is plus[1]
+    two = QRational.from_int(2)
+
+    def step(sx=s1, sy=s2, dx=d, dy=d, yx=-1):
+        return loop_step(plus[0], _bracket(big_c, _plus_step(x0, sx, dx, yx), c,
+                                           _plus_step(y0, sy, dy, yx)))
+
+    # a wrong scalar, sign or D in one step, or a wrong sign in both, is refused
+    assert step(sx=two * s1) is None
+    assert step(sy=two * s2) is None
+    assert step(yx=1) is None
+    assert step(dx=Gen(0)) is None
+    assert step(dy=Gen(0)) is None
+    # the same scalar or D in both steps is still a level step: rho and D change
+    assert step(sx=two * s1, sy=two * s2) == (big_c, d)
+    assert step(dx=Gen(0), dy=Gen(0)) == (big_c, Gen(0))
+    # another C or c in the later relation is refused
+    tree = plus[1]
+    assert loop_step(plus[0], _bracket(chi(l, i, 2), tree.children[0].right, c,
+                                       tree.children[2].child)) is None
+    assert loop_step(plus[0], _bracket(big_c, tree.children[0].right, two * c,
+                                       tree.children[2].child)) is None
 
 
 def test_repeated_drinfeld_check_adds_no_memo_entries():
