@@ -30,7 +30,7 @@ import operator
 
 from .exactfield import QRational, kappa, qfactorial
 from .fock import PLUS, FockState, ModePattern
-from .record import Record
+from .record import Frozen, Record
 from .rootsys import CartanExponent, RootIndex, cartan_entry
 
 _ONE = QRational.one()
@@ -76,7 +76,7 @@ def _vadd(x: tuple, y: tuple) -> tuple:
     return tuple(map(operator.add, x, y))
 
 
-class OscWord:
+class OscWord(Record):
     """A scalar multiple of an ordered product of oscillator generators.
 
     Atoms are ('b', mode), ('bdag', mode) or ('qN', d) with d an integer
@@ -89,9 +89,6 @@ class OscWord:
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "atoms", tuple(atoms))
-
-    def __setattr__(self, *args):
-        raise AttributeError("OscWord is immutable")
 
     def terms(self, pattern: ModePattern) -> tuple:
         """This word on v_m with m symbolic: ((shift, v), c) pairs meaning the
@@ -119,11 +116,6 @@ class OscWord:
             t[j] -= 1
         s = tuple(t)
         return tuple(((s, v), c) for v, c in poly.items())
-
-    def __eq__(self, other):
-        if not isinstance(other, OscWord):
-            return NotImplemented
-        return self.l == other.l and self.coeff == other.coeff and self.atoms == other.atoms
 
     def __repr__(self):
         parts = [f"({self.coeff!r})"]
@@ -212,7 +204,7 @@ def image_qh(x: CartanExponent, spec: RepSpec) -> OscWord:
 _NODES = {}
 
 
-class OpExpr:
+class OpExpr(Frozen):
     """Node of an operator expression over the Borel generators.
 
     Hash-consed: a node whose class and fields (the subclass's __slots__, in
@@ -233,9 +225,6 @@ class OpExpr:
 
     def __init__(self, *fields):
         """A no-op (__new__ sets the fields); perfbench's tracer counts constructions here."""
-
-    def __setattr__(self, *args):
-        raise AttributeError("operator nodes are immutable")
 
     def __add__(self, other):
         return Sum((self, other))

@@ -410,6 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse reads the value '--' in '--opt=--' as an empty list
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     if args.l < 1:
         parser.error("need l >= 1")
     if getattr(args, "a", None) is not None and not (1 <= args.a <= args.l + 1):

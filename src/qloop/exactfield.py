@@ -45,6 +45,8 @@ from __future__ import annotations
 import math
 from functools import reduce
 
+from .record import Frozen, Record
+
 
 class ZeroConstantTerm(ValueError):
     """Series or denominator has a vanishing constant term where a unit is required."""
@@ -312,7 +314,7 @@ def _pstr(a, shift=0) -> str:
     return s
 
 
-class QRational:
+class QRational(Frozen):
     """A rational function of q with integer coefficients, fully reduced.
 
     Stored in Laurent normal form q**e * n/d with n(0) and d(0) nonzero; the
@@ -346,9 +348,6 @@ class QRational:
 
     def __init__(self, num, den=(1,)):
         """A no-op (__new__ returns the interned value); perfbench's tracer counts constructions here."""
-
-    def __setattr__(self, *args):
-        raise AttributeError("QRational is immutable")
 
     # -- constructors
 
@@ -605,7 +604,7 @@ def qfactorial(n: int) -> QRational:
 # ---------------------------------------------------------------------------
 # truncated power series in u
 
-class USeries:
+class USeries(Record):
     """Power series in u over QRational, truncated at a fixed order."""
 
     __slots__ = ("order", "coeffs")
@@ -624,9 +623,6 @@ class USeries:
             cs.append(_QR_ZERO)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *args):
-        raise AttributeError("USeries is immutable")
 
     @staticmethod
     def one(order: int) -> "USeries":
@@ -679,14 +675,6 @@ class USeries:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if not isinstance(other, USeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
     def __repr__(self):
         parts = []
         for k, c in enumerate(self.coeffs):
@@ -723,7 +711,7 @@ def _utrim(cs) -> tuple:
     return tuple(cs[:n])
 
 
-class URational:
+class URational(Record):
     """A rational function of u over QRational, for display and comparison.
 
     The numerator and denominator must be coprime, as the closed forms'
@@ -755,22 +743,11 @@ class URational:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, *args):
-        raise AttributeError("URational is immutable")
-
     def expand(self, order: int) -> USeries:
         """Power-series expansion to the given order."""
         n = USeries(order, self.num)
         d = USeries(order, self.den)
         return n * series_invert(d)
-
-    def __eq__(self, other):
-        if not isinstance(other, URational):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def __repr__(self):
         def ustr(poly):

@@ -51,8 +51,9 @@ class ModePattern(Record):
         return ModePattern(l, (MINUS,) * (a - 1) + (PLUS,) * (l - a + 1))
 
 
-class FockState:
-    """A finite linear combination of occupation basis vectors."""
+class FockState(Record):
+    """A finite linear combination of occupation basis vectors; its terms are
+    a dict, so it compares by value but has no hash."""
 
     __slots__ = ("l", "_terms")
 
@@ -65,9 +66,6 @@ class FockState:
                 clean[m] = c
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, *args):
-        raise AttributeError("FockState is immutable")
 
     @staticmethod
     def basis(m) -> "FockState":
@@ -85,11 +83,6 @@ class FockState:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def __eq__(self, other):
-        if not isinstance(other, FockState):
-            return NotImplemented
-        return self.l == other.l and self._terms == other._terms
 
     def __repr__(self):
         if not self._terms:

@@ -1,13 +1,19 @@
-"""The shared base of qloop's immutable value records.
+"""Value semantics for qloop's immutable types, written once.
 
-RepSpec, ModePattern, RootIndex, CartanExponent, Weight and LWeight are small
-immutable values.  Each subclass of Record names its two or more fields in
-__slots__, in constructor order, and its own __init__ validates the
-arguments and sets the fields with object.__setattr__.  Record gives them one
-value semantics: records are equal when they are of the same class with equal
-fields, hash as the tuple of their fields, refuse assignment, print as
-Name(field=value, ...), and copy and pickle by calling the class on their
-fields again, so a copy passes the same validation.
+Frozen refuses assignment and deletion; subclasses set their slots with
+object.__setattr__ (or the slot's own descriptor) while they are built.
+
+Record extends it for the values compared by their fields: RepSpec,
+ModePattern, RootIndex, CartanExponent, Weight, LWeight, USeries,
+URational, FockState and OscWord.  Each names its two or more fields in
+__slots__, in constructor order, and its own __init__ validates or
+normalizes them.  Records are equal when of the same class with equal
+fields, hash as the tuple of their fields (a FockState, whose terms are a
+dict, has no hash), print as Name(field=value, ...) unless the class prints
+itself, and copy and pickle by calling the class on their fields again.
+
+QRational and OpExpr take Frozen only: both are interned, one object per
+value, so equality is identity and comparing fields would add nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +21,19 @@ from __future__ import annotations
 from operator import attrgetter
 
 
-class Record:
+class Frozen:
+    """An object whose attributes cannot be assigned or deleted."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Record(Frozen):
     """An immutable value compared, hashed and printed by its fields."""
 
     __slots__ = ()
@@ -23,12 +41,6 @@ class Record:
     def __init_subclass__(cls):
         # the fields as one tuple, read in C
         cls._values = property(attrgetter(*cls.__slots__))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -95,17 +95,22 @@ class RootIndex(Record):
     __rmul__ = __mul__
 
 
+def _pairing(l: int, x: tuple, y: tuple) -> int:
+    """sum_ij x_i y_j a_ij over the extended Cartan matrix of rank l."""
+    total = 0
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y):
+                if yj:
+                    total += xi * yj * cartan_entry(l, i, j)
+    return total
+
+
 def bilinear(a: RootIndex, b: RootIndex) -> int:
     """Symmetric form (a|b) induced by the extended Cartan matrix."""
     if a.l != b.l:
         raise ValueError("rank mismatch")
-    total = 0
-    for i, ca in enumerate(a.coeffs):
-        if ca:
-            for j, cb in enumerate(b.coeffs):
-                if cb:
-                    total += ca * cb * cartan_entry(a.l, i, j)
-    return total
+    return _pairing(a.l, a.coeffs, b.coeffs)
 
 
 class CartanExponent(Record):
@@ -151,10 +156,4 @@ class CartanExponent(Record):
         """The eigenvalue exponent <root, x> = sum_j x_j a_{j i} c_i."""
         if self.l != root.l:
             raise ValueError("rank mismatch")
-        total = 0
-        for jj, xj in enumerate(self.coeffs):
-            if xj:
-                for ii, ci in enumerate(root.coeffs):
-                    if ci:
-                        total += xj * ci * cartan_entry(self.l, jj, ii)
-        return total
+        return _pairing(self.l, self.coeffs, root.coeffs)

@@ -102,6 +102,26 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err, argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--l", "1", "--zs=--"],
+    ["lweight", "--l", "1", "--a", "1", "--m=--"],
+    ["dump-op", "--l", "1", "--a", "1", "--root=--"],
+    ["factor", "--l", "1", "--zs-list=--"],
+    ["factor", "--l", "1", "--kind=--"],
+    ["verify", "--l=--"],
+    ["verify", "--l", "1", "--mmax=--"],
+    ["verify", "--l", "1", "--order=--"],
+    ["verify", "--l", "1", "--output=--"],
+], ids=lambda argv: " ".join(argv))
+def test_a_double_dash_value_is_a_usage_error(argv, capsys):
+    # argparse reads '--opt=--' as an empty list, which no command can use
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    out, errout = capsys.readouterr()
+    assert err.value.code == 2
+    assert "error:" in errout and out == ""
+
+
 def _readme_commands() -> list:
     """The qloop lines of the first code block under README's "Command line"."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -195,8 +215,9 @@ def _argvs(draw):
         if flag in ("--bar", "--json"):
             argv.append(flag)
         else:
-            # the '=' form keeps a leading '-' in the value from reading as a flag
-            argv.append(f"{flag}={draw(_FLAG_VALUES[flag])}")
+            # the '=' form keeps a leading '-' in the value from reading as a
+            # flag; '--' as the value reads as an empty list
+            argv.append(f"{flag}={draw(_FLAG_VALUES[flag] | st.just('--'))}")
     return argv
 
 

@@ -1,7 +1,11 @@
-"""The six value records: value semantics, copies and import cost.
+"""The immutable values: value semantics, copies and import cost.
 
-RepSpec, ModePattern, RootIndex, CartanExponent, Weight and LWeight share
-qloop.record.Record.  The repr literals below are the text these records
+RepSpec, ModePattern, RootIndex, CartanExponent, Weight, LWeight, USeries,
+URational, FockState and OscWord share qloop.record.Record: all ten are
+equal by their fields, refuse assignment and deletion, and copy and pickle
+to equal values.  The interned QRational and OpExpr take only
+qloop.record.Frozen, so a field of the one object of a value cannot be
+deleted.  The repr literals below are the text the first six records
 printed when they were frozen dataclasses; cli prints a RepSpec on stderr
 when a check is undecided, so that text must not change.
 """
@@ -15,10 +19,11 @@ import sys
 import pytest
 
 import qloop
-from qloop.borelrep import RepSpec
+from qloop.borelrep import Gen, OscWord, RepSpec, get_evaluator, image_e
 from qloop.exactfield import QRational
-from qloop.fock import ModePattern
-from qloop.lweights import LWeight, Weight, oscillator_lweight, prefundamental
+from qloop.fock import FockState, ModePattern
+from qloop.lweights import (LWeight, Weight, closed_psi, oscillator_lweight, phi_series,
+                            prefundamental)
 from qloop.rootsys import CartanExponent, RootIndex
 
 ONE = QRational.one()
@@ -111,13 +116,59 @@ RECORDS = [RepSpec(3, 2, True, qp(2)), ModePattern.theta(3, 2), RootIndex(2, (1,
            oscillator_lweight(RepSpec(2, 2), (1, 0))]
 
 
+_SPEC = RepSpec(2, 2, False, qp(2))
+# a series, a closed form, a nonzero Fock vector and a mirrored image word
+VALUES = [phi_series(1, _SPEC, (1, 0), 4), closed_psi(1, _SPEC, (1, 0)),
+          get_evaluator(_SPEC).apply_basis(Gen(1), (1, 1)), image_e(1, RepSpec(3, 2, True))]
+
+
 @pytest.mark.parametrize("roundtrip", [copy.copy, copy.deepcopy,
                                        lambda x: pickle.loads(pickle.dumps(x))],
                          ids=["copy", "deepcopy", "pickle"])
-@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize("record", RECORDS + VALUES, ids=lambda r: type(r).__name__)
 def test_copies_are_equal_records(record, roundtrip):
     again = roundtrip(record)
-    assert type(again) is type(record) and again == record and hash(again) == hash(record)
+    assert type(again) is type(record) and again == record
+    # a FockState's terms are a dict, so it has no hash
+    if not isinstance(record, FockState):
+        assert hash(again) == hash(record)
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_values_refuse_assignment_and_deletion(value):
+    before = repr(value)
+    for name in type(value).__slots__ + ("extra",):
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            delattr(value, name)
+    assert repr(value) == before
+
+
+def test_fock_states_and_words_are_compared_by_value():
+    ev = get_evaluator(_SPEC)
+    assert not VALUES[2].is_zero()
+    assert ev.apply_basis(Gen(1), (1, 1)) == FockState(2, dict(VALUES[2].items()))
+    assert ev.apply_basis(Gen(1), (1, 1)) != ev.apply_basis(Gen(2), (1, 1))
+    assert FockState.zero(2) != FockState.zero(3)
+    with pytest.raises(TypeError):
+        hash(VALUES[2])
+    word = image_e(1, RepSpec(3, 2, True))
+    assert word == OscWord(word.l, word.coeff, list(word.atoms)) and hash(word) == hash(VALUES[3])
+    assert word != image_e(1, RepSpec(3, 2))
+
+
+def test_interned_values_refuse_deletion():
+    q7, e2 = qp(7), Gen(2)
+    for node, fields in ((q7, ("_e", "_n", "_d")), (e2, ("i",))):
+        for name in fields + ("extra",):
+            with pytest.raises(AttributeError, match=f"^{type(node).__name__} is immutable$"):
+                delattr(node, name)
+            with pytest.raises(AttributeError, match=f"^{type(node).__name__} is immutable$"):
+                setattr(node, name, None)
+    # the one q^7 and the one e_2 are untouched and still in use
+    assert qp(7) is q7 and q7.as_q_power() == 7 and q7 * qp(-7) is ONE
+    assert Gen(2) is e2 and e2.i == 2 and repr(e2) == "e[2]"
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

@@ -1,5 +1,7 @@
 """Affine root system of sl(l+1): Cartan data, roots, Cartan exponents."""
 
+import itertools
+
 import pytest
 
 from qloop.rootsys import (CartanExponent, RootIndex, bilinear, cartan_entry,
@@ -90,3 +92,17 @@ def test_pair_root_uses_the_extended_matrix():
         d = RootIndex.delta(l)
         for i in range(l + 1):
             assert CartanExponent.h(l, i).pair_root(d) == 0
+
+
+def test_pair_root_is_the_bilinear_form_on_the_same_coefficients():
+    # q**x acts on a root vector of root r by q**(x|r), for x read as a root
+    for l in (1, 2, 3):
+        vectors = list(itertools.product(range(-1, 2), repeat=l + 1))
+        for x in vectors[::5]:
+            for r in vectors[::7]:
+                assert CartanExponent(l, x).pair_root(RootIndex(l, r)) == \
+                    bilinear(RootIndex(l, x), RootIndex(l, r))
+    with pytest.raises(ValueError, match="rank mismatch"):
+        CartanExponent.h(2, 0).pair_root(RootIndex.delta(3))
+    with pytest.raises(ValueError, match="rank mismatch"):
+        bilinear(RootIndex.delta(2), RootIndex.delta(3))
