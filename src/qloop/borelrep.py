@@ -226,6 +226,10 @@ class OpExpr(Frozen):
     def __init__(self, *fields):
         """A no-op (__new__ sets the fields); perfbench's tracer counts constructions here."""
 
+    def __reduce__(self):
+        # rebuilt through __new__, so a copy or an unpickled node is the interned one
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
     def __add__(self, other):
         return Sum((self, other))
 

@@ -36,7 +36,7 @@ at integer m (oscillator_lweight).
 Twist conventions.  The spectral twist enters every eigenvalue through the
 single combination zs = zeta**s, kept as one exact scalar: a twisted series
 is the untwisted one with u -> zs*u.  In factored form every root x becomes
-zs*x and the weight stays (LWeight.twisted), so factor_checks reads each
+zs*x and the weight stays (LWeight.twisted), so factor_sides reads each
 module once, untwisted, and twists it per identity.  Mirrored
 representations satisfy
 
@@ -455,8 +455,13 @@ def lweight_product(*factors: LWeight) -> LWeight:
     w = factors[0].weight
     for f in factors[1:]:
         w = w + f.weight
-    nodes = zip(*(f.roots for f in factors))
-    return LWeight(w, tuple(_roots(itertools.chain.from_iterable(node)) for node in nodes))
+    return LWeight(w, tuple(map(_node_product, *(f.roots for f in factors))))
+
+
+def _node_product(*nodes) -> frozenset:
+    # a node where at most one factor has roots passes through unchanged
+    full = [node for node in nodes if node]
+    return _roots(itertools.chain.from_iterable(full)) if len(full) > 1 else (full or nodes)[0]
 
 
 def prefundamental(l: int, i: int, sign: int, x: QRational) -> LWeight:
@@ -468,8 +473,9 @@ def prefundamental(l: int, i: int, sign: int, x: QRational) -> LWeight:
         raise IndexError("node index out of range")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    roots = tuple(_roots([(x, sign)] if j == i else ()) for j in range(1, l + 1))
-    return LWeight(Weight.zero(l), roots)
+    roots = [frozenset()] * l  # one shared empty node
+    roots[i - 1] = _roots([(x, sign)])
+    return LWeight(Weight.zero(l), tuple(roots))
 
 
 def shift_weight(w: Weight) -> LWeight:
@@ -510,8 +516,8 @@ def xi_pref_plus(l: int, i: int) -> Weight:
     ))
 
 
-def factor_checks(l: int, jobs, zs: QRational = _ONE, zs_list=None) -> list:
-    """The verdicts of factorization identities at rank l, one per job.
+def factor_sides(l: int, jobs, zs: QRational = _ONE, zs_list=None):
+    """The (lhs, rhs) l-weights of factorization identities at rank l, one per job.
 
     A job is (kind, index), kind one of "osc" (index = a), "pref-minus" /
     "pref-plus" (index = i) or "full-tensor" (index unused; zs_list holds
@@ -524,8 +530,12 @@ def factor_checks(l: int, jobs, zs: QRational = _ONE, zs_list=None) -> list:
     - full-tensor: the product of all theta_a, one twist each, telescopes
       to l linear ratios.
 
-    A twist scales roots (LWeight.twisted), so each theta_b is read from the
-    catalog at most once per call, untwisted, and scaled for every identity.
+    Each theta_b is read from the catalog at most once per call, untwisted.
+    With T_b = theta_b twisted by q**(l-2b+1), the side of pref-minus[i] is
+    P_i = P_{i-1} T_i and that of pref-plus[i] S_i = S_{i+1} T_{i+1}, twisted
+    by q**i zs: one running product per family and call, built as far as the
+    jobs reach.  A twisted product is the product of the twists as data: a
+    nonzero z maps distinct roots to distinct roots (LWeight.twisted).
     """
     if zs_list is None:
         zs_list = (zs,) * (l + 1)
@@ -538,7 +548,8 @@ def factor_checks(l: int, jobs, zs: QRational = _ONE, zs_list=None) -> list:
         return theta[b].twisted(z)
 
     q = QRational.q_power
-    verdicts = []
+    # per family, its running products and the b of each factor in turn
+    chains = {"pref-minus": ([], range(1, l + 2)), "pref-plus": ([], range(l + 1, 0, -1))}
     for kind, index in jobs:
         if kind == "osc":
             a = index
@@ -551,14 +562,19 @@ def factor_checks(l: int, jobs, zs: QRational = _ONE, zs_list=None) -> list:
                         prefundamental(l, a, -1, q(-l + a - 1) * zs)]
             lhs = osc(a, zs)
             rhs = lweight_product(shift_weight(xi_osc(l, a)), *pref)
-        elif kind in ("pref-minus", "pref-plus"):
+        elif kind in chains:
             i = index
             if kind == "pref-plus":
-                sign, xi, bs = 1, xi_pref_plus(l, i), range(i + 1, l + 2)
+                sign, xi, n = 1, xi_pref_plus(l, i), l + 1 - i
             else:
-                sign, xi, bs = -1, xi_pref_minus(l, i), range(1, i + 1)
+                sign, xi, n = -1, xi_pref_minus(l, i), i
             lhs = lweight_product(shift_weight(xi), prefundamental(l, i, sign, zs))
-            rhs = lweight_product(*[osc(b, q(l + i - 2 * b + 1) * zs) for b in bs])
+            prods, bs = chains[kind]
+            while len(prods) < n:
+                b = bs[len(prods)]
+                t = osc(b, q(l - 2 * b + 1))
+                prods.append(lweight_product(prods[-1], t) if prods else t)
+            rhs = prods[n - 1].twisted(q(i) * zs)
         elif kind == "full-tensor":
             if len(zs_list) != l + 1:
                 raise ValueError("need one twist per tensor factor")
@@ -569,8 +585,12 @@ def factor_checks(l: int, jobs, zs: QRational = _ONE, zs_list=None) -> list:
                 for i in range(1, l + 1)))
         else:
             raise ValueError(f"unknown factorization kind {kind!r}")
-        verdicts.append(lhs == rhs)
-    return verdicts
+        yield lhs, rhs
+
+
+def factor_checks(l: int, jobs, zs: QRational = _ONE, zs_list=None) -> list:
+    """Per job, whether the two sides of factor_sides are equal."""
+    return [lhs == rhs for lhs, rhs in factor_sides(l, jobs, zs, zs_list)]
 
 
 def factor_check(kind: str, l: int, index: int = 0, zs: QRational = _ONE,

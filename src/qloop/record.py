@@ -13,7 +13,8 @@ dict, has no hash), print as Name(field=value, ...) unless the class prints
 itself, and copy and pickle by calling the class on their fields again.
 
 QRational and OpExpr take Frozen only: both are interned, one object per
-value, so equality is identity and comparing fields would add nothing.
+value, so equality is identity and comparing fields would add nothing; each
+copies and pickles by rebuilding from its fields, which finds the interned one.
 """
 
 from __future__ import annotations

@@ -31,6 +31,10 @@
   logarithm, a sum over all 2**(n-1) ordered compositions of n
   (e_unprimed_by_compositions), where qloop builds them by the
   log-derivative recursion (rootvectors.e_unprimed_imag).
+- The prefundamental factorizations' right sides as one product per
+  identity, multiplicities merged in a dict (factor_rhs_by_products), where
+  qloop keeps one running product per family and call and twists it per
+  identity (lweights.factor_sides).
 - State arithmetic that qloop does not need: sums, differences, scalar
   multiples and coefficients of FockStates.
 - Algebra in u that qloop does not need: the substitution u -> c u, the
@@ -405,6 +409,27 @@ def table_lambda(spec: RepSpec, m: tuple) -> Weight:
         )
         c[a] = -(2 * m[0] + _msum(m, 2, l - a + 1) - _msum(m, l - a + 2, l) + l - a + 2)
     return Weight(l, tuple(c[1:]))
+
+
+# ------------------------------------------------------ factorization sides
+
+
+def factor_rhs_by_products(l: int, kind: str, i: int, zs: QRational) -> lweights.LWeight:
+    """The right side of pref-minus[i] or pref-plus[i]: the product of theta_b
+    twisted by q**(l+i-2b+1) zs over b = 1 .. i or b = i+1 .. l+1, each factor
+    built and twisted on its own and their roots merged here."""
+    bs = range(1, i + 1) if kind == "pref-minus" else range(i + 1, l + 2)
+    omega = [0] * l
+    mult = [{} for _ in range(l)]
+    for b in bs:
+        z = QRational.q_power(l + i - 2 * b + 1) * zs
+        lw = lweights.oscillator_lweight(RepSpec(l, b, False, z))
+        omega = [x + y for x, y in zip(omega, lw.weight.omega)]
+        for node, roots in zip(mult, lw.roots):
+            for x, k in roots:
+                node[x] = node.get(x, 0) + k
+    return lweights.LWeight(Weight(l, tuple(omega)), tuple(
+        frozenset((x, k) for x, k in node.items() if k) for node in mult))
 
 
 # ------------------------------------------------------ per-m series checks

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (_operator_series, _poly_at, _poly_series, check_vector_at, constant_term,
-                     den_degree, num_degree, pade, phi_series_at, qh_exponent, reduced,
-                     scale_var, table_lambda, verify_grid_at)
+                     den_degree, factor_rhs_by_products, num_degree, pade, phi_series_at,
+                     qh_exponent, reduced, scale_var, table_lambda, verify_grid_at)
 
 import qloop
 from qloop import cli, lweights
@@ -662,6 +662,69 @@ def test_factor_reads_do_not_outlive_a_call(monkeypatch, capsys):
         found = json.loads(capsys.readouterr().out.splitlines()[-1])["discrepancies"]
         assert len(found) == 11
     assert cli.main(argv) == 0
+
+
+def test_running_products_are_the_per_identity_products(monkeypatch):
+    # each family's running product, twisted per identity, is the product the
+    # oracle forms for that identity alone, as data and not only as a value
+    for l in range(1, 9):
+        for kind in ("pref-minus", "pref-plus"):
+            jobs = [(kind, i) for i in range(1, l + 1)]
+            for z in _LAW_TWISTS:
+                for (lhs, rhs), (_, i) in zip(lweights.factor_sides(l, jobs, z), jobs):
+                    want = factor_rhs_by_products(l, kind, i, z)
+                    assert rhs == want and lhs == rhs, (l, kind, i, z)
+    # one identity reads only its own factors: --index i builds its chain up to i
+    read = []
+    real = lweights.oscillator_lweight
+    monkeypatch.setattr(lweights, "oscillator_lweight",
+                        lambda spec, m=None: read.append(spec.a) or real(spec, m))
+    l = 6
+    for kind, i, bs in (("pref-minus", 2, [1, 2]), ("pref-plus", 4, [7, 6, 5])):
+        read.clear()
+        assert lweights.factor_checks(l, [(kind, i)], qp(2)) == [True]
+        assert read == bs
+
+
+def _faulty_theta(monkeypatch, b):
+    # theta_b gains the root 7 at node 1, a root no other factor has at any twist
+    real = lweights.oscillator_lweight
+
+    def faulty(spec, m=None):
+        lw = real(spec, m)
+        if spec.a != b:
+            return lw
+        return LWeight(lw.weight, (lw.roots[0] | {(QRational.from_int(7), 1)},) + lw.roots[1:])
+
+    monkeypatch.setattr(lweights, "oscillator_lweight", faulty)
+
+
+def _factor_lines(capsys, *args):
+    # the verdict lines of one factor run, without the summary line
+    cli.main(["factor", *args, "--zs=-2*q^-1"])
+    return capsys.readouterr().out.splitlines()[:-1]
+
+
+@pytest.mark.parametrize("l", [3, 4])
+def test_a_faulty_factor_fails_only_the_identities_that_contain_it(monkeypatch, capsys, l):
+    # a fault in theta_b reaches P_i for i >= b and S_i for i < b, and nothing else
+    for b in (1, (l + 2) // 2, l + 1):
+        want = ({f"osc[{b}]", "full-tensor"} | {f"pref-minus[{i}]" for i in range(b, l + 1)}
+                | {f"pref-plus[{i}]" for i in range(1, b)})
+        with monkeypatch.context() as mp:
+            _faulty_theta(mp, b)
+            lines = _factor_lines(capsys, "--l", str(l), "--kind", "all")
+            assert len(lines) == 3 * l + 2
+            assert {line.split(":")[0] for line in lines if line.endswith("MISMATCH")} == want
+            # each identity on its own gives its line of the run over all of them
+            for line in lines:
+                label = line.split(":")[0]
+                if label == "full-tensor":
+                    args = ("--kind", "full-tensor")
+                else:
+                    kind, index = label.rstrip("]").split("[")
+                    args = ("--kind", kind, "--index", index)
+                assert _factor_lines(capsys, "--l", str(l), *args) == [line], (b, line)
 
 
 def test_factor_check_rejects_unknown_kind():

@@ -5,7 +5,7 @@ URational, FockState and OscWord share qloop.record.Record: all ten are
 equal by their fields, refuse assignment and deletion, and copy and pickle
 to equal values.  The interned QRational and OpExpr take only
 qloop.record.Frozen, so a field of the one object of a value cannot be
-deleted.  The repr literals below are the text the first six records
+deleted, and copy and pickle to that object itself.  The repr literals below are the text the first six records
 printed when they were frozen dataclasses; cli prints a RepSpec on stderr
 when a check is undecided, so that text must not change.
 """
@@ -19,7 +19,8 @@ import sys
 import pytest
 
 import qloop
-from qloop.borelrep import Gen, OscWord, RepSpec, get_evaluator, image_e
+from qloop.borelrep import (CartanPower, Compose, Gen, OscWord, RepSpec, Scale, Sum,
+                            get_evaluator, image_e)
 from qloop.exactfield import QRational
 from qloop.fock import FockState, ModePattern
 from qloop.lweights import (LWeight, Weight, closed_psi, oscillator_lweight, phi_series,
@@ -132,6 +133,19 @@ def test_copies_are_equal_records(record, roundtrip):
     # a FockState's terms are a dict, so it has no hash
     if not isinstance(record, FockState):
         assert hash(again) == hash(record)
+
+
+NODES = [Gen(2), CartanPower(CartanExponent.h(3, 1)), Sum((Gen(1), Gen(2))),
+         Scale(qp(3), Gen(1)), Compose(Gen(0), CartanPower(CartanExponent.h(2, 2)))]
+
+
+@pytest.mark.parametrize("roundtrip", [copy.copy, copy.deepcopy,
+                                       lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+def test_operator_nodes_copy_to_themselves(node, roundtrip):
+    # interned: every copy, deep copy and unpickled node is the one node
+    assert roundtrip(node) is node
 
 
 @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
