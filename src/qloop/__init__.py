@@ -26,7 +26,6 @@ from .exactfield import (
     kappa,
     qfactorial,
     qnum,
-    series_invert,
 )
 from .fock import FockState, ModePattern
 from .lweights import (
@@ -64,7 +63,6 @@ __all__ = [
     "qnum",
     "qfactorial",
     "kappa",
-    "series_invert",
     "ZeroConstantTerm",
     "RootIndex",
     "CartanExponent",

@@ -89,13 +89,6 @@ def parse_zs(text: str) -> QRational:
     return out
 
 
-def _parse_m(text: str, l: int) -> tuple:
-    m = tuple(int(x) for x in text.split(","))
-    if len(m) != l or any(x < 0 for x in m):
-        raise ValueError(f"occupation vector needs {l} nonnegative entries")
-    return m
-
-
 def _emit(args, payload: dict, lines) -> None:
     for line in lines:
         print(line)
@@ -154,7 +147,7 @@ def _cmd_verify(args) -> int:
 def _cmd_lweight(args) -> int:
     zs = parse_zs(args.zs)
     spec = RepSpec(args.l, args.a, args.bar, zs)
-    m = _parse_m(args.m, args.l)
+    m = tuple(int(x) for x in args.m.split(","))
     lw = oscillator_lweight(spec, m)
     lam = lw.weight
     psi = [lw.psi(i) for i in range(1, args.l + 1)]

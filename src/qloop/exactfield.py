@@ -27,8 +27,7 @@ q with integer coefficients.  Three layers live here:
   alive.
 
 - USeries: a truncated power series in a spectral variable u with QRational
-  coefficients, closed under ring operations and inversion (unit constant
-  term).
+  coefficients, for display and comparison only; it has no arithmetic.
 
 - URational: a rational function in u over QRational, built from a coprime
   numerator and denominator, with the denominator scaled to constant term
@@ -49,7 +48,7 @@ from .record import Frozen, Record
 
 
 class ZeroConstantTerm(ValueError):
-    """Series or denominator has a vanishing constant term where a unit is required."""
+    """A URational denominator has a vanishing constant term, so it is no power-series unit."""
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +604,10 @@ def qfactorial(n: int) -> QRational:
 # truncated power series in u
 
 class USeries(Record):
-    """Power series in u over QRational, truncated at a fixed order."""
+    """Power series in u over QRational, truncated at a fixed order.
+
+    A display and comparison record: it has no arithmetic.
+    """
 
     __slots__ = ("order", "coeffs")
 
@@ -624,56 +626,8 @@ class USeries(Record):
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @staticmethod
-    def one(order: int) -> "USeries":
-        return USeries(order, (_QR_ONE,))
-
     def coeff(self, k: int) -> QRational:
         return self.coeffs[k] if 0 <= k <= self.order else _QR_ZERO
-
-    def truncate(self, order: int) -> "USeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return USeries(order, self.coeffs[: order + 1])
-
-    def _meet(self, other):
-        if isinstance(other, (int, QRational)):
-            other = USeries(self.order, (other,))
-        k = min(self.order, other.order)
-        return self.truncate(k), other.truncate(k)
-
-    def __add__(self, other):
-        a, b = self._meet(other)
-        return USeries(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return USeries(self.order, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        a, b = self._meet(other)
-        return USeries(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, QRational)):
-            c = QRational.from_int(other) if isinstance(other, int) else other
-            return USeries(self.order, tuple(c * x for x in self.coeffs))
-        a, b = self._meet(other)
-        out = [_QR_ZERO] * (a.order + 1)
-        for i, ca in enumerate(a.coeffs):
-            if ca.is_zero():
-                continue
-            for j in range(a.order + 1 - i):
-                cb = b.coeffs[j]
-                if not cb.is_zero():
-                    out[i + j] = out[i + j] + ca * cb
-        return USeries(a.order, out)
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         parts = []
@@ -682,23 +636,6 @@ class USeries(Record):
                 parts.append(f"({c!r})*u^{k}" if k else f"{c!r}")
         body = " + ".join(parts) if parts else "0"
         return f"{body} + O(u^{self.order + 1})"
-
-
-def series_invert(s: USeries) -> USeries:
-    """Multiplicative inverse of a series with unit constant term."""
-    c0 = s.coeff(0)
-    if c0.is_zero():
-        raise ZeroConstantTerm("cannot invert a series with zero constant term")
-    i0 = c0.inv()
-    out = [i0]
-    for n in range(1, s.order + 1):
-        acc = _QR_ZERO
-        for k in range(1, n + 1):
-            ck = s.coeff(k)
-            if not ck.is_zero():
-                acc = acc + ck * out[n - k]
-        out.append(-i0 * acc)
-    return USeries(s.order, out)
 
 
 # ---------------------------------------------------------------------------
@@ -744,10 +681,19 @@ class URational(Record):
         object.__setattr__(self, "den", den)
 
     def expand(self, order: int) -> USeries:
-        """Power-series expansion to the given order."""
-        n = USeries(order, self.num)
-        d = USeries(order, self.den)
-        return n * series_invert(d)
+        """Power-series expansion to the given order.
+
+        The denominator has constant term one (``__init__`` scales it so), so
+        the coefficients solve c_n = a_n - sum_{k=1}^{min(n, deg d)} d_k c_{n-k}.
+        """
+        a, d = self.num, self.den
+        out = []
+        for n in range(order + 1):
+            acc = a[n] if n < len(a) else _QR_ZERO
+            for k in range(1, min(n, len(d) - 1) + 1):
+                acc = acc - d[k] * out[n - k]
+            out.append(acc)
+        return USeries(order, out)
 
     def __repr__(self):
         def ustr(poly):

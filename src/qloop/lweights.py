@@ -135,7 +135,7 @@ class Weight(Record):
 def _check_m(l: int, m) -> tuple:
     mt = tuple(m)
     if len(mt) != l or any(x < 0 for x in mt):
-        raise ValueError("occupation vector must have l nonnegative entries")
+        raise ValueError(f"occupation vector needs {l} nonnegative entries")
     return mt
 
 

@@ -37,7 +37,9 @@
   identity (lweights.factor_sides).
 - State arithmetic that qloop does not need: sums, differences, scalar
   multiples and coefficients of FockStates.
-- Algebra in u that qloop does not need: the substitution u -> c u, the
+- Algebra in u that qloop does not need: truncated series sums,
+  differences, products, inverses and truncation, with num * inverse(den)
+  as the reference for URational.expand; the substitution u -> c u, the
   degrees and constant term of a URational, the formal logarithm, the gcd
   over Q(q)[u] (reduced) and Pade reconstruction.
 """
@@ -49,7 +51,7 @@ from qloop import lweights
 from qloop.borelrep import (CartanPower, Compose, Gen, OscWord, RepSpec, Scale,
                             Sum, _dot, _vadd, get_evaluator, image_e, image_qh)
 from qloop.exactfield import (QRational, URational, USeries, ZeroConstantTerm,
-                              _utrim, kappa, qnum, qrational_to_json, series_invert)
+                              _utrim, kappa, qnum, qrational_to_json)
 from qloop.fock import PLUS, FockState, ModePattern
 from qloop.lweights import NotDiagonal, Weight, _msum, discrepancy
 from qloop.rootsys import CartanExponent, o_sign
@@ -576,6 +578,54 @@ def verify_grid_at(l: int, order: int, m_max: int, bar: bool, zs: QRational) -> 
 # ------------------------------------------- series and rational functions in u
 
 
+def series_truncate(s: USeries, order: int) -> USeries:
+    """s through u**order, order at most s.order."""
+    if order > s.order:
+        raise ValueError("cannot extend a truncated series")
+    return USeries(order, s.coeffs[: order + 1])
+
+
+def series_sum(a: USeries, b: USeries) -> USeries:
+    """a + b through the lower of the two orders."""
+    return USeries(min(a.order, b.order), [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+
+def series_difference(a: USeries, b: USeries) -> USeries:
+    """a - b through the lower of the two orders."""
+    return USeries(min(a.order, b.order), [x - y for x, y in zip(a.coeffs, b.coeffs)])
+
+
+def series_product(a: USeries, b: USeries) -> USeries:
+    """a * b through the lower of the two orders, as the Cauchy product."""
+    k = min(a.order, b.order)
+    out = [_ZERO] * (k + 1)
+    for i in range(k + 1):
+        for j in range(k + 1 - i):
+            out[i + j] = out[i + j] + a.coeffs[i] * b.coeffs[j]
+    return USeries(k, out)
+
+
+def series_inverse(s: USeries) -> USeries:
+    """1/s for a series with any nonzero constant term c0:
+    t_0 = 1/c0 and t_n = -(sum_{k=1}^n s_k t_{n-k}) / c0."""
+    c0 = s.coeff(0)
+    if c0.is_zero():
+        raise ZeroConstantTerm("cannot invert a series with zero constant term")
+    out = [c0.inv()]
+    for n in range(1, s.order + 1):
+        acc = _ZERO
+        for k in range(1, n + 1):
+            acc = acc + s.coeff(k) * out[n - k]
+        out.append(-acc / c0)
+    return USeries(s.order, out)
+
+
+def expand_fraction(num, den, order: int) -> USeries:
+    """num/den through u**order as num * inverse(den), with den as given:
+    the reference for URational(num, den).expand(order)."""
+    return series_product(USeries(order, num), series_inverse(USeries(order, den)))
+
+
 def scale_var(s: USeries, c: QRational) -> USeries:
     """s with u -> c*u substituted."""
     out, p = [], QRational.one()
@@ -617,7 +667,7 @@ def series_log(s: USeries) -> USeries:
         raise ConstantTermNotOne("series logarithm needs constant term 1")
     if s.order == 0:
         return USeries(0)
-    r = derivative(s) * series_invert(s.truncate(s.order - 1))
+    r = series_product(derivative(s), series_inverse(series_truncate(s, s.order - 1)))
     return USeries(s.order, [_ZERO] + [r.coeff(n - 1) / n for n in range(1, s.order + 1)])
 
 
@@ -715,9 +765,9 @@ def pade(s: USeries, num_deg: int, den_deg: int) -> URational:
 
     The linearized system num = den * s (mod u**(num_deg+den_deg+1)) is solved
     for the denominator by a nullspace computation, and the candidate is
-    re-expanded and compared against s through order num_deg + den_deg; any
-    mismatch raises DegreeMismatch.  The series must carry at least that many
-    coefficients.
+    re-expanded (expand_fraction) and compared against s through order
+    num_deg + den_deg; any mismatch raises DegreeMismatch.  The series must
+    carry at least that many coefficients.
     """
     if num_deg < 0 or den_deg < 0:
         raise ValueError("pade degrees must be >= 0")
@@ -744,7 +794,7 @@ def pade(s: USeries, num_deg: int, den_deg: int) -> URational:
         raise DegreeMismatch("series is not a (num_deg, den_deg) rational function") from exc
     if num_degree(cand) > num_deg or den_degree(cand) > den_deg:
         raise DegreeMismatch("series is not a (num_deg, den_deg) rational function")
-    again = cand.expand(k)
+    again = expand_fraction(cand.num, cand.den, k)
     if any(again.coeff(j) != c(j) for j in range(k + 1)):
         raise DegreeMismatch("series is not a (num_deg, den_deg) rational function")
     return cand

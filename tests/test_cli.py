@@ -102,6 +102,18 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err, argv
 
 
+@pytest.mark.parametrize("m", ["0", "-1,0", "1,2,3"])
+def test_occupation_vector_error_names_l(m, capsys):
+    # lweights._check_m is the one check; its message names l
+    with pytest.raises(SystemExit) as err:
+        cli.main(["lweight", "--l", "2", "--a", "1", f"--m={m}"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: occupation vector needs 2 nonnegative entries\n")
+    with pytest.raises(ValueError, match="^occupation vector needs 2 nonnegative entries$"):
+        closed_psi(1, RepSpec(2, 1), tuple(int(x) for x in m.split(",")))
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--l", "1", "--zs=--"],
     ["lweight", "--l", "1", "--a", "1", "--m=--"],

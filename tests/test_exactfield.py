@@ -12,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (ConstantTermNotOne, DegreeMismatch, constant_term, den_degree, derivative,
-                     num_degree, pade, reduced, scale_var, series_log, specialize)
+                     expand_fraction, num_degree, pade, reduced, scale_var, series_difference,
+                     series_inverse, series_log, series_product, series_sum, series_truncate,
+                     specialize)
 from qloop import exactfield
 from qloop.exactfield import (QRational, URational, USeries, ZeroConstantTerm,
                               _pmul, _pshift, kappa, qfactorial, qnum,
-                              qpoly_to_json, qrational_to_json, series_invert,
+                              qpoly_to_json, qrational_to_json,
                               upoly_to_json, urational_to_json)
 
 ONE = QRational.one()
@@ -455,16 +457,22 @@ def test_series_basics():
     assert s.coeff(0) == ONE
     assert s.coeff(1) == qp(1)
     assert s.coeff(3) == qnum(2)
-    assert s.truncate(1) == USeries(1, (ONE, qp(1)))
-    assert USeries.one(4).coeff(0) == ONE
-    assert USeries.one(4).coeff(3) == ZERO
+    assert s.coeff(4) == ZERO
+    assert series_truncate(s, 1) == USeries(1, (ONE, qp(1)))
+    with pytest.raises(ValueError):
+        series_truncate(s, 4)
+    assert USeries(4, (ONE,)).coeff(0) == ONE
+    assert USeries(4, (ONE,)).coeff(3) == ZERO
+    # a display record: the ring arithmetic lives in the oracles
+    with pytest.raises(TypeError):
+        s + s
 
 
 def test_series_product_truncates():
     # (1 + u)(1 - u) = 1 - u^2 exactly within the window
     a = USeries(4, (ONE, ONE))
     b = USeries(4, (ONE, -ONE))
-    assert a * b == USeries(4, (ONE, ZERO, -ONE))
+    assert series_product(a, b) == USeries(4, (ONE, ZERO, -ONE))
 
 
 def test_series_scale_var_and_derivative():
@@ -478,20 +486,21 @@ def test_series_scale_var_and_derivative():
 @given(useries(), useries(), useries())
 @settings(max_examples=40, deadline=None)
 def test_series_ring_axioms(a, b, c):
-    assert (a + b) + c == a + (b + c)
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-    assert a - a == USeries(4)
+    add, mul = series_sum, series_product
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(a, b) == mul(b, a)
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert series_difference(a, a) == USeries(4)
 
 
 def test_series_invert():
     s = USeries(5, (ONE, -ONE))                         # 1 - u
-    t = series_invert(s)
+    t = series_inverse(s)
     assert all(t.coeff(k) == ONE for k in range(6))
-    assert s * t == USeries.one(5)
+    assert series_product(s, t) == USeries(5, (ONE,))
     with pytest.raises(ZeroConstantTerm):
-        series_invert(USeries(3, (ZERO, ONE)))
+        series_inverse(USeries(3, (ZERO, ONE)))
 
 
 @given(useries())
@@ -499,12 +508,12 @@ def test_series_invert():
 def test_series_invert_roundtrip(s):
     if s.coeff(0).is_zero():
         return
-    assert s * series_invert(s) == USeries.one(4)
+    assert series_product(s, series_inverse(s)) == USeries(4, (ONE,))
 
 
 def test_series_log():
     # log(1/(1-u)) = sum u^n / n
-    s = series_log(series_invert(USeries(5, (ONE, -ONE))))
+    s = series_log(series_inverse(USeries(5, (ONE, -ONE))))
     for n in range(1, 6):
         assert s.coeff(n) == ONE / QRational.from_int(n)
     assert s.coeff(0) == ZERO
@@ -515,10 +524,40 @@ def test_series_log():
 def test_series_log_is_additive():
     a = URational((ONE, qp(1))).expand(6)               # 1 + q u
     b = URational((ONE,), (ONE, -qp(-1))).expand(6)     # 1/(1 - u/q)
-    assert series_log(a * b) == series_log(a) + series_log(b)
+    assert series_log(series_product(a, b)) == series_sum(series_log(a), series_log(b))
 
 
 # ---------------------------------------------------- rational functions of u
+
+# constant terms that are not one, so URational has to scale the denominator
+_UNIT_CONSTANTS = (QRational.from_int(2), qp(3), -qp(-1))
+
+
+@st.composite
+def expansions(draw):
+    """(num, den, order): den with a non-unit constant term; num may be
+    zero or longer than order + 1."""
+    order = draw(st.integers(0, 5))
+    num = draw(st.lists(qrationals(), min_size=0, max_size=order + 3))
+    tail = draw(st.lists(qrationals(), min_size=0, max_size=3))
+    return num, [draw(st.sampled_from(_UNIT_CONSTANTS))] + tail, order
+
+
+@given(expansions())
+@settings(max_examples=60, deadline=None)
+def test_expand_is_num_times_inverse_den(case):
+    num, den, order = case
+    assert URational(num, den).expand(order) == expand_fraction(num, den, order)
+
+
+def test_expand_edge_cases():
+    two = QRational.from_int(2)
+    # 1/(2 - u) at order 0, and a numerator longer than the window
+    assert URational((ONE,), (two, -ONE)).expand(0) == USeries(0, (ONE / two,))
+    long = (ONE, qp(1), qp(2), qp(3), qp(4))
+    assert URational(long, (-qp(-1), ONE)).expand(2) == expand_fraction(long, (-qp(-1), ONE), 2)
+    assert URational((), (qp(3), ONE)).expand(3) == USeries(3)
+    assert URational((ZERO, ZERO), (qp(3),)).expand(0) == USeries(0)
 
 def test_urational_normalizes_leading_denominator():
     # scaling num and den together leaves the canonical form unchanged
