@@ -56,52 +56,4 @@ from .rootvectors import (
     xi_plus,
 )
 
-__all__ = [
-    "QRational",
-    "USeries",
-    "URational",
-    "qnum",
-    "qfactorial",
-    "kappa",
-    "ZeroConstantTerm",
-    "RootIndex",
-    "CartanExponent",
-    "NotAPositiveRoot",
-    "cartan_entry",
-    "bilinear",
-    "ModePattern",
-    "FockState",
-    "RepSpec",
-    "OscWord",
-    "Evaluator",
-    "get_evaluator",
-    "image_e",
-    "image_qh",
-    "serre_check",
-    "serre_sum",
-    "weight_relation_check",
-    "e_real",
-    "e_dual",
-    "e_prime_imag",
-    "e_unprimed_imag",
-    "xi_plus",
-    "xi_minus",
-    "chi",
-    "chi_bracket",
-    "drinfeld_check",
-    "drinfeld_check_minus",
-    "Weight",
-    "LWeight",
-    "NotDiagonal",
-    "Undecided",
-    "closed_lambda",
-    "closed_psi",
-    "phi_series",
-    "oscillator_lweight",
-    "prefundamental",
-    "lweight_product",
-    "factor_check",
-    "verify_grid",
-]
-
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from __future__ import annotations
 import operator
 
 from .exactfield import QRational, kappa, qfactorial
-from .fock import PLUS, FockState, ModePattern
+from .fock import MINUS, PLUS, FockState, ModePattern
 from .record import Frozen, Record
 from .rootsys import CartanExponent, RootIndex, cartan_entry
 
@@ -56,9 +56,9 @@ class RepSpec(Record):
         object.__setattr__(self, "zs", zs)
 
     def pattern(self) -> ModePattern:
-        if self.bar:
-            return ModePattern.theta_bar(self.l, self.a)
-        return ModePattern.theta(self.l, self.a)
+        """Slots of theta_a: l-a+1 minus, then a-1 plus; mirrored, a-1 minus."""
+        minus = self.a - 1 if self.bar else self.l - self.a + 1
+        return ModePattern(self.l, (MINUS,) * minus + (PLUS,) * (self.l - minus))
 
 
 def _qn_form(pattern: ModePattern, d: tuple) -> tuple:
@@ -247,11 +247,7 @@ class OpExpr(Frozen):
             return Scale(c, self)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, QRational)):
-            c = QRational.from_int(other) if isinstance(other, int) else other
-            return Scale(c, self)
-        return NotImplemented
+    __rmul__ = __mul__
 
 
 class Gen(OpExpr):

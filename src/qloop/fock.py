@@ -10,8 +10,9 @@ modules over the algebra generated by b, bdag and the group-likes q**(nu N):
 
 with v_{-1} = 0 in both.  States are finite QRational combinations of
 occupation vectors m in Z_{>=0}^l.  The module type of every slot is fixed by
-a ModePattern; the oscillator representations use l-a+1 minus slots followed
-by a-1 plus slots, and their mirrored counterparts swap the two groups.
+a ModePattern.  RepSpec.pattern() builds the pattern of each oscillator
+representation: l-a+1 minus slots followed by a-1 plus slots, and for the
+mirrored counterparts the two counts swapped.
 """
 
 from __future__ import annotations
@@ -35,20 +36,6 @@ class ModePattern(Record):
             raise ValueError("slot kinds must be 'plus' or 'minus'")
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "kinds", kinds)
-
-    @staticmethod
-    def theta(l: int, a: int) -> "ModePattern":
-        """Slots of the a-th oscillator module: l-a+1 minus, then a-1 plus."""
-        if not (1 <= a <= l + 1):
-            raise ValueError("need 1 <= a <= l+1")
-        return ModePattern(l, (MINUS,) * (l - a + 1) + (PLUS,) * (a - 1))
-
-    @staticmethod
-    def theta_bar(l: int, a: int) -> "ModePattern":
-        """Slots of the mirrored a-th module: a-1 minus, then l-a+1 plus."""
-        if not (1 <= a <= l + 1):
-            raise ValueError("need 1 <= a <= l+1")
-        return ModePattern(l, (MINUS,) * (a - 1) + (PLUS,) * (l - a + 1))
 
 
 class FockState(Record):

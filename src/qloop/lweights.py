@@ -631,11 +631,11 @@ class VectorChecks:
         self.order = order
         self._ev = ev
         forms = [_symbolic_forms(i, spec) for i in range(1, l + 1)]
-        # (j, <lambda, h_j>, exponent of q**h_j) where the forms differ;
-        # <lambda, h_0> is minus the sum of the others
-        e0s = [e0 for e0, _, _ in forms]
+        # (j, <lambda, h_j>, exponent of q**h_j) where the forms differ
+        weight = Weight(l, tuple(e0 for e0, _, _ in forms))
         self._weights = []
-        for j, want in enumerate([-sum(e0s, _Affine(0, (0,) * l))] + e0s):
+        for j in range(l + 1):
+            want = weight.pair_h(j)
             (((_, v), c),) = ev.symbolic(CartanPower(CartanExponent.h(l, j)))
             got = _Affine(c.as_q_power(), v)
             if (got.c, got.v) != (want.c, want.v):

@@ -7,10 +7,13 @@ Record extends it for the values compared by their fields: RepSpec,
 ModePattern, RootIndex, CartanExponent, Weight, LWeight, USeries,
 URational, FockState and OscWord.  Each names its two or more fields in
 __slots__, in constructor order, and its own __init__ validates or
-normalizes them.  Records are equal when of the same class with equal
-fields, hash as the tuple of their fields (a FockState, whose terms are a
-dict, has no hash), print as Name(field=value, ...) unless the class prints
-itself, and copy and pickle by calling the class on their fields again.
+normalizes them.  A Record may inherit its fields: a subclass whose
+__slots__ is empty keeps its base's, as RootIndex and CartanExponent keep
+those of rootsys._NodeVector.  Records are equal when of the same class with
+equal fields (so a RootIndex never equals a CartanExponent), hash as the
+tuple of their fields (a FockState, whose terms are a dict, has no hash),
+print as Name(field=value, ...) unless the class prints itself, and copy and
+pickle by calling the class on their fields again.
 
 QRational and OpExpr take Frozen only: both are interned, one object per
 value, so equality is identity and comparing fields would add nothing; each
@@ -40,8 +43,12 @@ class Record(Frozen):
     __slots__ = ()
 
     def __init_subclass__(cls):
-        # the fields as one tuple, read in C
-        cls._values = property(attrgetter(*cls.__slots__))
+        # a class that names no fields keeps its base's
+        fields = vars(cls).get("__slots__", ())
+        if fields:
+            cls._fields = fields
+            # the fields as one tuple, read in C
+            cls._values = property(attrgetter(*fields))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -53,7 +60,7 @@ class Record(Frozen):
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}"
-                           for name, value in zip(self.__slots__, self._values))
+                           for name, value in zip(self._fields, self._values))
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):

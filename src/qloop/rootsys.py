@@ -9,10 +9,12 @@ l+1) and the imaginary root delta = alpha_0 + alpha_1 + ... + alpha_l:
     dual     (delta - alpha_{ij}) + n*delta  n >= 0
 
 A root is stored by its coefficient vector over the simple roots alpha_0 ..
-alpha_l.  The bilinear form is induced by the extended Cartan matrix; for
-l = 1 the two nodes of the Dynkin diagram are joined by a double bond, so
+alpha_l.  There is one Cartan matrix, the extended one (cartan_entry); its
+nodes 1..l give the finite A_l matrix.  The bilinear form is induced by it;
+for l = 1 the two nodes of the Dynkin diagram are joined by a double bond, so
 a_{01} = a_{10} = -2 there.  Cartan exponents (the integer vectors x with
-q**x in the algebra) live here too.
+q**x in the algebra) live here too, and share one node-vector arithmetic
+with root indices.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ class NotAPositiveRoot(ValueError):
 
 
 def cartan_entry(l: int, i: int, j: int) -> int:
-    """Extended Cartan matrix entry a_{ij}, indices 0..l."""
+    """Extended Cartan matrix entry a_{ij}, indices 0..l; on 1..l it is the
+    finite A_l matrix (at l = 1, a_11 = 2)."""
     if not (0 <= i <= l and 0 <= j <= l):
         raise IndexError("Cartan index out of range")
     if i == j:
@@ -35,15 +38,6 @@ def cartan_entry(l: int, i: int, j: int) -> int:
     return -1 if (i - j) % (l + 1) in (1, l) else 0
 
 
-def finite_cartan_entry(l: int, i: int, j: int) -> int:
-    """Finite type A_l Cartan matrix entry, indices 1..l."""
-    if not (1 <= i <= l and 1 <= j <= l):
-        raise IndexError("Cartan index out of range")
-    if i == j:
-        return 2
-    return -1 if abs(i - j) == 1 else 0
-
-
 def o_sign(i: int, l: int) -> int:
     """The alternating sign o_i = -(-1)**i on the finite nodes 1..l."""
     if not (1 <= i <= l):
@@ -51,8 +45,9 @@ def o_sign(i: int, l: int) -> int:
     return -1 if i % 2 == 0 else 1
 
 
-class RootIndex(Record):
-    """An element of the positive root lattice of A_l^(1)."""
+class _NodeVector(Record):
+    """An integer vector over the nodes 0..l, added, subtracted and scaled
+    componentwise; each operation returns the operand's own class."""
 
     __slots__ = ("l", "coeffs")
 
@@ -61,6 +56,27 @@ class RootIndex(Record):
             raise ValueError("coefficient vector must have length l+1")
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "coeffs", coeffs)
+
+    def __add__(self, other):
+        if self.l != other.l:
+            raise ValueError("rank mismatch")
+        return type(self)(self.l, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other):
+        if self.l != other.l:
+            raise ValueError("rank mismatch")
+        return type(self)(self.l, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __mul__(self, n: int):
+        return type(self)(self.l, tuple(n * a for a in self.coeffs))
+
+    __rmul__ = __mul__
+
+
+class RootIndex(_NodeVector):
+    """An element of the positive root lattice of A_l^(1)."""
+
+    __slots__ = ()
 
     @staticmethod
     def simple(l: int, i: int) -> "RootIndex":
@@ -78,21 +94,6 @@ class RootIndex(Record):
     @staticmethod
     def delta(l: int) -> "RootIndex":
         return RootIndex(l, (1,) * (l + 1))
-
-    def __add__(self, other: "RootIndex") -> "RootIndex":
-        if self.l != other.l:
-            raise ValueError("rank mismatch")
-        return RootIndex(self.l, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "RootIndex") -> "RootIndex":
-        if self.l != other.l:
-            raise ValueError("rank mismatch")
-        return RootIndex(self.l, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, n: int) -> "RootIndex":
-        return RootIndex(self.l, tuple(n * a for a in self.coeffs))
-
-    __rmul__ = __mul__
 
 
 def _pairing(l: int, x: tuple, y: tuple) -> int:
@@ -113,16 +114,10 @@ def bilinear(a: RootIndex, b: RootIndex) -> int:
     return _pairing(a.l, a.coeffs, b.coeffs)
 
 
-class CartanExponent(Record):
+class CartanExponent(_NodeVector):
     """Integer vector x over h_0..h_l, labelling the group-like q**(nu x)."""
 
-    __slots__ = ("l", "coeffs")
-
-    def __init__(self, l: int, coeffs: tuple):
-        if l < 1 or len(coeffs) != l + 1:
-            raise ValueError("coefficient vector must have length l+1")
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "coeffs", coeffs)
+    __slots__ = ()
 
     @staticmethod
     def h(l: int, i: int) -> "CartanExponent":
@@ -134,23 +129,8 @@ class CartanExponent(Record):
     def zero(l: int) -> "CartanExponent":
         return CartanExponent(l, (0,) * (l + 1))
 
-    def __add__(self, other: "CartanExponent") -> "CartanExponent":
-        if self.l != other.l:
-            raise ValueError("rank mismatch")
-        return CartanExponent(self.l, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "CartanExponent") -> "CartanExponent":
-        if self.l != other.l:
-            raise ValueError("rank mismatch")
-        return CartanExponent(self.l, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __neg__(self) -> "CartanExponent":
-        return CartanExponent(self.l, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, n: int) -> "CartanExponent":
-        return CartanExponent(self.l, tuple(n * a for a in self.coeffs))
-
-    __rmul__ = __mul__
+        return self * -1
 
     def pair_root(self, root: RootIndex) -> int:
         """The eigenvalue exponent <root, x> = sum_j x_j a_{j i} c_i."""

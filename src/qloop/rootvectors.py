@@ -37,7 +37,7 @@ from functools import lru_cache
 from .exactfield import QRational, kappa, qnum
 from .borelrep import (_MINUS_ONE, CartanPower, Compose, Gen, OpExpr, RepSpec, Scale, Sum,
                        _vanishes_on)
-from .rootsys import CartanExponent, RootIndex, bilinear, finite_cartan_entry, o_sign
+from .rootsys import CartanExponent, RootIndex, bilinear, cartan_entry, o_sign
 
 
 def qcomm(x: OpExpr, rx: RootIndex, y: OpExpr, ry: RootIndex) -> OpExpr:
@@ -163,7 +163,7 @@ def chi_bracket(l: int, i: int, j: int, n: int, m: int, xi, sign: int) -> OpExpr
     """
     x = chi(l, i, n)
     y = xi(l, j, m)
-    c = qnum(n * finite_cartan_entry(l, i, j)) / QRational.from_int(n)
+    c = qnum(n * cartan_entry(l, i, j)) / QRational.from_int(n)
     return Sum((Compose(x, y), Scale(QRational.from_int(-1), Compose(y, x)),
                 Scale(-c if sign > 0 else c, xi(l, j, n + m))))
 

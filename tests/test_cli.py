@@ -167,7 +167,7 @@ _BROKEN_RUNS = [
     (["serre", "--l", "2", "--mmax", "1"], borelrep, "cartan_entry", lambda *args: 0),
     # with a_ij = 0 every bracket [chi_{i,n}, xi_{j,m}] would have to vanish
     (["drinfeld", "--l", "2", "--nmax", "1", "--mmax", "1"],
-     rootvectors, "finite_cartan_entry", lambda *args: 0),
+     rootvectors, "cartan_entry", lambda *args: 0),
     # theta_a without its shift is not the product of its prefundamentals
     (["factor", "--l", "2", "--kind", "osc"], lweights, "xi_osc", lambda l, a: Weight.zero(l)),
 ]
@@ -316,7 +316,7 @@ def test_drinfeld_command(capsys):
 
 
 @pytest.mark.parametrize("argv,module,name", [
-    (["drinfeld", "--l", "2", "--nmax", "1", "--mmax", "1"], rootvectors, "finite_cartan_entry"),
+    (["drinfeld", "--l", "2", "--nmax", "1", "--mmax", "1"], rootvectors, "cartan_entry"),
     (["serre", "--l", "2", "--mmax", "1"], borelrep, "cartan_entry"),
 ], ids=["drinfeld", "serre"])
 def test_no_relation_tree_outlives_its_command(monkeypatch, capsys, argv, module, name):
@@ -334,7 +334,7 @@ def test_failing_drinfeld_report_keeps_the_nested_loop_order(monkeypatch, capsys
     # the report lists (bar, a), then i, j, n and k, as the checks one by one give it
     l, nmax = 2, 2
     samples = list(itertools.product(range(2), repeat=l))
-    monkeypatch.setattr(rootvectors, "finite_cartan_entry", lambda *args: 0)
+    monkeypatch.setattr(rootvectors, "cartan_entry", lambda *args: 0)
     want = []
     for bar in (False, True):
         for a in range(1, l + 2):
@@ -399,7 +399,7 @@ def _level_step_qcomm_doubled(monkeypatch):
 
 
 def _cartan_entries_zero(monkeypatch):
-    monkeypatch.setattr(rootvectors, "finite_cartan_entry", lambda *args: 0)
+    monkeypatch.setattr(rootvectors, "cartan_entry", lambda *args: 0)
 
 
 def _loop_failures(l, nmax, samples):

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import apply_mode, state_add, state_coefficient, state_scale, state_sub
+from qloop.borelrep import RepSpec
 from qloop.exactfield import QRational, qnum
 from qloop.fock import FockState, ModePattern
 
@@ -101,22 +102,32 @@ def test_qn_is_additive_in_the_exponent():
 # ------------------------------------------------------------------- patterns
 
 def test_theta_patterns():
-    assert ModePattern.theta(3, 1).kinds == ("minus", "minus", "minus")
-    assert ModePattern.theta(3, 2).kinds == ("minus", "minus", "plus")
-    assert ModePattern.theta(3, 4).kinds == ("plus", "plus", "plus")
-    assert ModePattern.theta_bar(3, 1).kinds == ("plus", "plus", "plus")
-    assert ModePattern.theta_bar(3, 3).kinds == ("minus", "minus", "plus")
+    assert RepSpec(3, 1).pattern().kinds == ("minus", "minus", "minus")
+    assert RepSpec(3, 2).pattern().kinds == ("minus", "minus", "plus")
+    assert RepSpec(3, 4).pattern().kinds == ("plus", "plus", "plus")
+    assert RepSpec(3, 1, True).pattern().kinds == ("plus", "plus", "plus")
+    assert RepSpec(3, 3, True).pattern().kinds == ("minus", "minus", "plus")
     with pytest.raises(ValueError):
-        ModePattern.theta(3, 5)
+        RepSpec(3, 5).pattern()
     with pytest.raises(ValueError):
-        ModePattern.theta_bar(3, 0)
+        RepSpec(3, 0, True).pattern()
 
 
 def test_bar_pattern_is_the_reflected_pattern():
     # slot pattern of the mirrored module a equals that of module l-a+2
-    for l in (1, 2, 3, 4):
+    for l in range(1, 9):
         for a in range(1, l + 2):
-            assert ModePattern.theta_bar(l, a) == ModePattern.theta(l, l - a + 2)
+            assert RepSpec(l, a, True).pattern() == RepSpec(l, l - a + 2).pattern()
+
+
+def test_patterns_follow_the_slot_convention():
+    # theta_a: l-a+1 minus slots, then a-1 plus; mirrored: a-1 minus, then l-a+1 plus
+    for l in range(1, 9):
+        for a in range(1, l + 2):
+            for bar in (False, True):
+                minus, plus = (a - 1, l - a + 1) if bar else (l - a + 1, a - 1)
+                pattern = RepSpec(l, a, bar).pattern()
+                assert pattern == ModePattern(l, ("minus",) * minus + ("plus",) * plus)
 
 
 def test_modes_in_different_slots_commute():

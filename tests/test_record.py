@@ -25,6 +25,7 @@ from qloop.exactfield import QRational
 from qloop.fock import FockState, ModePattern
 from qloop.lweights import (LWeight, Weight, closed_psi, oscillator_lweight, phi_series,
                             prefundamental)
+from qloop.record import Record
 from qloop.rootsys import CartanExponent, RootIndex
 
 ONE = QRational.one()
@@ -65,10 +66,10 @@ def test_rep_spec():
 
 
 def test_mode_pattern():
-    _equal_and_immutable(lambda: ModePattern.theta(3, 2), ("l", "kinds"))
-    assert ModePattern.theta(3, 2) == ModePattern(l=3, kinds=("minus", "minus", "plus"))
-    assert ModePattern.theta(3, 2) != ModePattern.theta(3, 3)
-    assert repr(ModePattern.theta(3, 2)) == "ModePattern(l=3, kinds=('minus', 'minus', 'plus'))"
+    _equal_and_immutable(lambda: RepSpec(3, 2).pattern(), ("l", "kinds"))
+    assert RepSpec(3, 2).pattern() == ModePattern(l=3, kinds=("minus", "minus", "plus"))
+    assert RepSpec(3, 2).pattern() != RepSpec(3, 3).pattern()
+    assert repr(RepSpec(3, 2).pattern()) == "ModePattern(l=3, kinds=('minus', 'minus', 'plus'))"
     _refused("pattern must assign one kind per slot", ModePattern, 0, ())
     _refused("pattern must assign one kind per slot", ModePattern, 2, ("plus",))
     _refused("slot kinds must be 'plus' or 'minus'", ModePattern, 1, ("up",))
@@ -112,7 +113,34 @@ def test_lweight():
     _refused("need one root multiset per node", LWeight, Weight.zero(2), (frozenset(),))
 
 
-RECORDS = [RepSpec(3, 2, True, qp(2)), ModePattern.theta(3, 2), RootIndex(2, (1, 1, 1)),
+class _Pair(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+
+class _NamedPair(_Pair):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("roundtrip", [copy.copy, copy.deepcopy,
+                                       lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_a_record_without_slots_inherits_its_fields(roundtrip):
+    _equal_and_immutable(lambda: _NamedPair(1, (2, 3)), ("left", "right"))
+    pair = _NamedPair(1, (2, 3))
+    assert pair == _NamedPair(left=1, right=(2, 3)) != _NamedPair(1, (2, 4))
+    assert hash(pair) == hash((1, (2, 3)))
+    # distinct by class, even over the same fields
+    assert pair != _Pair(1, (2, 3)) and _Pair(1, (2, 3)) != pair
+    assert repr(pair) == "_NamedPair(left=1, right=(2, 3))"
+    again = roundtrip(pair)
+    assert type(again) is _NamedPair and again == pair and hash(again) == hash(pair)
+
+
+RECORDS = [RepSpec(3, 2, True, qp(2)), RepSpec(3, 2).pattern(), RootIndex(2, (1, 1, 1)),
            CartanExponent(2, (1, 0, -1)), Weight(2, (1, -1)),
            oscillator_lweight(RepSpec(2, 2), (1, 0))]
 

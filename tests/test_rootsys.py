@@ -4,8 +4,7 @@ import itertools
 
 import pytest
 
-from qloop.rootsys import (CartanExponent, RootIndex, bilinear, cartan_entry,
-                           finite_cartan_entry, o_sign)
+from qloop.rootsys import CartanExponent, RootIndex, bilinear, cartan_entry, o_sign
 
 
 # ----------------------------------------------------------------- Cartan data
@@ -28,13 +27,14 @@ def test_extended_cartan_entries_general():
 
 
 def test_finite_cartan_drops_the_affine_node():
-    for l in (1, 2, 3):
+    # nodes 1..l of the extended matrix are the finite A_l matrix
+    for l in range(1, 9):
         for i in range(1, l + 1):
             for j in range(1, l + 1):
                 want = 2 if i == j else (-1 if abs(i - j) == 1 else 0)
-                assert finite_cartan_entry(l, i, j) == want
+                assert cartan_entry(l, i, j) == want
     # at l = 1 the finite matrix is just (2), unlike the extended one
-    assert finite_cartan_entry(1, 1, 1) == 2
+    assert cartan_entry(1, 1, 1) == 2
 
 
 def test_o_sign_alternates():
@@ -64,6 +64,25 @@ def test_alpha_interval():
     assert RootIndex.alpha(l, 2, 3) == RootIndex.simple(l, 2)
     with pytest.raises(ValueError):
         RootIndex.alpha(l, 3, 3)
+
+
+# ------------------------------------------------------------ node vectors
+
+@pytest.mark.parametrize("cls,coeffs,text", [
+    (RootIndex, (1, 1, 1), "RootIndex(l=2, coeffs=(1, 1, 1))"),
+    (CartanExponent, (1, 0, -1), "CartanExponent(l=2, coeffs=(1, 0, -1))"),
+], ids=["RootIndex", "CartanExponent"])
+def test_node_vector_arithmetic_keeps_the_class(cls, coeffs, text):
+    x, y = cls(2, coeffs), cls(2, (0, 2, 1))
+    for got, want in ((x + y, tuple(a + b for a, b in zip(coeffs, y.coeffs))),
+                      (x - y, tuple(a - b for a, b in zip(coeffs, y.coeffs))),
+                      (3 * x, tuple(3 * a for a in coeffs)),
+                      (x * 3, tuple(3 * a for a in coeffs))):
+        assert type(got) is cls and got == cls(2, want)
+    for bad in (lambda: x + cls(3, (0,) * 4), lambda: x - cls(1, (0, 0))):
+        with pytest.raises(ValueError, match="^rank mismatch$"):
+            bad()
+    assert repr(x) == text
 
 
 # ------------------------------------------------------------ Cartan exponents
