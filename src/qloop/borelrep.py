@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import operator
 
-from .exactfield import QRational, kappa, qfactorial
+from .exactfield import QRational, kappa, qfactorial, qrational_to_json
 from .fock import MINUS, PLUS, FockState, ModePattern
 from .record import Frozen, Record
 from .rootsys import CartanExponent, RootIndex, cartan_entry
@@ -127,7 +127,6 @@ class OscWord(Record):
         return " ".join(parts)
 
     def to_json(self) -> dict:
-        from .exactfield import qrational_to_json
         atoms = []
         for atom in self.atoms:
             if atom[0] == "qN":

@@ -13,13 +13,14 @@ use the canonical exact encodings from exactfield.
 drinfeld decides the loop relations chain by chain: the relations of one
 (i, j, n) and sign, over k.  The first relation of a chain is evaluated.  A
 later one, R_k, passes without evaluation when (a) rootvectors.loop_step
-matches R_{k-1} and R_k as the same bracket with chi_{i,n}, one scalar and
-xi_{j,k}, xi_{j,n+k} the level steps of the xi before them (checked once per
-command), (b) chi_{i,n}, e'_{delta,alpha_j} and, for xi-, q**h_j act with
-only the zero shift in the module, and (c) R_{k-1} is empty with m symbolic
-in that module.  Then R_k is a commutator of R_{k-1} with e'_{delta,alpha_j}
-(the Jacobi identity), so it is empty too.  Where a hypothesis fails, R_k is
-evaluated like every other relation.
+matches R_k and the relation just before it, R_{k-1}, as the same bracket
+with chi_{i,n}, one scalar and xi_{j,k}, xi_{j,n+k} the level steps of the
+xi before them (checked once per command; the matched operators are the
+relation's follows), (b) chi_{i,n}, e'_{delta,alpha_j} and, for xi-, q**h_j
+act with only the zero shift in the module, and (c) R_{k-1} is empty with m
+symbolic in that module.  Then R_k is a commutator of R_{k-1} with
+e'_{delta,alpha_j} (the Jacobi identity), so it is empty too.  Where a
+hypothesis fails, R_k is evaluated like every other relation.
 
 The spectral twist is given as a tiny exact expression over q: factors
 separated by '*', each an integer, a ratio like '3/2', or a power 'q^-2'
@@ -166,10 +167,10 @@ def _decide(args, relations: list, what: str) -> int:
     requested module, in that order; 1 on any failure.  A relation tree
     does not depend on the module, so each is built once per command.
 
-    follows is None or (p, ops): relation p comes before this one, and
-    rootvectors.loop_step matched the two trees, so this tree vanishes with m
-    symbolic wherever relation p does, once every operator in ops acts with
-    only the zero shift.  When relation p is known to be empty with m
+    follows is None or ops: rootvectors.loop_step matched the relation
+    before this one and this tree, so this tree vanishes with m symbolic
+    wherever the one before does, once every operator in ops acts with only
+    the zero shift.  When the relation before is known to be empty with m
     symbolic in this module and the ops are, the relation passes and is not
     evaluated.  Every other relation (every Serre relation, the first of
     each loop chain, and any relation after a nonempty one) is evaluated."""
@@ -179,15 +180,15 @@ def _decide(args, relations: list, what: str) -> int:
     for bar, a in families:
         spec = RepSpec(args.l, a, bar)
         ev = get_evaluator(spec)
-        empty = set()  # relations whose tree is empty with m symbolic here
-        for p, (i, index, tree, status, follows) in enumerate(relations):
-            if follows is not None and follows[0] in empty and all(
-                    ev.zero_shift(op) for op in follows[1]):
-                empty.add(p)
-            elif not _vanishes_on(spec, tree, samples):
+        empty = False  # the relation before is empty with m symbolic here
+        for i, index, tree, status, follows in relations:
+            if follows is not None and empty and all(ev.zero_shift(op) for op in follows):
+                continue
+            if _vanishes_on(spec, tree, samples):
+                empty = not ev.symbolic(tree)
+            else:
                 found.append(discrepancy(a, bar, i, index, status))
-            elif not ev.symbolic(tree):
-                empty.add(p)
+                empty = False
     lines = [f"checked {len(families) * len(relations)} {what}",
              "all checks passed" if not found else f"{len(found)} failures"]
     return _report(args, lines, found, _meta(args.l, args.a, args.bar, None, QRational.one()))
@@ -203,8 +204,8 @@ def _cmd_serre(args) -> int:
 def _loop_relations(l: int, nmax: int) -> list:
     """(i, [j, n, k], difference tree, status, follows) for every loop
     relation, in report order.  The relations of one (i, j, n) and sign form
-    a chain over k; each after the first follows the one before it when
-    loop_step matches their trees (see _decide)."""
+    a chain over k; after the first, follows is what loop_step returns for
+    the relation before and this one, else None (see _decide)."""
     out = []
     for i in range(1, l + 1):
         for j in range(1, l + 1):
@@ -214,8 +215,7 @@ def _loop_relations(l: int, nmax: int) -> list:
                     for k in range(k0, nmax + 1):
                         tree = chi_bracket(l, i, j, n, k, xi, sign)
                         ops = loop_step(out[-1][2], tree) if k > k0 else None
-                        out.append((i, [j, n, k], tree, status,
-                                    None if ops is None else (len(out) - 1, ops)))
+                        out.append((i, [j, n, k], tree, status, ops))
     return out
 
 
@@ -310,19 +310,18 @@ def _cmd_dump_op(args) -> int:
         name = f"{family}:{i},{j},{n}"
     else:
         raise ValueError(f"wrong arity in root spec {args.root!r}")
-    # every family's tree holds its lower levels, so those are evaluated
-    # first, from the lowest up, as verify does: recursion stays shallow
+    # every family's tree holds its lower levels; evaluating them first,
+    # from the lowest up, lets each level read the memo of the one below,
+    # so the recursion of the evaluator stays shallow
     ev = get_evaluator(spec)
     for k in range(0 if family in ("real", "dual") else 1, n):
         ev.symbolic(builder(*head, k))
     expr = builder(*head, n)
     action = []
     for m in itertools.product(range(args.mmax + 1), repeat=args.l):
-        out = ev.apply_basis(expr, m)
-        terms = [[list(mm), qrational_to_json(c)]
-                 for mm, c in sorted(out.items(), key=lambda t: t[0])]
-        action.append({"m": list(m), "out": terms})
-        shown = " + ".join(f"({c!r}) v{list(mm)}" for mm, c in sorted(out.items())) or "0"
+        out = sorted(ev.terms(expr, m), key=lambda t: t[0])
+        action.append({"m": list(m), "out": [[list(mm), qrational_to_json(c)] for mm, c in out]})
+        shown = " + ".join(f"({c!r}) v{list(mm)}" for mm, c in out) or "0"
         lines.append(f"{name} v{list(m)} = {shown}")
     payload = {
         "meta": _meta(args.l, args.a, args.bar, None, QRational.one()),

@@ -10,10 +10,10 @@ acts diagonally with an eigenvalue that is a rational function Psi_i(u) of
 the spectral variable.  This module computes the eigenvalue series directly
 from the operator realization (phi_series), states the closed rational
 expressions for Psi_i (closed_psi) and reads the weight lambda off their
-constant terms, Psi_i(0) = q**<lambda, h_i> (closed_lambda), and combines the
-l-weights of one-dimensional shifts, prefundamental modules and oscillator
-modules to check the factorization identities relating the two families
-(factor_checks).
+constant terms, Psi_i(0) = q**<lambda, h_i> (oscillator_lweight(spec,
+m).weight), and combines the l-weights of one-dimensional shifts,
+prefundamental modules and oscillator modules to check the factorization
+identities relating the two families (factor_checks).
 
 Factored form.  Every closed Psi_i(u) = q**<lambda, h_i> prod_x (1 - x u)**k_x
 is a Drinfeld rational fraction, so an l-weight (LWeight) is a weight plus,
@@ -334,12 +334,6 @@ def _psi_urational(e0: int, roots) -> URational:
     return URational(tuple(c0 * x for x in _roots_poly(num)), _roots_poly(den))
 
 
-def closed_lambda(spec: RepSpec, m) -> Weight:
-    """The weight of v_m, read off the constant terms Psi_i(0) = q**<lambda, h_i>
-    of oscillator_lweight, whose mirror law gives the mirrored weight too."""
-    return oscillator_lweight(spec, m).weight
-
-
 def _operator_fraction(ev: Evaluator, spec: RepSpec, i: int) -> tuple:
     """phi_i(u) on v_m with m symbolic and to all orders: (num, den, failed).
 
@@ -352,13 +346,13 @@ def _operator_fraction(ev: Evaluator, spec: RepSpec, i: int) -> tuple:
     """
     l = spec.l
     e, f, ed = Gen(i), e_dual(l, i, i + 1, 0), e_prime_imag(l, i, i + 1, 1)
-    terms = [ev.symbolic(x) for x in (e, f, ed, Compose(e, f), Compose(f, e))]
-    shifts = [{s for (s, _), _ in t} for t in terms]
+    ef, fe = Compose(e, f), Compose(f, e)
+    shifts = [{s for (s, _), _ in ev.symbolic(x)} for x in (e, f)]
     zero = (0,) * l
     gamma, delta = RootIndex.alpha(l, i, i + 1), RootIndex.delta(l)
     failed = [what for what, holds in (
         ("E_0 or F has two shifts", max(len(shifts[0]), len(shifts[1])) <= 1),
-        ("e'_delta, E_0 F or F E_0 moves v_m", shifts[2] | shifts[3] | shifts[4] <= {zero}),
+        ("e'_delta, E_0 F or F E_0 moves v_m", all(ev.zero_shift(x) for x in (ed, ef, fe))),
         ("e'_delta is not [E_0, F]_q", ed is qcomm(e, gamma, f, delta - gamma)),
     ) if not holds]
     if failed:
@@ -367,10 +361,10 @@ def _operator_fraction(ev: Evaluator, spec: RepSpec, i: int) -> tuple:
     t = QRational.from_int(o_sign(i, l)) * spec.zs  # w = t u
     half, c = t / qnum(2), QRational.q_power(-bilinear(gamma, delta - gamma))
     # 1 + rho w and 1 + rho' w: [2]_q rho(m) = d(m) - d(m + s_E), rho' = rho(m + s_F)
-    rho = {v: x - _q_shifted(x, _dot(v, s_e)) for (_, v), x in terms[2]}
+    rho = {v: x - _q_shifted(x, _dot(v, s_e)) for (_, v), x in ev.symbolic(ed)}
     a, b = ({(0, zero): _ONE, **{(1, v): _q_shifted(x, _dot(v, s)) * half
                                  for v, x in rho.items() if x}} for s in (zero, s_f))
-    pef, pfe = ({(0, v): x for (_, v), x in p} for p in terms[3:])
+    pef, pfe = ({(0, v): x for (_, v), x in ev.symbolic(p)} for p in (ef, fe))
     (((_, vh), ch),) = ev.symbolic(CartanPower(CartanExponent.h(l, i)))
     # num = q**h_i [den + kappa w (P_EF (1 + rho w) - c P_FE (1 + rho' w))]
     den = _poly((_ONE, a, b))

@@ -88,7 +88,7 @@ class RootIndex(_NodeVector):
     def alpha(l: int, i: int, j: int) -> "RootIndex":
         """The finite positive root alpha_{ij} = alpha_i + ... + alpha_{j-1}."""
         if not (1 <= i < j <= l + 1):
-            raise NotAPositiveRoot(f"alpha_{{{i},{j}}} needs 1 <= i < j <= l+1")
+            raise NotAPositiveRoot("finite root alpha_{ij} needs 1 <= i < j <= l+1")
         return RootIndex(l, tuple(1 if i <= k < j else 0 for k in range(l + 1)))
 
     @staticmethod

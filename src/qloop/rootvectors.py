@@ -46,15 +46,10 @@ def qcomm(x: OpExpr, rx: RootIndex, y: OpExpr, ry: RootIndex) -> OpExpr:
     return Sum((Compose(x, y), Scale(c, Compose(y, x))))
 
 
-def _check_gamma(l: int, i: int, j: int):
-    if not (1 <= i < j <= l + 1):
-        raise ValueError("finite root alpha_{ij} needs 1 <= i < j <= l+1")
-
-
 @lru_cache(maxsize=None)
 def e_real(l: int, i: int, j: int, n: int) -> OpExpr:
     """Root vector of alpha_{ij} + n delta."""
-    _check_gamma(l, i, j)
+    gamma = RootIndex.alpha(l, i, j)
     if n < 0:
         raise ValueError("need n >= 0")
     if n == 0:
@@ -62,7 +57,7 @@ def e_real(l: int, i: int, j: int, n: int) -> OpExpr:
         for k in range(j - 2, i - 1, -1):
             expr = qcomm(Gen(k), RootIndex.simple(l, k), expr, RootIndex.alpha(l, k + 1, j))
         return expr
-    prev_root = RootIndex.alpha(l, i, j) + (n - 1) * RootIndex.delta(l)
+    prev_root = gamma + (n - 1) * RootIndex.delta(l)
     return Scale(
         qnum(2).inv(),
         qcomm(e_real(l, i, j, n - 1), prev_root, e_prime_imag(l, i, j, 1), RootIndex.delta(l)),
@@ -72,7 +67,7 @@ def e_real(l: int, i: int, j: int, n: int) -> OpExpr:
 @lru_cache(maxsize=None)
 def e_dual(l: int, i: int, j: int, n: int) -> OpExpr:
     """Root vector of (delta - alpha_{ij}) + n delta."""
-    _check_gamma(l, i, j)
+    gamma = RootIndex.alpha(l, i, j)
     if n < 0:
         raise ValueError("need n >= 0")
     delta = RootIndex.delta(l)
@@ -85,7 +80,7 @@ def e_dual(l: int, i: int, j: int, n: int) -> OpExpr:
             cur = delta - RootIndex.alpha(l, k, j)
             expr = qcomm(Gen(k), RootIndex.simple(l, k), expr, cur)
         return expr
-    prev_root = delta - RootIndex.alpha(l, i, j) + (n - 1) * delta
+    prev_root = delta - gamma + (n - 1) * delta
     return Scale(
         qnum(2).inv(),
         qcomm(e_prime_imag(l, i, j, 1), delta, e_dual(l, i, j, n - 1), prev_root),
@@ -95,10 +90,9 @@ def e_dual(l: int, i: int, j: int, n: int) -> OpExpr:
 @lru_cache(maxsize=None)
 def e_prime_imag(l: int, i: int, j: int, n: int) -> OpExpr:
     """Primed imaginary root vector e'_{n delta, alpha_{ij}}."""
-    _check_gamma(l, i, j)
+    gamma = RootIndex.alpha(l, i, j)
     if n < 1:
         raise ValueError("need n >= 1")
-    gamma = RootIndex.alpha(l, i, j)
     prev_root = gamma + (n - 1) * RootIndex.delta(l)
     return qcomm(e_real(l, i, j, n - 1), prev_root, e_dual(l, i, j, 0), RootIndex.delta(l) - gamma)
 

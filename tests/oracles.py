@@ -15,7 +15,7 @@
   Sum's products into one accumulator and keeps only the nodes read again
   (borelrep.Evaluator.symbolic).
 - The weight table: lambda_{m, a} typed in per module, where qloop reads it
-  off Psi_i(0) (lweights.closed_lambda).
+  off Psi_i(0) (lweights.oscillator_lweight(spec, m).weight).
 - The checks decided at one m at a time: per basis vector, the exponent of
   every q**h_j (qh_exponent) against the closed weight at that m, and the
   operator series built from e'_{n delta} applied to v_m (phi_series_at)
@@ -544,7 +544,7 @@ def check_vector_at(spec: RepSpec, m: tuple, order: int) -> list:
     """
     l = spec.l
     ev = get_evaluator(spec)
-    lam = lweights.closed_lambda(spec, m)
+    lam = lweights.oscillator_lweight(spec, m).weight
     found = []
     for j in range(l + 1):
         t = qh_exponent(ev, CartanExponent.h(l, j), m)

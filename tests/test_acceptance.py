@@ -30,7 +30,7 @@ import itertools
 from oracles import DegreeMismatch, pade, qh_exponent, twist_consistency
 from qloop.borelrep import RepSpec, get_evaluator, serre_check, weight_relation_check
 from qloop.exactfield import QRational
-from qloop.lweights import closed_lambda, closed_psi, factor_check, phi_series
+from qloop.lweights import closed_psi, factor_check, oscillator_lweight, phi_series
 from qloop.rootsys import CartanExponent
 from qloop.rootvectors import drinfeld_check, e_prime_imag, e_real
 
@@ -112,7 +112,7 @@ def test_criterion_4_weights_and_central_element(capsys):
                 spec = RepSpec(l, a, bar)
                 ev = get_evaluator(spec)
                 for m in itertools.product(range(M_MAX + 1), repeat=l):
-                    lam = closed_lambda(spec, m)
+                    lam = oscillator_lweight(spec, m).weight
                     exps = [qh_exponent(ev, CartanExponent.h(l, j), m) for j in range(l + 1)]
                     if any(t != lam.pair_h(j) for j, t in enumerate(exps)):
                         bad.append(("weight", l, a, bar, m))

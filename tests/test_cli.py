@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON schema, determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 from qloop import borelrep, cli, exactfield, lweights, rootvectors
 from qloop.exactfield import QRational, urational_to_json
 from qloop.lweights import Weight, closed_psi
-from qloop.borelrep import Compose, RepSpec, Scale, Sum, serre_check
-from qloop.rootsys import bilinear, o_sign
+from qloop.borelrep import CartanPower, Compose, Gen, RepSpec, Scale, Sum, identity, serre_check
+from qloop.rootsys import CartanExponent, bilinear, o_sign
 from qloop.lweights import discrepancy
 from qloop.rootvectors import (chi, drinfeld_check, drinfeld_check_minus, e_dual, e_prime_imag,
                                e_real, xi_minus, xi_plus)
@@ -488,6 +489,40 @@ def test_a_nonzero_shift_makes_every_relation_evaluated(monkeypatch, capsys):
     assert len(calls) == 1512
 
 
+def test_each_later_loop_relation_follows_the_one_before():
+    # follows is the operators loop_step matched with the relation just
+    # before: chi_{i,n}, e'_{delta,alpha_j} and, for xi-, q**h_j
+    later = 0
+    for l in (1, 2, 3):
+        for i, (j, n, k), _, status, follows in cli._loop_relations(l, 3):
+            minus = status == "drinfeld-minus-failure"
+            if k == (1 if minus else 0):
+                assert follows is None, (l, i, j, n, k, status)
+                continue
+            want = (chi(l, i, n), e_prime_imag(l, j, j + 1, 1))
+            if minus:
+                want += (CartanPower(CartanExponent.h(l, j)),)
+            assert follows == want, (l, i, j, n, k, status)
+            later += 1
+    assert later == 210
+
+
+def test_a_relation_after_one_that_vanishes_only_on_the_samples_is_evaluated(
+        monkeypatch, capsys):
+    # at l = 1, a = 1, bar, e_1 lowers: it kills v_0 but is nonempty with m
+    # symbolic, so the relation after it is evaluated even though its one
+    # operator, the identity, acts with the zero shift; e_0 v_0 = v_1 fails it
+    calls = _counted_decisions(monkeypatch)
+    args = argparse.Namespace(l=1, a=1, bar=True, mmax=0, json=True, output=None)
+    relations = [(1, [0], Gen(1), "first-failure", None),
+                 (1, [1], Gen(0), "second-failure", (identity(1),))]
+    assert cli._decide(args, relations, "test relations") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["checked 2 test relations", "1 failures"]
+    assert json.loads(lines[2])["discrepancies"] == [discrepancy(1, True, 1, [1], "second-failure")]
+    assert calls == [Gen(1), Gen(0)]
+
+
 def test_failing_serre_report_keeps_the_nested_loop_order(monkeypatch, tmp_path, capsys):
     # with a_ij = 0 each Serre sum is the commutator [e_i, e_j], which fails
     # for neighbouring nodes only; the report lists (bar, a), then i and j
@@ -683,6 +718,18 @@ def test_dump_op_bad_root_spec(capsys):
         assert err.value.code == 2, root
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == "", root
+
+
+@pytest.mark.parametrize("root", ["real:2,1,0", "dual:3,3,0", "prime:2,4,0"])
+def test_dump_op_refuses_a_pair_that_is_no_finite_root(root, capsys):
+    # RootIndex.alpha refuses the pair before prime:2,4,0 reaches its level check
+    with pytest.raises(SystemExit) as err:
+        cli.main(["dump-op", "--l", "2", "--a", "1", "--root", root])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == \
+        "qloop: error: finite root alpha_{ij} needs 1 <= i < j <= l+1"
 
 
 def test_dump_op_imag_takes_two_numbers(capsys):

@@ -22,7 +22,7 @@ from qloop.borelrep import (Compose, Evaluator, Gen, RepSpec, Scale, Sum, _dot, 
                             get_evaluator)
 from qloop.exactfield import QRational, URational, USeries, qnum, qrational_to_json
 from qloop.lweights import (LWeight, NotDiagonal, VectorChecks, Weight,
-                            closed_lambda, closed_psi,
+                            closed_psi,
                             factor_check, lweight_product,
                             oscillator_lweight, phi_series, prefundamental,
                             shift_weight, verify_grid, xi_osc)
@@ -82,18 +82,18 @@ def test_closed_psi_is_canonical_without_the_gcd():
 
 
 def test_closed_lambda_spot_values():
-    assert closed_lambda(RepSpec(1, 1), (0,)) == Weight(1, (-2,))
-    assert closed_lambda(RepSpec(3, 2), (0, 0, 0)) == Weight(3, (2, -3, 0))
-    assert closed_lambda(RepSpec(3, 4), (0, 0, 0)) == Weight(3, (0, 0, 0))
+    assert oscillator_lweight(RepSpec(1, 1), (0,)).weight == Weight(1, (-2,))
+    assert oscillator_lweight(RepSpec(3, 2), (0, 0, 0)).weight == Weight(3, (2, -3, 0))
+    assert oscillator_lweight(RepSpec(3, 4), (0, 0, 0)).weight == Weight(3, (0, 0, 0))
     # occupation dependence: one quantum in the last mode of the first module
-    assert closed_lambda(RepSpec(2, 1), (0, 1)) == Weight(2, (-4, -1))
+    assert oscillator_lweight(RepSpec(2, 1), (0, 1)).weight == Weight(2, (-4, -1))
 
 
 def test_highest_weight_matches_the_shift_of_the_factorization():
     # at m = 0 the weight is exactly the shift weight xi_a
     for l in (1, 2, 3):
         for a in range(1, l + 2):
-            assert closed_lambda(RepSpec(l, a), (0,) * l) == xi_osc(l, a)
+            assert oscillator_lweight(RepSpec(l, a), (0,) * l).weight == xi_osc(l, a)
 
 
 def test_bar_closed_forms_are_reflections():
@@ -111,8 +111,8 @@ def test_bar_closed_forms_are_reflections():
     for l in (1, 2, 3):
         for a in range(1, l + 2):
             m = tuple(range(l))
-            assert closed_lambda(RepSpec(l, a, True), m) == \
-                closed_lambda(RepSpec(l, l - a + 2), m).iota()
+            assert oscillator_lweight(RepSpec(l, a, True), m).weight == \
+                oscillator_lweight(RepSpec(l, l - a + 2), m).weight.iota()
 
 
 def test_twist_scales_the_spectral_variable():
@@ -127,7 +127,7 @@ def test_twist_scales_the_spectral_variable():
 
 
 def test_constant_term_law_links_the_two_catalogs():
-    # closed_lambda reads lambda off Psi_i(0) = q^<lambda, h_i>; the oracle
+    # oscillator_lweight reads lambda off Psi_i(0) = q^<lambda, h_i>; the oracle
     # table enters it independently, per module
     rng = random.Random(8)
     for l in range(1, 21):
@@ -136,7 +136,7 @@ def test_constant_term_law_links_the_two_catalogs():
             for bar in (False, True):
                 spec = RepSpec(l, a, bar)
                 for m in ms + list(itertools.product(range(2), repeat=l) if l <= 3 else ()):
-                    lam = closed_lambda(spec, m)
+                    lam = oscillator_lweight(spec, m).weight
                     assert lam == table_lambda(spec, m), (l, a, bar, m)
                     for i in range(1, l + 1):
                         assert constant_term(closed_psi(i, spec, m)) == qp(lam.pair_h(i))
@@ -331,7 +331,7 @@ def test_weight_exponents_match_on_the_operator_side():
                 spec = RepSpec(l, a, bar)
                 ev = get_evaluator(spec)
                 for m in itertools.product(range(2), repeat=l):
-                    lam = closed_lambda(spec, m)
+                    lam = oscillator_lweight(spec, m).weight
                     for j in range(l + 1):
                         t = qh_exponent(ev, CartanExponent.h(l, j), m)
                         assert t == lam.pair_h(j), (l, a, bar, m, j)
@@ -534,7 +534,7 @@ def test_phi_series_input_validation():
     with pytest.raises(IndexError):
         closed_psi(0, RepSpec(2, 1), (0, 0))
     with pytest.raises(ValueError):
-        closed_lambda(RepSpec(2, 1), (0,))
+        oscillator_lweight(RepSpec(2, 1), (0,)).weight
 
 
 # ------------------------------------------------------------------ l-weights
@@ -593,7 +593,7 @@ def test_oscillator_lweight_defaults_to_the_highest_vector():
     assert oscillator_lweight(spec) == oscillator_lweight(spec, (0, 0))
     for m in ((1, 0), (2, 1)):
         lw = oscillator_lweight(spec, m)
-        assert lw.weight == closed_lambda(spec, m)
+        assert lw.weight == oscillator_lweight(spec, m).weight
         for i in (1, 2):
             assert _psi_series(lw, i, 6) == closed_psi(i, spec, m).expand(6)
 

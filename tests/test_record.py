@@ -224,6 +224,19 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout.split() == ["[]"]
 
 
+def test_importing_the_package_binds_its_submodules():
+    # the package names no objects; every name is imported from its submodule
+    code = ("import sys, types; sys.path.insert(0, sys.argv[1]); import qloop; "
+            "print(qloop.__version__, *sorted(n for n, v in vars(qloop).items() "
+            "if isinstance(v, types.ModuleType)))")
+    src = str(pathlib.Path(qloop.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60, check=True)
+    version, *names = proc.stdout.split()
+    assert version == "0.1.0"
+    assert {"borelrep", "exactfield", "fock", "lweights", "rootsys", "rootvectors"} <= set(names)
+
+
 _THREE_ROOTS = ("LWeight(weight=Weight(l=2, omega=(2, -4)), roots=(frozenset({(1/q^2, 1)}), "
                 "frozenset({(q, 1), (1/q^3, -1), (1/q, -1)})))")
 

@@ -16,7 +16,7 @@ from qloop.borelrep import (CartanPower, Compose, Gen, OscWord, RepSpec, Scale, 
 from qloop.exactfield import QRational, USeries, kappa, qnum
 from qloop.fock import FockState
 from qloop.lweights import _psi_roots
-from qloop.rootsys import CartanExponent, RootIndex
+from qloop.rootsys import CartanExponent, NotAPositiveRoot, RootIndex
 from qloop.rootvectors import (chi, chi_bracket, drinfeld_check, drinfeld_check_minus,
                                e_dual, e_prime_imag, e_real, e_unprimed_imag,
                                loop_step, qcomm, xi_minus, xi_plus)
@@ -77,6 +77,13 @@ def test_argument_validation():
         e_prime_imag(2, 1, 2, 0)
     with pytest.raises(ValueError):
         e_unprimed_imag(2, 1, 0)
+    # RootIndex.alpha is the one check of the pair, and it runs before the
+    # level check: e_prime_imag(2, 2, 4, 0) is refused for its root
+    for build, args in ((e_real, (2, 2, 1, 0)), (e_dual, (2, 3, 3, 0)),
+                        (e_prime_imag, (2, 2, 4, 1)), (e_prime_imag, (2, 2, 4, 0))):
+        with pytest.raises(NotAPositiveRoot,
+                           match=r"^finite root alpha_\{ij\} needs 1 <= i < j <= l\+1$"):
+            build(*args)
 
 
 # ------------------------------------------------- first module (a = 1), l = 2
