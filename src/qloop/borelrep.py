@@ -29,12 +29,11 @@ from __future__ import annotations
 import operator
 
 from .exactfield import QRational, kappa, qfactorial, qrational_to_json
-from .fock import MINUS, PLUS, FockState, ModePattern
+from .fock import MINUS, PLUS, FockState
 from .record import Frozen, Record
 from .rootsys import CartanExponent, RootIndex, cartan_entry
 
 _ONE = QRational.one()
-_MINUS_ONE = QRational.from_int(-1)
 _KAPPA_INV = kappa().inv()
 
 
@@ -55,17 +54,17 @@ class RepSpec(Record):
         object.__setattr__(self, "bar", bar)
         object.__setattr__(self, "zs", zs)
 
-    def pattern(self) -> ModePattern:
-        """Slots of theta_a: l-a+1 minus, then a-1 plus; mirrored, a-1 minus."""
+    def pattern(self) -> tuple:
+        """Slot kinds of theta_a: l-a+1 minus, then a-1 plus; mirrored, a-1 minus."""
         minus = self.a - 1 if self.bar else self.l - self.a + 1
-        return ModePattern(self.l, (MINUS,) * minus + (PLUS,) * (self.l - minus))
+        return (MINUS,) * minus + (PLUS,) * (self.l - minus)
 
 
-def _qn_form(pattern: ModePattern, d: tuple) -> tuple:
+def _qn_form(pattern: tuple, d: tuple) -> tuple:
     """(t0, v) with q**(sum d_j N_j) v_m = q**(t0 + v.m) v_m: q**N has the
     eigenvalue q**m on a plus slot and q**-(m+1) on a minus slot."""
-    v = tuple(dj if kind == PLUS else -dj for dj, kind in zip(d, pattern.kinds))
-    return sum(vj for vj, kind in zip(v, pattern.kinds) if kind != PLUS), v
+    v = tuple(dj if kind == PLUS else -dj for dj, kind in zip(d, pattern))
+    return sum(vj for vj, kind in zip(v, pattern) if kind != PLUS), v
 
 
 def _dot(x: tuple, y: tuple) -> int:
@@ -90,7 +89,7 @@ class OscWord(Record):
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "atoms", tuple(atoms))
 
-    def terms(self, pattern: ModePattern) -> tuple:
+    def terms(self, pattern: tuple) -> tuple:
         """This word on v_m with m symbolic: ((shift, v), c) pairs meaning the
         sum of c Q**v v_{m+shift}, Q**v = q**(v.m); a word has one shift."""
         t = [0] * self.l
@@ -102,7 +101,7 @@ class OscWord(Record):
                 poly = {_vadd(v, dv): _q_shifted(c, k) for v, c in poly.items()}
                 continue
             j = arg - 1
-            if (tag == "b") != (pattern.kinds[j] == PLUS):
+            if (tag == "b") != (pattern[j] == PLUS):
                 t[j] += 1
                 continue
             # lowering: [m_j + t_j]_q = (Q_j q**t_j - Q_j**-1 q**-t_j) / (q - q**-1),
@@ -228,25 +227,6 @@ class OpExpr(Frozen):
     def __reduce__(self):
         # rebuilt through __new__, so a copy or an unpickled node is the interned one
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
-
-    def __add__(self, other):
-        return Sum((self, other))
-
-    def __sub__(self, other):
-        return Sum((self, Scale(_MINUS_ONE, other)))
-
-    def __neg__(self):
-        return Scale(_MINUS_ONE, self)
-
-    def __mul__(self, other):
-        if isinstance(other, OpExpr):
-            return Compose(self, other)
-        if isinstance(other, (int, QRational)):
-            c = QRational.from_int(other) if isinstance(other, int) else other
-            return Scale(c, self)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
 
 class Gen(OpExpr):

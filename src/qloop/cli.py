@@ -37,7 +37,7 @@ import sys
 
 from .borelrep import RepSpec, _vanishes_on, get_evaluator, image_e, image_qh, serre_sum
 from .exactfield import QRational, qrational_to_json, urational_to_json
-from .lweights import (Undecided, VectorChecks, discrepancy, factor_checks,
+from .lweights import (Undecided, VectorChecks, closed_psi, discrepancy, factor_sides,
                        oscillator_lweight, verify_grid)
 from .rootsys import CartanExponent
 from .rootvectors import (chi_bracket, e_dual, e_prime_imag, e_real, e_unprimed_imag,
@@ -149,9 +149,8 @@ def _cmd_lweight(args) -> int:
     zs = parse_zs(args.zs)
     spec = RepSpec(args.l, args.a, args.bar, zs)
     m = tuple(int(x) for x in args.m.split(","))
-    lw = oscillator_lweight(spec, m)
-    lam = lw.weight
-    psi = [lw.psi(i) for i in range(1, args.l + 1)]
+    lam = oscillator_lweight(spec, m).weight
+    psi = [closed_psi(i, spec, m) for i in range(1, args.l + 1)]
     found = VectorChecks(spec, args.order).check(m)
     lines = [f"weight: {' '.join(f'omega_{k+1}:{c}' for k, c in enumerate(lam.omega))}"]
     for i, f in enumerate(psi, start=1):
@@ -253,7 +252,8 @@ def _cmd_factor(args) -> int:
         zs_list = tuple(parse_zs(tok) for tok in args.zs_list.split(","))
     found = []
     lines = []
-    for (name, index), ok in zip(jobs, factor_checks(args.l, jobs, zs, zs_list)):
+    for (name, index), (lhs, rhs) in zip(jobs, factor_sides(args.l, jobs, zs, zs_list)):
+        ok = lhs == rhs
         label = f"{name}" + (f"[{index}]" if name != "full-tensor" else "")
         lines.append(f"{label}: {'ok' if ok else 'MISMATCH'}")
         if not ok:
@@ -296,8 +296,6 @@ def _cmd_dump_op(args) -> int:
                          "use e.g. real:1,2,0 or imag:1,2") from None
     if family == "imag" and len(nums) == 2:
         i, n = nums
-        if not (1 <= i <= args.l):
-            raise ValueError("imaginary root vectors need 1 <= i <= l")
         head = (args.l, i)
         name = f"e_{n}delta,alpha_{i}"
     elif family == "prime" and len(nums) == 2:

@@ -10,9 +10,11 @@ modules over the algebra generated by b, bdag and the group-likes q**(nu N):
 
 with v_{-1} = 0 in both.  States are finite QRational combinations of
 occupation vectors m in Z_{>=0}^l.  The module type of every slot is fixed by
-a ModePattern.  RepSpec.pattern() builds the pattern of each oscillator
-representation: l-a+1 minus slots followed by a-1 plus slots, and for the
-mirrored counterparts the two counts swapped.
+a slot pattern, the tuple of the l slot kinds (MINUS or PLUS); the pattern of
+a tensor product is its factors' patterns concatenated.  RepSpec.pattern()
+builds the pattern of each oscillator representation: l-a+1 minus slots
+followed by a-1 plus slots, and for the mirrored counterparts the two counts
+swapped.
 """
 
 from __future__ import annotations
@@ -22,20 +24,6 @@ from .record import Record
 
 PLUS = "plus"
 MINUS = "minus"
-
-
-class ModePattern(Record):
-    """Assignment of a Fock module type to each of the l tensor slots."""
-
-    __slots__ = ("l", "kinds")
-
-    def __init__(self, l: int, kinds: tuple):
-        if l < 1 or len(kinds) != l:
-            raise ValueError("pattern must assign one kind per slot")
-        if any(k not in (PLUS, MINUS) for k in kinds):
-            raise ValueError("slot kinds must be 'plus' or 'minus'")
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "kinds", kinds)
 
 
 class FockState(Record):

@@ -13,7 +13,7 @@ expressions for Psi_i (closed_psi) and reads the weight lambda off their
 constant terms, Psi_i(0) = q**<lambda, h_i> (oscillator_lweight(spec,
 m).weight), and combines the l-weights of one-dimensional shifts,
 prefundamental modules and oscillator modules to check the factorization
-identities relating the two families (factor_checks).
+identities relating the two families (factor_sides).
 
 Factored form.  Every closed Psi_i(u) = q**<lambda, h_i> prod_x (1 - x u)**k_x
 is a Drinfeld rational fraction, so an l-weight (LWeight) is a weight plus,
@@ -113,12 +113,6 @@ class Weight(Record):
             raise ValueError("rank mismatch")
         return Weight(self.l, tuple(x + y for x, y in zip(self.omega, other.omega)))
 
-    def __neg__(self) -> "Weight":
-        return Weight(self.l, tuple(-x for x in self.omega))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        return self + (-other)
-
     def pair_h(self, j: int) -> int:
         """<self, h_j> for j = 0 .. l; level zero fixes the affine value."""
         if j == 0:
@@ -126,10 +120,6 @@ class Weight(Record):
         if not (1 <= j <= self.l):
             raise IndexError("Cartan index out of range")
         return self.omega[j - 1]
-
-    def iota(self) -> "Weight":
-        """The diagram reflection omega_i -> omega_{l-i+1}."""
-        return Weight(self.l, tuple(reversed(self.omega)))
 
 
 def _check_m(l: int, m) -> tuple:
@@ -274,9 +264,9 @@ def _psi_roots(i: int, spec: RepSpec, m) -> tuple:
     return e0, _roots((QRational.q_power(c) * zeff, k) for c, k in pairs)
 
 
-def _symbolic_forms(i: int, spec: RepSpec) -> tuple:
-    """_psi_forms with m symbolic: every exponent an _Affine."""
-    e0, pairs, zeff = _psi_forms(i, spec, _Affine.occupations(spec.l))
+def _symbolic_forms(i: int, spec: RepSpec, m: tuple) -> tuple:
+    """_psi_forms on m = _Affine.occupations(l): every exponent an _Affine."""
+    e0, pairs, zeff = _psi_forms(i, spec, m)
     # adding the zero form lifts an integer, such as an empty _msum
     zero = _Affine(0, (0,) * spec.l)
     return zero + e0, [(zero + c, k) for c, k in pairs], zeff
@@ -320,12 +310,9 @@ def _roots_poly(xs) -> tuple:
 
 
 def closed_psi(i: int, spec: RepSpec, m) -> URational:
-    """The closed rational form of the eigenvalue of phi_i(u) on v_m."""
-    return _psi_urational(*_psi_roots(i, spec, _check_m(spec.l, m)))
-
-
-def _psi_urational(e0: int, roots) -> URational:
-    """q**e0 prod (1 - x u)**k over (x, k) in roots, multiplied out."""
+    """The closed rational form of the eigenvalue of phi_i(u) on v_m: the
+    factored form of _psi_roots, multiplied out."""
+    e0, roots = _psi_roots(i, spec, _check_m(spec.l, m))
     roots = sorted(roots, key=_root_key)
     num = [x for x, k in roots for _ in range(k)]
     den = [x for x, k in roots for _ in range(-k)]
@@ -426,10 +413,6 @@ class LWeight(Record):
                  if node else "frozenset()" for node in self.roots]
         roots = ", ".join(nodes) + ("," if len(nodes) == 1 else "")
         return f"LWeight(weight={self.weight!r}, roots=({roots}))"
-
-    def psi(self, i: int) -> URational:
-        """Psi_i multiplied out, for display and JSON."""
-        return _psi_urational(self.weight.pair_h(i), self.roots[i - 1])
 
     def twisted(self, z: QRational) -> "LWeight":
         """The l-weight at u -> z u: every root times z, the weight kept.
@@ -582,15 +565,12 @@ def factor_sides(l: int, jobs, zs: QRational = _ONE, zs_list=None):
         yield lhs, rhs
 
 
-def factor_checks(l: int, jobs, zs: QRational = _ONE, zs_list=None) -> list:
-    """Per job, whether the two sides of factor_sides are equal."""
-    return [lhs == rhs for lhs, rhs in factor_sides(l, jobs, zs, zs_list)]
-
-
 def factor_check(kind: str, l: int, index: int = 0, zs: QRational = _ONE,
                  zs_list=None) -> bool:
-    """One factorization identity: factor_checks of the one job (kind, index)."""
-    return factor_checks(l, [(kind, index)], zs, zs_list)[0]
+    """One factorization identity: the two sides of factor_sides for the one
+    job (kind, index) are equal."""
+    ((lhs, rhs),) = factor_sides(l, [(kind, index)], zs, zs_list)
+    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +604,8 @@ class VectorChecks:
         self.spec = spec
         self.order = order
         self._ev = ev
-        forms = [_symbolic_forms(i, spec) for i in range(1, l + 1)]
+        m = _Affine.occupations(l)
+        forms = [_symbolic_forms(i, spec, m) for i in range(1, l + 1)]
         # (j, <lambda, h_j>, exponent of q**h_j) where the forms differ
         weight = Weight(l, tuple(e0 for e0, _, _ in forms))
         self._weights = []

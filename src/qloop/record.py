@@ -3,11 +3,10 @@
 Frozen refuses assignment and deletion; subclasses set their slots with
 object.__setattr__ (or the slot's own descriptor) while they are built.
 
-Record extends it for the values compared by their fields: RepSpec,
-ModePattern, RootIndex, CartanExponent, Weight, LWeight, USeries,
-URational, FockState and OscWord.  Each names its two or more fields in
-__slots__, in constructor order, and its own __init__ validates or
-normalizes them.  A Record may inherit its fields: a subclass whose
+Record extends it for the nine values compared by their fields: RepSpec,
+RootIndex, CartanExponent, Weight, LWeight, USeries, URational, FockState
+and OscWord.  Each names its two or more fields in __slots__, in
+constructor order, and its own __init__ validates or normalizes them.  A Record may inherit its fields: a subclass whose
 __slots__ is empty keeps its base's, as RootIndex and CartanExponent keep
 those of rootsys._NodeVector.  Records are equal when of the same class with
 equal fields (so a RootIndex never equals a CartanExponent), hash as the

@@ -35,9 +35,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exactfield import QRational, kappa, qnum
-from .borelrep import (_MINUS_ONE, CartanPower, Compose, Gen, OpExpr, RepSpec, Scale, Sum,
-                       _vanishes_on)
+from .borelrep import CartanPower, Compose, Gen, OpExpr, RepSpec, Scale, Sum, _vanishes_on
 from .rootsys import CartanExponent, RootIndex, bilinear, cartan_entry, o_sign
+
+_MINUS_ONE = QRational.from_int(-1)
 
 
 def qcomm(x: OpExpr, rx: RootIndex, y: OpExpr, ry: RootIndex) -> OpExpr:
@@ -108,11 +109,8 @@ def e_unprimed_imag(l: int, i: int, n: int) -> OpExpr:
 
     one product per lower level: each tree holds the trees of the levels below.
     """
-    if not (1 <= i <= l):
-        raise IndexError("node index out of range")
-    if n < 1:
-        raise ValueError("need n >= 1")
     kq = kappa()
+    # e_prime_imag, built first, refuses a bad i (through RootIndex.alpha), then a bad n
     return Sum((e_prime_imag(l, i, i + 1, n),) + tuple(
         Scale(kq * QRational.from_int(k) / QRational.from_int(n),
               Compose(e_unprimed_imag(l, i, k), e_prime_imag(l, i, i + 1, n - k)))
@@ -158,7 +156,7 @@ def chi_bracket(l: int, i: int, j: int, n: int, m: int, xi, sign: int) -> OpExpr
     x = chi(l, i, n)
     y = xi(l, j, m)
     c = qnum(n * cartan_entry(l, i, j)) / QRational.from_int(n)
-    return Sum((Compose(x, y), Scale(QRational.from_int(-1), Compose(y, x)),
+    return Sum((Compose(x, y), Scale(_MINUS_ONE, Compose(y, x)),
                 Scale(-c if sign > 0 else c, xi(l, j, n + m))))
 
 

@@ -52,7 +52,7 @@ from qloop.borelrep import (CartanPower, Compose, Gen, OscWord, RepSpec, Scale,
                             Sum, _dot, _vadd, get_evaluator, image_e, image_qh)
 from qloop.exactfield import (QRational, URational, USeries, ZeroConstantTerm,
                               _utrim, kappa, qnum, qrational_to_json)
-from qloop.fock import PLUS, FockState, ModePattern
+from qloop.fock import PLUS, FockState
 from qloop.lweights import NotDiagonal, Weight, _msum, discrepancy
 from qloop.rootsys import CartanExponent, o_sign
 from qloop.rootvectors import e_prime_imag
@@ -176,13 +176,13 @@ def _mode_on_basis(op, mode: int, kind: str, m: tuple):
     return QRational.q_power(t), m
 
 
-def apply_mode(op, mode: int, pattern: ModePattern, state: FockState) -> FockState:
-    """Apply b, bdag or q**(k N) in one tensor slot to a state."""
-    if not (1 <= mode <= pattern.l):
+def apply_mode(op, mode: int, pattern: tuple, state: FockState) -> FockState:
+    """Apply b, bdag or q**(k N) in one tensor slot, of the kind pattern gives, to a state."""
+    if not (1 <= mode <= len(pattern)):
         raise IndexError("mode out of range")
-    if state.l != pattern.l:
+    if state.l != len(pattern):
         raise ValueError("rank mismatch")
-    kind = pattern.kinds[mode - 1]
+    kind = pattern[mode - 1]
     out = {}
     for m, c in state.items():
         hit = _mode_on_basis(op, mode, kind, m)
@@ -191,10 +191,10 @@ def apply_mode(op, mode: int, pattern: ModePattern, state: FockState) -> FockSta
         coeff, m2 = hit
         acc = out.get(m2)
         out[m2] = coeff * c if acc is None else acc + coeff * c
-    return FockState(pattern.l, out)
+    return FockState(state.l, out)
 
 
-def apply_word(word: OscWord, pattern: ModePattern, state: FockState) -> FockState:
+def apply_word(word: OscWord, pattern: tuple, state: FockState) -> FockState:
     """Apply a word to a state atom by atom, each q**(dN) one slot at a time."""
     for atom in reversed(word.atoms):
         if atom[0] == "qN":
@@ -245,7 +245,7 @@ def _qnum_at(n: int, q: Fraction) -> Fraction:
     return (q ** n - q ** -n) / (q - 1 / q)
 
 
-def _word_at(word: OscWord, pattern: ModePattern, m: tuple, q: int):
+def _word_at(word: OscWord, pattern: tuple, m: tuple, q: int):
     """An image word on v_m at the integer q, one atom and one slot at a time:
     (Fraction, occupation vector) or None when v_m is annihilated."""
     coeff = specialize(word.coeff, q)
@@ -253,13 +253,13 @@ def _word_at(word: OscWord, pattern: ModePattern, m: tuple, q: int):
     for atom in reversed(word.atoms):
         if atom[0] == "qN":
             for j, k in enumerate(atom[1]):
-                t = k * m[j] if pattern.kinds[j] == PLUS else -k * (m[j] + 1)
+                t = k * m[j] if pattern[j] == PLUS else -k * (m[j] + 1)
                 coeff *= q ** t
             continue
         op, mode = atom
         j = mode - 1
         mj = m[j]
-        raising = (op == "bdag") == (pattern.kinds[j] == PLUS)
+        raising = (op == "bdag") == (pattern[j] == PLUS)
         if raising:
             m = m[:j] + (mj + 1,) + m[j + 1:]
             continue
@@ -387,10 +387,10 @@ def e_unprimed_by_compositions(l: int, i: int, n: int):
 
 def table_lambda(spec: RepSpec, m: tuple) -> Weight:
     """The weight lambda_{m, a} of v_m, typed in per module; the mirrored
-    weight is iota(lambda_{m, l-a+2})."""
+    weight is iota(lambda_{m, l-a+2}), its omega reversed."""
     l = spec.l
     if spec.bar:
-        return table_lambda(RepSpec(l, l - spec.a + 2), m).iota()
+        return Weight(l, table_lambda(RepSpec(l, l - spec.a + 2), m).omega[::-1])
     a = spec.a
     c = [0] * (l + 1)
     if a == 1:

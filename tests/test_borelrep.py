@@ -290,7 +290,6 @@ def test_cancelling_sums_give_no_terms():
     m = (1, 1)
     # one target: the scalars add to zero
     assert ev.terms(Sum((Gen(0), Scale(-ONE, Gen(0)))), m) == ()
-    assert ev.terms(Gen(0) - Gen(0), m) == ()
     # two targets: the merge drops the one that cancels and keeps the other
     out = ev.terms(Sum((Gen(0), Gen(1), Scale(-ONE, Gen(0)))), m)
     assert out == ev.terms(Gen(1), m)
@@ -328,8 +327,6 @@ def test_equal_trees_are_one_node():
     assert x is not y
     assert CartanPower(x) is CartanPower(y)
     assert identity(2) is CartanPower(CartanExponent.zero(2))
-    assert Gen(0) * Gen(1) - Gen(1) * Gen(0) is \
-        Sum((Compose(Gen(0), Gen(1)), Scale(-ONE, Compose(Gen(1), Gen(0)))))
 
 
 def test_operator_nodes_are_immutable_and_take_their_fields():
@@ -344,17 +341,18 @@ def test_operator_nodes_are_immutable_and_take_their_fields():
         Sum([Gen(0), Gen(1)])  # children are a tuple
 
 
-def test_operator_overloads_build_the_right_trees():
+def test_operator_constructors_build_the_right_trees():
     spec = RepSpec(2, 1)
     ev = get_evaluator(spec)
     e0, e1 = Gen(0), Gen(1)
     m = (1, 1)
     v = FockState.basis(m)
-    assert ev.apply_basis(e0 * e1 - e1 * e0, m) == \
+    assert ev.apply_basis(Sum((Compose(e0, e1), Scale(-ONE, Compose(e1, e0)))), m) == \
         state_sub(_ref_apply(e0, ev, ev.apply_basis(e1, m)),
                   _ref_apply(e1, ev, ev.apply_basis(e0, m)))
-    assert ev.apply_basis(2 * e0, m) == state_scale(ev.apply_basis(e0, m), QRational.from_int(2))
-    assert ev.apply_basis(-e0, m) == state_scale(ev.apply_basis(e0, m), -ONE)
+    two = QRational.from_int(2)
+    assert ev.apply_basis(Scale(two, e0), m) == state_scale(ev.apply_basis(e0, m), two)
+    assert ev.apply_basis(Scale(-ONE, e0), m) == state_scale(ev.apply_basis(e0, m), -ONE)
     assert ev.apply_basis(identity(2), m) == v
     assert ev.apply_basis(power(e0, 3, 2), m) == \
         _ref_apply(e0, ev, _ref_apply(e0, ev, ev.apply_basis(e0, m)))
@@ -495,7 +493,7 @@ def test_zero_shift_is_read_from_the_symbolic_terms():
 
 def test_an_empty_symbolic_difference_is_decided_without_the_samples(monkeypatch):
     spec = RepSpec(2, 1)
-    diff = Gen(1) - Gen(1)
+    diff = Sum((Gen(1), Scale(-ONE, Gen(1))))
     assert get_evaluator(spec).symbolic(diff) == ()
 
     def no_terms(*args):

@@ -720,9 +720,11 @@ def test_dump_op_bad_root_spec(capsys):
         assert message in captured.err and captured.out == "", root
 
 
-@pytest.mark.parametrize("root", ["real:2,1,0", "dual:3,3,0", "prime:2,4,0"])
+@pytest.mark.parametrize("root", ["real:2,1,0", "dual:3,3,0", "prime:2,4,0", "imag:0,2",
+                                  "imag:3,2"])
 def test_dump_op_refuses_a_pair_that_is_no_finite_root(root, capsys):
-    # RootIndex.alpha refuses the pair before prime:2,4,0 reaches its level check
+    # RootIndex.alpha refuses the pair before prime:2,4,0 reaches its level check;
+    # imag:i,n is refused through its alpha_{i,i+1}
     with pytest.raises(SystemExit) as err:
         cli.main(["dump-op", "--l", "2", "--a", "1", "--root", root])
     assert err.value.code == 2

@@ -18,14 +18,14 @@ from hypothesis import strategies as st
 from oracles import apply_mode, state_add, state_coefficient, state_scale, state_sub
 from qloop.borelrep import RepSpec
 from qloop.exactfield import QRational, qnum
-from qloop.fock import FockState, ModePattern
+from qloop.fock import FockState
 
 ONE = QRational.one()
 qp = QRational.q_power
 
 
 def _single(kind):
-    return ModePattern(1, (kind,))
+    return (kind,)
 
 
 def _v(m):
@@ -102,11 +102,11 @@ def test_qn_is_additive_in_the_exponent():
 # ------------------------------------------------------------------- patterns
 
 def test_theta_patterns():
-    assert RepSpec(3, 1).pattern().kinds == ("minus", "minus", "minus")
-    assert RepSpec(3, 2).pattern().kinds == ("minus", "minus", "plus")
-    assert RepSpec(3, 4).pattern().kinds == ("plus", "plus", "plus")
-    assert RepSpec(3, 1, True).pattern().kinds == ("plus", "plus", "plus")
-    assert RepSpec(3, 3, True).pattern().kinds == ("minus", "minus", "plus")
+    assert RepSpec(3, 1).pattern() == ("minus", "minus", "minus")
+    assert RepSpec(3, 2).pattern() == ("minus", "minus", "plus")
+    assert RepSpec(3, 4).pattern() == ("plus", "plus", "plus")
+    assert RepSpec(3, 1, True).pattern() == ("plus", "plus", "plus")
+    assert RepSpec(3, 3, True).pattern() == ("minus", "minus", "plus")
     with pytest.raises(ValueError):
         RepSpec(3, 5).pattern()
     with pytest.raises(ValueError):
@@ -127,11 +127,11 @@ def test_patterns_follow_the_slot_convention():
             for bar in (False, True):
                 minus, plus = (a - 1, l - a + 1) if bar else (l - a + 1, a - 1)
                 pattern = RepSpec(l, a, bar).pattern()
-                assert pattern == ModePattern(l, ("minus",) * minus + ("plus",) * plus)
+                assert pattern == ("minus",) * minus + ("plus",) * plus
 
 
 def test_modes_in_different_slots_commute():
-    pat = ModePattern(2, ("minus", "plus"))
+    pat = ("minus", "plus")
     v = FockState.basis((1, 1))
     for op1, op2 in itertools.product(("b", "bdag", ("qN", 1)), repeat=2):
         ab = apply_mode(op1, 1, pat, apply_mode(op2, 2, pat, v))

@@ -32,7 +32,7 @@ def qN(*d):
 
 def nval(spec, m, j):
     """Eigenvalue exponent of N_j on the occupation vector m."""
-    kind = get_evaluator(spec).pattern.kinds[j - 1]
+    kind = get_evaluator(spec).pattern[j - 1]
     return m[j - 1] if kind == "plus" else -(m[j - 1] + 1)
 
 
@@ -78,9 +78,12 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         e_unprimed_imag(2, 1, 0)
     # RootIndex.alpha is the one check of the pair, and it runs before the
-    # level check: e_prime_imag(2, 2, 4, 0) is refused for its root
+    # level check: e_prime_imag(2, 2, 4, 0) is refused for its root.  It is
+    # also the node check of e_unprimed_imag, through e'_{n delta, alpha_{i,i+1}}
     for build, args in ((e_real, (2, 2, 1, 0)), (e_dual, (2, 3, 3, 0)),
-                        (e_prime_imag, (2, 2, 4, 1)), (e_prime_imag, (2, 2, 4, 0))):
+                        (e_prime_imag, (2, 2, 4, 1)), (e_prime_imag, (2, 2, 4, 0)),
+                        (e_unprimed_imag, (2, 0, 1)), (e_unprimed_imag, (2, 3, 1)),
+                        (e_unprimed_imag, (2, 3, 0))):
         with pytest.raises(NotAPositiveRoot,
                            match=r"^finite root alpha_\{ij\} needs 1 <= i < j <= l\+1$"):
             build(*args)
