@@ -17,21 +17,24 @@ identities relating the two families (factor_sides).
 
 Factored form.  Every closed Psi_i(u) = q**<lambda, h_i> prod_x (1 - x u)**k_x
 is a Drinfeld rational fraction, so an l-weight (LWeight) is a weight plus,
-per node, roots x with nonzero multiplicities k_x; products add both.  Its
-exponents are affine in the occupations m: x = zs q**c(m), lambda = e0(m).
-closed_psi multiplies the factors out into a URational for display and JSON;
-no gcd over Q(q)[u] runs.
+per node, roots x with nonzero multiplicities k_x; products add both, and
+touch only the nodes that have roots.  Its exponents are affine in the
+occupations m: x = zs q**c(m), lambda = e0(m).  The catalog (_psi_parts)
+reads m only through one table of prefix sums per module, so a node costs
+O(1) whatever l is, and a node's factors cancel on their integer exponents
+c before any root x is built (_psi_roots).  closed_psi multiplies the
+factors out into a URational for display and JSON; no gcd over Q(q)[u] runs.
 
 Symbolic m.  verify and lweight build their checks once per module with m
-symbolic (VectorChecks): _psi_parts is read on affine occupation forms
-(_Affine), each weight <lambda, h_j> is compared as a form with the exponent
-of q**h_j, and each Psi_i with the operator's phi_i, summed to all orders by
-the level-geometric lemma (_operator_fraction), both as fractions in u over
-Laurent polynomials in Q = q**m.  What differs, nothing when the catalog
-holds, is specialized at each grid vector.  phi_series is the operator's
-fraction at one m; it and closed_psi fill a failed check's entry.  The
-printed l-weight of lweight and the factorization checks read the catalog
-at integer m (oscillator_lweight).
+symbolic (VectorChecks): _psi_parts is read on the prefix sums of affine
+occupation forms (_Affine), each weight <lambda, h_j> is compared as a form
+with the exponent of q**h_j, and each Psi_i with the operator's phi_i,
+summed to all orders by the level-geometric lemma (_operator_fraction), both
+as fractions in u over Laurent polynomials in Q = q**m.  What differs,
+nothing when the catalog holds, is specialized at each grid vector.
+phi_series is the operator's fraction at one m; it and closed_psi fill a
+failed check's entry.  The printed l-weight of lweight and the factorization
+checks read the catalog at integer m (oscillator_lweight).
 
 Twist conventions.  The spectral twist enters every eigenvalue through the
 single combination zs = zeta**s, kept as one exact scalar: a twisted series
@@ -129,9 +132,9 @@ def _check_m(l: int, m) -> tuple:
     return mt
 
 
-def _msum(m: tuple, lo: int, hi: int) -> int:
-    # 1-indexed inclusive partial sum; empty when lo > hi
-    return sum(m[j - 1] for j in range(lo, hi + 1)) if lo <= hi else 0
+def _prefix(m) -> tuple:
+    """The prefix sums of the occupations: s[0] = 0, s[k] = m_1 + ... + m_k."""
+    return tuple(itertools.accumulate(m, initial=0))
 
 
 class _Affine:
@@ -192,33 +195,38 @@ class _Affine:
     __hash__ = None
 
 
-def _psi_parts(i: int, l: int, a: int, m: tuple):
+def _psi_parts(i: int, l: int, a: int, s: tuple):
     """Prefactor exponent and root exponents of Psi_{i, m, a}.
 
     Returns (e0, num, den): the function is q**e0 times a product of factors
     (1 - q**c zs u) over c in num, divided by the same over c in den.  One
     family in a answers for every module, theta_1 and theta_{l+1} included.
+    The occupations are read only through their prefix table s (_prefix):
+    m_k = s[k] - s[k-1] and m_lo + ... + m_hi = s[hi] - s[lo-1], so a node
+    costs O(1) reads whatever l is.
     """
     if i <= a - 2:
-        return (m[l + i - a + 1] - m[l + i - a], [], [])
+        k = l + i - a + 1  # m_{k+1} - m_k
+        return (s[k + 1] - 2 * s[k] + s[k - 1], [], [])
+    t = s[l - a + 1]  # m_1 + ... + m_{l-a+1}
     if i == a - 1:
-        return (
-            _msum(m, 1, l - a + 1) - _msum(m, l - a + 2, l - 1) - 2 * m[l - 1] + l - a + 1,
-            [-2 * _msum(m, 1, l - a + 1) - l + a],
-            [],
-        )
+        # t - (m_{l-a+2} + ... + m_{l-1}) - 2 m_l
+        return (2 * t + s[l - 1] - 2 * s[l] + l - a + 1, [-2 * t - l + a], [])
     if i == a:
+        # -2 m_1 - (m_2 + ... + m_{l-a+1}) + (m_{l-a+2} + ... + m_l)
+        m1 = s[1]
         return (
-            -2 * m[0] - _msum(m, 2, l - a + 1) + _msum(m, l - a + 2, l) - l + a - 2,
-            [-2 * _msum(m, 2, l - a + 1) - l + a + 1],
-            [-2 * _msum(m, 1, l - a + 1) - l + a - 1, -2 * _msum(m, 1, l - a + 1) - l + a + 1],
+            s[l] - m1 - 2 * t - l + a - 2,
+            [-2 * (t - m1) - l + a + 1],
+            [-2 * t - l + a - 1, -2 * t - l + a + 1],
         )
+    # m_k - m_{k+1}, and partial sums from m_k, m_{k+1} and m_{k+2} up to t
+    k = i - a
+    lo, mid, hi = s[k - 1], s[k], s[k + 1]
     return (
-        m[i - a - 1] - m[i - a],
-        [-2 * _msum(m, i - a, l - a + 1) - l + i - 1,
-         -2 * _msum(m, i - a + 2, l - a + 1) - l + i + 1],
-        [-2 * _msum(m, i - a + 1, l - a + 1) - l + i - 1,
-         -2 * _msum(m, i - a + 1, l - a + 1) - l + i + 1],
+        2 * mid - lo - hi,
+        [-2 * (t - lo) - l + i - 1, -2 * (t - hi) - l + i + 1],
+        [-2 * (t - mid) - l + i - 1, -2 * (t - mid) - l + i + 1],
     )
 
 
@@ -233,41 +241,48 @@ def _roots(pairs) -> frozenset:
     return frozenset((x, k) for x, k in mult.items() if k and x)
 
 
-def _psi_forms(i: int, spec: RepSpec, m) -> tuple:
+def _psi_forms(i: int, spec: RepSpec, s: tuple) -> tuple:
     """The closed Psi_i on v_m as catalog exponents: (e0, pairs, zeff).
 
     Psi_i(u) = q**e0 prod (1 - q**c zeff u)**k over (c, k) in pairs, k = +-1
-    per numerator and denominator factor of _psi_parts.  The exponents are
-    integers for an integer m and affine forms for _Affine.occupations(l).
-    This is the one place the mirror law is written.
+    per numerator and denominator factor of _psi_parts; s is the prefix table
+    of m.  The exponents are integers for an integer m and affine forms for
+    _Affine.occupations(l).  This is the one place the mirror law is written.
     """
     l = spec.l
     if not (1 <= i <= l):
         raise IndexError("node index out of range")
     if spec.bar:
-        e0, num, den = _psi_parts(l - i + 1, l, l - spec.a + 2, m)
+        e0, num, den = _psi_parts(l - i + 1, l, l - spec.a + 2, s)
         # the mirrored series is the reflected one at u -> -(-1)**l u
         zeff = spec.zs if l % 2 else -spec.zs
     else:
-        e0, num, den = _psi_parts(i, l, spec.a, m)
+        e0, num, den = _psi_parts(i, l, spec.a, s)
         zeff = spec.zs
     return e0, [(c, 1) for c in num] + [(c, -1) for c in den], zeff
 
 
-def _psi_roots(i: int, spec: RepSpec, m) -> tuple:
-    """The closed Psi_i on v_m in factored form.
+def _psi_roots(i: int, spec: RepSpec, s: tuple) -> tuple:
+    """The closed Psi_i on v_m in factored form, s the prefix table of m.
 
     Returns (e0, roots) with Psi_i(u) = q**e0 prod (1 - x u)**k over (x, k) in
-    roots: the factors of _psi_parts, common ones cancelled.
+    roots: the factors of _psi_parts, common ones cancelled.  They cancel on
+    the integer exponents c, before any root x = q**c zeff is built: c -> x
+    is injective, and the exponent c = 0 is the root zeff, not a factor one
+    (so _roots, which drops x = 0, does not apply here).
     """
-    e0, pairs, zeff = _psi_forms(i, spec, m)
-    return e0, _roots((QRational.q_power(c) * zeff, k) for c, k in pairs)
+    e0, pairs, zeff = _psi_forms(i, spec, s)
+    mult = {}
+    for c, k in pairs:
+        mult[c] = mult.get(c, 0) + k
+    return e0, frozenset((QRational.q_power(c) * zeff, k) for c, k in mult.items() if k)
 
 
-def _symbolic_forms(i: int, spec: RepSpec, m: tuple) -> tuple:
-    """_psi_forms on m = _Affine.occupations(l): every exponent an _Affine."""
-    e0, pairs, zeff = _psi_forms(i, spec, m)
-    # adding the zero form lifts an integer, such as an empty _msum
+def _symbolic_forms(i: int, spec: RepSpec, s: tuple) -> tuple:
+    """_psi_forms on s = _prefix(_Affine.occupations(l)): every exponent an
+    _Affine.  Forms have no equality, so their pairs stay uncancelled."""
+    e0, pairs, zeff = _psi_forms(i, spec, s)
+    # adding the zero form lifts an integer, such as the empty sum s[0]
     zero = _Affine(0, (0,) * spec.l)
     return zero + e0, [(zero + c, k) for c, k in pairs], zeff
 
@@ -312,7 +327,7 @@ def _roots_poly(xs) -> tuple:
 def closed_psi(i: int, spec: RepSpec, m) -> URational:
     """The closed rational form of the eigenvalue of phi_i(u) on v_m: the
     factored form of _psi_roots, multiplied out."""
-    e0, roots = _psi_roots(i, spec, _check_m(spec.l, m))
+    e0, roots = _psi_roots(i, spec, _prefix(_check_m(spec.l, m)))
     roots = sorted(roots, key=_root_key)
     num = [x for x, k in roots for _ in range(k)]
     den = [x for x, k in roots for _ in range(-k)]
@@ -418,27 +433,28 @@ class LWeight(Record):
         """The l-weight at u -> z u: every root times z, the weight kept.
 
         Scaling by a nonzero z is injective, so no two roots merge and the
-        factored form stays unique."""
+        factored form stays unique.  An empty node passes through as it is."""
         if z.is_zero():
             raise ValueError("spectral twist must be nonzero")
         return LWeight(self.weight, tuple(
-            frozenset((x * z, k) for x, k in node) for node in self.roots))
+            frozenset((x * z, k) for x, k in node) if node else node for node in self.roots))
 
 
 def lweight_product(*factors: LWeight) -> LWeight:
-    """Componentwise product: weights add, root multiplicities add."""
+    """Componentwise product: weights add, root multiplicities add.
+
+    It starts from the first factor's nodes and merges in only the nonempty
+    nodes of each later one; a node that one factor alone fills passes
+    through unchanged."""
     if not factors:
         raise ValueError("need at least one factor")
-    w = factors[0].weight
+    w, roots = factors[0].weight, list(factors[0].roots)
     for f in factors[1:]:
         w = w + f.weight
-    return LWeight(w, tuple(map(_node_product, *(f.roots for f in factors))))
-
-
-def _node_product(*nodes) -> frozenset:
-    # a node where at most one factor has roots passes through unchanged
-    full = [node for node in nodes if node]
-    return _roots(itertools.chain.from_iterable(full)) if len(full) > 1 else (full or nodes)[0]
+        for j, node in enumerate(f.roots):
+            if node:
+                roots[j] = _roots(itertools.chain(roots[j], node)) if roots[j] else node
+    return LWeight(w, tuple(roots))
 
 
 def prefundamental(l: int, i: int, sign: int, x: QRational) -> LWeight:
@@ -463,7 +479,8 @@ def shift_weight(w: Weight) -> LWeight:
 def oscillator_lweight(spec: RepSpec, m=None) -> LWeight:
     """The closed-form l-weight of v_m (the highest one for m = 0)."""
     mt = _check_m(spec.l, m) if m is not None else (0,) * spec.l
-    e0s, roots = zip(*(_psi_roots(i, spec, mt) for i in range(1, spec.l + 1)))
+    s = _prefix(mt)
+    e0s, roots = zip(*(_psi_roots(i, spec, s) for i in range(1, spec.l + 1)))
     return LWeight(Weight(spec.l, e0s), roots)
 
 
@@ -604,8 +621,8 @@ class VectorChecks:
         self.spec = spec
         self.order = order
         self._ev = ev
-        m = _Affine.occupations(l)
-        forms = [_symbolic_forms(i, spec, m) for i in range(1, l + 1)]
+        s = _prefix(_Affine.occupations(l))
+        forms = [_symbolic_forms(i, spec, s) for i in range(1, l + 1)]
         # (j, <lambda, h_j>, exponent of q**h_j) where the forms differ
         weight = Weight(l, tuple(e0 for e0, _, _ in forms))
         self._weights = []

@@ -35,6 +35,12 @@
   identity, multiplicities merged in a dict (factor_rhs_by_products), where
   qloop keeps one running product per family and call and twists it per
   identity (lweights.factor_sides).
+- Catalog roots cancelled as scalars: every factor q**c zeff of
+  lweights._psi_forms built first and equal roots merged afterwards
+  (psi_roots_by_scalars), where qloop merges the integer exponents c
+  (lweights._psi_roots); and l-weight products merged node by node over all
+  factors at once (lweight_product_at_once), where qloop folds each later
+  factor's nonempty nodes into the first factor's (lweights.lweight_product).
 - State arithmetic that qloop does not need: sums, differences, scalar
   multiples and coefficients of FockStates.
 - Algebra in u that qloop does not need: truncated series sums,
@@ -53,7 +59,7 @@ from qloop.borelrep import (CartanPower, Compose, Gen, OscWord, RepSpec, Scale,
 from qloop.exactfield import (QRational, URational, USeries, ZeroConstantTerm,
                               _utrim, kappa, qnum, qrational_to_json)
 from qloop.fock import PLUS, FockState
-from qloop.lweights import NotDiagonal, Weight, _msum, discrepancy
+from qloop.lweights import NotDiagonal, Weight, discrepancy
 from qloop.rootsys import CartanExponent, o_sign
 from qloop.rootvectors import e_prime_imag
 
@@ -385,6 +391,11 @@ def e_unprimed_by_compositions(l: int, i: int, n: int):
 # ------------------------------------------------------------- weight table
 
 
+def _msum(m: tuple, lo: int, hi: int) -> int:
+    """m_lo + ... + m_hi, 1-indexed and inclusive; empty when lo > hi."""
+    return sum(m[j - 1] for j in range(lo, hi + 1))
+
+
 def table_lambda(spec: RepSpec, m: tuple) -> Weight:
     """The weight lambda_{m, a} of v_m, typed in per module; the mirrored
     weight is iota(lambda_{m, l-a+2}), its omega reversed."""
@@ -432,6 +443,40 @@ def factor_rhs_by_products(l: int, kind: str, i: int, zs: QRational) -> lweights
                 node[x] = node.get(x, 0) + k
     return lweights.LWeight(Weight(l, tuple(omega)), tuple(
         frozenset((x, k) for x, k in node.items() if k) for node in mult))
+
+
+# --------------------------------------------- catalog roots and products
+
+
+def _merged(pairs) -> frozenset:
+    """(x, k) pairs with equal x added; zero multiplicities drop out."""
+    mult = {}
+    for x, k in pairs:
+        mult[x] = mult.get(x, 0) + k
+    return frozenset((x, k) for x, k in mult.items() if k)
+
+
+def psi_roots_by_scalars(i: int, spec: RepSpec, m: tuple) -> tuple:
+    """(e0, roots) of Psi_i on v_m: each uncancelled factor of
+    lweights._psi_forms made the scalar q**c zeff, then equal scalars merged."""
+    s = tuple(itertools.accumulate(m, initial=0))
+    e0, pairs, zeff = lweights._psi_forms(i, spec, s)
+    return e0, _merged((QRational.q_power(c) * zeff, k) for c, k in pairs)
+
+
+def node_product(*nodes) -> frozenset:
+    """One node of a product: a node that at most one factor fills passes
+    through unchanged, else all the factors' roots merged at once."""
+    full = [node for node in nodes if node]
+    return _merged(itertools.chain.from_iterable(full)) if len(full) > 1 else (full or nodes)[0]
+
+
+def lweight_product_at_once(*factors) -> lweights.LWeight:
+    """The product of l-weights: weights added, every node merged over all
+    factors in one pass (node_product)."""
+    omega = [sum(col) for col in zip(*(f.weight.omega for f in factors))]
+    return lweights.LWeight(Weight(len(omega), tuple(omega)),
+                            tuple(map(node_product, *(f.roots for f in factors))))
 
 
 # ------------------------------------------------------ per-m series checks

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (_operator_series, _poly_at, _poly_series, check_vector_at, constant_term,
-                     den_degree, factor_rhs_by_products, num_degree, pade, phi_series_at,
-                     qh_exponent, reduced, scale_var, series_inverse, series_product,
-                     table_lambda, verify_grid_at)
+                     den_degree, factor_rhs_by_products, lweight_product_at_once, num_degree,
+                     pade, phi_series_at, psi_roots_by_scalars, qh_exponent, reduced, scale_var,
+                     series_inverse, series_product, table_lambda, verify_grid_at)
 
 import qloop
 from qloop import cli, lweights
@@ -390,7 +390,7 @@ def test_symbolic_closed_series_specializes_to_the_per_m_series(l):
     # the factored form expanded with m symbolic, then specialized, is the
     # closed form multiplied out and then expanded
     order = 5
-    forms = lweights._Affine.occupations(l)
+    forms = lweights._prefix(lweights._Affine.occupations(l))
     for zs in (ONE, 2 * qp(-2), -qp(3), -2 * qp(-3)):
         for a in range(1, l + 2):
             for bar in (False, True):
@@ -417,11 +417,13 @@ def test_series_checks_hold_for_every_m():
 def _perturbed_parts(monkeypatch, shift, where="num"):
     # adds shift(m) to the first numerator exponent of every Psi_i, or to
     # its prefactor exponent e0, which moves the weight as well; "den"
-    # negates every denominator exponent
+    # negates every denominator exponent.  _psi_parts reads the prefix table
+    # s of m, so m_k = s[k] - s[k-1] is read back from it
     psi_parts = lweights._psi_parts
 
-    def mutated(i, l, a, m):
-        e0, num, den = psi_parts(i, l, a, m)
+    def mutated(i, l, a, s):
+        e0, num, den = psi_parts(i, l, a, s)
+        m = tuple(s[k] - s[k - 1] for k in range(1, l + 1))
         if where == "e0":
             return e0 + shift(m), num, den
         if where == "den":
@@ -608,6 +610,80 @@ def test_oscillator_lweight_defaults_to_the_highest_vector():
             assert _psi_series(lw, i, 6) == closed_psi(i, spec, m).expand(6)
 
 
+_LAW_TWISTS = (qp(3), -2 * qp(-1), ONE / QRational.from_int(2), -ONE)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+def test_psi_roots_cancel_on_exponents_as_on_scalars(l):
+    # merging the integer exponents c, then building q**c zeff, gives the
+    # roots that building every factor first and merging scalars gives
+    for zs in _LAW_TWISTS:
+        for a in range(1, l + 2):
+            for bar in (False, True):
+                spec = RepSpec(l, a, bar, zs)
+                for m in itertools.product(range(3), repeat=l):
+                    s = lweights._prefix(m)
+                    for i in range(1, l + 1):
+                        want = psi_roots_by_scalars(i, spec, m)
+                        assert lweights._psi_roots(i, spec, s) == want, (spec, m, i)
+
+
+def test_the_exponent_zero_is_a_root():
+    # c = 0 is the factor 1 - zs u, not the factor one that x = 0 would be
+    for zs in _LAW_TWISTS:
+        assert oscillator_lweight(RepSpec(2, 2, False, zs)).roots[0] == frozenset({(zs, 1)})
+        # at l = 20 the module a = l has it at node l - 1
+        e0, roots = lweights._psi_roots(19, RepSpec(20, 20, False, zs), lweights._prefix((0,) * 20))
+        assert (zs, 1) in roots
+        assert (e0, roots) == psi_roots_by_scalars(19, RepSpec(20, 20, False, zs), (0,) * 20)
+
+
+class _CountingTable(tuple):
+    """A prefix table that counts the entries read from it."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        _CountingTable.reads += 1
+        return tuple.__getitem__(self, k)
+
+
+def test_one_module_reads_o_of_l_occupation_entries(monkeypatch):
+    # at most 4 prefix-table entries per node, whatever the module and m
+    prefix = lweights._prefix
+    monkeypatch.setattr(lweights, "_prefix", lambda m: _CountingTable(prefix(m)))
+    l = 40
+    m = tuple(k % 3 for k in range(l))
+    for a in range(1, l + 2):
+        for bar in (False, True):
+            spec = RepSpec(l, a, bar)
+            _CountingTable.reads = 0
+            oscillator_lweight(spec, m)
+            assert 0 < _CountingTable.reads <= 4 * l, (a, bar, _CountingTable.reads)
+
+
+def test_a_root_cancels_and_comes_back():
+    # x**+1 x**-1 x**+1: the node empties after two factors and refills
+    l, x = 3, -2 * qp(-1)
+    up, down = prefundamental(l, 2, 1, x), prefundamental(l, 2, -1, x)
+    assert lweight_product(up, down) == shift_weight(Weight.zero(l))
+    for got in (lweight_product(up, down, up), lweight_product(lweight_product(up, down), up)):
+        assert got == up == lweight_product_at_once(up, down, up)
+    assert lweight_product(up, up, down, down).roots == (frozenset(),) * l
+
+
+def test_empty_nodes_pass_through_untouched():
+    # a factor's empty nodes leave the other factor's nodes as they are, and
+    # a twist leaves an empty node as it is
+    lw = oscillator_lweight(RepSpec(4, 4, False, qp(1)), (1, 0, 2, 0))
+    assert not lw.roots[0] and lw.roots[3]
+    empty = shift_weight(Weight(4, (1, 0, -1, 2)))
+    for prod in (lweight_product(lw, empty), lweight_product(empty, lw)):
+        assert all(x is y for x, y in zip(prod.roots, lw.roots) if y)
+        assert prod == lweight_product_at_once(lw, empty)
+    assert all(x is y for x, y in zip(empty.twisted(qp(3)).roots, empty.roots))
+
+
 # -------------------------------------------------------------- factorization
 
 @given(st.integers(1, 2), st.integers(-2, 3))
@@ -628,9 +704,6 @@ def test_factorizations_hold_at_generic_scalars():
     for a in range(1, 3):
         assert factor_check("osc", 1, a, zs)
     assert factor_check("full-tensor", 1, zs_list=[zs, zs * qp(2)])
-
-
-_LAW_TWISTS = (qp(3), -2 * qp(-1), ONE / QRational.from_int(2), -ONE)
 
 
 def test_a_twist_scales_every_root():
@@ -799,3 +872,27 @@ def test_product_expansion_is_the_product_of_expansions(l, data):
         for f in factors:
             want = series_product(want, _psi_series(f, i, 5))
         assert _psi_series(prod, i, 5) == want
+
+
+@given(st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_lweight_product_is_the_all_at_once_merge(l, data):
+    # folding the later factors' nonempty nodes into the first factor's is
+    # the node-by-node merge over all factors at once
+    x = data.draw(_twists)
+    factors = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        kind = data.draw(st.sampled_from(("osc", "pref", "shift")))
+        if kind == "osc":
+            a = data.draw(st.integers(1, l + 1))
+            m = tuple(data.draw(st.lists(st.integers(0, 2), min_size=l, max_size=l)))
+            factors.append(oscillator_lweight(RepSpec(l, a, data.draw(st.booleans()),
+                                                      data.draw(_twists)), m))
+        elif kind == "pref":
+            # one shared parameter, so that roots meet and cancel across factors
+            factors.append(prefundamental(l, data.draw(st.integers(1, l)),
+                                          data.draw(st.sampled_from((1, -1))), x))
+        else:
+            omega = data.draw(st.lists(st.integers(-3, 3), min_size=l, max_size=l))
+            factors.append(shift_weight(Weight(l, tuple(omega))))
+    assert lweight_product(*factors) == lweight_product_at_once(*factors)

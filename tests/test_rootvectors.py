@@ -15,7 +15,7 @@ from qloop.borelrep import (CartanPower, Compose, Gen, OscWord, RepSpec, Scale, 
                             get_evaluator)
 from qloop.exactfield import QRational, USeries, kappa, qnum
 from qloop.fock import FockState
-from qloop.lweights import _psi_roots
+from qloop.lweights import oscillator_lweight
 from qloop.rootsys import CartanExponent, NotAPositiveRoot, RootIndex
 from qloop.rootvectors import (chi, chi_bracket, drinfeld_check, drinfeld_check_minus,
                                e_dual, e_prime_imag, e_real, e_unprimed_imag,
@@ -347,7 +347,7 @@ def test_symbolic_generators_and_imaginary_roots_are_nonzero():
                 assert all(ev.symbolic(Gen(i)) for i in range(l + 1))
                 for i in range(1, l + 1):
                     # at m = (1, ..., 1) no root factor of the closed form cancels
-                    factors = sum(abs(k) for _, k in _psi_roots(i, spec, (1,) * l)[1])
+                    factors = sum(abs(k) for _, k in oscillator_lweight(spec, (1,) * l).roots[i - 1])
                     for n in (1, 2, 3):
                         got = ev.symbolic(e_prime_imag(l, i, i + 1, n))
                         assert bool(got) == (factors >= min(n, 2)), (l, a, bar, i, n)
