@@ -5,15 +5,18 @@ q-commutator
 
     [x, y]_q = x y - q**(-(rx|ry)) y x
 
-graded by the roots rx, ry of its arguments.  The families:
+graded by the roots rx, ry of its arguments.  Every level-zero root vector
+is built from one cached chain, _chain(l, ks) = [e_{k1}, [e_{k2}, ...
+e_{kr}]_q ...]_q; each suffix of a chain is a chain, so chains share their
+nodes.  The families:
 
-- real, e_{alpha_{ij} + n delta}: at n = 0 the right-nested chain
-  [e_i, [..., [e_{j-2}, e_{j-1}]_q ]_q ]_q, and for n >= 1 the level step
+- real, e_{alpha_{ij} + n delta}: at n = 0 the chain of (i, ..., j-1), and
+  for n >= 1 the level step
   [2]_q**-1 [e_{alpha_{ij} + (n-1) delta}, e'_{delta, alpha_{ij}}]_q;
 
-- dual real, e_{(delta - alpha_{ij}) + n delta}: at n = 0 a chain seeded by
-  e_0 = e_{delta - theta}, climbing [e_k, e_{delta - alpha_{1,k+1}}]_q for
-  k = l .. j and then [e_k, e_{delta - alpha_{k,j}}]_q for k = 1 .. i-1;
+- dual real, e_{(delta - alpha_{ij}) + n delta}: at n = 0 the q-commutator
+  [P_i, S_j]_q of the chains P_i of (i-1, ..., 1), root alpha_{1i}, and
+  S_j of (j, ..., l, 0), root delta - alpha_{1j} (S_j alone when i = 1);
   for n >= 1 the level step [2]_q**-1 [e'_{delta, alpha_{ij}}, .]_q;
 
 - primed imaginary, e'_{n delta, gamma} = [e_{gamma + (n-1) delta},
@@ -48,16 +51,24 @@ def qcomm(x: OpExpr, rx: RootIndex, y: OpExpr, ry: RootIndex) -> OpExpr:
 
 
 @lru_cache(maxsize=None)
+def _chain(l: int, ks: tuple) -> OpExpr:
+    """The right-nested chain [e_{k1}, [e_{k2}, ... e_{kr}]_q ...]_q of the
+    distinct nodes ks; its root is the sum of their simple roots."""
+    if len(ks) == 1:
+        return Gen(ks[0])
+    rest = frozenset(ks[1:])
+    root = RootIndex(l, tuple(int(k in rest) for k in range(l + 1)))
+    return qcomm(Gen(ks[0]), RootIndex.simple(l, ks[0]), _chain(l, ks[1:]), root)
+
+
+@lru_cache(maxsize=None)
 def e_real(l: int, i: int, j: int, n: int) -> OpExpr:
     """Root vector of alpha_{ij} + n delta."""
     gamma = RootIndex.alpha(l, i, j)
     if n < 0:
         raise ValueError("need n >= 0")
     if n == 0:
-        expr = Gen(j - 1)
-        for k in range(j - 2, i - 1, -1):
-            expr = qcomm(Gen(k), RootIndex.simple(l, k), expr, RootIndex.alpha(l, k + 1, j))
-        return expr
+        return _chain(l, tuple(range(i, j)))
     prev_root = gamma + (n - 1) * RootIndex.delta(l)
     return Scale(
         qnum(2).inv(),
@@ -67,20 +78,29 @@ def e_real(l: int, i: int, j: int, n: int) -> OpExpr:
 
 @lru_cache(maxsize=None)
 def e_dual(l: int, i: int, j: int, n: int) -> OpExpr:
-    """Root vector of (delta - alpha_{ij}) + n delta."""
+    """Root vector of (delta - alpha_{ij}) + n delta.
+
+    At n = 0 it is the nested chain [e_{i-1}, [... [e_1, S_j]_q ...]_q]_q,
+    where S_j = [e_j, [... [e_l, e_0]_q ...]_q]_q = e_{delta - alpha_{1j}}.
+    The generators e_2 .. e_{i-1} commute with every generator of S_j (e_0
+    and e_j .. e_l, j >= i + 1), and their roots are orthogonal to its root.
+    For such a z, q-Jacobi gives [z, [y, x]_q]_q = [[z, y]_q, x]_q, so the
+    nested chain rebrackets, one generator at a time, into [P_i, S_j]_q with
+    P_i = [e_{i-1}, [... [e_2, e_1]_q ...]_q]_q = e_{alpha_{1i}}.  The identity
+    holds in U_q(b+) itself, not only in the oscillator modules.  The S_j
+    are the suffixes of one chain and the P_i of another, so a module's
+    trees hold O(l) nodes, not O(l**2).
+    """
     gamma = RootIndex.alpha(l, i, j)
     if n < 0:
         raise ValueError("need n >= 0")
     delta = RootIndex.delta(l)
     if n == 0:
-        expr = Gen(0)
-        for k in range(l, j - 1, -1):
-            cur = delta - RootIndex.alpha(l, 1, k + 1)
-            expr = qcomm(Gen(k), RootIndex.simple(l, k), expr, cur)
-        for k in range(1, i):
-            cur = delta - RootIndex.alpha(l, k, j)
-            expr = qcomm(Gen(k), RootIndex.simple(l, k), expr, cur)
-        return expr
+        s = _chain(l, tuple(range(j, l + 1)) + (0,))
+        if i == 1:
+            return s
+        return qcomm(_chain(l, tuple(range(i - 1, 0, -1))), RootIndex.alpha(l, 1, i),
+                     s, delta - RootIndex.alpha(l, 1, j))
     prev_root = delta - gamma + (n - 1) * delta
     return Scale(
         qnum(2).inv(),

@@ -31,6 +31,10 @@
   logarithm, a sum over all 2**(n-1) ordered compositions of n
   (e_unprimed_by_compositions), where qloop builds them by the
   log-derivative recursion (rootvectors.e_unprimed_imag).
+- The dual real root vectors e_{delta - alpha_ij} as one nested chain,
+  climbed from e_0 through e_l .. e_j and then e_1 .. e_{i-1}
+  (e_dual_nested), where qloop brackets two shared chains, [P_i, S_j]_q
+  (rootvectors.e_dual).
 - The prefundamental factorizations' right sides as one product per
   identity, multiplicities merged in a dict (factor_rhs_by_products), where
   qloop keeps one running product per family and call and twists it per
@@ -60,8 +64,8 @@ from qloop.exactfield import (QRational, URational, USeries, ZeroConstantTerm,
                               _utrim, kappa, qnum, qrational_to_json)
 from qloop.fock import PLUS, FockState
 from qloop.lweights import NotDiagonal, Weight, discrepancy
-from qloop.rootsys import CartanExponent, o_sign
-from qloop.rootvectors import e_prime_imag
+from qloop.rootsys import CartanExponent, RootIndex, o_sign
+from qloop.rootvectors import e_prime_imag, qcomm
 
 _ZERO = QRational.zero()
 
@@ -386,6 +390,24 @@ def e_unprimed_by_compositions(l: int, i: int, n: int):
             expr = Compose(expr, e_prime_imag(l, i, i + 1, k))
         terms.append(Scale(kappa() ** (len(comp) - 1) / QRational.from_int(len(comp)), expr))
     return Sum(tuple(terms))
+
+
+# ------------------------------------------------------ dual roots by one chain
+
+
+def e_dual_nested(l: int, i: int, j: int):
+    """e_{delta - alpha_ij} as one chain seeded by e_0 = e_{delta - theta}:
+    [e_k, e_{delta - alpha_{1,k+1}}]_q for k = l .. j, then
+    [e_k, e_{delta - alpha_{k,j}}]_q for k = 1 .. i-1."""
+    delta = RootIndex.delta(l)
+    expr = Gen(0)
+    for k in range(l, j - 1, -1):
+        cur = delta - RootIndex.alpha(l, 1, k + 1)
+        expr = qcomm(Gen(k), RootIndex.simple(l, k), expr, cur)
+    for k in range(1, i):
+        cur = delta - RootIndex.alpha(l, k, j)
+        expr = qcomm(Gen(k), RootIndex.simple(l, k), expr, cur)
+    return expr
 
 
 # ------------------------------------------------------------- weight table

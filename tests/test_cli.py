@@ -17,10 +17,10 @@ from qloop import borelrep, cli, exactfield, lweights, rootvectors
 from qloop.exactfield import QRational, urational_to_json
 from qloop.lweights import Weight, closed_psi
 from qloop.borelrep import CartanPower, Compose, Gen, RepSpec, Scale, Sum, identity, serre_check
-from qloop.rootsys import CartanExponent, bilinear, o_sign
+from qloop.rootsys import CartanExponent, RootIndex, bilinear, o_sign
 from qloop.lweights import discrepancy
 from qloop.rootvectors import (chi, drinfeld_check, drinfeld_check_minus, e_dual, e_prime_imag,
-                               e_real, xi_minus, xi_plus)
+                               e_real, qcomm, xi_minus, xi_plus)
 
 ONE = QRational.one()
 qp = QRational.q_power
@@ -450,6 +450,62 @@ def test_a_doubled_level_two_real_root_fails_110_relations(cold_roots, capsys):
     _level_two_real_doubled(cold_roots)
     assert cli.main(["drinfeld", "--l", "2", "--nmax", "3", "--mmax", "1"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "110 failures"
+
+
+def _dual_level_zero(monkeypatch, bracket):
+    """e_dual with its level-zero trees at i >= 2 replaced by bracket(l, i, j,
+    P_i, S_j); the level steps and every e'_{n delta} build on the replacement."""
+    dual = rootvectors.e_dual
+
+    def mutant(l, i, j, n):
+        if n or i == 1:
+            return dual(l, i, j, n)
+        return bracket(l, i, j, rootvectors._chain(l, tuple(range(i - 1, 0, -1))),
+                       dual(l, 1, j, 0))
+
+    monkeypatch.setattr(rootvectors, "e_dual", mutant)
+    monkeypatch.setattr(lweights, "e_dual", mutant)
+
+
+def _p_root(l, i):
+    return RootIndex.alpha(l, 1, i)
+
+
+def _s_root(l, j):
+    return RootIndex.delta(l) - RootIndex.alpha(l, 1, j)
+
+
+_DUAL_BRACKETS = {
+    # [P_i, S_j]_q as rootvectors builds it: the patch alone changes nothing
+    "p-s": lambda l, i, j, p, s: qcomm(p, _p_root(l, i), s, _s_root(l, j)),
+    # P_i climbed in the reverse order, [e_1, [e_2, ... e_{i-1}]_q]_q = e_real(l, 1, i, 0)
+    "reversed-p": lambda l, i, j, p, s: qcomm(e_real(l, 1, i, 0), _p_root(l, i), s, _s_root(l, j)),
+    # the bracket swapped, [S_j, P_i]_q
+    "s-p": lambda l, i, j, p, s: qcomm(s, _s_root(l, j), p, _p_root(l, i)),
+}
+
+_VERIFY_L3 = ["verify", "--l", "3", "--order", "6", "--mmax", "2"]
+_DRINFELD_L3 = ["drinfeld", "--l", "3", "--nmax", "2", "--mmax", "1"]
+# (bracket, argv, last line): the mutants run at l = 3, because at l = 2
+# P_2 = e_1 reads the same in either order and the reversed P_i changes nothing
+_DUAL_RUNS = [
+    ("p-s", _VERIFY_L3, "all checks passed"),
+    ("p-s", _DRINFELD_L3, "all checks passed"),
+    ("reversed-p", ["verify", "--l", "2", "--order", "6", "--mmax", "2"], "all checks passed"),
+    ("reversed-p", _VERIFY_L3, "180 discrepancies"),
+    ("reversed-p", _DRINFELD_L3, "136 failures"),
+    ("s-p", _VERIFY_L3, "360 discrepancies"),
+    ("s-p", _DRINFELD_L3, "124 failures"),
+]
+
+
+@pytest.mark.parametrize("bracket,argv,last", _DUAL_RUNS,
+                         ids=[f"{b}-{argv[0]}-l{argv[2]}" for b, argv, _ in _DUAL_RUNS])
+def test_a_wrong_dual_chain_fails_through_the_cli(cold_roots, capsys, bracket, argv, last):
+    _dual_level_zero(cold_roots, _DUAL_BRACKETS[bracket])
+    code = cli.main(argv)
+    assert capsys.readouterr().out.splitlines()[-1] == last
+    assert code == (0 if last == "all checks passed" else 1)
 
 
 def _counted_decisions(monkeypatch) -> list:

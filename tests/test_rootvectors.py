@@ -8,8 +8,8 @@ oscillator word or eigenvalue.
 import itertools
 
 import pytest
-from oracles import (apply_at, apply_word, e_unprimed_by_compositions, series_log, specialize,
-                     state_coefficient)
+from oracles import (apply_at, apply_word, e_dual_nested, e_unprimed_by_compositions, series_log,
+                     specialize, state_coefficient)
 
 from qloop.borelrep import (CartanPower, Compose, Gen, OscWord, RepSpec, Scale, Sum, _vanishes_on,
                             get_evaluator)
@@ -302,18 +302,15 @@ def test_unprimed_recursion_with_a_wrong_weight_differs():
         assert (got == dict(ev.symbolic(e_unprimed_by_compositions(2, 1, n)))) == same, n
 
 
-def test_unprimed_tree_grows_quadratically():
-    # outside the e'_{k delta} trees, e_{n delta} holds one Sum, n - 1 Scales
-    # and n - 1 Composes per level: n**2 nodes in all, where the composition
-    # sum reaches 98,288 at n = 16.  The walk starts at the root, so it does
-    # not depend on what other trees were built before.
-    l, i, n = 2, 1, 16
-    primed = {e_prime_imag(l, i, i + 1, k) for k in range(1, n + 1)}
+def _tree_nodes(roots, stop=frozenset()) -> set:
+    """The distinct nodes reached from roots, not entering the nodes in stop.
+    The walk starts at the roots, so it does not depend on what other trees
+    were built before."""
     seen = set()
-    stack = [e_unprimed_imag(l, i, n)]
+    stack = list(roots)
     while stack:
         node = stack.pop()
-        if node in seen or node in primed:
+        if node in seen or node in stop:
             continue
         seen.add(node)
         if isinstance(node, Sum):
@@ -322,7 +319,30 @@ def test_unprimed_tree_grows_quadratically():
             stack.append(node.child)
         elif isinstance(node, Compose):
             stack.extend((node.left, node.right))
-    assert len(seen) <= n * n
+    return seen
+
+
+def test_unprimed_tree_grows_quadratically():
+    # outside the e'_{k delta} trees, e_{n delta} holds one Sum, n - 1 Scales
+    # and n - 1 Composes per level: n**2 nodes in all, where the composition
+    # sum reaches 98,288 at n = 16
+    l, i, n = 2, 1, 16
+    primed = {e_prime_imag(l, i, i + 1, k) for k in range(1, n + 1)}
+    assert len(_tree_nodes([e_unprimed_imag(l, i, n)], primed)) <= n * n
+
+
+def test_node_check_trees_of_a_module_grow_linearly():
+    # e_i, e_{delta - alpha_i} = [P_i, S_{i+1}]_q and e'_{delta, alpha_i} for
+    # i = 1 .. l: the S_j share one chain and the P_i another, so each node
+    # adds a few nodes (665 at l = 40).  The nested chain climbs e_1 ..
+    # e_{i-1} again for every i: 3,477 nodes at l = 40, about 2.2 l**2.
+    # The assert reads a count, because a failing assert prints its operands
+    # and a tree's repr doubles with every level.
+    l = 40
+    roots = [x for i in range(1, l + 1)
+             for x in (Gen(i), e_dual(l, i, i + 1, 0), e_prime_imag(l, i, i + 1, 1))]
+    count = len(_tree_nodes(roots))
+    assert count <= 18 * l
 
 
 def test_chi_is_diagonal():
@@ -487,6 +507,41 @@ def test_left_nested_chain_agrees_with_right_nested():
             ev = get_evaluator(spec)
             for m in grid(l, 2):
                 assert ev.apply_basis(left, m) == ev.apply_basis(right, m)
+
+
+def _level_steps(l, i, j, dual, nmax):
+    """e'_{n delta, alpha_ij} and e_{(delta - alpha_ij) + n delta} for n = 1 ..
+    nmax, built by the level steps on the level-zero dual root dual."""
+    delta, gamma, half = RootIndex.delta(l), RootIndex.alpha(l, i, j), qnum(2).inv()
+    real, lower, out = e_real(l, i, j, 0), dual, []
+    prime1 = qcomm(real, gamma, dual, delta - gamma)
+    for n in range(1, nmax + 1):
+        out.append(qcomm(real, gamma + (n - 1) * delta, dual, delta - gamma))
+        lower = Scale(half, qcomm(prime1, delta, lower, delta - gamma + (n - 1) * delta))
+        out.append(lower)
+        real = Scale(half, qcomm(real, gamma + (n - 1) * delta, prime1, delta))
+    return out
+
+
+def test_dual_root_of_two_chains_agrees_with_the_nested_chain():
+    # e_{delta - alpha_ij} = [P_i, S_j]_q against the nested chain it
+    # rebrackets, with m symbolic, at level zero and at the levels n = 1, 2
+    # that the level steps build on it
+    cases = 0
+    for spec in _specs(7):
+        ev = get_evaluator(spec)
+        l = spec.l
+        for i, j in itertools.combinations(range(1, l + 2), 2):
+            got = [e_dual(l, i, j, 0)] + [x for n in (1, 2)
+                                          for x in (e_prime_imag(l, i, j, n), e_dual(l, i, j, n))]
+            # the helper's level steps are rootvectors' own: the same interned trees
+            assert all(x is y for x, y in zip(got[1:], _level_steps(l, i, j, got[0], 2))), (i, j)
+            want = [e_dual_nested(l, i, j)]
+            want += _level_steps(l, i, j, want[0], 2)
+            for x, y in zip(got, want):
+                assert dict(ev.symbolic(x)) == dict(ev.symbolic(y)), (spec, i, j)
+            cases += 1
+    assert cases == 1092
 
 
 def test_loop_generators_are_built_from_root_vectors():
