@@ -17,11 +17,15 @@ c Q**v v_{m+s} with Q**v = q**(v.m) and a shift s independent of m (one
 shift for a homogeneous tree).  It memoizes the nodes that can be read
 again (roots, Sums, leaves, Scales, Compose factors) and streams the
 products of a Sum's Compose children into the Sum's own accumulator, so a
-q-commutator's two products are never stored.  terms(expr, m) specializes
-that at one m, exactly: specializing Q = q**m is a ring homomorphism, and a
-lowering step from occupation 0 carries [0]_q = 0, so a target outside the
-Fock space sums to 0 and _merge drops it.  apply_basis is the FockState
-view of terms.
+q-commutator's two products are never stored.  A product term pairs a left
+term (sl, vl) with a right term (sr, vr) as c_L c_R q**(vl.sr) at shift
+sl + sr; a diagonal right term (sr = 0, such as chi, e'_delta or q**h) adds
+no shift and no twist, so the kernel skips both.  Whether a node acts by
+the zero shift only (zero_shift) is memoized beside its terms.
+terms(expr, m) specializes that at one m, exactly: specializing Q = q**m is
+a ring homomorphism, and a lowering step from occupation 0 carries
+[0]_q = 0, so a target outside the Fock space sums to 0 and _merge drops
+it.  apply_basis is the FockState view of terms.
 """
 
 from __future__ import annotations
@@ -98,7 +102,7 @@ class OscWord(Record):
             if tag == "qN":
                 t0, dv = _qn_form(pattern, arg)
                 k = t0 + _dot(dv, t)
-                poly = {_vadd(v, dv): _q_shifted(c, k) for v, c in poly.items()}
+                poly = {_vadd(v, dv): c.shifted(k) for v, c in poly.items()}
                 continue
             j = arg - 1
             if (tag == "b") != (pattern[j] == PLUS):
@@ -107,7 +111,7 @@ class OscWord(Record):
             # lowering: [m_j + t_j]_q = (Q_j q**t_j - Q_j**-1 q**-t_j) / (q - q**-1),
             # negated for bdag
             c0 = _KAPPA_INV if tag == "b" else -_KAPPA_INV
-            up, down = _q_shifted(c0, t[j]), -_q_shifted(c0, -t[j])
+            up, down = c0.shifted(t[j]), -c0.shifted(-t[j])
             poly = dict(_merge(
                 p for v, c in poly.items()
                 for p in ((v[:j] + (v[j] + 1,) + v[j + 1:], c * up),
@@ -200,6 +204,9 @@ def image_qh(x: CartanExponent, spec: RepSpec) -> OscWord:
 # operator expression trees
 
 _NODES = {}
+# a root vector's tree doubles at each q-commutator level, so its repr shows
+# this many levels of Sum, Scale and Compose and elides the rest
+_REPR_DEPTH = 8
 
 
 class OpExpr(Frozen):
@@ -228,13 +235,21 @@ class OpExpr(Frozen):
         # rebuilt through __new__, so a copy or an unpickled node is the interned one
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
+    def __repr__(self):
+        return self._show(_REPR_DEPTH)
+
+    def _show(self, depth: int) -> str:
+        """The repr, with Sum, Scale and Compose levels below depth shown as ...;
+        a leaf prints in full."""
+        raise NotImplementedError
+
 
 class Gen(OpExpr):
     """A Borel generator e_i."""
 
     __slots__ = ("i",)
 
-    def __repr__(self):
+    def _show(self, depth):
         return f"e[{self.i}]"
 
 
@@ -243,22 +258,26 @@ class CartanPower(OpExpr):
 
     __slots__ = ("x",)
 
-    def __repr__(self):
+    def _show(self, depth):
         return f"q^{list(self.x.coeffs)}"
 
 
 class Sum(OpExpr):
     __slots__ = ("children",)
 
-    def __repr__(self):
-        return "(" + " + ".join(map(repr, self.children)) + ")"
+    def _show(self, depth):
+        if not depth:
+            return "..."
+        return "(" + " + ".join(child._show(depth - 1) for child in self.children) + ")"
 
 
 class Scale(OpExpr):
     __slots__ = ("c", "child")
 
-    def __repr__(self):
-        return f"({self.c!r})*{self.child!r}"
+    def _show(self, depth):
+        if not depth:
+            return "..."
+        return f"({self.c!r})*{self.child._show(depth - 1)}"
 
 
 class Compose(OpExpr):
@@ -266,8 +285,10 @@ class Compose(OpExpr):
 
     __slots__ = ("left", "right")
 
-    def __repr__(self):
-        return f"{self.left!r}*{self.right!r}"
+    def _show(self, depth):
+        if not depth:
+            return "..."
+        return f"{self.left._show(depth - 1)}*{self.right._show(depth - 1)}"
 
 
 def identity(l: int) -> OpExpr:
@@ -295,7 +316,11 @@ class Evaluator:
     such as a q-commutator's two products, are streamed instead: the Sum adds
     the products of the memoized L and R straight into its own sum, and they
     get no memo entry (one shared by several Sums is multiplied out in each).
-    terms(expr, m) specializes symbolic(expr) at one basis vector, and
+    In a product, a right term of the zero shift keeps the left term's shift
+    and needs no twist q**(vl.sr); any other takes the twist as an exponent
+    add (QRational.shifted).  zero_shift(expr) is memoized in _zero_shift, a
+    function of symbolic(expr): whatever clears _cache must clear _zero_shift
+    too.  terms(expr, m) specializes symbolic(expr) at one basis vector, and
     apply_basis wraps the pairs in a FockState.
     """
 
@@ -304,6 +329,7 @@ class Evaluator:
         self.pattern = spec.pattern()
         self._e_words = tuple(image_e(i, spec) for i in range(spec.l + 1))
         self._cache = {}
+        self._zero_shift = {}
 
     def symbolic(self, expr: OpExpr) -> tuple:
         """expr on v_m with m symbolic, in the form of OscWord.terms; no c is zero."""
@@ -340,7 +366,8 @@ class Evaluator:
                     continue
             if type(child) is not Compose:
                 for k, x in self.symbolic(child):
-                    acc[k] = acc[k] + x if k in acc else x
+                    y = acc.get(k)
+                    acc[k] = x if y is None else y + x
                 continue
             # the left factor acts on v_{m+sr}, where its Q**vl reads q**(vl.(m+sr));
             # it is read once, and not at all when the right factor gives 0
@@ -351,37 +378,45 @@ class Evaluator:
             for (sr, vr), cr in right:
                 if c is not None:
                     cr = c * cr
+                if any(sr):
+                    for (sl, vl), cl in left:
+                        k = (_vadd(sl, sr), _vadd(vl, vr))
+                        x = (cl * cr).shifted(_dot(vl, sr))
+                        y = acc.get(k)
+                        acc[k] = x if y is None else y + x
+                    continue
+                # a diagonal right factor: the shift is sl and the twist q**0
                 for (sl, vl), cl in left:
-                    k = (_vadd(sl, sr), _vadd(vl, vr))
-                    x = _q_shifted(cl * cr, _dot(vl, sr))
-                    acc[k] = acc[k] + x if k in acc else x
+                    k = (sl, _vadd(vl, vr))
+                    x = cl * cr
+                    y = acc.get(k)
+                    acc[k] = x if y is None else y + x
         return tuple((k, x) for k, x in acc.items() if x)
 
     def zero_shift(self, expr: OpExpr) -> bool:
         """expr acts with m symbolic by terms of the zero shift only; any two
-        such operators commute, as their terms c Q**v are polynomials in Q."""
-        zero = (0,) * self.spec.l
-        return all(s == zero for (s, _), _ in self.symbolic(expr))
+        such operators commute, as their terms c Q**v are polynomials in Q.
+        Memoized in _zero_shift, a function of the memoized symbolic(expr)."""
+        out = self._zero_shift.get(expr)
+        if out is None:
+            out = self._zero_shift[expr] = not any(any(s) for (s, _), _ in self.symbolic(expr))
+        return out
 
     def terms(self, expr: OpExpr, m: tuple) -> tuple:
         """expr v_m as (target, coefficient) pairs: distinct targets, no zero coefficient."""
-        return _merge((_vadd(m, s), _q_shifted(c, _dot(v, m))) for (s, v), c in self.symbolic(expr))
+        return _merge((_vadd(m, s), c.shifted(_dot(v, m))) for (s, v), c in self.symbolic(expr))
 
     def apply_basis(self, expr: OpExpr, m: tuple) -> FockState:
         """expr v_m as a FockState: the view of terms(expr, m)."""
         return FockState(self.spec.l, dict(self.terms(expr, m)))
 
 
-def _q_shifted(c: QRational, k: int) -> QRational:
-    """c * q**k."""
-    return c * QRational.q_power(k) if k else c
-
-
 def _merge(pairs) -> tuple:
     """Sparse sum of (target, coefficient) pairs: equal targets add, zero sums drop."""
     acc = {}
     for t, x in pairs:
-        acc[t] = acc[t] + x if t in acc else x
+        y = acc.get(t)
+        acc[t] = x if y is None else y + x
     return tuple((t, x) for t, x in acc.items() if x)
 
 

@@ -8,11 +8,13 @@ q with integer coefficients.  Three layers live here:
   run of zero coefficients.  The canonical form (n and d coprime, coprime
   integer contents, d with positive leading coefficient) makes ``==`` field
   equality, so every verification in the package is a syntactic comparison
-  with zero tolerance.  Products add exponents and cancel only the cross
-  pairs (n of one operand against d of the other); sums shift the operand
-  with the higher exponent.  Common factors are the known ones q - 1, q + 1
-  and q**2 + 1, cancelled by trial division: a root test on coefficient
-  sums, then exact synthetic division.  The oscillator action's
+  with zero tolerance.  A product by q**k is an exponent add (shifted): q**k
+  is a unit of the normal form, so n and d stay as they are and no
+  cancellation runs.  Other products add exponents and cancel only the
+  cross pairs (n of one operand against d of the other); sums shift the
+  operand with the higher exponent.  Common factors are the known ones
+  q - 1, q + 1 and q**2 + 1, cancelled by trial division: a root test on
+  coefficient sums, then exact synthetic division.  The oscillator action's
   denominators are integer * q**a * products of those factors; a
   denominator with some other factor is tried next against q**2 + q + 1
   and q**2 - q + 1, the factors of the [3]_q! in q-Serre sums, and only one
@@ -324,7 +326,8 @@ class QRational(Frozen):
     returns the entry of the value table _VALUES, so equality is identity
     and the hash is the object's.  ``+`` and ``*`` look up their operand
     pair in _ADD and _MUL before computing; ``-``, ``/`` and the reflected
-    operators go through them.  _ADD and _MUL may be cleared at any time;
+    operators go through them.  shifted(k), the product by q**k, reads
+    neither table.  _ADD and _MUL may be cleared at any time;
     _VALUES must never be cleared while any QRational is alive, or equal
     values would stop comparing equal.
     """
@@ -367,6 +370,13 @@ class QRational(Frozen):
         """q**k for any integer k."""
         return _make(k, (1,), (1,))
 
+    def shifted(self, k: int) -> "QRational":
+        """self * q**k, as an exponent add: q**k is a unit of the Laurent
+        normal form, so the value is found without _MUL or _canon."""
+        if not k or not self._n:
+            return self
+        return _make(self._e + k, self._n, self._d)
+
     # -- predicates and views
 
     @property
@@ -401,7 +411,7 @@ class QRational(Frozen):
         return NotImplemented
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is QRational else self._coerce(other)
         if o is NotImplemented:
             return o
         key = (self, o)
@@ -445,7 +455,7 @@ class QRational(Frozen):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is QRational else self._coerce(other)
         if o is NotImplemented:
             return o
         key = (self, o)

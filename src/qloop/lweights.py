@@ -56,8 +56,7 @@ from __future__ import annotations
 
 import itertools
 
-from .borelrep import (CartanPower, Compose, Evaluator, Gen, RepSpec, _dot, _q_shifted, _vadd,
-                       get_evaluator)
+from .borelrep import CartanPower, Compose, Evaluator, Gen, RepSpec, _dot, _vadd, get_evaluator
 from .exactfield import QRational, URational, USeries, kappa, qnum, qrational_to_json
 from .record import Record
 from .rootsys import CartanExponent, RootIndex, bilinear, o_sign
@@ -275,7 +274,7 @@ def _psi_roots(i: int, spec: RepSpec, s: tuple) -> tuple:
     mult = {}
     for c, k in pairs:
         mult[c] = mult.get(c, 0) + k
-    return e0, frozenset((QRational.q_power(c) * zeff, k) for c, k in mult.items() if k)
+    return e0, frozenset((zeff.shifted(c), k) for c, k in mult.items() if k)
 
 
 def _symbolic_forms(i: int, spec: RepSpec, s: tuple) -> tuple:
@@ -303,7 +302,7 @@ def _coeffs_at(terms, m: tuple) -> list:
     """The u**k coefficients, k = 0 up to the degree, of ((k, v), c) terms at Q = q**m."""
     out = [_ZERO] * (1 + max((k for (k, _), _ in terms), default=0))
     for (k, v), c in terms:
-        out[k] = out[k] + _q_shifted(c, _dot(v, m))
+        out[k] = out[k] + c.shifted(_dot(v, m))
     return out
 
 
@@ -331,9 +330,8 @@ def closed_psi(i: int, spec: RepSpec, m) -> URational:
     roots = sorted(roots, key=_root_key)
     num = [x for x, k in roots for _ in range(k)]
     den = [x for x, k in roots for _ in range(-k)]
-    c0 = QRational.q_power(e0)
     # a root is in num or in den, never both, so the two are coprime
-    return URational(tuple(c0 * x for x in _roots_poly(num)), _roots_poly(den))
+    return URational(tuple(x.shifted(e0) for x in _roots_poly(num)), _roots_poly(den))
 
 
 def _operator_fraction(ev: Evaluator, spec: RepSpec, i: int) -> tuple:
@@ -363,8 +361,8 @@ def _operator_fraction(ev: Evaluator, spec: RepSpec, i: int) -> tuple:
     t = QRational.from_int(o_sign(i, l)) * spec.zs  # w = t u
     half, c = t / qnum(2), QRational.q_power(-bilinear(gamma, delta - gamma))
     # 1 + rho w and 1 + rho' w: [2]_q rho(m) = d(m) - d(m + s_E), rho' = rho(m + s_F)
-    rho = {v: x - _q_shifted(x, _dot(v, s_e)) for (_, v), x in ev.symbolic(ed)}
-    a, b = ({(0, zero): _ONE, **{(1, v): _q_shifted(x, _dot(v, s)) * half
+    rho = {v: x - x.shifted(_dot(v, s_e)) for (_, v), x in ev.symbolic(ed)}
+    a, b = ({(0, zero): _ONE, **{(1, v): x.shifted(_dot(v, s)) * half
                                  for v, x in rho.items() if x}} for s in (zero, s_f))
     pef, pfe = ({(0, v): x for (_, v), x in ev.symbolic(p)} for p in (ef, fe))
     (((_, vh), ch),) = ev.symbolic(CartanPower(CartanExponent.h(l, i)))
@@ -541,19 +539,18 @@ def factor_sides(l: int, jobs, zs: QRational = _ONE, zs_list=None):
             theta[b] = oscillator_lweight(RepSpec(l, b))
         return theta[b].twisted(z)
 
-    q = QRational.q_power
     # per family, its running products and the b of each factor in turn
     chains = {"pref-minus": ([], range(1, l + 2)), "pref-plus": ([], range(l + 1, 0, -1))}
     for kind, index in jobs:
         if kind == "osc":
             a = index
             if a == 1:
-                pref = [prefundamental(l, 1, -1, q(-l) * zs)]
+                pref = [prefundamental(l, 1, -1, zs.shifted(-l))]
             elif a == l + 1:
-                pref = [prefundamental(l, l, 1, q(1) * zs)]
+                pref = [prefundamental(l, l, 1, zs.shifted(1))]
             else:
-                pref = [prefundamental(l, a - 1, 1, q(-l + a) * zs),
-                        prefundamental(l, a, -1, q(-l + a - 1) * zs)]
+                pref = [prefundamental(l, a - 1, 1, zs.shifted(-l + a)),
+                        prefundamental(l, a, -1, zs.shifted(-l + a - 1))]
             lhs = osc(a, zs)
             rhs = lweight_product(shift_weight(xi_osc(l, a)), *pref)
         elif kind in chains:
@@ -566,16 +563,16 @@ def factor_sides(l: int, jobs, zs: QRational = _ONE, zs_list=None):
             prods, bs = chains[kind]
             while len(prods) < n:
                 b = bs[len(prods)]
-                t = osc(b, q(l - 2 * b + 1))
+                t = osc(b, QRational.q_power(l - 2 * b + 1))
                 prods.append(lweight_product(prods[-1], t) if prods else t)
-            rhs = prods[n - 1].twisted(q(i) * zs)
+            rhs = prods[n - 1].twisted(zs.shifted(i))
         elif kind == "full-tensor":
             if len(zs_list) != l + 1:
                 raise ValueError("need one twist per tensor factor")
             lhs = lweight_product(*[osc(a, zs_list[a - 1]) for a in range(1, l + 2)])
             # Psi_i = q**-2 (1 - q**(i-l+1) zs_i u) / (1 - q**(i-l-1) zs_{i-1} u)
             rhs = LWeight(Weight(l, (-2,) * l), tuple(
-                _roots([(q(-l + i + 1) * zs_list[i], 1), (q(-l + i - 1) * zs_list[i - 1], -1)])
+                _roots([(zs_list[i].shifted(-l + i + 1), 1), (zs_list[i - 1].shifted(-l + i - 1), -1)])
                 for i in range(1, l + 1)))
         else:
             raise ValueError(f"unknown factorization kind {kind!r}")
@@ -640,7 +637,7 @@ class VectorChecks:
             num, den, failed = _operator_fraction(ev, spec, i)
             cl = [{(0, e0.v): QRational.q_power(e0.c)}, one]  # closed num and den
             for x, k in pairs:
-                root = {**one, (1, x.v): -zeff * QRational.q_power(x.c)}
+                root = {**one, (1, x.v): (-zeff).shifted(x.c)}
                 cl[k < 0] = _poly((_ONE, cl[k < 0], root))
             diff = _poly((_ONE, cl[0], den), (-_ONE, cl[1], num))
             self._diff.append([t for t in diff.items() if t[0][0] <= order])

@@ -97,13 +97,16 @@ class RootIndex(_NodeVector):
 
 
 def _pairing(l: int, x: tuple, y: tuple) -> int:
-    """sum_ij x_i y_j a_ij over the extended Cartan matrix of rank l."""
+    """sum_ij x_i y_j a_ij over the extended Cartan matrix of rank l.
+
+    Row i of that matrix is zero off i and its cyclic neighbours i - 1 and
+    i + 1 (mod l + 1), one node at l = 1, so each nonzero x_i reads at most
+    three entries: O(nnz(x)), whatever l is."""
+    n = l + 1
     total = 0
     for i, xi in enumerate(x):
         if xi:
-            for j, yj in enumerate(y):
-                if yj:
-                    total += xi * yj * cartan_entry(l, i, j)
+            total += xi * sum(y[j] * cartan_entry(l, i, j) for j in {i, (i - 1) % n, (i + 1) % n})
     return total
 
 

@@ -14,8 +14,9 @@ from qloop.borelrep import (CartanPower, Compose, Evaluator, Gen, OscWord, RepSp
                             image_qh, power, serre_check, serre_sum, weight_relation_check)
 from qloop.exactfield import QRational, kappa, qnum
 from qloop.fock import FockState
-from qloop.rootsys import CartanExponent
-from qloop.rootvectors import chi, e_prime_imag, e_unprimed_imag, xi_minus, xi_plus
+from qloop.rootsys import CartanExponent, RootIndex
+from qloop.rootvectors import (chi, e_dual, e_prime_imag, e_real, e_unprimed_imag, qcomm,
+                               xi_minus, xi_plus)
 
 ONE = QRational.one()
 qp = QRational.q_power
@@ -491,6 +492,23 @@ def test_zero_shift_is_read_from_the_symbolic_terms():
         assert ev.zero_shift(e_prime_imag(2, 1, 2, 1))
 
 
+def test_zero_shift_is_memoized_beside_the_terms(monkeypatch):
+    # the second call reads the verdict, not the terms, and adds no memo entry
+    ev = Evaluator(RepSpec(2, 1))
+    trees = [e_prime_imag(2, 1, 2, 1), Gen(1), Sum((Gen(1), Scale(-ONE, Gen(1))))]
+    first = [ev.zero_shift(tree) for tree in trees]
+    assert first == [True, False, True]
+    entries = dict(ev._cache)
+
+    def no_terms(self, expr):
+        raise AssertionError("read the terms again")
+
+    monkeypatch.setattr(Evaluator, "symbolic", no_terms)
+    assert [ev.zero_shift(tree) for tree in trees] == first
+    assert ev._cache == entries
+    assert ev._zero_shift == dict(zip(trees, first))
+
+
 def test_an_empty_symbolic_difference_is_decided_without_the_samples(monkeypatch):
     spec = RepSpec(2, 1)
     diff = Sum((Gen(1), Scale(-ONE, Gen(1))))
@@ -607,3 +625,48 @@ def test_root_vectors_match_the_oracle():
                 for tree in (e_prime_imag(l, i, i + 1, n), e_unprimed_imag(l, i, n),
                              xi_plus(l, i, n), xi_minus(l, i, n), chi(l, i, n)):
                     assert_matches_nodes(ev, tree, memo)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_products_with_a_diagonal_right_factor_match_the_oracle(l):
+    # e'_delta, q**h_j and chi act by the zero shift only, so every product
+    # below has a diagonal right factor: the kernel adds no shift and no twist
+    diagonal = [e_prime_imag(l, i, i + 1, 1) for i in range(1, l + 1)]
+    diagonal += [CartanPower(CartanExponent.h(l, j)) for j in range(l + 1)]
+    diagonal += [chi(l, i, n) for i in range(1, l + 1) for n in (1, 2)]
+    lefts = [e_real(l, i, j, n) for i in range(1, l + 1) for j in range(i + 1, l + 2) for n in (0, 1)]
+    lefts += [xi_plus(l, i, 1) for i in range(1, l + 1)] + [xi_minus(l, i, 1) for i in range(1, l + 1)]
+    trees = [Compose(x, d) for x in lefts for d in diagonal]
+    # the product of a chi_bracket tree whose right factor is chi: the -xi chi
+    # of [chi, xi] (whole chi_bracket trees are test_loop_relation_trees_match_the_oracle's)
+    trees += [Scale(-ONE, Compose(xi(l, j, k), chi(l, i, n)))
+              for xi in (xi_plus, xi_minus) for i in range(1, l + 1) for j in range(1, l + 1)
+              for n in (1, 2) for k in (1, 2)]
+    nonzero = set()
+    for spec in _modules([l]):
+        ev, memo = Evaluator(spec), {}
+        assert all(ev.zero_shift(d) for d in diagonal)
+        for tree in trees:
+            if assert_matches_nodes(ev, tree, memo):
+                nonzero.add(tree)
+    # so that each comparison above is of a nonempty result somewhere
+    assert nonzero == set(trees)
+
+
+# ------------------------------------------------------------------------ repr
+
+def test_a_shallow_tree_prints_in_full():
+    l = 3
+    tree = qcomm(Gen(1), RootIndex.simple(l, 1), Gen(2), RootIndex.simple(l, 2))
+    assert repr(tree) == "(e[1]*e[2] + (-q)*e[2]*e[1])"
+    assert repr(Scale(qp(2), Compose(tree, CartanPower(CartanExponent.h(l, 0))))) == (
+        "(q^2)*(e[1]*e[2] + (-q)*e[2]*e[1])*q^[1, 0, 0, 0]")
+    assert "..." not in repr(e_real(l, 1, 4, 0))
+
+
+def test_a_deep_tree_prints_a_bounded_repr():
+    # each q-commutator level names both arguments twice, so printed in
+    # full the repr of e_{delta - alpha_12} doubles with l (212,460 at l = 14)
+    sizes = [len(repr(e_dual(l, 1, 2, 0))) for l in range(1, 41)]
+    assert max(sizes) <= 1000
+    assert repr(e_dual(40, 1, 2, 0)).count("...") > 0

@@ -508,6 +508,55 @@ def test_a_wrong_dual_chain_fails_through_the_cli(cold_roots, capsys, bracket, a
     assert code == (0 if last == "all checks passed" else 1)
 
 
+def _twisted_sum(twist):
+    """Evaluator._sum evaluated child by child, each product term with the
+    twist q**(vl.sr) replaced by q**twist(vl.sr)."""
+    def _sum(self, children):
+        acc = {}
+        for child in children:
+            c = ONE
+            if type(child) is Scale and type(child.child) is Compose:
+                c, child = child.c, child.child
+            terms = self.symbolic(child) if type(child) is not Compose else [
+                ((borelrep._vadd(sl, sr), borelrep._vadd(vl, vr)),
+                 c * cl * cr * qp(twist(borelrep._dot(vl, sr))))
+                for (sr, vr), cr in self.symbolic(child.right)
+                for (sl, vl), cl in self.symbolic(child.left)]
+            for k, x in terms:
+                acc[k] = acc.get(k, QRational.zero()) + x
+        return tuple((k, x) for k, x in acc.items() if x)
+    return _sum
+
+
+_TWISTS = {"kept": lambda k: k, "dropped": lambda k: 0, "negated": lambda k: -k}
+_VERIFY_L3_M1 = ["verify", "--l", "3", "--order", "6", "--mmax", "1"]
+_SERRE_L3 = ["serre", "--l", "3", "--mmax", "1"]
+# (twist, argv, last line).  The kept twist checks the mutant harness itself.
+# drinfeld sees neither mutant: without the twist a diagonal factor commutes
+# with every operator, so each level step [E, e'_delta] is 0, every
+# xi_{j,n>=1} and chi_{i,n>=2} vanishes and the relations read 0 = 0; the
+# negated twist passes it as well.  So drinfeld alone cannot validate the
+# product kernel, and serre cannot see the twist's sign: verify sees both.
+_TWIST_RUNS = [
+    ("kept", _VERIFY_L3_M1, "all checks passed"),
+    ("dropped", _VERIFY_L3_M1, "138 discrepancies"),
+    ("dropped", _SERRE_L3, "64 failures"),
+    ("dropped", _DRINFELD_L3, "all checks passed"),
+    ("negated", _VERIFY_L3_M1, "156 discrepancies"),
+    ("negated", _SERRE_L3, "all checks passed"),
+    ("negated", _DRINFELD_L3, "all checks passed"),
+]
+
+
+@pytest.mark.parametrize("twist,argv,last", _TWIST_RUNS,
+                         ids=[f"{t}-{argv[0]}-l{argv[2]}" for t, argv, _ in _TWIST_RUNS])
+def test_a_wrong_product_twist_fails_through_the_cli(cold_roots, capsys, twist, argv, last):
+    cold_roots.setattr(borelrep.Evaluator, "_sum", _twisted_sum(_TWISTS[twist]))
+    code = cli.main(argv)
+    assert capsys.readouterr().out.splitlines()[-1] == last
+    assert code == (0 if last == "all checks passed" else 1)
+
+
 def _counted_decisions(monkeypatch) -> list:
     """Fresh evaluators, and a list that gets one entry per relation the CLI evaluates."""
     monkeypatch.setattr(borelrep, "_EVALUATORS", {})

@@ -379,6 +379,30 @@ def test_q_powers_are_exponents():
     assert repr(qp(-3) / QRational((1, 1))) == "1/(q^3 + q^4)"
 
 
+# values with non-monomial denominators, the oscillator action's scalars
+# kappa**-1 and [2]_q**-1, and zero
+shift_operands = st.one_of(
+    laurent_operands().map(lambda a: _laurent(*a)),
+    st.sampled_from([kappa().inv(), -kappa().inv(), qnum(2).inv(), ZERO]),
+)
+
+
+@given(shift_operands, st.integers(-50, 50))
+@settings(max_examples=80, deadline=None)
+def test_shifted_is_the_product_by_a_power_of_q(x, k):
+    assert x.shifted(k) is x * qp(k)
+
+
+def test_shifted_is_an_exponent_add(monkeypatch):
+    # q**3 * q/(q**2 - 1), found without the product table or a cancellation
+    want = [QRational((0, 0, 0, 0, 1), (-1, 0, 1)), ONE + qp(-2)]
+    monkeypatch.setattr(exactfield, "_MUL", {})
+    monkeypatch.setattr(exactfield, "_canon", None)
+    assert [kappa().inv().shifted(3), qnum(2).shifted(-1)] == want
+    assert ZERO.shifted(7) is ZERO and ONE.shifted(0) is ONE
+    assert exactfield._MUL == {}
+
+
 @given(laurent_operands())
 @settings(max_examples=40, deadline=None)
 def test_display_reads_the_dense_views(a):

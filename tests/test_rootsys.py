@@ -1,10 +1,11 @@
 """Affine root system of sl(l+1): Cartan data, roots, Cartan exponents."""
 
 import itertools
+import random
 
 import pytest
 
-from qloop.rootsys import CartanExponent, RootIndex, bilinear, cartan_entry, o_sign
+from qloop.rootsys import CartanExponent, RootIndex, _pairing, bilinear, cartan_entry, o_sign
 
 
 # ----------------------------------------------------------------- Cartan data
@@ -125,3 +126,15 @@ def test_pair_root_is_the_bilinear_form_on_the_same_coefficients():
         CartanExponent.h(2, 0).pair_root(RootIndex.delta(3))
     with pytest.raises(ValueError, match="rank mismatch"):
         bilinear(RootIndex.delta(2), RootIndex.delta(3))
+
+
+@pytest.mark.parametrize("l", range(1, 8))
+def test_pairing_reads_the_cyclic_neighbours_only(l):
+    # the full double sum over the extended matrix, on sparse and dense
+    # random vectors; at l = 1 the one neighbour carries the double bond
+    rng = random.Random(l)
+    n = l + 1
+    for _ in range(200):
+        x, y = ([rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(2))
+        want = sum(x[i] * y[j] * cartan_entry(l, i, j) for i in range(n) for j in range(n))
+        assert _pairing(l, tuple(x), tuple(y)) == want
