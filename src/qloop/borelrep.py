@@ -20,8 +20,14 @@ products of a Sum's Compose children into the Sum's own accumulator, so a
 q-commutator's two products are never stored.  A product term pairs a left
 term (sl, vl) with a right term (sr, vr) as c_L c_R q**(vl.sr) at shift
 sl + sr; a diagonal right term (sr = 0, such as chi, e'_delta or q**h) adds
-no shift and no twist, so the kernel skips both.  Whether a node acts by
-the zero shift only (zero_shift) is memoized beside its terms.
+no shift and no twist, so the kernel skips both.  A Sum child x y
+followed by c y x, the shape that qcomm and chi_bracket build, is one pass
+over the term pairs of x and y: both products of the pair (sx, vx), (sy, vy)
+land on the key (sx + sy, vx + vy), so it adds c_x c_y (q**(vx.sy) +
+c q**(vy.sx)).  With c = -q**k that cancels exactly when vx.sy - vy.sx = k,
+a test on integers, so such a pair does no scalar arithmetic and adds no
+key.  Whether a node acts by the zero shift only (zero_shift) is memoized
+beside its terms.
 terms(expr, m) specializes that at one m, exactly: specializing Q = q**m is
 a ring homomorphism, and a lowering step from occupation 0 carries
 [0]_q = 0, so a target outside the Fock space sums to 0 and _merge drops
@@ -318,10 +324,14 @@ class Evaluator:
     get no memo entry (one shared by several Sums is multiplied out in each).
     In a product, a right term of the zero shift keeps the left term's shift
     and needs no twist q**(vl.sr); any other takes the twist as an exponent
-    add (QRational.shifted).  zero_shift(expr) is memoized in _zero_shift, a
-    function of symbolic(expr): whatever clears _cache must clear _zero_shift
-    too.  terms(expr, m) specializes symbolic(expr) at one basis vector, and
-    apply_basis wraps the pairs in a FockState.
+    add (QRational.shifted).  A child Compose(x, y) followed by
+    Scale(c, Compose(y, x)), matched by node identity, is one pass over the
+    term pairs of x and y: the pair adds c_x c_y (q**(vx.sy) + c q**(vy.sx)),
+    and with c = -q**k a pair whose integer exponents give vx.sy - vy.sx = k
+    cancels and is skipped (see _sum).  zero_shift(expr) is memoized in
+    _zero_shift, a function of symbolic(expr): whatever clears _cache must
+    clear _zero_shift too.  terms(expr, m) specializes symbolic(expr) at one
+    basis vector, and apply_basis wraps the pairs in a FockState.
     """
 
     def __init__(self, spec: RepSpec):
@@ -356,9 +366,22 @@ class Evaluator:
     def _sum(self, children) -> tuple:
         """The sum of children in one accumulator.  A child Compose(L, R) or
         Scale(c, Compose(L, R)) is streamed: its products are added here and
-        it gets no memo entry.  Every other child is read through symbolic."""
+        it gets no memo entry.  Every other child is read through symbolic.
+
+        A child Compose(x, y) followed by Scale(c, Compose(y, x)), c nonzero,
+        is streamed as one pass over the term pairs of x and y.  Both
+        products of a pair (sx, vx, c_x), (sy, vy, c_y) land on the key
+        (sx + sy, vx + vy), so the pair adds c_x c_y (q**a + c q**b) with
+        a = vx.sy and b = vy.sx: one product c_x c_y, one c_x (c c_y) and
+        two exponent adds.  When c = -q**k the pair cancels exactly when
+        a - b = k, so it is skipped on that integer test, with no scalar
+        arithmetic and no key.  As for any product, y is read first and x
+        not at all when y gives no terms."""
         acc = {}
-        for child in children:
+        i, n = 0, len(children)
+        while i < n:
+            child = children[i]
+            i += 1
             c = None
             if type(child) is Scale and type(child.child) is Compose:
                 c, child = child.c, child.child
@@ -372,9 +395,30 @@ class Evaluator:
             # the left factor acts on v_{m+sr}, where its Q**vl reads q**(vl.(m+sr));
             # it is read once, and not at all when the right factor gives 0
             right = self.symbolic(child.right)
+            pair = children[i] if c is None and i < n else None
+            fused = (type(pair) is Scale and pair.c and type(pair.child) is Compose
+                     and pair.child.left is child.right and pair.child.right is child.left)
+            if fused:
+                i += 1
             if not right:
                 continue
             left = self.symbolic(child.left)
+            if fused:
+                # x y + c y x in one pass over the term pairs; kc is the k of
+                # c = -q**k, or None, which no integer a - b equals
+                c = pair.c
+                kc = (-c).as_q_power()
+                for (sy, vy), cy in right:
+                    ccy = c * cy if kc is None else -cy.shifted(kc)
+                    for (sx, vx), cx in left:
+                        a, b = _dot(vx, sy), _dot(vy, sx)
+                        if a - b == kc:
+                            continue
+                        k = (_vadd(sx, sy), _vadd(vx, vy))
+                        x = (cx * cy).shifted(a) + (cx * ccy).shifted(b)
+                        y = acc.get(k)
+                        acc[k] = x if y is None else y + x
+                continue
             for (sr, vr), cr in right:
                 if c is not None:
                     cr = c * cr

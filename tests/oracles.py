@@ -12,7 +12,9 @@
   scalar layer from outside the field.
 - Symbolic action node by node: every Compose, Scale and Sum of a tree
   evaluated and kept on its own (symbolic_by_nodes), where qloop streams a
-  Sum's products into one accumulator and keeps only the nodes read again
+  Sum's products into one accumulator, evaluates a q-commutator pair
+  x y + c y x in one pass over term pairs, skipping the pairs that cancel on
+  their integer exponents, and keeps only the nodes read again
   (borelrep.Evaluator.symbolic).
 - The weight table: lambda_{m, a} typed in per module, where qloop reads it
   off Psi_i(0) (lweights.oscillator_lweight(spec, m).weight).
@@ -329,9 +331,9 @@ def symbolic_by_nodes(ev, expr, memo=None) -> dict:
     Every Compose, Scale and Sum is its own result: a Compose multiplies its
     factors' results, a Scale scales its child's and a Sum merges its
     children's, each dropping zero sums.  qloop instead streams a Sum's
-    Compose children into one accumulator (Evaluator.symbolic).  memo maps
-    nodes to results and is owned by the caller; ev is read only for its
-    representation.
+    Compose children into one accumulator and fuses a q-commutator pair
+    (Evaluator.symbolic).  memo maps nodes to results and is owned by the
+    caller; ev is read only for its representation.
     """
     if memo is None:
         memo = {}

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (apply_at, apply_word, qh_exponent, specialize, state_add, state_scale,
                      state_sub, symbolic_by_nodes, twist_consistency)
-from qloop import borelrep, cli
+from qloop import borelrep, cli, rootvectors
 from qloop.borelrep import (CartanPower, Compose, Evaluator, Gen, OscWord, RepSpec,
                             Scale, Sum, _vanishes_on, get_evaluator, identity, image_e,
                             image_qh, power, serre_check, serre_sum, weight_relation_check)
@@ -651,6 +651,85 @@ def test_products_with_a_diagonal_right_factor_match_the_oracle(l):
                 nonzero.add(tree)
     # so that each comparison above is of a nonempty result somewhere
     assert nonzero == set(trees)
+
+
+def _commutator_roots(l: int) -> list:
+    """Every level-zero chain and the real, dual and primed imaginary root
+    vectors through n = 3: trees of q-commutator pairs x y + c y x with
+    c = -q**k."""
+    chains = {tuple(range(i, j)) for i in range(1, l + 1) for j in range(i + 1, l + 2)}
+    chains |= {tuple(range(j, l + 1)) + (0,) for j in range(2, l + 2)}
+    chains |= {tuple(range(i - 1, 0, -1)) for i in range(2, l + 1)}
+    trees = [rootvectors._chain(l, ks) for ks in sorted(chains)]
+    for i in range(1, l + 1):
+        for j in range(i + 1, l + 2):
+            trees += [f(l, i, j, n) for f in (e_real, e_dual) for n in range(4)]
+            trees += [e_prime_imag(l, i, j, n) for n in range(1, 4)]
+    return trees
+
+
+def _pair_edge_sums(l: int) -> list:
+    """Hand-built Sums around the pair x y + c y x; only the first is fused."""
+    x, y = e_real(l, 1, 2, 1), e_dual(l, 1, 2, 0)
+    xy, yx = Compose(x, y), Compose(y, x)
+    c = -qnum(2)  # not a monomial, so no pair cancels on its integers
+    return [Sum((xy, Scale(c, yx))),
+            Sum((Scale(c, yx), xy)),  # reversed child order
+            Sum((xy, Gen(0), Scale(c, yx))),  # split by a third child
+            Sum((xy, Scale(QRational.zero(), yx))),  # a zero partner
+            Sum((Scale(qp(1), xy), Scale(c, yx))),  # a scaled first product
+            Sum((Compose(x, x), Scale(c, Compose(x, x))))]  # x is y
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_commutator_pairs_match_the_oracle(l):
+    # the one-pass evaluation of x y + c y x against the node-by-node
+    # oracle, which multiplies out both products of every term pair; the
+    # unprimed imaginary roots and the loop relation trees, whose chi_bracket
+    # heads have c = -1, are test_root_vectors_match_the_oracle's and
+    # test_loop_relation_trees_match_the_oracle's
+    trees = _commutator_roots(l) + _pair_edge_sums(l)
+    nonzero = set()
+    for spec in _modules([l]):
+        ev, memo = Evaluator(spec), {}
+        for tree in trees:
+            if assert_matches_nodes(ev, tree, memo):
+                nonzero.add(tree)
+    # so that each comparison above is of a nonempty result somewhere
+    assert nonzero == set(trees)
+
+
+def test_a_commutator_of_commuting_generators_does_no_scalar_arithmetic(monkeypatch):
+    # [e_1, e_3]_q at l = 3 has c = -q**0: every term pair cancels on its
+    # integer exponents, so the pass multiplies and adds no QRational
+    l = 3
+    tree = qcomm(Gen(1), RootIndex.simple(l, 1), Gen(3), RootIndex.simple(l, 3))
+    assert tree.children[1].c == -ONE
+    counts = {"__mul__": 0, "__add__": 0}
+    for name in counts:
+        def counted(self, other, name=name, op=getattr(QRational, name)):
+            counts[name] += 1
+            return op(self, other)
+        monkeypatch.setattr(QRational, name, counted)
+    for spec in _modules([l]):
+        ev = Evaluator(spec)
+        assert ev.symbolic(Gen(1)) and ev.symbolic(Gen(3))
+        before = dict(counts)
+        assert ev.symbolic(tree) == ()
+        assert counts == before, spec
+
+
+def test_a_commutator_with_an_empty_right_factor_never_reads_the_left():
+    # y acts as 0 (a commutator of commuting generators), so neither
+    # product of x y + c y x reads x
+    l = 3
+    a1, a3 = RootIndex.simple(l, 1), RootIndex.simple(l, 3)
+    z = qcomm(Gen(1), a1, Gen(3), a3)
+    x = e_real(l, 1, 3, 1)
+    for spec in _modules([l]):
+        ev = Evaluator(spec)
+        assert ev.symbolic(qcomm(x, RootIndex.alpha(l, 1, 3) + RootIndex.delta(l), z, a1 + a3)) == ()
+        assert z in ev._cache and x not in ev._cache
 
 
 # ------------------------------------------------------------------------ repr

@@ -3,10 +3,12 @@
 import argparse
 import contextlib
 import hashlib
+import inspect
 import io
 import itertools
 import json
 import shlex
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -557,6 +559,54 @@ def test_a_wrong_product_twist_fails_through_the_cli(cold_roots, capsys, twist, 
     assert code == (0 if last == "all checks passed" else 1)
 
 
+def _mutated_sum(old: str, new: str):
+    """Evaluator._sum compiled from its own source with the one occurrence
+    of old replaced by new, in a copy of the borelrep namespace."""
+    src = textwrap.dedent(inspect.getsource(borelrep.Evaluator._sum))
+    assert src.count(old) == 1
+    scope = dict(vars(borelrep))
+    exec(compile(src.replace(old, new), borelrep.__file__, "exec"), scope)
+    return scope["_sum"]
+
+
+# single-point mutants of the one-pass q-commutator pair x y + c y x, with
+# c = -q**k, a = vx.sy and b = vy.sx.  The kept mutant recompiles the source
+# unchanged and checks the harness itself.
+_PAIR_MUTANTS = {
+    "kept": ("if a - b == kc:", "if a - b == kc:"),
+    "swapped": ("a, b = _dot(vx, sy), _dot(vy, sx)", "b, a = _dot(vx, sy), _dot(vy, sx)"),
+    "k-flipped": ("if a - b == kc:", "if b - a == kc:"),
+    "power-dropped": ("-cy.shifted(kc)", "-cy"),
+}
+# (mutant, argv, last line).  verify sees all three.  serre sees none: a
+# Serre sum has no pair x y + c y x.  drinfeld sees only the dropped power:
+# the swapped exponents and the flipped k change chi, xi+-, e'_delta and
+# e_{delta - alpha_i} in every module at l = 3, but the changed operators
+# still satisfy the loop relations, so only the closed forms catch them.
+_PAIR_RUNS = [
+    ("kept", _VERIFY_L3_M1, "all checks passed"),
+    ("kept", _DRINFELD_L3, "all checks passed"),
+    ("swapped", _VERIFY_L3_M1, "168 discrepancies"),
+    ("swapped", _SERRE_L3, "all checks passed"),
+    ("swapped", _DRINFELD_L3, "all checks passed"),
+    ("k-flipped", _VERIFY_L3_M1, "132 discrepancies"),
+    ("k-flipped", _SERRE_L3, "all checks passed"),
+    ("k-flipped", _DRINFELD_L3, "all checks passed"),
+    ("power-dropped", _VERIFY_L3_M1, "132 discrepancies"),
+    ("power-dropped", _SERRE_L3, "all checks passed"),
+    ("power-dropped", _DRINFELD_L3, "220 failures"),
+]
+
+
+@pytest.mark.parametrize("mutant,argv,last", _PAIR_RUNS,
+                         ids=[f"{m}-{argv[0]}-l{argv[2]}" for m, argv, _ in _PAIR_RUNS])
+def test_a_wrong_commutator_pair_fails_through_the_cli(cold_roots, capsys, mutant, argv, last):
+    cold_roots.setattr(borelrep.Evaluator, "_sum", _mutated_sum(*_PAIR_MUTANTS[mutant]))
+    code = cli.main(argv)
+    assert capsys.readouterr().out.splitlines()[-1] == last
+    assert code == (0 if last == "all checks passed" else 1)
+
+
 def _counted_decisions(monkeypatch) -> list:
     """Fresh evaluators, and a list that gets one entry per relation the CLI evaluates."""
     monkeypatch.setattr(borelrep, "_EVALUATORS", {})
@@ -914,6 +964,33 @@ _GOLDEN = {
     (["drinfeld", "--l", "2", "--nmax", "8", "--mmax", "1"],
      "679ba776a01fe1606fced0801e2292e87294e7fb3d19e8aa12a024e9f7d9bb16",
      "92388b6de7f887ce018bbccb44748c46d39e7dab96204e591948170c1b298e64"),
+    # the benchmark argv at seeds 2 and 3 (seed 1 is the verify, drinfeld and
+    # factor rows; drinfeld's argv takes no seed) and a primed imaginary root,
+    # recorded before a Sum's q-commutator pair was evaluated in one pass
+    "verify-grid-seed2":
+    (["verify", "--l", "3", "--order", "8", "--mmax", "2", "--zs=-2*q^3"],
+     "83b558125632cd8f50bd6dfba81a657f7639182f2bc63052b272bb649141ca0e",
+     "cbcc274d99dc9895222561e00d5c1a4b5593f4afce89fa9020720055e98a40d1"),
+    "verify-grid-seed3":
+    (["verify", "--l", "3", "--order", "8", "--mmax", "2", "--zs=2*q^-1"],
+     "83b558125632cd8f50bd6dfba81a657f7639182f2bc63052b272bb649141ca0e",
+     "da9c761aeee29f50d3c62eb9a5407dd8ee0e5fd587d6ce24f1a2aeefd4bf1ddd"),
+    "factor-closed-seed2":
+    (["factor", "--l", "20", "--kind", "all", "--zs=2*q^-2",
+      "--zs-list=-2*q^3,-1*q^-3,-1*q^1,-1*q^-3,-1*q^-2,-1*q^0,-2*q^-2,2*q^2,2*q^3,-1*q^-2,2*q^3,"
+      "2*q^2,2*q^0,-1*q^-1,-1*q^1,-1*q^3,-1*q^-3,-2*q^2,-1*q^0,1*q^-3,-1*q^1"],
+     "99ba3f47fb2065a37d27a0f4034a6c1a48e395ef162a266feb7bb68a937fd088",
+     "f50bb05f6aeaac9439822f9426c63c0b8f25ab44691ba0983f3a2359c9556ee3"),
+    "factor-closed-seed3":
+    (["factor", "--l", "20", "--kind", "all", "--zs=1*q^1",
+      "--zs-list=1*q^0,-2*q^0,-1*q^-1,-1*q^3,-2*q^0,1*q^-3,1*q^3,-1*q^-2,1*q^-2,-2*q^3,-1*q^-1,"
+      "1*q^1,1*q^1,1*q^-3,-1*q^1,-1*q^-3,1*q^-2,1*q^-3,2*q^2,2*q^-1,-1*q^-3"],
+     "99ba3f47fb2065a37d27a0f4034a6c1a48e395ef162a266feb7bb68a937fd088",
+     "e514b231a2c3715f037b03baf4f4510b298d4589ed5a0c9171341b664eaf5496"),
+    "dump-op-prime-2-4":
+    (["dump-op", "--l", "3", "--a", "2", "--root", "prime:2,4", "--json"],
+     "0e207b26370e9216a653b1b1dd2d73c65d732f3e1ae98a28b1e56d1983aa50a0",
+     "8b440c4e630732d5526d77c595188601b8c1e2cb4682fa2b1b2ae2ae443a458d"),
 }
 
 
