@@ -170,9 +170,10 @@ def _decide(args, relations: list, what: str) -> int:
     before this one and this tree, so this tree vanishes with m symbolic
     wherever the one before does, once every operator in ops acts with only
     the zero shift.  When the relation before is known to be empty with m
-    symbolic in this module and the ops are, the relation passes and is not
-    evaluated.  Every other relation (every Serre relation, the first of
-    each loop chain, and any relation after a nonempty one) is evaluated."""
+    symbolic in this module and the ops are (read once per module and ops),
+    the relation passes and is not evaluated.  Every other relation (every
+    Serre relation, the first of each loop chain, and any relation after a
+    nonempty one) is evaluated."""
     samples = list(itertools.product(range(args.mmax + 1), repeat=args.l))
     found = []
     families = _families(args)
@@ -180,9 +181,14 @@ def _decide(args, relations: list, what: str) -> int:
         spec = RepSpec(args.l, a, bar)
         ev = get_evaluator(spec)
         empty = False  # the relation before is empty with m symbolic here
+        diagonal = {}  # follows -> whether every op in it acts by the zero shift here
         for i, index, tree, status, follows in relations:
-            if follows is not None and empty and all(ev.zero_shift(op) for op in follows):
-                continue
+            if follows is not None and empty:
+                ok = diagonal.get(follows)
+                if ok is None:
+                    ok = diagonal[follows] = all(ev.zero_shift(op) for op in follows)
+                if ok:
+                    continue
             if _vanishes_on(spec, tree, samples):
                 empty = not ev.symbolic(tree)
             else:

@@ -21,12 +21,17 @@ q with integer coefficients.  Three layers live here:
   with a factor outside all five falls back to a polynomial gcd (_pgcd).
   The dense numerator and denominator stay available as the read-only
   views ``num`` and ``den``.  QRational is hash-consed: there is one object
-  per value, held in the table _VALUES, so ``==`` is identity and copies
-  and pickles give back that object.  Sums and products are memoized per
-  operand pair in _ADD and _MUL, because the checks repeat most of their
-  arithmetic on equal operands.  _ADD and _MUL are pure caches and may be
-  cleared at any time; _VALUES must never be cleared while any QRational is
-  alive.
+  per value, so ``==`` is identity and copies and pickles give back that
+  object.  What is interned is the q-free core n/d of each value, in the
+  table _VALUES under (n, d); each core keeps a table from e to the value
+  q**e * n/d, so shifted(k) is an integer-keyed lookup.  The checks' scalars
+  are powers of q times a few q-free fractions (kappa**-1, [2]_q**-1 and
+  their products), so sums, products and negations are memoized on cores:
+  _MUL under the two cores, _ADD under the two cores and the relative
+  exponent e_y - e_x, _NEG under the core, and the result is shifted by the
+  operands' exponents, so one entry serves every power of q.  _ADD, _MUL
+  and _NEG are pure caches and may be cleared at any time; _VALUES and the
+  core tables must never be cleared while any QRational is alive.
 
 - USeries: a truncated power series in a spectral variable u with QRational
   coefficients, for display and comparison only; it has no arithmetic.
@@ -322,17 +327,22 @@ class QRational(Frozen):
     dense numerator and denominator are the read-only views ``num`` and
     ``den``.  The public constructor normalizes any dense pair.
 
-    There is one object per value: every construction ends in _make, which
-    returns the entry of the value table _VALUES, so equality is identity
-    and the hash is the object's.  ``+`` and ``*`` look up their operand
-    pair in _ADD and _MUL before computing; ``-``, ``/`` and the reflected
-    operators go through them.  shifted(k), the product by q**k, reads
-    neither table.  _ADD and _MUL may be cleared at any time;
-    _VALUES must never be cleared while any QRational is alive, or equal
-    values would stop comparing equal.
+    There is one object per value: every construction ends in _make, so
+    equality is identity and the hash is the object's.  Each value points to
+    its core (_core), the interned q-free value n/d with e = 0, found in
+    _VALUES under (n, d); a core and every shift of it share one table
+    (_shifts) from e to the value q**e * n/d.  shifted(k), the product by
+    q**k, is a lookup in that table and reads neither _MUL nor _canon.
+    ``*`` looks up the two cores in _MUL and shifts the result by e_x + e_y;
+    ``+`` looks up the two cores and e_y - e_x in _ADD and shifts the result
+    by e_x; ``-x`` shifts _NEG's negation of the core by e_x.  ``-``, ``/``
+    and the reflected operators go through these.  _ADD, _MUL and _NEG are
+    pure caches and may be cleared at any time; _VALUES and the core tables
+    must never be cleared while any QRational is alive, or equal values
+    would stop comparing equal.
     """
 
-    __slots__ = ("_e", "_n", "_d")
+    __slots__ = ("_e", "_n", "_d", "_core", "_shifts")
 
     def __new__(cls, num, den=(1,)):
         if isinstance(num, int):
@@ -372,10 +382,13 @@ class QRational(Frozen):
 
     def shifted(self, k: int) -> "QRational":
         """self * q**k, as an exponent add: q**k is a unit of the Laurent
-        normal form, so the value is found without _MUL or _canon."""
+        normal form, so the value is found in the core's table, without _MUL
+        or _canon."""
         if not k or not self._n:
             return self
-        return _make(self._e + k, self._n, self._d)
+        e = self._e + k
+        r = self._shifts.get(e)
+        return _new_shift(self._core, e) if r is None else r
 
     # -- predicates and views
 
@@ -414,36 +427,25 @@ class QRational(Frozen):
         o = other if type(other) is QRational else self._coerce(other)
         if o is NotImplemented:
             return o
-        key = (self, o)
+        if not o._n:
+            return self
+        if not self._n:
+            return o
+        e = self._e
+        key = (self._core, o._core, o._e - e)
         r = _ADD.get(key)
         if r is None:
-            r = _ADD[key] = self._add(o)
-        return r
+            r = _ADD[key] = _add(*key)
+        return r.shifted(e)
 
     __radd__ = __add__
 
-    def _add(self, o):
-        xn, yn = self._n, o._n
-        if not xn:
-            return o
-        if not yn:
-            return self
-        xd, yd = self._d, o._d
-        # line up the powers of q: shift the operand with the higher exponent
-        k = o._e - self._e
-        if k < 0:
-            xn, yn, xd, yd, k = yn, xn, yd, xd, -k
-        e = min(self._e, o._e)
-        if xd == yd:
-            return _canon(e, _padd(xn, yn, k), xd, len(xd) > 1)
-        # common factors of the sum and d can only come from gcd(xd, yd)
-        return _canon(e, _padd(_pmul(xn, yd), _pmul(yn, xd), k), _pmul(xd, yd),
-                      len(xd) > 1 and len(yd) > 1)
-
     def __neg__(self):
-        if not self._n:
-            return self
-        return _make(self._e, _pneg(self._n), self._d)
+        c = self._core
+        r = _NEG.get(c)
+        if r is None:
+            r = _NEG[c] = _make(0, _pneg(c._n), c._d)
+        return r.shifted(self._e)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -458,25 +460,13 @@ class QRational(Frozen):
         o = other if type(other) is QRational else self._coerce(other)
         if o is NotImplemented:
             return o
-        key = (self, o)
+        key = (self._core, o._core)
         r = _MUL.get(key)
         if r is None:
-            r = _MUL[key] = self._mul(o)
-        return r
+            r = _MUL[key] = _mul(*key)
+        return r.shifted(self._e + o._e)
 
     __rmul__ = __mul__
-
-    def _mul(self, o):
-        xn, yn = self._n, o._n
-        if not xn or not yn:
-            return _QR_ZERO
-        xd, yd = self._d, o._d
-        # each operand is reduced, so only the cross pairs can share factors
-        if len(yd) > 1 and len(xn) > 1:
-            xn, yd = _cancel(xn, yd)
-        if len(xd) > 1 and len(yn) > 1:
-            yn, xd = _cancel(yn, xd)
-        return _canon(self._e + o._e, _pmul(xn, yn), _pmul(xd, yd), False)
 
     def inv(self) -> "QRational":
         n, d = self._d, self._n
@@ -532,26 +522,72 @@ class QRational(Frozen):
 _set_e = QRational._e.__set__
 _set_n = QRational._n.__set__
 _set_d = QRational._d.__set__
+_set_core = QRational._core.__set__
+_set_shifts = QRational._shifts.__set__
 
 
-# (e, n, d) -> the one QRational of that value; never cleared while any
-# QRational is alive.  (x, y) -> x + y and x * y; pure caches.
+# (n, d) -> the core n/d, whose _shifts table maps e -> q**e * n/d; neither
+# is ever cleared while any QRational is alive.  Pure caches: (core x, core
+# y) -> x * y, (core x, core y, k) -> x + q**k y, and core x -> -x.
 _VALUES = {}
-_ADD = {}
 _MUL = {}
+_ADD = {}
+_NEG = {}
 
 
 def _make(e, n, d) -> QRational:
     # q**e * n/d, already in Laurent normal form; n and d are tuples
-    key = (e, n, d)
-    r = _VALUES.get(key)
-    if r is None:
-        r = object.__new__(QRational)
-        _set_e(r, e)
-        _set_n(r, n)
-        _set_d(r, d)
-        _VALUES[key] = r
+    core = _VALUES.get((n, d))
+    if core is None:
+        core = object.__new__(QRational)
+        _set_e(core, 0)
+        _set_n(core, n)
+        _set_d(core, d)
+        _set_core(core, core)
+        _set_shifts(core, {0: core})
+        _VALUES[n, d] = core
+    return core.shifted(e)
+
+
+def _new_shift(core, e) -> QRational:
+    # q**e * core, not yet in the core's table (e != 0, core nonzero)
+    r = object.__new__(QRational)
+    _set_e(r, e)
+    _set_n(r, core._n)
+    _set_d(r, core._d)
+    _set_core(r, core)
+    shifts = core._shifts
+    _set_shifts(r, shifts)
+    shifts[e] = r
     return r
+
+
+def _mul(x, y) -> QRational:
+    """The core x * y of two cores."""
+    xn, yn = x._n, y._n
+    if not xn or not yn:
+        return _QR_ZERO
+    xd, yd = x._d, y._d
+    # each operand is reduced, so only the cross pairs can share factors
+    if len(yd) > 1 and len(xn) > 1:
+        xn, yd = _cancel(xn, yd)
+    if len(xd) > 1 and len(yn) > 1:
+        yn, xd = _cancel(yn, xd)
+    return _canon(0, _pmul(xn, yn), _pmul(xd, yd), False)
+
+
+def _add(x, y, k) -> QRational:
+    """x + q**k * y for two nonzero cores."""
+    xn, yn, xd, yd = x._n, y._n, x._d, y._d
+    # line up the powers of q: shift the operand with the higher exponent
+    e = 0
+    if k < 0:
+        xn, yn, xd, yd, k, e = yn, xn, yd, xd, -k, k
+    if xd == yd:
+        return _canon(e, _padd(xn, yn, k), xd, len(xd) > 1)
+    # common factors of the sum and d can only come from gcd(xd, yd)
+    return _canon(e, _padd(_pmul(xn, yd), _pmul(yn, xd), k), _pmul(xd, yd),
+                  len(xd) > 1 and len(yd) > 1)
 
 
 def _canon(e, n, d, cancel) -> QRational:

@@ -559,14 +559,14 @@ def test_a_wrong_product_twist_fails_through_the_cli(cold_roots, capsys, twist, 
     assert code == (0 if last == "all checks passed" else 1)
 
 
-def _mutated_sum(old: str, new: str):
-    """Evaluator._sum compiled from its own source with the one occurrence
-    of old replaced by new, in a copy of the borelrep namespace."""
-    src = textwrap.dedent(inspect.getsource(borelrep.Evaluator._sum))
+def _mutated(func, module, old: str, new: str):
+    """func compiled from its own source with the one occurrence of old
+    replaced by new, in a copy of module's namespace."""
+    src = textwrap.dedent(inspect.getsource(func))
     assert src.count(old) == 1
-    scope = dict(vars(borelrep))
-    exec(compile(src.replace(old, new), borelrep.__file__, "exec"), scope)
-    return scope["_sum"]
+    scope = dict(vars(module))
+    exec(compile(src.replace(old, new), module.__file__, "exec"), scope)
+    return scope[func.__name__]
 
 
 # single-point mutants of the one-pass q-commutator pair x y + c y x, with
@@ -601,7 +601,70 @@ _PAIR_RUNS = [
 @pytest.mark.parametrize("mutant,argv,last", _PAIR_RUNS,
                          ids=[f"{m}-{argv[0]}-l{argv[2]}" for m, argv, _ in _PAIR_RUNS])
 def test_a_wrong_commutator_pair_fails_through_the_cli(cold_roots, capsys, mutant, argv, last):
-    cold_roots.setattr(borelrep.Evaluator, "_sum", _mutated_sum(*_PAIR_MUTANTS[mutant]))
+    cold_roots.setattr(borelrep.Evaluator, "_sum",
+                       _mutated(borelrep.Evaluator._sum, borelrep, *_PAIR_MUTANTS[mutant]))
+    code = cli.main(argv)
+    assert capsys.readouterr().out.splitlines()[-1] == last
+    assert code == (0 if last == "all checks passed" else 1)
+
+
+class _FiledUnder(dict):
+    """A result table that files each key under file(key)."""
+
+    def __init__(self, file):
+        super().__init__()
+        self.file = file
+
+    def get(self, key):
+        return dict.get(self, self.file(key))
+
+    def __setitem__(self, key, value):
+        dict.__setitem__(self, self.file(key), value)
+
+
+def _scalar_tables(monkeypatch, file_sum, old: str, new: str):
+    """Fresh _ADD (filing each key under file_sum(key)), _MUL and _NEG, and
+    QRational.__mul__ with old replaced by new in its source."""
+    monkeypatch.setattr(exactfield, "_ADD", _FiledUnder(file_sum))
+    monkeypatch.setattr(exactfield, "_MUL", {})
+    monkeypatch.setattr(exactfield, "_NEG", {})
+    mul = _mutated(QRational.__mul__, exactfield, old, new)
+    monkeypatch.setattr(QRational, "__mul__", mul)
+    monkeypatch.setattr(QRational, "__rmul__", mul)
+
+
+_PRODUCT_SHIFT = "r.shifted(self._e + o._e)"
+# single-point mutants of the core-keyed scalar tables: a sum filed under the
+# two cores without their relative exponent, so the first sum of two cores
+# answers for every other, and a product shifted by the left exponent alone.
+# The kept mutant runs both harnesses unchanged.
+_SCALAR_MUTANTS = {
+    "kept": (lambda key: key, _PRODUCT_SHIFT, _PRODUCT_SHIFT),
+    "sum-key": (lambda key: key[:2], _PRODUCT_SHIFT, _PRODUCT_SHIFT),
+    "product-shift": (lambda key: key, _PRODUCT_SHIFT, "r.shifted(self._e)"),
+}
+_FACTOR_L5 = ["factor", "--l", "5"]
+# (mutant, argv, last line).  factor does not see the sum key: the closed
+# forms multiply their factors and add no two scalars.
+_SCALAR_RUNS = [
+    ("kept", _VERIFY_L3, "all checks passed"),
+    ("kept", _DRINFELD_L3, "all checks passed"),
+    ("kept", _FACTOR_L5, "all checks passed"),
+    ("sum-key", _VERIFY_L3, "486 discrepancies"),
+    ("sum-key", _DRINFELD_L3, "141 failures"),
+    ("sum-key", _SERRE_L3, "24 failures"),
+    ("sum-key", _FACTOR_L5, "all checks passed"),
+    ("product-shift", _VERIFY_L3, "486 discrepancies"),
+    ("product-shift", _DRINFELD_L3, "280 failures"),
+    ("product-shift", _SERRE_L3, "90 failures"),
+    ("product-shift", _FACTOR_L5, "10 failures"),
+]
+
+
+@pytest.mark.parametrize("mutant,argv,last", _SCALAR_RUNS,
+                         ids=[f"{m}-{argv[0]}-l{argv[2]}" for m, argv, _ in _SCALAR_RUNS])
+def test_a_wrong_scalar_table_fails_through_the_cli(cold_roots, capsys, mutant, argv, last):
+    _scalar_tables(cold_roots, *_SCALAR_MUTANTS[mutant])
     code = cli.main(argv)
     assert capsys.readouterr().out.splitlines()[-1] == last
     assert code == (0 if last == "all checks passed" else 1)

@@ -467,11 +467,38 @@ def test_memoized_sums_and_products_are_correct(a, b):
 
 def test_result_tables_may_be_cleared(monkeypatch):
     x, y = qnum(3), QRational((1, 1), (2, -1))
-    product, total = x * y, x + y
-    monkeypatch.setattr(exactfield, "_MUL", {})
-    monkeypatch.setattr(exactfield, "_ADD", {})
-    assert x * y is product and x + y is total
-    assert exactfield._MUL == {(x, y): product}
+    product, total, negation = x * y, x + y, -x
+    for table in ("_MUL", "_ADD", "_NEG"):
+        monkeypatch.setattr(exactfield, table, {})
+    assert x * y is product and x + y is total and -x is negation
+    # [3]_q = q**-2 (1 + q**2 + q**4): the keys hold its q-free core, and a
+    # sum's key the relative exponent of its operands
+    core = x.shifted(2)
+    assert exactfield._MUL == {(core, y): product.shifted(2)}
+    assert exactfield._ADD == {(core, y, 2): total.shifted(2)}
+    assert exactfield._NEG == {core: negation.shifted(2)}
+
+
+@given(shift_operands, shift_operands, st.integers(-50, 50), st.integers(-50, 50))
+@settings(max_examples=60, deadline=None)
+def test_one_table_entry_serves_every_power_of_q(x, y, a, b):
+    xa, yb = x.shifted(a), y.shifted(b)
+    product, total, negation = xa * yb, xa + yb, -xa
+    assert product is (x * y).shifted(a + b)
+    assert total is (x + y.shifted(b - a)).shifted(a)
+    assert negation is (-x).shifted(a)
+    xv = [specialize(xa, p) for p in POINTS]
+    yv = [specialize(yb, p) for p in POINTS]
+    for got, want in ((product, [u * v for u, v in zip(xv, yv)]),
+                      (total, [u + v for u, v in zip(xv, yv)]),
+                      (negation, [-u for u in xv])):
+        assert [specialize(got, p) for p in POINTS] == want
+    # a product that differs only in its exponents reads the same entry
+    entries = len(exactfield._MUL)
+    assert x.shifted(a + 1) * y.shifted(b - 3) is product.shifted(-2)
+    assert len(exactfield._MUL) == entries
+    for z in (xa, product, total, negation):
+        assert pickle.loads(pickle.dumps(z)) is z
 
 
 # -------------------------------------------------------------------- series

@@ -142,9 +142,11 @@ def test_constant_term_law_links_the_two_catalogs():
 
 def test_scalar_work_repeats_between_interpreters():
     # the closed side multiplies its roots in a canonical order, not in the
-    # address order of a frozenset, so two runs intern the same scalars
+    # address order of a frozenset, so two runs intern the same scalars: the
+    # same cores, and the same shifts of each
     code = ("import sys; from qloop import cli, exactfield; "
-            "assert cli.main(sys.argv[1:]) == 0; print(len(exactfield._VALUES))")
+            "assert cli.main(sys.argv[1:]) == 0; "
+            "print(sum(len(core._shifts) for core in exactfield._VALUES.values()))")
     argv = ["verify", "--l", "3", "--order", "8", "--mmax", "2", "--zs=2*q^-2"]
     src = str(pathlib.Path(qloop.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
