@@ -44,6 +44,7 @@ from .record import Frozen, Record
 from .rootsys import CartanExponent, RootIndex, cartan_entry
 
 _ONE = QRational.one()
+_ZERO = QRational.zero()  # the one zero: the hot loops test scalars by identity
 _KAPPA_INV = kappa().inv()
 
 
@@ -353,7 +354,7 @@ class Evaluator:
             out = self._sum((expr,))
         elif kind is Scale:
             c = expr.c
-            out = tuple((k, c * x) for k, x in self.symbolic(expr.child)) if c else ()
+            out = () if c is _ZERO else tuple((k, c * x) for k, x in self.symbolic(expr.child))
         elif kind is Gen:
             out = self._e_words[expr.i].terms(self.pattern)
         elif kind is CartanPower:
@@ -385,7 +386,7 @@ class Evaluator:
             c = None
             if type(child) is Scale and type(child.child) is Compose:
                 c, child = child.c, child.child
-                if not c:
+                if c is _ZERO:
                     continue
             if type(child) is not Compose:
                 for k, x in self.symbolic(child):
@@ -396,7 +397,7 @@ class Evaluator:
             # it is read once, and not at all when the right factor gives 0
             right = self.symbolic(child.right)
             pair = children[i] if c is None and i < n else None
-            fused = (type(pair) is Scale and pair.c and type(pair.child) is Compose
+            fused = (type(pair) is Scale and pair.c is not _ZERO and type(pair.child) is Compose
                      and pair.child.left is child.right and pair.child.right is child.left)
             if fused:
                 i += 1
@@ -435,7 +436,7 @@ class Evaluator:
                     x = cl * cr
                     y = acc.get(k)
                     acc[k] = x if y is None else y + x
-        return tuple((k, x) for k, x in acc.items() if x)
+        return tuple((k, x) for k, x in acc.items() if x is not _ZERO)
 
     def zero_shift(self, expr: OpExpr) -> bool:
         """expr acts with m symbolic by terms of the zero shift only; any two
@@ -461,7 +462,7 @@ def _merge(pairs) -> tuple:
     for t, x in pairs:
         y = acc.get(t)
         acc[t] = x if y is None else y + x
-    return tuple((t, x) for t, x in acc.items() if x)
+    return tuple((t, x) for t, x in acc.items() if x is not _ZERO)
 
 
 _EVALUATORS = {}

@@ -11,16 +11,17 @@ stderr).  JSON output is deterministic: keys are sorted and scalars
 use the canonical exact encodings from exactfield.
 
 drinfeld decides the loop relations chain by chain: the relations of one
-(i, j, n) and sign, over k.  The first relation of a chain is evaluated.  A
-later one, R_k, passes without evaluation when (a) rootvectors.loop_step
-matches R_k and the relation just before it, R_{k-1}, as the same bracket
-with chi_{i,n}, one scalar and xi_{j,k}, xi_{j,n+k} the level steps of the
-xi before them (checked once per command; the matched operators are the
-relation's follows), (b) chi_{i,n}, e'_{delta,alpha_j} and, for xi-, q**h_j
-act with only the zero shift in the module, and (c) R_{k-1} is empty with m
-symbolic in that module.  Then R_k is a commutator of R_{k-1} with
-e'_{delta,alpha_j} (the Jacobi identity), so it is empty too.  Where a
-hypothesis fails, R_k is evaluated like every other relation.
+(i, j, n) and sign, over k, each given by its parts (rootvectors.loop_parts)
+C = chi_{i,n}, X = xi_{j,k}, a scalar c and Y = xi_{j,n+k}.  The first
+relation of a chain is evaluated.  A later one, R_k, passes without
+evaluation when (a) rootvectors.loop_step matches its parts with those of
+R_{k-1}: the same C and c, and X, Y the level steps of the X, Y before
+(matched once per command; the matched operators are the relation's
+follows), (b) chi_{i,n}, e'_{delta,alpha_j} and, for xi-, q**h_j act with
+only the zero shift in the module, and (c) R_{k-1} is empty with m symbolic
+in that module.  Then R_k is a commutator of R_{k-1} with e'_{delta,alpha_j}
+(the Jacobi identity), so it is empty too.  Every other relation is
+evaluated, from the tree [C, X] + c Y assembled once per command.
 
 The spectral twist is given as a tiny exact expression over q: factors
 separated by '*', each an integer, a ratio like '3/2', or a power 'q^-2'
@@ -31,6 +32,7 @@ all the exponents of a twist.  Examples: 'q^3', '-2*q^-1', '1/2'.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -40,8 +42,8 @@ from .exactfield import QRational, qrational_to_json, urational_to_json
 from .lweights import (Undecided, VectorChecks, closed_psi, discrepancy, factor_sides,
                        oscillator_lweight, verify_grid)
 from .rootsys import CartanExponent
-from .rootvectors import (chi_bracket, e_dual, e_prime_imag, e_real, e_unprimed_imag,
-                          loop_step, xi_minus, xi_plus)
+from .rootvectors import (_level_step, bracket_tree, e_dual, e_prime_imag, e_real,
+                          e_unprimed_imag, loop_parts, loop_step, xi_minus, xi_plus)
 
 _DEFAULT_ORDER = 6
 
@@ -161,19 +163,19 @@ def _cmd_lweight(args) -> int:
                    lam.omega, [urational_to_json(f) for f in psi])
 
 
-def _decide(args, relations: list, what: str) -> int:
-    """Decide every (i, index, tree, status, follows) relation in every
-    requested module, in that order; 1 on any failure.  A relation tree
-    does not depend on the module, so each is built once per command.
+def _decide(args, relations: list, what: str, assemble=None) -> int:
+    """Decide every (i, index, item, status, follows) relation in every
+    requested module, in that order; 1 on any failure.  item is the
+    relation's tree, or what assemble builds it from; a tree does not depend
+    on the module, and the CLI passes an assemble cached for the command.
 
-    follows is None or ops: rootvectors.loop_step matched the relation
-    before this one and this tree, so this tree vanishes with m symbolic
-    wherever the one before does, once every operator in ops acts with only
-    the zero shift.  When the relation before is known to be empty with m
+    follows is None or ops: the relation vanishes with m symbolic wherever
+    the one before it does, once every operator in ops acts with only the
+    zero shift.  When the relation before is known to be empty with m
     symbolic in this module and the ops are (read once per module and ops),
-    the relation passes and is not evaluated.  Every other relation (every
-    Serre relation, the first of each loop chain, and any relation after a
-    nonempty one) is evaluated."""
+    the relation passes, and its tree is not assembled.  Every other
+    relation (every Serre relation, the first of each loop chain, and any
+    relation after a nonempty one) is evaluated."""
     samples = list(itertools.product(range(args.mmax + 1), repeat=args.l))
     found = []
     families = _families(args)
@@ -182,13 +184,14 @@ def _decide(args, relations: list, what: str) -> int:
         ev = get_evaluator(spec)
         empty = False  # the relation before is empty with m symbolic here
         diagonal = {}  # follows -> whether every op in it acts by the zero shift here
-        for i, index, tree, status, follows in relations:
+        for i, index, item, status, follows in relations:
             if follows is not None and empty:
                 ok = diagonal.get(follows)
                 if ok is None:
                     ok = diagonal[follows] = all(ev.zero_shift(op) for op in follows)
                 if ok:
                     continue
+            tree = item if assemble is None else assemble(item)
             if _vanishes_on(spec, tree, samples):
                 empty = not ev.symbolic(tree)
             else:
@@ -207,26 +210,27 @@ def _cmd_serre(args) -> int:
 
 
 def _loop_relations(l: int, nmax: int) -> list:
-    """(i, [j, n, k], difference tree, status, follows) for every loop
-    relation, in report order.  The relations of one (i, j, n) and sign form
-    a chain over k; after the first, follows is what loop_step returns for
-    the relation before and this one, else None (see _decide)."""
+    """(i, [j, n, k], parts, status, follows) for every loop relation in
+    report order, parts being its rootvectors.loop_parts; no tree is built.
+    The relations of one (i, j, n) and sign form a chain over k: follows is
+    None at its first, then loop_step of the parts before and these (see _decide)."""
     out = []
+    level_step = functools.cache(_level_step)  # per node pair, for this call only
     for i in range(1, l + 1):
         for j in range(1, l + 1):
             for n in range(1, nmax + 1):
                 for xi, sign, k0, status in ((xi_plus, 1, 0, "drinfeld-plus-failure"),
                                              (xi_minus, -1, 1, "drinfeld-minus-failure")):
                     for k in range(k0, nmax + 1):
-                        tree = chi_bracket(l, i, j, n, k, xi, sign)
-                        ops = loop_step(out[-1][2], tree) if k > k0 else None
-                        out.append((i, [j, n, k], tree, status, ops))
+                        parts = loop_parts(l, i, j, n, k, xi, sign)
+                        ops = loop_step(out[-1][2], parts, level_step) if k > k0 else None
+                        out.append((i, [j, n, k], parts, status, ops))
     return out
 
 
 def _cmd_drinfeld(args) -> int:
-    return _decide(args, _loop_relations(args.l, args.nmax),
-                   f"loop relations at l={args.l}, n <= {args.nmax}, occupations <= {args.mmax}")
+    what = f"loop relations at l={args.l}, n <= {args.nmax}, occupations <= {args.mmax}"
+    return _decide(args, _loop_relations(args.l, args.nmax), what, functools.cache(bracket_tree))
 
 
 # the families that take --index, each over 1 .. l + extra

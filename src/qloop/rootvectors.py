@@ -38,7 +38,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exactfield import QRational, kappa, qnum
-from .borelrep import CartanPower, Compose, Gen, OpExpr, RepSpec, Scale, Sum, _vanishes_on
+from .borelrep import CartanPower, Compose, Gen, OpExpr, RepSpec, Scale, Sum, _ZERO, _vanishes_on
 from .rootsys import CartanExponent, RootIndex, bilinear, cartan_entry, o_sign
 
 _MINUS_ONE = QRational.from_int(-1)
@@ -167,24 +167,30 @@ def chi(l: int, i: int, n: int) -> OpExpr:
     return Scale(QRational.from_int(sign), e_unprimed_imag(l, i, n))
 
 
-def chi_bracket(l: int, i: int, j: int, n: int, m: int, xi, sign: int) -> OpExpr:
-    """[chi_{i,n}, xi_{j,m}] - sign (1/n) [n a_ij]_q xi_{j,n+m}, a tree that must vanish.
-
-    Not cached: a_ij is read when the tree is built.  The CLI builds each tree
-    once per command and decides it in every module.
-    """
-    x = chi(l, i, n)
-    y = xi(l, j, m)
+def loop_parts(l: int, i: int, j: int, n: int, m: int, xi, sign: int) -> tuple:
+    """The parts (C, X, c, Y) = (chi_{i,n}, xi_{j,m}, -sign (1/n) [n a_ij]_q,
+    xi_{j,n+m}) of a loop relation [C, X] + c Y; equal parts are identical.
+    Not cached: a_ij is read when they are built."""
     c = qnum(n * cartan_entry(l, i, j)) / QRational.from_int(n)
-    return Sum((Compose(x, y), Scale(_MINUS_ONE, Compose(y, x)),
-                Scale(-c if sign > 0 else c, xi(l, j, n + m))))
+    return chi(l, i, n), xi(l, j, m), -c if sign > 0 else c, xi(l, j, n + m)
+
+
+def bracket_tree(parts: tuple) -> OpExpr:
+    """[C, X] + c Y for the parts (C, X, c, Y) of a loop relation."""
+    x, y, c, z = parts
+    return Sum((Compose(x, y), Scale(_MINUS_ONE, Compose(y, x)), Scale(c, z)))
+
+
+def chi_bracket(l: int, i: int, j: int, n: int, m: int, xi, sign: int) -> OpExpr:
+    """The tree [chi_{i,n}, xi_{j,m}] - sign (1/n) [n a_ij]_q xi_{j,n+m} that must vanish."""
+    return bracket_tree(loop_parts(l, i, j, n, m, xi, sign))
 
 
 def _commutator(xy: OpExpr, yx: OpExpr):
     """(x, y) when xy and yx are the terms x y and -1 y x of [x, y], else None.
 
     The -1 must be literal: a q-commutator with another y x coefficient fails."""
-    if (type(xy) is Compose and type(yx) is Scale and yx.c == _MINUS_ONE
+    if (type(xy) is Compose and type(yx) is Scale and yx.c is _MINUS_ONE
             and type(yx.child) is Compose
             and yx.child.left is xy.right and yx.child.right is xy.left):
         return xy.left, xy.right
@@ -198,7 +204,7 @@ def _level_step(prev: OpExpr, x: OpExpr):
     xi-: prev = a E H and x = b ((c [D, E]) H), so x = rho [D, prev] once H
     and D commute; hs = (H,).
     """
-    if type(prev) is not Scale or type(x) is not Scale or not prev.c:
+    if type(prev) is not Scale or type(x) is not Scale or prev.c is _ZERO:
         return None
     step, h = x.child, ()
     if type(step) is Compose:
@@ -217,35 +223,24 @@ def _level_step(prev: OpExpr, x: OpExpr):
     return None
 
 
-def _bracket_parts(tree: OpExpr):
-    """(C, X, c, Y) when tree is [C, X] + c Y as chi_bracket builds it, else None."""
-    if type(tree) is not Sum or len(tree.children) != 3:
-        return None
-    xy, yx, last = tree.children
-    pair = _commutator(xy, yx)
-    if pair is None or type(last) is not Scale:
-        return None
-    return pair[0], pair[1], last.c, last.child
+def loop_step(prev: tuple, parts: tuple, level_step):
+    """The operators that make a relation vanish with m symbolic wherever the
+    one before it does, or None.
 
-
-def loop_step(prev: OpExpr, tree: OpExpr):
-    """The operators that make tree vanish with m symbolic wherever prev does.
-
-    prev and tree are chi_bracket trees [C, X] + c Y and [C, X'] + c Y' with
-    the same C and c, where X' and Y' are the level steps of X and Y with one
-    rho and D, both of xi+ or both of xi-.  If C, D (and the q**h of a xi- step) act with only the
-    zero shift, they commute in the shift algebra, and the Jacobi identity
-    gives tree = rho [prev, D] (xi+) or rho [D, prev] (xi-): so an empty
-    symbolic(prev) makes symbolic(tree) empty.  Returns those operators, or
-    None when the trees have another shape.
-    """
-    a, b = _bracket_parts(prev), _bracket_parts(tree)
-    if a is None or b is None or a[0] is not b[0] or a[2] != b[2]:
+    prev and parts are the loop_parts (C, X, c, Y) and (C', X', c', Y') of
+    two relations, matched when C' is C, c' is c, and X', Y' are the level
+    steps of X, Y (by level_step, _level_step or a memo of it) with one rho
+    and D, both of xi+ or both of xi-.  If C, D (and the q**h of a xi- step)
+    act with only the zero shift, they commute in the shift algebra, and the
+    Jacobi identity gives [C, X'] + c Y' = rho [[C, X] + c Y, D] (xi+) or
+    rho [D, [C, X] + c Y] (xi-): so an empty symbolic result of the relation
+    before makes this one empty."""
+    if parts[0] is not prev[0] or parts[2] is not prev[2]:
         return None
-    step = _level_step(a[1], b[1])
-    if step is None or step != _level_step(a[3], b[3]):
+    step = level_step(prev[1], parts[1])
+    if step is None or step != level_step(prev[3], parts[3]):
         return None
-    return (a[0], step[1]) + step[2]
+    return (parts[0], step[1]) + step[2]
 
 
 def drinfeld_check(i: int, j: int, n: int, m: int, spec: RepSpec, samples) -> bool:

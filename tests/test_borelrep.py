@@ -607,11 +607,12 @@ def test_serre_and_weight_relation_trees_match_the_oracle(l, monkeypatch):
 
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_loop_relation_trees_match_the_oracle(l):
-    # every tree of `qloop drinfeld --nmax 3`, both signs, in every module
-    relations = cli._loop_relations(l, 3)
+    # the assembled tree of every relation of `qloop drinfeld --nmax 3`, the
+    # first of each chain and the later ones, both signs, in every module
+    trees = [rootvectors.bracket_tree(parts) for _, _, parts, _, _ in cli._loop_relations(l, 3)]
     for spec in _modules([l]):
         ev, memo = Evaluator(spec), {}
-        for _, _, tree, _, _ in relations:
+        for tree in trees:
             assert assert_matches_nodes(ev, tree, memo) == ()
 
 

@@ -405,6 +405,19 @@ def _cartan_entries_zero(monkeypatch):
     monkeypatch.setattr(rootvectors, "cartan_entry", lambda *args: 0)
 
 
+def _later_scalars_doubled(monkeypatch):
+    # the scalar c of the parts is doubled at k >= 1: an xi+ chain's first
+    # relation keeps it, so only a match of each relation's c sees the change
+    loop_parts = rootvectors.loop_parts
+
+    def mutant(l, i, j, n, k, xi, sign):
+        x, y, c, z = loop_parts(l, i, j, n, k, xi, sign)
+        return x, y, (QRational.from_int(2) * c if k else c), z
+
+    monkeypatch.setattr(rootvectors, "loop_parts", mutant)
+    monkeypatch.setattr(cli, "loop_parts", mutant)
+
+
 def _loop_failures(l, nmax, samples):
     """The failure entries of drinfeld_check and drinfeld_check_minus run on
     every loop relation in every module, in report order."""
@@ -425,7 +438,8 @@ def _loop_failures(l, nmax, samples):
 # mutated q-commutator, whose broken roots are slow to evaluate
 _CHAIN_RUNS = [(mutate, l, 4) for mutate in (None, _level_two_real_doubled, _cartan_entries_zero)
                for l in (1, 2, 3)]
-_CHAIN_RUNS += [(_level_step_qcomm_doubled, 1, 4), (_level_step_qcomm_doubled, 2, 2)]
+_CHAIN_RUNS += [(_level_step_qcomm_doubled, 1, 4), (_level_step_qcomm_doubled, 2, 2),
+                (_later_scalars_doubled, 3, 4)]
 
 
 @pytest.mark.parametrize("mutate,l,nmax", _CHAIN_RUNS,
@@ -680,15 +694,25 @@ def _counted_decisions(monkeypatch) -> list:
     return calls
 
 
+def _counted_assemblies(monkeypatch) -> list:
+    """A list that gets one entry per loop relation tree the CLI assembles."""
+    built = []
+    monkeypatch.setattr(cli, "bracket_tree", lambda parts:
+                        built.append(parts) or rootvectors.bracket_tree(parts))
+    return built
+
+
 def test_loop_chains_skip_their_later_relations(monkeypatch, capsys):
     # each (i, j, n, sign) chain evaluates its first relation only: 54 chains
-    # in each of 8 modules.  So no real or dual root above level nmax is
-    # evaluated, and the memo holds under half of what evaluating all 1,512
-    # trees leaves
+    # in each of 8 modules, whose 54 trees are assembled once.  So no real or
+    # dual root above level nmax is evaluated, and the memo holds under half
+    # of what evaluating all 1,512 trees leaves
     calls = _counted_decisions(monkeypatch)
+    built = _counted_assemblies(monkeypatch)
     assert cli.main(["drinfeld", "--l", "3", "--nmax", "3", "--mmax", "1"]) == 0
     capsys.readouterr()
     assert len(calls) == 54 * 8
+    assert len(built) == len(set(calls)) == 54
     deep = {f(3, j, j + 1, k) for f in (e_real, e_dual) for j in (1, 2, 3) for k in range(4, 7)}
     evs = list(borelrep._EVALUATORS.values())
     assert len(evs) == 8
@@ -699,30 +723,65 @@ def test_loop_chains_skip_their_later_relations(monkeypatch, capsys):
 def test_a_nonzero_shift_makes_every_relation_evaluated(monkeypatch, capsys):
     # the Jacobi step needs chi and e'_delta to commute; an operator with a
     # nonzero shift need not, so then every relation is evaluated
+    # (each of the 189 trees is still assembled once, not once per module)
     calls = _counted_decisions(monkeypatch)
+    built = _counted_assemblies(monkeypatch)
     monkeypatch.setattr(borelrep.Evaluator, "zero_shift", lambda self, expr: False)
     assert cli.main(["drinfeld", "--l", "3", "--nmax", "3", "--mmax", "1"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "checked 1512 loop relations at l=3, n <= 3, occupations <= 1", "all checks passed"]
     assert len(calls) == 1512
+    assert len(built) == len(set(calls)) == 189
 
 
 def test_each_later_loop_relation_follows_the_one_before():
-    # follows is the operators loop_step matched with the relation just
-    # before: chi_{i,n}, e'_{delta,alpha_j} and, for xi-, q**h_j
+    # each relation carries its loop_parts (C, X, c, Y); follows is the
+    # operators loop_step matched with the parts of the relation just before:
+    # chi_{i,n}, e'_{delta,alpha_j} and, for xi-, q**h_j
     later = 0
     for l in (1, 2, 3):
-        for i, (j, n, k), _, status, follows in cli._loop_relations(l, 3):
+        relations = cli._loop_relations(l, 3)
+        for (i, (j, n, k), parts, status, follows), prev in zip(relations, [None] + relations):
             minus = status == "drinfeld-minus-failure"
+            xi, sign = (xi_minus, -1) if minus else (xi_plus, 1)
+            assert parts == rootvectors.loop_parts(l, i, j, n, k, xi, sign)
             if k == (1 if minus else 0):
                 assert follows is None, (l, i, j, n, k, status)
                 continue
+            assert parts[0] is prev[2][0] and parts[2] is prev[2][2]
             want = (chi(l, i, n), e_prime_imag(l, j, j + 1, 1))
             if minus:
                 want += (CartanPower(CartanExponent.h(l, j)),)
             assert follows == want, (l, i, j, n, k, status)
             later += 1
     assert later == 210
+
+
+def test_loop_relations_build_no_relation_tree(cold_roots, capsys):
+    # _loop_relations interns only the nodes of the parts, C, X and Y, and
+    # no node of a relation tree; drinfeld then assembles the tree of each
+    # chain's first relation only, as every later one follows in every module
+    nodes = {}
+    cold_roots.setattr(borelrep, "_NODES", nodes)
+    relations = cli._loop_relations(3, 3)
+    reach, todo = set(), [x for _, _, p, _, _ in relations for x in (p[0], p[1], p[3])]
+    while todo:
+        node = todo.pop()
+        if node not in reach:
+            reach.add(node)
+            if type(node) is Sum:
+                todo += node.children
+            elif type(node) is Scale:
+                todo.append(node.child)
+            elif type(node) is Compose:
+                todo += (node.left, node.right)
+    assert set(nodes.values()) == reach
+    # [C, X] starts with the node C X, which no root vector holds
+    assert not any((Compose, (p[0], p[1])) in nodes for _, _, p, _, _ in relations)
+    assert cli.main(["drinfeld", "--l", "3", "--nmax", "3", "--mmax", "1"]) == 0
+    capsys.readouterr()
+    assert [(Compose, (p[0], p[1])) in nodes for _, _, p, _, _ in relations] == [
+        follows is None for *_, follows in relations]
 
 
 def test_a_relation_after_one_that_vanishes_only_on_the_samples_is_evaluated(

@@ -11,6 +11,7 @@ import pytest
 from oracles import (apply_at, apply_word, e_dual_nested, e_unprimed_by_compositions, series_log,
                      specialize, state_coefficient)
 
+from qloop import rootvectors
 from qloop.borelrep import (CartanPower, Compose, Gen, OscWord, RepSpec, Scale, Sum, _vanishes_on,
                             get_evaluator)
 from qloop.exactfield import QRational, USeries, kappa, qnum
@@ -19,7 +20,7 @@ from qloop.lweights import oscillator_lweight
 from qloop.rootsys import CartanExponent, NotAPositiveRoot, RootIndex
 from qloop.rootvectors import (chi, chi_bracket, drinfeld_check, drinfeld_check_minus,
                                e_dual, e_prime_imag, e_real, e_unprimed_imag,
-                               loop_step, qcomm, xi_minus, xi_plus)
+                               loop_parts, loop_step, qcomm, xi_minus, xi_plus)
 
 ONE = QRational.one()
 qp = QRational.q_power
@@ -419,29 +420,51 @@ def _plus_step(prev, s, d, yx=-1):
                           Sum((Compose(e, d), Scale(QRational.from_int(yx), Compose(d, e))))))
 
 
+def test_chi_bracket_assembles_the_loop_parts():
+    # [C, X] + c Y over (C, X, c, Y) = (chi_{i,n}, xi_{j,k}, -+(1/n)[n a_ij]_q, xi_{j,n+k})
+    l = 2
+    for i, j, n in itertools.product((1, 2), (1, 2), (1, 2)):
+        c = qnum(n * (2 if i == j else -1)) / QRational.from_int(n)
+        for xi, sign, k in ((xi_plus, 1, 0), (xi_plus, -1, 1), (xi_minus, -1, 2)):
+            parts = loop_parts(l, i, j, n, k, xi, sign)
+            assert parts == (chi(l, i, n), xi(l, j, k), -sign * c, xi(l, j, n + k))
+            assert all(x is y for x, y in zip(parts, loop_parts(l, i, j, n, k, xi, sign)))
+            assert chi_bracket(l, i, j, n, k, xi, sign) is _bracket(*parts)
+
+
 def test_loop_step_matches_the_level_step_and_nothing_else():
     l, i, j, n = 2, 1, 2, 1
     big_c, d = chi(l, i, n), e_prime_imag(l, j, j + 1, 1)
-    plus = [chi_bracket(l, i, j, n, k, xi_plus, 1) for k in (0, 1, 2)]
-    minus = [chi_bracket(l, i, j, n, k, xi_minus, -1) for k in (1, 2, 3)]
-    assert loop_step(plus[0], plus[1]) == loop_step(plus[1], plus[2]) == (big_c, d)
+    plus = [loop_parts(l, i, j, n, k, xi_plus, 1) for k in (0, 1, 2)]
+    minus = [loop_parts(l, i, j, n, k, xi_minus, -1) for k in (1, 2, 3)]
+    level, pairs = rootvectors._level_step, []
+
+    def counted(prev, x):
+        pairs.append((prev, x))
+        return rootvectors._level_step(prev, x)
+
+    assert loop_step(plus[0], plus[1], counted) == loop_step(plus[1], plus[2], level) == (big_c, d)
     h = CartanPower(CartanExponent.h(l, j))
-    assert loop_step(minus[0], minus[1]) == loop_step(minus[1], minus[2]) == (big_c, d, h)
-    # not one chain: two levels up, another n, another sign, another j
-    assert loop_step(plus[0], plus[2]) is None
-    assert loop_step(plus[0], chi_bracket(l, i, j, 2, 1, xi_plus, 1)) is None
-    assert loop_step(plus[0], chi_bracket(l, i, j, n, 1, xi_plus, -1)) is None
-    assert loop_step(minus[0], chi_bracket(l, i, 1, n, 2, xi_minus, -1)) is None
-    assert loop_step(plus[0], minus[1]) is None
-    # rebuilt by hand, the level steps of xi+_{j,0} and xi+_{j,1} are plus[1]
-    x0, y0, c = xi_plus(l, j, 0), xi_plus(l, j, n), plus[0].children[2].c
+    assert loop_step(minus[0], minus[1], counted) == loop_step(minus[1], minus[2], level) == (big_c, d, h)
+    # the level steps compared are those of the X pair and the Y pair, read
+    # through the level_step given
+    assert pairs == [(a[q], b[q]) for a, b in ((plus[0], plus[1]), (minus[0], minus[1]))
+                     for q in (1, 3)]
+    # not one chain: two levels up, another n, another sign, another j, a mixed sign
+    assert loop_step(plus[0], plus[2], level) is None
+    assert loop_step(plus[0], loop_parts(l, i, j, 2, 1, xi_plus, 1), level) is None
+    assert loop_step(plus[0], loop_parts(l, i, j, n, 1, xi_plus, -1), level) is None
+    assert loop_step(minus[0], loop_parts(l, i, 1, n, 2, xi_minus, -1), level) is None
+    assert loop_step(plus[0], minus[1], level) is None
+    # rebuilt by hand, the level steps of xi+_{j,0} and xi+_{j,1} are plus[1]'s X and Y
+    x0, y0, c = xi_plus(l, j, 0), xi_plus(l, j, n), plus[0][2]
     s1, s2 = xi_plus(l, j, 1).c, xi_plus(l, j, n + 1).c
-    assert _bracket(big_c, _plus_step(x0, s1, d), c, _plus_step(y0, s2, d)) is plus[1]
+    assert _plus_step(x0, s1, d) is plus[1][1] and _plus_step(y0, s2, d) is plus[1][3]
     two = QRational.from_int(2)
 
     def step(sx=s1, sy=s2, dx=d, dy=d, yx=-1):
-        return loop_step(plus[0], _bracket(big_c, _plus_step(x0, sx, dx, yx), c,
-                                           _plus_step(y0, sy, dy, yx)))
+        return loop_step(plus[0], (big_c, _plus_step(x0, sx, dx, yx), c,
+                                   _plus_step(y0, sy, dy, yx)), level)
 
     # a wrong scalar, sign or D in one step, or a wrong sign in both, is refused
     assert step(sx=two * s1) is None
@@ -453,11 +476,8 @@ def test_loop_step_matches_the_level_step_and_nothing_else():
     assert step(sx=two * s1, sy=two * s2) == (big_c, d)
     assert step(dx=Gen(0), dy=Gen(0)) == (big_c, Gen(0))
     # another C or c in the later relation is refused
-    tree = plus[1]
-    assert loop_step(plus[0], _bracket(chi(l, i, 2), tree.children[0].right, c,
-                                       tree.children[2].child)) is None
-    assert loop_step(plus[0], _bracket(big_c, tree.children[0].right, two * c,
-                                       tree.children[2].child)) is None
+    assert loop_step(plus[0], (chi(l, i, 2),) + plus[1][1:], level) is None
+    assert loop_step(plus[0], plus[1][:2] + (two * c,) + plus[1][3:], level) is None
 
 
 def test_repeated_drinfeld_check_adds_no_memo_entries():
