@@ -32,6 +32,12 @@ terms(expr, m) specializes that at one m, exactly: specializing Q = q**m is
 a ring homomorphism, and a lowering step from occupation 0 carries
 [0]_q = 0, so a target outside the Fock space sums to 0 and _merge drops
 it.  apply_basis is the FockState view of terms.
+
+One lifetime rule holds for process state.  The tables of interned objects
+live for the process, and nothing clears them, since a hash-consing table must
+outlive every value it interned: exactfield's _VALUES with its core tables,
+_MUL, _ADD and _NEG, _NODES here and the rootvectors lru_caches.  Evaluator
+memos live for one command: cli.main clears _EVALUATORS before it runs one.
 """
 
 from __future__ import annotations
@@ -330,9 +336,8 @@ class Evaluator:
     term pairs of x and y: the pair adds c_x c_y (q**(vx.sy) + c q**(vy.sx)),
     and with c = -q**k a pair whose integer exponents give vx.sy - vy.sx = k
     cancels and is skipped (see _sum).  zero_shift(expr) is memoized in
-    _zero_shift, a function of symbolic(expr): whatever clears _cache must
-    clear _zero_shift too.  terms(expr, m) specializes symbolic(expr) at one
-    basis vector, and apply_basis wraps the pairs in a FockState.
+    _zero_shift.  terms(expr, m) specializes symbolic(expr) at one basis
+    vector, and apply_basis wraps the pairs in a FockState.
     """
 
     def __init__(self, spec: RepSpec):
@@ -480,20 +485,20 @@ def get_evaluator(spec: RepSpec) -> Evaluator:
 
 def _vanishes_on(spec: RepSpec, expr: OpExpr, samples) -> bool:
     """expr specializes to no terms on every sample basis vector.  The
-    samples are read once, and none is a ValueError: a check of nothing
-    must not pass.
+    samples are iterated at most once, and none is a ValueError: a check of
+    nothing must not pass.
 
     Decided with m symbolic first: terms(expr, m) only specializes
-    symbolic(expr), so an empty symbolic result vanishes on every vector.
-    A nonempty one can still vanish on every sample (a lowering from
-    occupation 0), so then the samples decide."""
-    samples = list(samples)
-    if not samples:
+    symbolic(expr), so an empty symbolic result vanishes on every vector
+    and reads no sample but the first.  A nonempty one can still vanish on
+    every sample (a lowering from occupation 0), so then the samples decide."""
+    samples = iter(samples)
+    if (first := next(samples, None)) is None:
         raise ValueError("need at least one sample basis vector")
     ev = get_evaluator(spec)
     if not ev.symbolic(expr):
         return True
-    return not any(ev.terms(expr, m) for m in samples)
+    return not ev.terms(expr, first) and not any(ev.terms(expr, m) for m in samples)
 
 
 def serre_sum(l: int, i: int, j: int) -> OpExpr:

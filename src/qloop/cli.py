@@ -16,12 +16,12 @@ C = chi_{i,n}, X = xi_{j,k}, a scalar c and Y = xi_{j,n+k}.  The first
 relation of a chain is evaluated.  A later one, R_k, passes without
 evaluation when (a) rootvectors.loop_step matches its parts with those of
 R_{k-1}: the same C and c, and X, Y the level steps of the X, Y before
-(matched once per command; the matched operators are the relation's
-follows), (b) chi_{i,n}, e'_{delta,alpha_j} and, for xi-, q**h_j act with
-only the zero shift in the module, and (c) R_{k-1} is empty with m symbolic
-in that module.  Then R_k is a commutator of R_{k-1} with e'_{delta,alpha_j}
-(the Jacobi identity), so it is empty too.  Every other relation is
-evaluated, from the tree [C, X] + c Y assembled once per command.
+(the matched operators are the relation's follows), (b) chi_{i,n},
+e'_{delta,alpha_j} and, for xi-, q**h_j act with only the zero shift in the
+module, and (c) R_{k-1} is empty with m symbolic in that module.  Then R_k
+is a commutator of R_{k-1} with e'_{delta,alpha_j} (the Jacobi identity),
+so it is empty too.  Every other relation is evaluated, from its tree
+[C, X] + c Y (rootvectors.bracket_tree).
 
 The spectral twist is given as a tiny exact expression over q: factors
 separated by '*', each an integer, a ratio like '3/2', or a power 'q^-2'
@@ -32,18 +32,18 @@ all the exponents of a twist.  Examples: 'q^3', '-2*q^-1', '1/2'.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import sys
 
-from .borelrep import RepSpec, _vanishes_on, get_evaluator, image_e, image_qh, serre_sum
+from .borelrep import (_EVALUATORS, RepSpec, _vanishes_on, get_evaluator, image_e, image_qh,
+                       serre_sum)
 from .exactfield import QRational, qrational_to_json, urational_to_json
 from .lweights import (Undecided, VectorChecks, closed_psi, discrepancy, factor_sides,
                        oscillator_lweight, verify_grid)
 from .rootsys import CartanExponent
-from .rootvectors import (_level_step, bracket_tree, e_dual, e_prime_imag, e_real,
-                          e_unprimed_imag, loop_parts, loop_step, xi_minus, xi_plus)
+from .rootvectors import (bracket_tree, e_dual, e_prime_imag, e_real, e_unprimed_imag,
+                          loop_parts, loop_step, xi_minus, xi_plus)
 
 _DEFAULT_ORDER = 6
 
@@ -167,7 +167,7 @@ def _decide(args, relations: list, what: str, assemble=None) -> int:
     """Decide every (i, index, item, status, follows) relation in every
     requested module, in that order; 1 on any failure.  item is the
     relation's tree, or what assemble builds it from; a tree does not depend
-    on the module, and the CLI passes an assemble cached for the command.
+    on the module.  Each evaluated relation reads a fresh lazy grid (_vanishes_on).
 
     follows is None or ops: the relation vanishes with m symbolic wherever
     the one before it does, once every operator in ops acts with only the
@@ -176,7 +176,6 @@ def _decide(args, relations: list, what: str, assemble=None) -> int:
     the relation passes, and its tree is not assembled.  Every other
     relation (every Serre relation, the first of each loop chain, and any
     relation after a nonempty one) is evaluated."""
-    samples = list(itertools.product(range(args.mmax + 1), repeat=args.l))
     found = []
     families = _families(args)
     for bar, a in families:
@@ -192,7 +191,7 @@ def _decide(args, relations: list, what: str, assemble=None) -> int:
                 if ok:
                     continue
             tree = item if assemble is None else assemble(item)
-            if _vanishes_on(spec, tree, samples):
+            if _vanishes_on(spec, tree, itertools.product(range(args.mmax + 1), repeat=args.l)):
                 empty = not ev.symbolic(tree)
             else:
                 found.append(discrepancy(a, bar, i, index, status))
@@ -215,7 +214,6 @@ def _loop_relations(l: int, nmax: int) -> list:
     The relations of one (i, j, n) and sign form a chain over k: follows is
     None at its first, then loop_step of the parts before and these (see _decide)."""
     out = []
-    level_step = functools.cache(_level_step)  # per node pair, for this call only
     for i in range(1, l + 1):
         for j in range(1, l + 1):
             for n in range(1, nmax + 1):
@@ -223,14 +221,14 @@ def _loop_relations(l: int, nmax: int) -> list:
                                              (xi_minus, -1, 1, "drinfeld-minus-failure")):
                     for k in range(k0, nmax + 1):
                         parts = loop_parts(l, i, j, n, k, xi, sign)
-                        ops = loop_step(out[-1][2], parts, level_step) if k > k0 else None
+                        ops = loop_step(out[-1][2], parts) if k > k0 else None
                         out.append((i, [j, n, k], parts, status, ops))
     return out
 
 
 def _cmd_drinfeld(args) -> int:
     what = f"loop relations at l={args.l}, n <= {args.nmax}, occupations <= {args.mmax}"
-    return _decide(args, _loop_relations(args.l, args.nmax), what, functools.cache(bracket_tree))
+    return _decide(args, _loop_relations(args.l, args.nmax), what, bracket_tree)
 
 
 # the families that take --index, each over 1 .. l + extra
@@ -429,6 +427,7 @@ def main(argv=None) -> int:
         parser.error("need 0 <= gen <= l")
     if getattr(args, "order", 2) < 2:
         parser.error("need order >= 2")
+    _EVALUATORS.clear()  # evaluators live for one command (see borelrep)
     try:
         return args.func(args)
     except Undecided as exc:

@@ -29,9 +29,8 @@ q with integer coefficients.  Three layers live here:
   their products), so sums, products and negations are memoized on cores:
   _MUL under the two cores, _ADD under the two cores and the relative
   exponent e_y - e_x, _NEG under the core, and the result is shifted by the
-  operands' exponents, so one entry serves every power of q.  _ADD, _MUL
-  and _NEG are pure caches and may be cleared at any time; _VALUES and the
-  core tables must never be cleared while any QRational is alive.
+  operands' exponents, so one entry serves every power of q (lifetime: see
+  qloop.borelrep).
 
 - USeries: a truncated power series in a spectral variable u with QRational
   coefficients, for display and comparison only; it has no arithmetic.
@@ -336,10 +335,7 @@ class QRational(Frozen):
     ``*`` looks up the two cores in _MUL and shifts the result by e_x + e_y;
     ``+`` looks up the two cores and e_y - e_x in _ADD and shifts the result
     by e_x; ``-x`` shifts _NEG's negation of the core by e_x.  ``-``, ``/``
-    and the reflected operators go through these.  _ADD, _MUL and _NEG are
-    pure caches and may be cleared at any time; _VALUES and the core tables
-    must never be cleared while any QRational is alive, or equal values
-    would stop comparing equal.
+    and the reflected operators go through these (lifetime: qloop.borelrep).
     """
 
     __slots__ = ("_e", "_n", "_d", "_core", "_shifts")
@@ -526,9 +522,8 @@ _set_core = QRational._core.__set__
 _set_shifts = QRational._shifts.__set__
 
 
-# (n, d) -> the core n/d, whose _shifts table maps e -> q**e * n/d; neither
-# is ever cleared while any QRational is alive.  Pure caches: (core x, core
-# y) -> x * y, (core x, core y, k) -> x + q**k y, and core x -> -x.
+# (n, d) -> the core n/d, whose _shifts table maps e -> q**e * n/d; (core x,
+# core y) -> x * y, (core x, core y, k) -> x + q**k y, and core x -> -x.
 _VALUES = {}
 _MUL = {}
 _ADD = {}

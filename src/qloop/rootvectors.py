@@ -29,8 +29,8 @@ nodes.  The families:
 
 The Drinfeld generators xi+_{i,n}, xi-_{i,n} (n > 0) and chi_{i,n} are sign-
 decorated root vectors for the simple gamma = alpha_i.  Operator nodes are
-interned (see borelrep), so a rebuilt tree is the same object, which the
-evaluator applies once for every m; the lru_caches only save build time.
+interned, so a rebuilt tree is the same object, which the evaluator applies
+once for every m; the lru_caches save build time (lifetime: see borelrep).
 """
 
 from __future__ import annotations
@@ -175,6 +175,7 @@ def loop_parts(l: int, i: int, j: int, n: int, m: int, xi, sign: int) -> tuple:
     return chi(l, i, n), xi(l, j, m), -c if sign > 0 else c, xi(l, j, n + m)
 
 
+@lru_cache(maxsize=None)
 def bracket_tree(parts: tuple) -> OpExpr:
     """[C, X] + c Y for the parts (C, X, c, Y) of a loop relation."""
     x, y, c, z = parts
@@ -197,6 +198,7 @@ def _commutator(xy: OpExpr, yx: OpExpr):
     return None
 
 
+@lru_cache(maxsize=None)
 def _level_step(prev: OpExpr, x: OpExpr):
     """(rho, D, hs) when x is the level step of prev, else None; rho = b c / a.
 
@@ -223,22 +225,21 @@ def _level_step(prev: OpExpr, x: OpExpr):
     return None
 
 
-def loop_step(prev: tuple, parts: tuple, level_step):
+def loop_step(prev: tuple, parts: tuple):
     """The operators that make a relation vanish with m symbolic wherever the
     one before it does, or None.
 
     prev and parts are the loop_parts (C, X, c, Y) and (C', X', c', Y') of
     two relations, matched when C' is C, c' is c, and X', Y' are the level
-    steps of X, Y (by level_step, _level_step or a memo of it) with one rho
-    and D, both of xi+ or both of xi-.  If C, D (and the q**h of a xi- step)
-    act with only the zero shift, they commute in the shift algebra, and the
-    Jacobi identity gives [C, X'] + c Y' = rho [[C, X] + c Y, D] (xi+) or
-    rho [D, [C, X] + c Y] (xi-): so an empty symbolic result of the relation
-    before makes this one empty."""
+    steps of X, Y (_level_step) with one rho and D, both of xi+ or both of
+    xi-.  If C, D (and a xi- step's q**h) act with only the zero shift, they
+    commute in the shift algebra, and the Jacobi identity gives [C, X'] +
+    c Y' = rho [[C, X] + c Y, D] (xi+) or rho [D, [C, X] + c Y] (xi-): so
+    an empty symbolic result of the relation before makes this one empty."""
     if parts[0] is not prev[0] or parts[2] is not prev[2]:
         return None
-    step = level_step(prev[1], parts[1])
-    if step is None or step != level_step(prev[3], parts[3]):
+    step = _level_step(prev[1], parts[1])
+    if step is None or step != _level_step(prev[3], parts[3]):
         return None
     return (parts[0], step[1]) + step[2]
 

@@ -374,9 +374,9 @@ def test_evaluator_is_linear_and_cached():
     assert ev.symbolic(e) is ev.symbolic(e)
 
 
-def test_memo_holds_one_entry_per_node(monkeypatch):
+def test_memo_holds_one_entry_per_node(cold_roots):
     # a fresh node table, so every node of the tree is built in this test
-    monkeypatch.setattr(borelrep, "_NODES", {})
+    cold_roots.setattr(borelrep, "_NODES", {})
     ev = Evaluator(RepSpec(2, 2))
     sub = Compose(Gen(0), Gen(1))
     root = Scale(qnum(2), sub)
@@ -523,6 +523,27 @@ def test_an_empty_symbolic_difference_is_decided_without_the_samples(monkeypatch
     for samples in ([], iter(())):
         with pytest.raises(ValueError):
             _vanishes_on(spec, diff, samples)
+
+
+def test_samples_are_drawn_only_as_the_decision_needs_them():
+    # a relation that vanishes with m symbolic draws one sample, to refuse an
+    # empty grid; a nonempty one draws them until one gives terms
+    drawn = []
+
+    def counted(samples):
+        return (drawn.append(m) or m for m in samples)
+
+    grid, empty = list(itertools.product(range(3), repeat=2)), Sum((Gen(1), Scale(-ONE, Gen(1))))
+    assert _vanishes_on(RepSpec(2, 1), empty, counted(grid))
+    assert len(drawn) == 1
+    with pytest.raises(ValueError):
+        _vanishes_on(RepSpec(2, 1), empty, counted(()))
+    drawn.clear()
+    assert not _vanishes_on(RepSpec(2, 1), Gen(0), counted(grid))
+    assert len(drawn) == 1
+    drawn.clear()
+    assert not _vanishes_on(RepSpec(1, 2), Gen(1), counted([(0,), (1,), (2,)]))
+    assert drawn == [(0,), (1,)]
 
 
 def test_a_nonempty_symbolic_result_falls_back_to_the_samples():

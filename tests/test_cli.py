@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import copy
 import hashlib
 import inspect
 import io
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qloop import borelrep, cli, exactfield, lweights, rootvectors
-from qloop.exactfield import QRational, urational_to_json
+from qloop.exactfield import QRational, qnum, urational_to_json
 from qloop.lweights import Weight, closed_psi
 from qloop.borelrep import CartanPower, Compose, Gen, RepSpec, Scale, Sum, identity, serre_check
 from qloop.rootsys import CartanExponent, RootIndex, bilinear, o_sign
@@ -324,7 +325,9 @@ def test_drinfeld_command(capsys):
 ], ids=["drinfeld", "serre"])
 def test_no_relation_tree_outlives_its_command(monkeypatch, capsys, argv, module, name):
     # relation trees read the Cartan matrix when they are built, so a tree
-    # kept from a broken run would fail the next one
+    # kept from a broken run would fail the next one; the broken trees stay
+    # interned, but a later run never reads them (a loop tree is cached on
+    # its parts, whose scalar carries a_ij)
     with monkeypatch.context() as patch:
         patch.setattr(module, name, lambda *args: 0)
         assert cli.main(argv) == 1
@@ -366,24 +369,6 @@ def test_failing_drinfeld_report_keeps_the_nested_loop_order(monkeypatch, capsys
         assert got == expected
     # every entry owns its index vector; none is shared between modules
     assert len({id(d["m"]) for d in found}) == len(found)
-
-
-# the lru_caches of rootvectors, read before any test patches a builder
-_ROOT_CACHES = [f for f in vars(rootvectors).values() if hasattr(f, "cache_clear")]
-
-
-@pytest.fixture
-def cold_roots(monkeypatch):
-    """monkeypatch, with cold rootvectors lru_caches and evaluators; the
-    caches are cleared again after the test's patches are undone, so no
-    patched tree outlives the test."""
-    for f in _ROOT_CACHES:
-        f.cache_clear()
-    monkeypatch.setattr(borelrep, "_EVALUATORS", {})
-    yield monkeypatch
-    monkeypatch.undo()
-    for f in _ROOT_CACHES:
-        f.cache_clear()
 
 
 def _level_two_real_doubled(monkeypatch):
@@ -453,7 +438,7 @@ def test_chain_decision_matches_every_relation_evaluated(cold_roots, capsys, mut
         mutate(cold_roots)
     code = cli.main(["drinfeld", "--l", str(l), "--nmax", str(nmax), "--mmax", "1", "--json"])
     found = _json_line(capsys.readouterr().out)["discrepancies"]
-    cold_roots.setattr(borelrep, "_EVALUATORS", {})
+    borelrep._EVALUATORS.clear()
     want = _loop_failures(l, nmax, list(itertools.product(range(2), repeat=l)))
     assert found == want
     assert code == (1 if want else 0)
@@ -685,8 +670,7 @@ def test_a_wrong_scalar_table_fails_through_the_cli(cold_roots, capsys, mutant, 
 
 
 def _counted_decisions(monkeypatch) -> list:
-    """Fresh evaluators, and a list that gets one entry per relation the CLI evaluates."""
-    monkeypatch.setattr(borelrep, "_EVALUATORS", {})
+    """A list that gets one entry per relation the CLI evaluates."""
     calls = []
     vanishes_on = cli._vanishes_on
     monkeypatch.setattr(cli, "_vanishes_on", lambda spec, tree, samples:
@@ -694,25 +678,17 @@ def _counted_decisions(monkeypatch) -> list:
     return calls
 
 
-def _counted_assemblies(monkeypatch) -> list:
-    """A list that gets one entry per loop relation tree the CLI assembles."""
-    built = []
-    monkeypatch.setattr(cli, "bracket_tree", lambda parts:
-                        built.append(parts) or rootvectors.bracket_tree(parts))
-    return built
-
-
-def test_loop_chains_skip_their_later_relations(monkeypatch, capsys):
+def test_loop_chains_skip_their_later_relations(cold_roots, capsys):
     # each (i, j, n, sign) chain evaluates its first relation only: 54 chains
-    # in each of 8 modules, whose 54 trees are assembled once.  So no real or
-    # dual root above level nmax is evaluated, and the memo holds under half
-    # of what evaluating all 1,512 trees leaves
-    calls = _counted_decisions(monkeypatch)
-    built = _counted_assemblies(monkeypatch)
+    # in each of 8 modules, whose 54 trees are assembled once (bracket_tree
+    # misses).  So no real or dual root above level nmax is evaluated, and
+    # the memo holds under half of what evaluating all 1,512 trees leaves
+    calls = _counted_decisions(cold_roots)
     assert cli.main(["drinfeld", "--l", "3", "--nmax", "3", "--mmax", "1"]) == 0
     capsys.readouterr()
     assert len(calls) == 54 * 8
-    assert len(built) == len(set(calls)) == 54
+    built = rootvectors.bracket_tree.cache_info()
+    assert built.misses == len(set(calls)) == 54 and built.hits == len(calls) - 54
     deep = {f(3, j, j + 1, k) for f in (e_real, e_dual) for j in (1, 2, 3) for k in range(4, 7)}
     evs = list(borelrep._EVALUATORS.values())
     assert len(evs) == 8
@@ -720,18 +696,18 @@ def test_loop_chains_skip_their_later_relations(monkeypatch, capsys):
     assert sum(len(ev._cache) for ev in evs) <= 2000
 
 
-def test_a_nonzero_shift_makes_every_relation_evaluated(monkeypatch, capsys):
+def test_a_nonzero_shift_makes_every_relation_evaluated(cold_roots, capsys):
     # the Jacobi step needs chi and e'_delta to commute; an operator with a
     # nonzero shift need not, so then every relation is evaluated
     # (each of the 189 trees is still assembled once, not once per module)
-    calls = _counted_decisions(monkeypatch)
-    built = _counted_assemblies(monkeypatch)
-    monkeypatch.setattr(borelrep.Evaluator, "zero_shift", lambda self, expr: False)
+    calls = _counted_decisions(cold_roots)
+    cold_roots.setattr(borelrep.Evaluator, "zero_shift", lambda self, expr: False)
     assert cli.main(["drinfeld", "--l", "3", "--nmax", "3", "--mmax", "1"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "checked 1512 loop relations at l=3, n <= 3, occupations <= 1", "all checks passed"]
     assert len(calls) == 1512
-    assert len(built) == len(set(calls)) == 189
+    built = rootvectors.bracket_tree.cache_info()
+    assert built.misses == len(set(calls)) == 189 and built.hits == len(calls) - 189
 
 
 def test_each_later_loop_relation_follows_the_one_before():
@@ -833,12 +809,11 @@ def test_failing_serre_report_keeps_the_nested_loop_order(monkeypatch, tmp_path,
 def test_verdicts_need_no_polynomial_gcd(monkeypatch, capsys, argv):
     # every denominator on these paths is int * q^a * products of q - 1,
     # q + 1, q^2 + 1 and (for the [3]_q! of serre at l = 1) q^2 +- q + 1,
-    # which trial division cancels; cold evaluators, so that every scalar is
-    # computed here
+    # which trial division cancels; the command starts with no evaluator, so
+    # every memo entry is computed here
     calls = []
     pgcd = exactfield._pgcd
     monkeypatch.setattr(exactfield, "_pgcd", lambda a, b: calls.append((a, b)) or pgcd(a, b))
-    monkeypatch.setattr(borelrep, "_EVALUATORS", {})
     assert cli.main(argv) == 0
     assert "all checks passed" in capsys.readouterr().out
     assert calls == []
@@ -849,30 +824,32 @@ def test_closed_forms_need_no_polynomial_gcd(monkeypatch, capsys):
     calls = []
     pgcd = exactfield._pgcd
     monkeypatch.setattr(exactfield, "_pgcd", lambda a, b: calls.append((a, b)) or pgcd(a, b))
-    monkeypatch.setattr(borelrep, "_EVALUATORS", {})
     assert cli.main(["lweight", "--l", "3", "--a", "1", "--m", "2,2,2", "--json"]) == 0
     assert _json_line(capsys.readouterr().out)["discrepancies"] == []
     assert calls == []
 
 
-def _checked_evaluators(monkeypatch, capsys) -> list:
-    """The evaluators of one verify, one drinfeld and one serre run at l = 2.
+def _checked_evaluators(capsys) -> list:
+    """The evaluators of one verify, one drinfeld and one serre run at l = 2,
+    each read when its command ends (the next command clears them).
 
     verify evaluates no e'_{n delta} with n >= 2; drinfeld at nmax 4 builds
     them all into chi_{i,4}."""
-    monkeypatch.setattr(borelrep, "_EVALUATORS", {})
-    assert cli.main(["verify", "--l", "2", "--order", "4", "--mmax", "1"]) == 0
-    assert cli.main(["drinfeld", "--l", "2", "--nmax", "4", "--mmax", "1"]) == 0
-    assert cli.main(["serre", "--l", "2", "--mmax", "1"]) == 0
+    evs = []
+    for argv in (["verify", "--l", "2", "--order", "4", "--mmax", "1"],
+                 ["drinfeld", "--l", "2", "--nmax", "4", "--mmax", "1"],
+                 ["serre", "--l", "2", "--mmax", "1"]):
+        assert cli.main(argv) == 0
+        evs += borelrep._EVALUATORS.values()
     capsys.readouterr()
-    return list(borelrep._EVALUATORS.values())
+    return evs
 
 
-def test_memoized_roots_have_one_shift(monkeypatch, capsys):
+def test_memoized_roots_have_one_shift(capsys):
     # the weight spaces are one-dimensional, so every tree the checks build
     # (the e'_{n delta}, xi+-, chi and Serre roots and all their subtrees)
     # moves v_m by one shift, the same for every m, or acts as zero
-    evs = _checked_evaluators(monkeypatch, capsys)
+    evs = _checked_evaluators(capsys)
     roots = [e_prime_imag(2, i, i + 1, n) for i in (1, 2) for n in range(1, 5)]
     roots += [chi(2, i, 1) for i in (1, 2)]
     roots += [xi_plus(2, j, k) for j in (1, 2) for k in (0, 1, 2)]
@@ -886,10 +863,9 @@ def test_memoized_roots_have_one_shift(monkeypatch, capsys):
         assert any(ev._cache.get(root) for ev in evs), root
 
 
-def test_relation_products_get_no_memo_entry(monkeypatch, capsys):
+def test_relation_products_get_no_memo_entry(capsys):
     # a relation's [chi, xi] products are read once, inside their Sum, so they
     # are streamed into it and never memoized
-    monkeypatch.setattr(borelrep, "_EVALUATORS", {})
     assert cli.main(["drinfeld", "--l", "3", "--nmax", "3", "--mmax", "1"]) == 0
     capsys.readouterr()
     chis = {chi(3, i, n) for i in (1, 2, 3) for n in (1, 2, 3)}
@@ -902,13 +878,12 @@ def test_relation_products_get_no_memo_entry(monkeypatch, capsys):
     assert sum(len(ev._cache) for ev in evs) <= 4000
 
 
-def test_verify_evaluates_no_deep_imaginary_root(monkeypatch, capsys):
+def test_verify_evaluates_no_deep_imaginary_root(capsys):
     # each phi_i is summed to all orders from E_0, F, e'_delta and two
     # products, so no e'_{n delta} with n >= 2 is evaluated and the memo does
     # not grow with --order
     sizes = []
     for order in (8, 40):
-        monkeypatch.setattr(borelrep, "_EVALUATORS", {})
         assert cli.main(["verify", "--l", "3", "--order", str(order), "--mmax", "2"]) == 0
         capsys.readouterr()
         deep = {e_prime_imag(3, i, i + 1, n) for i in (1, 2, 3) for n in range(2, order + 1)}
@@ -919,10 +894,41 @@ def test_verify_evaluates_no_deep_imaginary_root(monkeypatch, capsys):
     assert sizes[0] == sizes[1] > 0
 
 
-def test_specialized_targets_stay_in_the_fock_space(monkeypatch, capsys):
+def _memos() -> dict:
+    """Each evaluator's memo entries, under its (l, a, bar)."""
+    return {key: (dict(ev._cache), dict(ev._zero_shift))
+            for key, ev in borelrep._EVALUATORS.items()}
+
+
+def test_a_command_reads_no_evaluator_of_the_one_before(capsys):
+    # evaluators live for one command: after drinfeld, verify holds exactly
+    # the evaluators and memo entries it builds when run alone
+    verify = ["verify", "--l", "2", "--order", "4", "--mmax", "1"]
+    assert cli.main(verify) == 0
+    alone = _memos()
+    assert len(alone) == 6
+    assert cli.main(["drinfeld", "--l", "2", "--nmax", "3", "--mmax", "1"]) == 0
+    assert _memos() != alone
+    assert cli.main(verify) == 0
+    capsys.readouterr()
+    assert _memos() == alone
+
+
+def test_interned_values_outlive_a_command(capsys):
+    # the node and scalar tables and the root-vector caches live for the
+    # process, so values made before a command are the interned ones after it
+    node, root, x = Gen(2), xi_plus(2, 1, 2), QRational.from_int(3) / qnum(2)
+    assert cli.main(["drinfeld", "--l", "2", "--nmax", "2", "--mmax", "1"]) == 0
+    capsys.readouterr()
+    assert Gen(2) is node and copy.copy(node) is node
+    assert xi_plus(2, 1, 2) is root and copy.copy(root) is root
+    assert QRational.from_int(3) / qnum(2) is x and copy.copy(x) is x
+
+
+def test_specialized_targets_stay_in_the_fock_space(capsys):
     # a term whose target leaves the Fock space carries [0]_q = 0, so its
     # coefficients sum to zero and the specialization drops it
-    evs = _checked_evaluators(monkeypatch, capsys)
+    evs = _checked_evaluators(capsys)
     samples = list(itertools.product(range(3), repeat=2))
     for ev in evs:
         for node in ev._cache:

@@ -421,41 +421,41 @@ def _plus_step(prev, s, d, yx=-1):
 
 
 def test_chi_bracket_assembles_the_loop_parts():
-    # [C, X] + c Y over (C, X, c, Y) = (chi_{i,n}, xi_{j,k}, -+(1/n)[n a_ij]_q, xi_{j,n+k})
-    l = 2
-    for i, j, n in itertools.product((1, 2), (1, 2), (1, 2)):
-        c = qnum(n * (2 if i == j else -1)) / QRational.from_int(n)
-        for xi, sign, k in ((xi_plus, 1, 0), (xi_plus, -1, 1), (xi_minus, -1, 2)):
-            parts = loop_parts(l, i, j, n, k, xi, sign)
-            assert parts == (chi(l, i, n), xi(l, j, k), -sign * c, xi(l, j, n + k))
-            assert all(x is y for x, y in zip(parts, loop_parts(l, i, j, n, k, xi, sign)))
-            assert chi_bracket(l, i, j, n, k, xi, sign) is _bracket(*parts)
+    # [C, X] + c Y over (C, X, c, Y) = (chi_{i,n}, xi_{j,k}, -+(1/n)[n a_ij]_q, xi_{j,n+k}),
+    # a_ij entered here: at l = 1 (a double bond between nodes 0 and 1) only
+    # a_11 = 2, and from l = 3 on a_ij = 0 for the nodes 1 <= i, j <= l that
+    # are not neighbours
+    for l in (1, 2, 3, 4):
+        for i, j, n in itertools.product(range(1, l + 1), range(1, l + 1), (1, 2)):
+            a_ij = 2 if i == j else -1 if abs(i - j) == 1 else 0
+            c = qnum(n * a_ij) / QRational.from_int(n)
+            for xi, sign, k in ((xi_plus, 1, 0), (xi_plus, -1, 1), (xi_minus, -1, 2)):
+                parts = loop_parts(l, i, j, n, k, xi, sign)
+                assert parts == (chi(l, i, n), xi(l, j, k), -sign * c, xi(l, j, n + k))
+                assert all(x is y for x, y in zip(parts, loop_parts(l, i, j, n, k, xi, sign)))
+                assert chi_bracket(l, i, j, n, k, xi, sign) is _bracket(*parts)
 
 
-def test_loop_step_matches_the_level_step_and_nothing_else():
+def test_loop_step_matches_the_level_step_and_nothing_else(monkeypatch):
     l, i, j, n = 2, 1, 2, 1
     big_c, d = chi(l, i, n), e_prime_imag(l, j, j + 1, 1)
     plus = [loop_parts(l, i, j, n, k, xi_plus, 1) for k in (0, 1, 2)]
     minus = [loop_parts(l, i, j, n, k, xi_minus, -1) for k in (1, 2, 3)]
     level, pairs = rootvectors._level_step, []
-
-    def counted(prev, x):
-        pairs.append((prev, x))
-        return rootvectors._level_step(prev, x)
-
-    assert loop_step(plus[0], plus[1], counted) == loop_step(plus[1], plus[2], level) == (big_c, d)
+    monkeypatch.setattr(rootvectors, "_level_step",
+                        lambda prev, x: pairs.append((prev, x)) or level(prev, x))
+    assert loop_step(plus[0], plus[1]) == loop_step(plus[1], plus[2]) == (big_c, d)
     h = CartanPower(CartanExponent.h(l, j))
-    assert loop_step(minus[0], minus[1], counted) == loop_step(minus[1], minus[2], level) == (big_c, d, h)
-    # the level steps compared are those of the X pair and the Y pair, read
-    # through the level_step given
-    assert pairs == [(a[q], b[q]) for a, b in ((plus[0], plus[1]), (minus[0], minus[1]))
+    assert loop_step(minus[0], minus[1]) == loop_step(minus[1], minus[2]) == (big_c, d, h)
+    # the level steps compared are those of the X pair and the Y pair
+    assert pairs == [(a[q], b[q]) for chain in (plus, minus) for a, b in zip(chain, chain[1:])
                      for q in (1, 3)]
     # not one chain: two levels up, another n, another sign, another j, a mixed sign
-    assert loop_step(plus[0], plus[2], level) is None
-    assert loop_step(plus[0], loop_parts(l, i, j, 2, 1, xi_plus, 1), level) is None
-    assert loop_step(plus[0], loop_parts(l, i, j, n, 1, xi_plus, -1), level) is None
-    assert loop_step(minus[0], loop_parts(l, i, 1, n, 2, xi_minus, -1), level) is None
-    assert loop_step(plus[0], minus[1], level) is None
+    assert loop_step(plus[0], plus[2]) is None
+    assert loop_step(plus[0], loop_parts(l, i, j, 2, 1, xi_plus, 1)) is None
+    assert loop_step(plus[0], loop_parts(l, i, j, n, 1, xi_plus, -1)) is None
+    assert loop_step(minus[0], loop_parts(l, i, 1, n, 2, xi_minus, -1)) is None
+    assert loop_step(plus[0], minus[1]) is None
     # rebuilt by hand, the level steps of xi+_{j,0} and xi+_{j,1} are plus[1]'s X and Y
     x0, y0, c = xi_plus(l, j, 0), xi_plus(l, j, n), plus[0][2]
     s1, s2 = xi_plus(l, j, 1).c, xi_plus(l, j, n + 1).c
@@ -464,7 +464,7 @@ def test_loop_step_matches_the_level_step_and_nothing_else():
 
     def step(sx=s1, sy=s2, dx=d, dy=d, yx=-1):
         return loop_step(plus[0], (big_c, _plus_step(x0, sx, dx, yx), c,
-                                   _plus_step(y0, sy, dy, yx)), level)
+                                   _plus_step(y0, sy, dy, yx)))
 
     # a wrong scalar, sign or D in one step, or a wrong sign in both, is refused
     assert step(sx=two * s1) is None
@@ -476,8 +476,8 @@ def test_loop_step_matches_the_level_step_and_nothing_else():
     assert step(sx=two * s1, sy=two * s2) == (big_c, d)
     assert step(dx=Gen(0), dy=Gen(0)) == (big_c, Gen(0))
     # another C or c in the later relation is refused
-    assert loop_step(plus[0], (chi(l, i, 2),) + plus[1][1:], level) is None
-    assert loop_step(plus[0], plus[1][:2] + (two * c,) + plus[1][3:], level) is None
+    assert loop_step(plus[0], (chi(l, i, 2),) + plus[1][1:]) is None
+    assert loop_step(plus[0], plus[1][:2] + (two * c,) + plus[1][3:]) is None
 
 
 def test_repeated_drinfeld_check_adds_no_memo_entries():
