@@ -17,13 +17,16 @@ identities relating the two families (factor_sides).
 
 Factored form.  Every closed Psi_i(u) = q**<lambda, h_i> prod_x (1 - x u)**k_x
 is a Drinfeld rational fraction, so an l-weight (LWeight) is a weight plus,
-per node, roots x with nonzero multiplicities k_x; products add both, and
-touch only the nodes that have roots.  Its exponents are affine in the
-occupations m: x = zs q**c(m), lambda = e0(m).  The catalog (_psi_parts)
-reads m only through one table of prefix sums per module, so a node costs
-O(1) whatever l is, and a node's factors cancel on their integer exponents
-c before any root x is built (_psi_roots).  closed_psi multiplies the
-factors out into a URational for display and JSON; no gcd over Q(q)[u] runs.
+per node, roots x with nonzero multiplicities k_x; products add both.
+Products and twists visit only the nodes that carry roots, found by a scan
+in C, and pass the empty nodes on as they are; the catalog and the builders
+share one empty frozenset.  The exponents are affine in the occupations m:
+x = zs q**c(m), lambda = e0(m).  The catalog (_psi_parts) reads m only
+through one table of prefix sums per module, so a node costs O(1) whatever
+l is, and a node's factors cancel on their integer exponents c before any
+root x is built (_psi_roots), which reads every node's weight.  closed_psi
+multiplies the factors out into a URational for display and JSON; no gcd
+over Q(q)[u] runs.
 
 Symbolic m.  verify and lweight build their checks once per module with m
 symbolic (VectorChecks): _psi_parts is read on the prefix sums of affine
@@ -55,6 +58,7 @@ is fixed by level zero, <lambda, h_0> = -sum_i <lambda, h_i>.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .borelrep import CartanPower, Compose, Evaluator, Gen, RepSpec, _dot, _vadd, get_evaluator
 from .exactfield import QRational, URational, USeries, kappa, qnum, qrational_to_json
@@ -64,6 +68,7 @@ from .rootvectors import e_dual, e_prime_imag, qcomm
 
 _ONE = QRational.one()
 _ZERO = QRational.zero()
+_EMPTY = frozenset()  # the empty node that the catalog and the builders share
 
 
 class NotDiagonal(Exception):
@@ -108,12 +113,12 @@ class Weight(Record):
     def fundamental(cls, l: int, i: int, mult: int = 1) -> "Weight":
         if not (1 <= i <= l):
             raise IndexError("fundamental weight index out of range")
-        return cls(l, tuple(mult if j == i else 0 for j in range(1, l + 1)))
+        return cls(l, (0,) * (i - 1) + (mult,) + (0,) * (l - i))
 
     def __add__(self, other: "Weight") -> "Weight":
         if self.l != other.l:
             raise ValueError("rank mismatch")
-        return Weight(self.l, tuple(x + y for x, y in zip(self.omega, other.omega)))
+        return Weight(self.l, tuple(map(operator.add, self.omega, other.omega)))
 
     def pair_h(self, j: int) -> int:
         """<self, h_j> for j = 0 .. l; level zero fixes the affine value."""
@@ -237,7 +242,7 @@ def _roots(pairs) -> frozenset:
     mult = {}
     for x, k in pairs:
         mult[x] = mult.get(x, 0) + k
-    return frozenset((x, k) for x, k in mult.items() if k and x)
+    return frozenset([(x, k) for x, k in mult.items() if k and x])
 
 
 def _psi_forms(i: int, spec: RepSpec, s: tuple) -> tuple:
@@ -271,10 +276,12 @@ def _psi_roots(i: int, spec: RepSpec, s: tuple) -> tuple:
     (so _roots, which drops x = 0, does not apply here).
     """
     e0, pairs, zeff = _psi_forms(i, spec, s)
+    if not pairs:
+        return e0, _EMPTY
     mult = {}
     for c, k in pairs:
         mult[c] = mult.get(c, 0) + k
-    return e0, frozenset((zeff.shifted(c), k) for c, k in mult.items() if k)
+    return e0, frozenset([(zeff.shifted(c), k) for c, k in mult.items() if k])
 
 
 def _symbolic_forms(i: int, spec: RepSpec, s: tuple) -> tuple:
@@ -431,27 +438,30 @@ class LWeight(Record):
         """The l-weight at u -> z u: every root times z, the weight kept.
 
         Scaling by a nonzero z is injective, so no two roots merge and the
-        factored form stays unique.  An empty node passes through as it is."""
+        factored form stays unique.  Only the nonempty nodes are visited, one
+        product per root; an empty node passes through as it is."""
         if z.is_zero():
             raise ValueError("spectral twist must be nonzero")
-        return LWeight(self.weight, tuple(
-            frozenset((x * z, k) for x, k in node) if node else node for node in self.roots))
+        roots = list(self.roots)
+        for j in itertools.compress(range(len(roots)), roots):
+            roots[j] = frozenset([(x * z, k) for x, k in roots[j]])
+        return LWeight(self.weight, tuple(roots))
 
 
 def lweight_product(*factors: LWeight) -> LWeight:
     """Componentwise product: weights add, root multiplicities add.
 
-    It starts from the first factor's nodes and merges in only the nonempty
-    nodes of each later one; a node that one factor alone fills passes
-    through unchanged."""
+    It starts from the first factor's nodes and visits only the nonempty
+    nodes of each later one, found by a scan in C; a node that one factor
+    alone fills passes through unchanged."""
     if not factors:
         raise ValueError("need at least one factor")
     w, roots = factors[0].weight, list(factors[0].roots)
     for f in factors[1:]:
         w = w + f.weight
-        for j, node in enumerate(f.roots):
-            if node:
-                roots[j] = _roots(itertools.chain(roots[j], node)) if roots[j] else node
+        for j in itertools.compress(range(len(roots)), f.roots):
+            node = f.roots[j]
+            roots[j] = _roots(itertools.chain(roots[j], node)) if roots[j] else node
     return LWeight(w, tuple(roots))
 
 
@@ -464,14 +474,15 @@ def prefundamental(l: int, i: int, sign: int, x: QRational) -> LWeight:
         raise IndexError("node index out of range")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    roots = [frozenset()] * l  # one shared empty node
-    roots[i - 1] = _roots([(x, sign)])
-    return LWeight(Weight.zero(l), tuple(roots))
+    if x.is_zero():
+        raise ValueError("prefundamental parameter must be nonzero")
+    node = frozenset({(x, sign)})
+    return LWeight(Weight.zero(l), (_EMPTY,) * (i - 1) + (node,) + (_EMPTY,) * (l - i))
 
 
 def shift_weight(w: Weight) -> LWeight:
     """Highest l-weight of the one-dimensional module with weight w."""
-    return LWeight(w, (frozenset(),) * w.l)
+    return LWeight(w, (_EMPTY,) * w.l)
 
 
 def oscillator_lweight(spec: RepSpec, m=None) -> LWeight:
@@ -496,16 +507,16 @@ def xi_osc(l: int, a: int) -> Weight:
 
 def xi_pref_minus(l: int, i: int) -> Weight:
     """The shift in the oscillator factorization of the negative family."""
-    return Weight(l, tuple(
-        -2 if j < i else (-(l - i + 2) if j == i else 0) for j in range(1, l + 1)
-    ))
+    if not (1 <= i <= l):
+        raise IndexError("node index out of range")
+    return Weight(l, (-2,) * (i - 1) + (-(l - i + 2),) + (0,) * (l - i))
 
 
 def xi_pref_plus(l: int, i: int) -> Weight:
     """The shift in the oscillator factorization of the positive family."""
-    return Weight(l, tuple(
-        l - i if j == i else (-2 if j > i else 0) for j in range(1, l + 1)
-    ))
+    if not (1 <= i <= l):
+        raise IndexError("node index out of range")
+    return Weight(l, (0,) * (i - 1) + (l - i,) + (-2,) * (l - i))
 
 
 def factor_sides(l: int, jobs, zs: QRational = _ONE, zs_list=None):
@@ -513,7 +524,8 @@ def factor_sides(l: int, jobs, zs: QRational = _ONE, zs_list=None):
 
     A job is (kind, index), kind one of "osc" (index = a), "pref-minus" /
     "pref-plus" (index = i) or "full-tensor" (index unused; zs_list holds
-    l+1 twists, defaulting to zs everywhere):
+    l+1 twists, defaulting to zs everywhere, and any other length is a
+    ValueError before a module is read):
 
     - osc: theta_a with twist zs is a shift times prefundamental factors;
     - pref-minus / pref-plus: the shifted prefundamental with
@@ -529,9 +541,9 @@ def factor_sides(l: int, jobs, zs: QRational = _ONE, zs_list=None):
     jobs reach.  A twisted product is the product of the twists as data: a
     nonzero z maps distinct roots to distinct roots (LWeight.twisted).
     """
-    if zs_list is None:
-        zs_list = (zs,) * (l + 1)
-    zs_list = tuple(zs_list)
+    zs_list = (zs,) * (l + 1) if zs_list is None else tuple(zs_list)
+    if len(zs_list) != l + 1:
+        raise ValueError("need one twist per tensor factor")
     theta = {}
 
     def osc(b: int, z: QRational) -> LWeight:
@@ -567,8 +579,6 @@ def factor_sides(l: int, jobs, zs: QRational = _ONE, zs_list=None):
                 prods.append(lweight_product(prods[-1], t) if prods else t)
             rhs = prods[n - 1].twisted(zs.shifted(i))
         elif kind == "full-tensor":
-            if len(zs_list) != l + 1:
-                raise ValueError("need one twist per tensor factor")
             lhs = lweight_product(*[osc(a, zs_list[a - 1]) for a in range(1, l + 2)])
             # Psi_i = q**-2 (1 - q**(i-l+1) zs_i u) / (1 - q**(i-l-1) zs_{i-1} u)
             rhs = LWeight(Weight(l, (-2,) * l), tuple(

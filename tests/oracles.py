@@ -47,6 +47,9 @@
   (lweights._psi_roots); and l-weight products merged node by node over all
   factors at once (lweight_product_at_once), where qloop folds each later
   factor's nonempty nodes into the first factor's (lweights.lweight_product).
+- A twist applied node by node: every node of an l-weight visited and each
+  of its roots scaled (twisted_by_nodes), where qloop visits only the
+  nonempty nodes (lweights.LWeight.twisted).
 - State arithmetic that qloop does not need: sums, differences, scalar
   multiples and coefficients of FockStates.
 - Algebra in u that qloop does not need: truncated series sums,
@@ -501,6 +504,12 @@ def lweight_product_at_once(*factors) -> lweights.LWeight:
     omega = [sum(col) for col in zip(*(f.weight.omega for f in factors))]
     return lweights.LWeight(Weight(len(omega), tuple(omega)),
                             tuple(map(node_product, *(f.roots for f in factors))))
+
+
+def twisted_by_nodes(lw: lweights.LWeight, z: QRational) -> lweights.LWeight:
+    """The l-weight at u -> z u: every node visited, each root x made z x."""
+    return lweights.LWeight(lw.weight, tuple(
+        frozenset((x * z, k) for x, k in node) for node in lw.roots))
 
 
 # ------------------------------------------------------ per-m series checks

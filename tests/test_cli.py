@@ -669,6 +669,32 @@ def test_a_wrong_scalar_table_fails_through_the_cli(cold_roots, capsys, mutant, 
     assert code == (0 if last == "all checks passed" else 1)
 
 
+# single-point mutants of _psi_parts on the nodes that carry no root at m = 0:
+# the weight of a node without factors (i <= a - 2), and a numerator exponent
+# of a node whose factors cancel there (i > a).  factor must read both kinds
+# of node in full, so neither may be skipped as empty.
+_CATALOG_MUTANTS = {
+    "kept": ("[], [])", "[], [])"),
+    "factorless-e0": ("s[k - 1], [], [])", "s[k - 1] + 1, [], [])"),
+    "cancelling-num": ("-2 * (t - lo) - l + i - 1", "-2 * (t - lo) - l + i - 3"),
+}
+_CATALOG_RUNS = [
+    ("kept", _FACTOR_L5, "all checks passed"),
+    ("factorless-e0", _FACTOR_L5, "13 failures"),
+    ("cancelling-num", _FACTOR_L5, "13 failures"),
+]
+
+
+@pytest.mark.parametrize("mutant,argv,last", _CATALOG_RUNS,
+                         ids=[f"{m}-{argv[0]}-l{argv[2]}" for m, argv, _ in _CATALOG_RUNS])
+def test_a_wrong_catalog_node_fails_through_the_cli(monkeypatch, capsys, mutant, argv, last):
+    monkeypatch.setattr(lweights, "_psi_parts",
+                        _mutated(lweights._psi_parts, lweights, *_CATALOG_MUTANTS[mutant]))
+    code = cli.main(argv)
+    assert capsys.readouterr().out.splitlines()[-1] == last
+    assert code == (0 if last == "all checks passed" else 1)
+
+
 def _counted_decisions(monkeypatch) -> list:
     """A list that gets one entry per relation the CLI evaluates."""
     calls = []

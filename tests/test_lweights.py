@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from oracles import (_operator_series, _poly_at, _poly_series, check_vector_at, constant_term,
                      den_degree, factor_rhs_by_products, lweight_product_at_once, num_degree,
                      pade, phi_series_at, psi_roots_by_scalars, qh_exponent, reduced, scale_var,
-                     series_inverse, series_product, table_lambda, verify_grid_at)
+                     series_inverse, series_product, table_lambda, twisted_by_nodes,
+                     verify_grid_at)
 
 import qloop
 from qloop import cli, lweights
@@ -46,6 +47,25 @@ def test_weight_algebra():
     assert sum(w.pair_h(j) for j in range(4)) == 0
     with pytest.raises(ValueError):
         Weight(2, (1,))
+
+
+def test_weight_builders_match_their_node_by_node_definitions():
+    # the shifts built by tuple concatenation, against a generator over every node
+    for l in range(1, 13):
+        for i in range(1, l + 1):
+            js = range(1, l + 1)
+            for mult in (1, -3):
+                assert Weight.fundamental(l, i, mult).omega == tuple(
+                    mult if j == i else 0 for j in js)
+            assert lweights.xi_pref_minus(l, i).omega == tuple(
+                -2 if j < i else (-(l - i + 2) if j == i else 0) for j in js)
+            assert lweights.xi_pref_plus(l, i).omega == tuple(
+                l - i if j == i else (-2 if j > i else 0) for j in js)
+        # an index off the diagram is an error, not a wrong weight
+        for i in (0, l + 1, -1):
+            for build in (Weight.fundamental, lweights.xi_pref_minus, lweights.xi_pref_plus):
+                with pytest.raises(IndexError):
+                    build(l, i)
 
 
 # ------------------------------------------------------------ closed formulas
@@ -600,6 +620,9 @@ def test_prefundamental_validation():
         prefundamental(2, 1, 2, qp(1))
     with pytest.raises(IndexError):
         prefundamental(2, 3, 1, qp(1))
+    # x = 0 would be the factor 1 - 0 u = 1, the trivial l-weight, not a prefundamental one
+    with pytest.raises(ValueError, match="^prefundamental parameter must be nonzero$"):
+        prefundamental(3, 2, 1, QRational.zero())
 
 
 def test_oscillator_lweight_defaults_to_the_highest_vector():
@@ -898,3 +921,79 @@ def test_lweight_product_is_the_all_at_once_merge(l, data):
             omega = data.draw(st.lists(st.integers(-3, 3), min_size=l, max_size=l))
             factors.append(shift_weight(Weight(l, tuple(omega))))
     assert lweight_product(*factors) == lweight_product_at_once(*factors)
+
+
+# a pool of roots small enough that the factors of a product share some
+_SPARSE_ROOTS = (ONE, -ONE, qp(2), -2 * qp(-1), ONE / QRational.from_int(2), -qp(-3))
+
+
+@st.composite
+def _sparse_lweights(draw, l: int, count: int):
+    """count l-weights at rank l, each with roots at up to 3 nodes and every
+    empty node its own frozenset object."""
+    out = []
+    for _ in range(count):
+        roots = [frozenset(set()) for _ in range(l)]
+        for j in draw(st.lists(st.integers(0, l - 1), max_size=3, unique=True)):
+            xs = draw(st.lists(st.sampled_from(_SPARSE_ROOTS), min_size=1, max_size=3, unique=True))
+            roots[j] = frozenset((x, draw(st.sampled_from((1, -1, 2, -2)))) for x in xs)
+        omega = draw(st.lists(st.integers(-3, 3), min_size=l, max_size=l))
+        out.append(LWeight(Weight(l, tuple(omega)), tuple(roots)))
+    return out
+
+
+@given(st.integers(1, 40), st.data())
+@settings(max_examples=60, deadline=None)
+def test_twists_and_products_visit_only_nonempty_nodes(l, data):
+    # twisted and lweight_product, which skip empty nodes, against the oracles
+    # that visit every node; each empty node of a result is an operand's node
+    factors = data.draw(_sparse_lweights(l, data.draw(st.integers(1, 4))))
+    z = data.draw(st.sampled_from(_LAW_TWISTS) | _twists)
+    for lw in factors:
+        got = lw.twisted(z)
+        assert got == twisted_by_nodes(lw, z)
+        assert all(g is node for g, node in zip(got.roots, lw.roots) if not node)
+    prod = lweight_product(*factors)
+    assert prod == lweight_product_at_once(*factors)
+    for j, nodes in enumerate(zip(*(f.roots for f in factors))):
+        full = [node for node in nodes if node]
+        if len(full) <= 1:
+            # no factor or one fills node j: it passes through as that factor's object
+            assert prod.roots[j] is (full[0] if full else nodes[0]), j
+    # the twist of a product is the product of the twists
+    assert prod.twisted(z) == lweight_product(*(f.twisted(z) for f in factors))
+
+
+def test_a_twist_multiplies_once_per_root(monkeypatch):
+    # at l = 2,000 with three nonempty nodes, a twist costs one scalar
+    # product per root and none per empty node; a product merges only the
+    # nodes that two factors fill
+    l, z = 2000, -2 * qp(-1)
+    nodes = {7: {(ONE, 1), (qp(2), -1)}, 1000: {(-ONE, 2)}, 1999: {(qp(-3), -1), (ONE, 1), (qp(5), 1)}}
+    lw = LWeight(Weight.zero(l), tuple(frozenset(nodes.get(j, ())) for j in range(l)))
+    calls = []
+    mul = QRational.__mul__
+    monkeypatch.setattr(QRational, "__mul__", lambda x, y: calls.append(y) or mul(x, y))
+    got = lw.twisted(z)
+    assert calls == [z] * 6
+    monkeypatch.undo()
+    assert got == twisted_by_nodes(lw, z)
+    pref = prefundamental(l, 1001, -1, QRational.from_int(5))  # at roots[1000]
+    merged = []
+    roots = lweights._roots
+    monkeypatch.setattr(lweights, "_roots", lambda pairs: merged.append(1) or roots(pairs))
+    assert lweight_product(lw, pref, got) == lweight_product_at_once(lw, pref, got)
+    assert len(merged) == 4  # roots[1000] twice, roots[7] and roots[1999] once
+
+
+def test_a_wrong_length_twist_list_fails_before_any_module_is_read(monkeypatch, capsys):
+    read = []
+    monkeypatch.setattr(lweights, "oscillator_lweight", lambda spec, m=None: read.append(spec))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["factor", "--l", "300", "--kind", "all", "--zs-list=q,q"])
+    assert err.value.code == 2
+    out, errs = capsys.readouterr()
+    assert out == "" and errs.endswith("error: need one twist per tensor factor\n")
+    with pytest.raises(ValueError, match="^need one twist per tensor factor$"):
+        next(lweights.factor_sides(3, [("osc", 1), ("full-tensor", 0)], zs_list=[ONE] * 3))
+    assert read == []
